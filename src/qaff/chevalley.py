@@ -121,10 +121,6 @@ def enumerate_chevalley_roots(W: AffineWeylGroup) -> ChevalleyRootSet:
     return chevalley_root_set(W.rs.letter, W.rs.rank)
 
 
-def is_chevalley(W: AffineWeylGroup, alpha: AffineRoot) -> bool:
-    return enumerate_chevalley_roots(W).is_chevalley(alpha)
-
-
 def posir_reconstruct(W: AffineWeylGroup) -> dict[AffineRoot, tuple[int, ...]]:
     """Rebuild the set by upward closure, without the ``2 ht - 1`` criterion.
 

@@ -16,6 +16,8 @@ Conventions, fixed once and used everywhere downstream:
   its coroot is the integer vector ``(k/d_beta) * c + beta^vee`` in the affine
   simple-coroot basis, where ``c = alpha_0^vee + theta^vee`` is the canonical
   central element, represented as ``(1, m_1, ..., m_n)``.
+* Per-root data (index, coroot, ``d_root``, pairings, reflection) is tabulated
+  once per type in a :class:`RootTable`, so lookups do no ``Fraction`` work.
 """
 
 from __future__ import annotations
@@ -104,6 +106,82 @@ def _symmetrizers(cartan: list[list[int]]) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)  # type: ignore[operator]
 
 
+@dataclass(frozen=True, eq=False)
+class RootTable:
+    """Per-root data of one root system, built once by :func:`build_root_system`.
+
+    Roots are indexed positives first, in ``positive_roots`` order, then their
+    negatives: with ``N`` positive roots, index ``i + N`` holds ``-roots[i]``,
+    so a root is negative exactly when its index is ``>= N``.
+    """
+
+    roots: tuple[Vec, ...]
+    index: dict[Vec, int]
+    coroots: tuple[Vec, ...]  # beta^vee in simple-coroot coordinates
+    d_roots: tuple[Fraction, ...]  # (beta|beta)/2
+    inv_d: tuple[int, ...]  # 1/d_root, which is 1, 2 or 3
+    pairings: tuple[Vec, ...]  # <beta, alpha_i^vee> for 0-indexed i
+    reflections: tuple[tuple[int, ...], ...]  # s_beta as a permutation of indices
+    simple: tuple[int, ...]  # index of alpha_i, for 0-indexed i
+
+    def index_of(self, beta: Vec) -> int:
+        try:
+            return self.index[beta]
+        except KeyError:
+            raise ValueError(f"{beta} is not a root") from None
+
+
+def _root_table(
+    cartan: list[list[int]], d: tuple[Fraction, ...], positives: list[Vec]
+) -> RootTable:
+    """Index every root and compute its coroot, norm, pairings and reflection.
+
+    Every coroot ``(2/(beta|beta)) beta`` and every ``1/d_root`` is checked to
+    be integral here, once per root, so lookups need no check.
+    """
+    n = len(cartan)
+    roots = tuple(positives) + tuple(tuple(-x for x in b) for b in positives)
+    index = {beta: i for i, beta in enumerate(roots)}
+    coroots, d_roots, inv_d, pairings = [], [], [], []
+    for beta in roots:
+        # (beta|beta)/2 in the theta-normalized invariant form
+        db = sum(
+            d[i] * cartan[i][j] * beta[i] * beta[j]
+            for i in range(n)
+            for j in range(n)
+            if beta[i] and beta[j]
+        ) / 2
+        co = [b * d[j] / db for j, b in enumerate(beta)]
+        if any(v.denominator != 1 for v in co):
+            raise AssertionError(f"non-integer coroot for {beta}")
+        if db.numerator != 1:
+            raise AssertionError(f"1/d_root is not an integer for {beta}")
+        coroots.append(tuple(int(v) for v in co))
+        d_roots.append(db)
+        inv_d.append(db.denominator)
+        pairings.append(
+            tuple(sum(b * cartan[i][j] for j, b in enumerate(beta)) for i in range(n))
+        )
+    reflections = []
+    for beta, bco in zip(positives, coroots):  # the first N coroots are the positives'
+        # s_beta(gamma) = gamma - <gamma, beta^vee> beta
+        perm = []
+        for gamma, pv in zip(roots, pairings):
+            k = sum(p * c for p, c in zip(pv, bco))
+            perm.append(index[tuple(g - k * b for g, b in zip(gamma, beta))])
+        reflections.append(tuple(perm))
+    return RootTable(
+        roots=roots,
+        index=index,
+        coroots=tuple(coroots),
+        d_roots=tuple(d_roots),
+        inv_d=tuple(inv_d),
+        pairings=tuple(pairings),
+        reflections=tuple(reflections) * 2,  # s_{-beta} = s_beta
+        simple=tuple(index[tuple(1 if j == i else 0 for j in range(n))] for i in range(n)),
+    )
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Finite root system data for one simple type."""
@@ -117,6 +195,7 @@ class RootSystem:
     theta_coroot: Vec
     _root_set: frozenset[Vec] = field(repr=False)
     killing_coroots: tuple[tuple[Fraction, ...], ...] = field(repr=False)
+    table: RootTable = field(repr=False, compare=False)
 
     @property
     def lie_type(self) -> str:
@@ -148,35 +227,21 @@ class RootSystem:
     # -- pairings and the invariant form -----------------------------------
 
     def pairing_simple(self, beta: Vec, i: int) -> int:
-        """``<beta, alpha_i^vee>`` for 0-indexed i."""
-        return sum(b * self.cartan[i][j] for j, b in enumerate(beta))
+        """``<beta, alpha_i^vee>`` for a root beta and 0-indexed i."""
+        return self.table.pairings[self.table.index_of(beta)][i]
 
     def pairing(self, beta: Vec, coroot: Vec) -> int:
-        """``<beta, gamma^vee>`` with gamma^vee in simple-coroot coordinates."""
-        return sum(g * self.pairing_simple(beta, i) for i, g in enumerate(coroot))
-
-    def norm_sq(self, beta: Vec) -> Fraction:
-        """``(beta|beta)`` in the theta-normalized invariant form."""
-        return sum(
-            self.d[i] * self.cartan[i][j] * beta[i] * beta[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if beta[i] and beta[j]
-        ) or Fraction(0)
+        """``<beta, gamma^vee>`` for a root beta, gamma^vee in simple-coroot coordinates."""
+        pv = self.table.pairings[self.table.index_of(beta)]
+        return sum(g * p for g, p in zip(coroot, pv))
 
     def d_root(self, beta: Vec) -> Fraction:
-        return self.norm_sq(beta) / 2
+        """``(beta|beta)/2`` for a root beta."""
+        return self.table.d_roots[self.table.index_of(beta)]
 
     def coroot(self, beta: Vec) -> Vec:
         """``beta^vee = (2/(beta|beta)) beta`` in simple-coroot coordinates."""
-        db = self.d_root(beta)
-        out = []
-        for j, b in enumerate(beta):
-            v = Fraction(b) * self.d[j] / db
-            if v.denominator != 1:
-                raise AssertionError(f"non-integer coroot for {beta}")
-            out.append(int(v))
-        return tuple(out)
+        return self.table.coroots[self.table.index_of(beta)]
 
     def inner_coroots(self, x: Vec, y: Vec) -> Fraction:
         """``(x|y)`` for coroot-coordinate vectors, via ``(alpha_i^vee|alpha_j^vee)``."""
@@ -195,24 +260,6 @@ class RootSystem:
         """``s_alpha(v)`` on root coordinates."""
         k = self.pairing(v, self.coroot(alpha))
         return tuple(a - k * b for a, b in zip(v, alpha))
-
-    def reflect_coroot(self, alpha: Vec, x: Vec) -> Vec:
-        """``s_alpha(x)`` on coroot coordinates."""
-        k = self.pairing(alpha, x)
-        return tuple(a - k * b for a, b in zip(x, self.coroot(alpha)))
-
-    def fundamental_weights(self) -> tuple[tuple[Fraction, ...], ...]:
-        """omega_1..omega_n in root-basis coordinates (columns of cartan^{-1})."""
-        n = self.rank
-        from .polynomials import solve_exact
-
-        cols = []
-        for k in range(n):
-            rhs = [1 if i == k else 0 for i in range(n)]
-            sol = solve_exact([list(row) for row in self.cartan], rhs)
-            assert sol is not None
-            cols.append(tuple(sol))
-        return tuple(cols)
 
 
 def _positive_root_closure(cartan: list[list[int]]) -> list[Vec]:
@@ -257,30 +304,34 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     positives = _positive_root_closure(cartan)
     top_height = sum(positives[-1])
     highest = [b for b in positives if sum(b) == top_height]
-    assert len(highest) == 1, "highest root must be unique"
+    if len(highest) != 1:
+        raise AssertionError("highest root must be unique")
     theta = highest[0]
+    table = _root_table(cartan, d, positives)
+    theta_index = table.index[theta]
+    if table.d_roots[theta_index] != 1:
+        raise AssertionError("theta must be long in this normalization")
+    for i in range(rank):
+        up = tuple(t + (1 if j == i else 0) for j, t in enumerate(theta))
+        if up in table.index:
+            raise AssertionError("theta + simple root may not be a root")
     killing = tuple(
         tuple(Fraction(cartan[i][j]) / d[j] for j in range(rank)) for i in range(rank)
     )
-    rs = RootSystem(
+    return RootSystem(
         letter=letter,
         rank=rank,
         cartan=tuple(tuple(row) for row in cartan),
         d=d,
         positive_roots=tuple(positives),
         theta=theta,
-        theta_coroot=(),  # placeholder, fixed below
+        theta_coroot=table.coroots[theta_index],
         _root_set=frozenset(positives) | frozenset(
             tuple(-x for x in b) for b in positives
         ),
         killing_coroots=killing,
+        table=table,
     )
-    object.__setattr__(rs, "theta_coroot", rs.coroot(theta))
-    assert rs.d_root(theta) == 1, "theta must be long in this normalization"
-    for i in range(rank):
-        up = tuple(t + (1 if j == i else 0) for j, t in enumerate(theta))
-        assert not rs.is_root(up), "theta + simple root may not be a root"
-    return rs
 
 
 def build_root_system_str(lie_type: str) -> RootSystem:
@@ -369,11 +420,10 @@ class AffineRootData:
         """Integer coordinates of ``a^vee`` in ``(alpha_0^vee, ..., alpha_n^vee)``."""
         if not a.is_real():
             raise ValueError("imaginary roots have no coroot here; use .c for the center")
-        ratio = Fraction(a.level) / self.rs.d_root(a.finite)
-        assert ratio.denominator == 1
-        r = int(ratio)
-        fin = self.rs.coroot(a.finite)
-        return (r,) + tuple(r * m + f for m, f in zip(self.rs.theta_coroot, fin))
+        table = self.rs.table
+        b = table.index_of(a.finite)
+        r = a.level * table.inv_d[b]
+        return (r,) + tuple(r * m + f for m, f in zip(self.rs.theta_coroot, table.coroots[b]))
 
     def finite_part_of_coroot(self, v: CorootVec) -> Vec:
         """Project a coroot vector to the finite coroot lattice (kills c)."""
@@ -420,10 +470,6 @@ class AffineRootData:
 @lru_cache(maxsize=None)
 def affinize(letter: str, rank: int) -> AffineRootData:
     return AffineRootData(build_root_system(letter, rank))
-
-
-def affinize_str(lie_type: str) -> AffineRootData:
-    return affinize(*parse_lie_type(lie_type))
 
 
 if __name__ == "__main__":

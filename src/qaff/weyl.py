@@ -14,7 +14,8 @@ Lengths come from the closed form
     len(v t_l) = sum over beta > 0 of  |<beta,l>| + s(beta)
     where s(beta) = +[v beta < 0] if <beta,l> >= 0, else -[v beta < 0],
 
-which tests cross-validate against breadth-first word enumeration.
+equivalently the sum of ``|<beta,l> + [v beta < 0]|``, which tests
+cross-validate against breadth-first word enumeration.
 """
 
 from __future__ import annotations
@@ -22,92 +23,75 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from operator import itemgetter, mul
 import re
 
-from .roots import AffineRoot, AffineRootData, RootSystem, Vec
-
-Matrix = tuple[tuple[int, ...], ...]
-
-
-def _identity_matrix(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def _matmul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def _matvec(a: Matrix, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec
 
 
 class FinW:
-    """A finite Weyl group element, stored as its action on both lattices.
+    """A finite Weyl group element, stored as the permutation it makes of the roots.
 
-    Carrying the root action, the coroot action, and both inverse actions
-    makes multiplication and inversion pure integer matrix work with no
-    solving.  Equality and hashing use the root action alone (it determines
-    the rest).
+    ``perm[i]`` is the index of ``w(roots[i])`` in the root system's shared
+    :class:`~qaff.roots.RootTable`, so multiplication composes index tuples and
+    ``w(beta) < 0`` reads as ``perm[i] >= N``.  The actions on lattice vectors
+    are linear, so they come from the images of the simple roots, and the
+    inverse actions from their preimages.  Equality and hashing use ``perm``.
     """
 
-    __slots__ = ("mat", "comat", "inv_mat", "inv_comat")
+    __slots__ = ("perm", "table")
 
-    def __init__(self, mat: Matrix, comat: Matrix, inv_mat: Matrix, inv_comat: Matrix):
-        self.mat = mat
-        self.comat = comat
-        self.inv_mat = inv_mat
-        self.inv_comat = inv_comat
+    def __init__(self, perm: tuple[int, ...], table: RootTable):
+        self.perm = perm
+        self.table = table
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinW) and self.mat == other.mat
+        return isinstance(other, FinW) and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash(self.mat)
+        return hash(self.perm)
 
     def __mul__(self, other: "FinW") -> "FinW":
-        return FinW(
-            _matmul(self.mat, other.mat),
-            _matmul(self.comat, other.comat),
-            _matmul(other.inv_mat, self.inv_mat),
-            _matmul(other.inv_comat, self.inv_comat),
-        )
+        # a perm has at least two entries, so itemgetter returns a tuple
+        return FinW(itemgetter(*other.perm)(self.perm), self.table)
 
     def inv(self) -> "FinW":
-        return FinW(self.inv_mat, self.inv_comat, self.mat, self.comat)
+        perm = [0] * len(self.perm)
+        for i, j in enumerate(self.perm):
+            perm[j] = i
+        return FinW(tuple(perm), self.table)
+
+    def _act(self, v: Vec, vectors: tuple[Vec, ...], image) -> Vec:
+        """``sum_j v_j * vectors[image(simple_j)]``, skipping zero coefficients."""
+        out = [0] * len(v)
+        for c, s in zip(v, self.table.simple):
+            if c:
+                for r, x in enumerate(vectors[image(s)]):
+                    out[r] += c * x
+        return tuple(out)
 
     def root(self, v: Vec) -> Vec:
-        return _matvec(self.mat, v)
+        return self._act(v, self.table.roots, self.perm.__getitem__)
 
     def coroot(self, v: Vec) -> Vec:
-        return _matvec(self.comat, v)
+        return self._act(v, self.table.coroots, self.perm.__getitem__)
+
+    def inv_coroot(self, v: Vec) -> Vec:
+        """``w^{-1}(v)`` on coroot coordinates, from the preimages of the simple roots."""
+        return self._act(v, self.table.coroots, self.perm.index)
 
     def is_identity(self) -> bool:
-        return self.mat == _identity_matrix(len(self.mat))
+        return all(i == j for i, j in enumerate(self.perm))
 
 
-def finite_identity(n: int) -> FinW:
-    e = _identity_matrix(n)
-    return FinW(e, e, e, e)
+def finite_identity(rs: RootSystem) -> FinW:
+    return FinW(tuple(range(len(rs.table.roots))), rs.table)
 
 
 def finite_reflection(rs: RootSystem, beta: Vec) -> FinW:
     """``s_beta`` for any root beta, as a :class:`FinW`."""
-    n = rs.rank
-    bco = rs.coroot(beta)
-    pair_root = [rs.pairing(rs.simple_root(j + 1), bco) for j in range(n)]
-    pair_co = [rs.pairing_simple(beta, j) for j in range(n)]
-    mat = tuple(
-        tuple((1 if r == j else 0) - pair_root[j] * beta[r] for j in range(n))
-        for r in range(n)
-    )
-    comat = tuple(
-        tuple((1 if r == j else 0) - pair_co[j] * bco[r] for j in range(n))
-        for r in range(n)
-    )
-    return FinW(mat, comat, mat, comat)  # reflections are involutions
+    table = rs.table
+    return FinW(table.reflections[table.index_of(beta)], table)
 
 
 @dataclass(frozen=True)
@@ -133,17 +117,16 @@ class AffineWeylGroup:
     def __init__(self, ard: AffineRootData):
         self.ard = ard
         self.rs = ard.rs
+        self.table = ard.rs.table
         self.n = ard.rs.rank
-        self.identity = AffW(finite_identity(self.n), (0,) * self.n)
+        self.identity = AffW(finite_identity(self.rs), (0,) * self.n)
         self._simple: list[AffW] = []
+        # each affine simple root as (level, index of its finite part)
+        self._simple_roots: list[tuple[int, int]] = []
         for i in range(self.n + 1):
             ai = ard.simple_root(i)
             self._simple.append(self.reflection(ai))
-        # <beta, alpha_i^vee> for each positive root, for the length formula
-        self._pos_pairs = [
-            (beta, tuple(self.rs.pairing_simple(beta, i) for i in range(self.n)))
-            for beta in self.rs.positive_roots
-        ]
+            self._simple_roots.append((ai.level, self.table.index[ai.finite]))
         self._bruhat_memo: dict[tuple[AffW, AffW], bool] = {}
         self._covers_memo: dict[AffW, list[tuple[AffW, AffineRoot]]] = {}
         self._word_memo: dict[AffW, tuple[int, ...]] = {}
@@ -154,7 +137,7 @@ class AffineWeylGroup:
         return self._simple[i]
 
     def multiply(self, a: AffW, b: AffW) -> AffW:
-        lam = tuple(x + y for x, y in zip(_matvec(b.v.inv_comat, a.t), b.t))
+        lam = tuple(x + y for x, y in zip(b.v.inv_coroot(a.t), b.t))
         return AffW(a.v * b.v, lam)
 
     def invert(self, a: AffW) -> AffW:
@@ -162,19 +145,18 @@ class AffineWeylGroup:
 
     def apply(self, a: AffW, alpha: AffineRoot) -> AffineRoot:
         """Action on a real affine root."""
-        drop = sum(x * y for x, y in zip(self._root_pairs(alpha.finite), a.t))
-        return AffineRoot(alpha.level - drop, a.v.root(alpha.finite))
-
-    def _root_pairs(self, beta: Vec) -> Vec:
-        return tuple(self.rs.pairing_simple(beta, i) for i in range(self.n))
+        b = self.table.index_of(alpha.finite)
+        drop = sum(map(mul, self.table.pairings[b], a.t))
+        return AffineRoot(alpha.level - drop, self.table.roots[a.v.perm[b]])
 
     def reflection(self, alpha: AffineRoot) -> AffW:
         """``s_alpha`` for a real affine root ``alpha = k delta + beta``."""
         if not alpha.is_real():
             raise ValueError("no reflection for imaginary roots")
-        s = finite_reflection(self.rs, alpha.finite)
-        bco = self.rs.coroot(alpha.finite)
-        return AffW(s, tuple(alpha.level * x for x in bco))
+        table = self.table
+        b = table.index_of(alpha.finite)
+        s = FinW(table.reflections[b], table)
+        return AffW(s, tuple(alpha.level * x for x in table.coroots[b]))
 
     def reflection_root(self, w: AffW) -> AffineRoot:
         """The positive real root alpha with ``w = s_alpha``; raises otherwise."""
@@ -202,22 +184,23 @@ class AffineWeylGroup:
     # -- length and words ------------------------------------------------------
 
     def length(self, w: AffW) -> int:
+        """The closed form, as ``sum over beta > 0 of |<beta,l> + [v beta < 0]|``."""
+        npos = self.rs.num_positive
+        t = w.t
         total = 0
-        for beta, pv in self._pos_pairs:
-            p = sum(x * y for x, y in zip(pv, w.t))
-            vneg = sum(w.v.root(beta)) < 0
-            if p >= 0:
-                total += p + (1 if vneg else 0)
-            else:
-                total += -p - (1 if vneg else 0)
+        for pv, image in zip(self.table.pairings, w.v.perm[:npos]):
+            total += abs(sum(map(mul, pv, t)) + (image >= npos))
         return total
 
     def right_descents(self, w: AffW) -> list[int]:
-        return [
-            i
-            for i in range(self.n + 1)
-            if not self.ard.is_positive(self.apply(w, self.ard.simple_root(i)))
-        ]
+        """The i with ``w(alpha_i) < 0``: negative level, or level 0 and ``v(beta) < 0``."""
+        npos = self.rs.num_positive
+        out = []
+        for i, (level, b) in enumerate(self._simple_roots):
+            level -= sum(map(mul, self.table.pairings[b], w.t))
+            if level < 0 or (level == 0 and w.v.perm[b] >= npos):
+                out.append(i)
+        return out
 
     def reduced_word(self, w: AffW) -> tuple[int, ...]:
         if w in self._word_memo:
@@ -226,7 +209,8 @@ class AffineWeylGroup:
         cur = w
         while not cur.is_identity():
             ds = self.right_descents(cur)
-            assert ds, "non-identity element with no descent"
+            if not ds:
+                raise AssertionError("non-identity element with no descent")
             i = ds[0]
             cur = self.multiply(cur, self._simple[i])
             out.append(i)
@@ -318,7 +302,8 @@ class AffineWeylGroup:
                 for i in range(self.n + 1):
                     u = self.multiply(w, self._simple[i])
                     if u not in self._layer_seen:
-                        assert self.length(u) == ell + 1, "length formula vs BFS depth"
+                        if self.length(u) != ell + 1:
+                            raise AssertionError("length formula vs BFS depth")
                         self._layer_seen.add(u)
                         nxt.append(u)
             layers[ell + 1] = nxt
@@ -357,7 +342,7 @@ class FiniteWeyl:
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.n = rs.rank
-        self.identity = finite_identity(self.n)
+        self.identity = finite_identity(rs)
         self.gens = [
             finite_reflection(rs, rs.simple_root(i + 1)) for i in range(self.n)
         ]
@@ -385,11 +370,8 @@ class FiniteWeyl:
         return len(self.elements)
 
     def right_descents(self, w: FinW) -> list[int]:
-        return [
-            i
-            for i in range(self.n)
-            if sum(w.root(self.rs.simple_root(i + 1))) < 0
-        ]
+        npos = self.rs.num_positive
+        return [i for i, s in enumerate(self.rs.table.simple) if w.perm[s] >= npos]
 
     def format(self, w: FinW) -> str:
         word = self.word[w]
