@@ -16,7 +16,19 @@ The nil-Coxeter letters ``D_i`` of the affine Weyl group act here through
 
     pi(D_i) = partial_i (1 <= i <= n),     pi(D_0) = partial_{-theta} = -partial_theta,
 
-with words applied rightmost letter first.
+with words applied rightmost letter first.  ``partial_theta`` comes from the
+nil-Hecke calculus (Bernstein-Gelfand-Gelfand 1973, Kostant-Kumar 1986) on the
+Schubert basis, with no polynomials:
+
+    partial_j sigma_w = sigma_{w s_j} if len(w s_j) < len(w), else 0,
+    lambda . sigma_w = sum over beta > 0 with len(w s_beta) = len(w) + 1
+                       of <lambda, beta^vee> sigma_{w s_beta}      (Chevalley),
+    s_j = 1 - alpha_j . partial_j,
+    partial_theta = u partial_i u^{-1}   where theta = u(alpha_i).
+
+The polynomial layer (``rep``, ``divided_difference``, ``expand_in_schubert``,
+``cup_product``, ``poincare_pairing``) stays as the independent oracle that
+``verify`` and the tests check the combinatorial rules against.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from itertools import combinations_with_replacement
 
 from .polynomials import Poly, exact_div_linear, solve_exact
 from .roots import RootSystem, Vec
-from .weyl import FinW, FiniteWeyl, finite_weyl
+from .weyl import FinW, FiniteWeyl, finite_reflection, finite_weyl
 
 FinCohClass = dict  # FinW -> coefficient (Fraction, or any Fraction-module element)
 
@@ -54,6 +66,20 @@ class FiniteSchubert:
             )
             for j in range(self.n)
         ]
+        # (s_beta, beta^vee) for every positive root, read by the Chevalley rule
+        chevalley = [
+            (finite_reflection(rs, beta), rs.coroot(beta)) for beta in rs.positive_roots
+        ]
+
+        def terms(weight: list[int]) -> list[tuple[FinW, int]]:
+            """Nonzero (s_beta, <lambda, beta^vee>) for lambda = sum weight[r] omega_r."""
+            pairs = [(s, sum(x * b for x, b in zip(weight, bco))) for s, bco in chevalley]
+            return [(s, k) for s, k in pairs if k]
+
+        # lambda = omega_i, and lambda = alpha_j = sum_r cartan[r][j] omega_r
+        self._omega_terms = [terms([int(r == i) for r in range(self.n)]) for i in range(self.n)]
+        self._alpha_terms = [terms([rs.cartan[r][j] for r in range(self.n)])
+                             for j in range(self.n)]
         self._reps: dict[FinW, Poly] | None = None
         self._theta_matrix: dict[FinW, FinCohClass] | None = None
         self._divisor_expr: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
@@ -134,6 +160,19 @@ class FiniteSchubert:
     def cup_product(self, a: FinCohClass, b: FinCohClass) -> FinCohClass:
         return self.expand_in_schubert(self.class_poly(a) * self.class_poly(b))
 
+    def _chevalley_rule(self, terms: list[tuple[FinW, int]], a: FinCohClass) -> FinCohClass:
+        """``lambda . a``: sigma_w goes to the sum of k sigma_{w s_beta} over the
+        (s_beta, k) in ``terms`` with len(w s_beta) = len(w) + 1."""
+        length = self.W.length
+        out: FinCohClass = {}
+        for w, c in a.items():
+            lw = length[w] + 1
+            for s_beta, k in terms:
+                u = w * s_beta
+                if length[u] == lw:
+                    out[u] = out.get(u, 0) + k * c
+        return {w: c for w, c in out.items() if c}
+
     def chevalley_cup(self, i: int, a: FinCohClass) -> FinCohClass:
         """``sigma_i . a`` by the classical Chevalley rule (i is 1-indexed).
 
@@ -141,20 +180,7 @@ class FiniteSchubert:
         len(w s_alpha) = len(w) + 1 of <omega_i, alpha^vee> sigma_{w s_alpha},
         and <omega_i, alpha^vee> is the i-th coordinate of alpha^vee.
         """
-        from .weyl import finite_reflection
-
-        out: FinCohClass = {}
-        for w, c in a.items():
-            lw = self.W.length[w]
-            for beta in self.rs.positive_roots:
-                u = w * finite_reflection(self.rs, beta)
-                if self.W.length[u] != lw + 1:
-                    continue
-                k = self.rs.coroot(beta)[i - 1]
-                if not k:
-                    continue
-                out[u] = out.get(u, Fraction(0)) + k * c
-        return {w: c for w, c in out.items() if c}
+        return self._chevalley_rule(self._omega_terms[i - 1], a)
 
     def poincare_pairing(self, a: FinCohClass, b: FinCohClass) -> Fraction:
         """Integral over G/B, computed at polynomial level via partial_{w_0}."""
@@ -167,15 +193,64 @@ class FiniteSchubert:
     # -- the pi map on nil-Coxeter words -----------------------------------------
 
     def theta_matrix(self) -> dict[FinW, FinCohClass]:
-        """partial_theta on the Schubert basis, computed once."""
+        """partial_theta on the Schubert basis by the nil-Hecke rule, computed once.
+
+        With ``theta = u(alpha_i)`` and ``u = s_{j_1} ... s_{j_k}``, every row is
+        ``s_{j_1} ... s_{j_k} partial_i s_{j_k} ... s_{j_1} sigma_w``, where
+        ``s_j = 1 - alpha_j . partial_j``.  The operators are integral on the
+        Schubert basis, so rows are built over int and stored as Fraction.
+        """
         if self._theta_matrix is None:
-            self._theta_matrix = {
-                w: self.expand_in_schubert(
-                    self.divided_difference(self.rs.theta, self.rep(w))
-                )
-                for w in self.W.elements
-            }
+            W = self.W
+            i, walk = self._theta_walk()
+            reflect_rows: list[dict[FinW, dict[FinW, int]]] = [{} for _ in range(self.n)]
+
+            def reflect_row(j: int, w: FinW) -> dict[FinW, int]:
+                row = reflect_rows[j].get(w)
+                if row is None:
+                    row = {w: 1}
+                    v = w * W.gens[j]
+                    if W.length[v] < W.length[w]:
+                        for u, k in self._chevalley_rule(self._alpha_terms[j], {v: 1}).items():
+                            row[u] = row.get(u, 0) - k
+                    reflect_rows[j][w] = row
+                return row
+
+            def reflect(j: int, a: dict[FinW, int]) -> dict[FinW, int]:
+                out: dict[FinW, int] = {}
+                for w, c in a.items():
+                    for u, k in reflect_row(j, w).items():
+                        out[u] = out.get(u, 0) + k * c
+                return {u: c for u, c in out.items() if c}
+
+            position = {w: p for p, w in enumerate(W.elements)}
+            matrix = {}
+            for w in W.elements:
+                a = {w: 1}
+                for j in walk:
+                    a = reflect(j, a)
+                a = self.pi_letter(i + 1, a)
+                for j in reversed(walk):
+                    a = reflect(j, a)
+                # keys in W.elements order, the order the polynomial route produced
+                matrix[w] = {u: Fraction(a[u]) for u in sorted(a, key=position.get)}
+            self._theta_matrix = matrix
         return self._theta_matrix
+
+    def _theta_walk(self) -> tuple[int, tuple[int, ...]]:
+        """``(i, (j_1, ..., j_k))`` with ``theta = s_{j_1} ... s_{j_k}(alpha_i)``, 0-indexed.
+
+        Each step reflects by a simple root that pairs positively with the
+        current root, which lowers its height, until a simple root is reached.
+        """
+        table = self.rs.table
+        k = table.index_of(self.rs.theta)
+        walk = []
+        while k not in table.simple:
+            j = next(j for j, p in enumerate(table.pairings[k]) if p > 0)
+            walk.append(j)
+            k = table.reflections[table.simple[j]][k]
+        return table.simple.index(k), tuple(walk)
 
     def pi_letter(self, i: int, a: FinCohClass) -> FinCohClass:
         """Apply pi(D_i) for one affine letter i (0 = -partial_theta)."""
@@ -234,7 +309,8 @@ class FiniteSchubert:
         rows = [[col.get(u, Fraction(0)) for col in cols] for u in basis]
         rhs = [Fraction(1) if u == w else Fraction(0) for u in basis]
         sol = solve_exact(rows, rhs)
-        assert sol is not None, "divisor monomials failed to span"
+        if sol is None:
+            raise AssertionError("divisor monomials failed to span")
         expr = [(c, m) for c, m in zip(sol, monos) if c]
         self._divisor_expr[w] = expr
         return expr

@@ -177,7 +177,8 @@ class QuantumAff:
                 flat.append((scale * coef, mono))
             t1 = self._T_apply(v, self.unit())
             for u, poly in (t1 - self.basis(v)).terms.items():
-                assert self.FW.length[u] < self.FW.length[v]
+                if self.FW.length[u] >= self.FW.length[v]:
+                    raise AssertionError("lift correction grew")
                 emit(scale * poly * Fraction(-1), u)
 
         emit(Poly.one(self.nq), w)
@@ -196,7 +197,8 @@ class QuantumAff:
             t = self._T_apply(w, self.basis(v))
             t1 = self._T_apply(w, self.unit())
             for u, poly in (t1 - self.basis(w)).terms.items():
-                assert self.FW.length[u] < self.FW.length[w], "lift correction grew"
+                if self.FW.length[u] >= self.FW.length[w]:
+                    raise AssertionError("lift correction grew")
                 t = t - self._lift_apply_basis(u, v).scale(poly)
             self._lift_img[key] = t
         return self._lift_img[key]
@@ -402,7 +404,8 @@ class OrdinaryQH:
             rows = [[col.coefficient(v).constant_term for col in cols] for v in support]
             rhs = [Fraction(1) if v == w else Fraction(0) for v in support]
             sol = solve_exact(rows, rhs)
-            assert sol is not None, "divisor monomials must span classically"
+            if sol is None:
+                raise AssertionError("divisor monomials must span classically")
             self._express[w] = [(c, m) for c, m in zip(sol, monos) if c]
         return self._express[w]
 
@@ -421,7 +424,8 @@ class OrdinaryQH:
             t = self._T_apply(w, self.basis(v))
             t1 = self._T_apply(w, self.unit())
             for u, poly in (t1 - self.basis(w)).terms.items():
-                assert self.FW.length[u] < self.FW.length[w]
+                if self.FW.length[u] >= self.FW.length[w]:
+                    raise AssertionError("lift correction grew")
                 t = t - self._lift_apply_basis(u, v).scale(poly)
             self._lift_img[key] = t
         return self._lift_img[key]

@@ -1,0 +1,66 @@
+"""Golden CLI transcript: stdout and exit code of cheap calls, byte for byte.
+
+The transcript in ``data/cli_golden.json`` was recorded before the nil-Hecke
+``theta_matrix`` replaced the polynomial one, so it pins the rule that a
+speed-up leaves CLI output unchanged.  After a change that is meant to alter
+output, record it again with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from qaff.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "cli_golden.json"
+
+CALLS = [
+    ["product", "--type", "A2", "--u", "s1s2", "--v", "s2s1"],
+    ["product", "--type", "A2", "--u", "s1s2", "--v", "s2s1", "--format", "json"],
+    ["product", "--type", "A3", "--u", "s1s2s3", "--v", "s3s2s1"],
+    ["product", "--type", "A3", "--u", "s1s2s3", "--v", "s3s2s1", "--format", "json"],
+    ["product", "--type", "B3", "--u", "s1s2s3", "--v", "s3s2"],
+    ["product", "--type", "B3", "--u", "s1s2s3", "--v", "s3s2", "--format", "json"],
+    ["product", "--type", "C3", "--u", "s2s3", "--v", "s1s2"],
+    ["product", "--type", "C3", "--u", "s2s3", "--v", "s1s2", "--format", "json"],
+    ["product", "--type", "G2", "--u", "s1s2", "--v", "s2s1"],
+    ["product", "--type", "G2", "--u", "s1s2", "--v", "s2s1", "--format", "json"],
+    ["product", "--type", "A2", "--u", "s9", "--v", "e"],
+    ["table", "--type", "B2", "--format", "csv"],
+    ["lambda", "--type", "A2", "--i", "0", "--w", "s1s2"],
+    ["relations", "--type", "A2"],
+    ["present", "--type", "A2"],
+]
+
+
+def run_call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_call(golden):
+    assert [entry["argv"] for entry in golden] == CALLS
+
+
+@pytest.mark.parametrize("k", range(len(CALLS)), ids=[" ".join(c) for c in CALLS])
+def test_cli_output_matches_golden(golden, k):
+    assert run_call(CALLS[k]) == golden[k]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(
+        json.dumps([run_call(argv) for argv in CALLS], indent=1) + "\n", encoding="utf-8"
+    )

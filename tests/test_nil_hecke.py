@@ -1,0 +1,42 @@
+"""partial_theta from the nil-Hecke rule, checked against the polynomial route."""
+
+import pytest
+
+from qaff.bgg import FiniteSchubert, finite_schubert
+from qaff.roots import build_root_system
+
+
+class TestNilHeckeTheta:
+    @pytest.mark.parametrize("lt", ["A2", "B2", "G2", "A3", "B3", "C3"])
+    def test_matches_polynomial_route(self, lt):
+        fs = FiniteSchubert(build_root_system(lt[0], int(lt[1])))
+        rs = fs.rs
+        poly = {
+            w: fs.expand_in_schubert(fs.divided_difference(rs.theta, fs.rep(w)))
+            for w in fs.W.elements
+        }
+        assert fs.theta_matrix() == poly
+
+    @pytest.mark.parametrize("lt", ["A4", "D4"])
+    def test_square_zero_and_degree(self, lt):
+        fs = finite_schubert(lt[0], int(lt[1]))
+        FW = fs.W
+        tm = fs.theta_matrix()
+        assert set(tm) == set(FW.elements)
+        for w in FW.elements:
+            assert all(FW.length[u] == FW.length[w] - 1 for u in tm[w]), FW.format(w)
+            twice = {}
+            for u, c in tm[w].items():
+                for v, k in tm[u].items():
+                    twice[v] = twice.get(v, 0) + c * k
+            assert not any(twice.values()), FW.format(w)
+
+    def test_theta_walk_reaches_a_simple_root(self):
+        for lt in ["A1", "A3", "A4", "B3", "C3", "D4", "G2", "F4"]:
+            rs = build_root_system(lt[0], int(lt[1]))
+            fs = FiniteSchubert(rs)
+            i, walk = fs._theta_walk()
+            beta = rs.simple_root(i + 1)
+            for j in reversed(walk):
+                beta = rs.reflect_root(rs.simple_root(j + 1), beta)
+            assert beta == rs.theta, lt

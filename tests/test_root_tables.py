@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from qaff import roots, weyl
+from qaff import bgg, quantum, roots, weyl
 from qaff.roots import AffineRoot, affinize, build_root_system, parse_lie_type
 from qaff.weyl import FiniteWeyl, affine_weyl, finite_reflection, finite_weyl, weyl_order
 
@@ -316,7 +316,8 @@ def test_affine_reflection_matches_oracle():
 
 
 def test_no_asserts_in_root_and_weyl_modules():
-    for module in (roots, weyl):
+    # also covers the BGG and quantum layers, whose invariant checks guard results
+    for module in (roots, weyl, bgg, quantum):
         tree = ast.parse(inspect.getsource(module))
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
@@ -329,7 +330,8 @@ def test_root_and_weyl_tests_pass_under_python_O():
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_roots.py", "tests/test_weyl.py"],
+         "tests/test_roots.py", "tests/test_weyl.py", "tests/test_bgg.py",
+         "tests/test_quantum.py"],
         cwd=repo, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
