@@ -7,9 +7,10 @@ QH*_aff(G/B) with its multiplication tables, and the periodic-Toda relation
 ideal.  Everything is computed over exact rationals.
 """
 
-from .affine import AffCohClass, AffineCoh, TruncationOverflow, affine_coh
+from .affine import AffineCoh, TruncationOverflow, affine_coh
 from .chevalley import chevalley_root_set, enumerate_chevalley_roots
 from .neighborhoods import curve_neighborhood, gw_invariant, moment_graph_slice
+from .polynomials import QClass
 from .quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
 from .roots import affinize, build_root_system, parse_lie_type
 from .toda import (
@@ -25,9 +26,9 @@ from .weyl import affine_weyl, finite_weyl
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffCohClass",
     "AffineCoh",
     "OrdinaryQH",
+    "QClass",
     "QuantumAff",
     "TruncationOverflow",
     "affine_coh",

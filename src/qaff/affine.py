@@ -10,12 +10,13 @@ The operators:
 
 * ``chevalley(i, a)`` — affine cup product with the divisor ``eps_i``, summed
   over Bruhat covers with coefficients ``<lambda_i, alpha^vee>``;
-* ``D_word / D_elt`` — the nil-BGG operators, ``D_i(eps_v) = eps_{v s_i}``
-  on right descents and 0 otherwise;
+* ``D_word`` — the nil-BGG operators, ``D_i(eps_v) = eps_{v s_i}`` on right
+  descents and 0 otherwise;
 * ``lambda_op(i, a)`` — the quantum Chevalley operator: cup part plus
   ``<lambda_i, alpha^vee> q^{alpha^vee}`` terms over the distinguished roots,
-  computed both from the length condition and from ``D_{s_alpha}`` words and
-  asserted equal;
+  found by the quantum-cover length condition; ``lambda_op_by_words`` computes
+  the same operator as ``q^{alpha^vee} D_{s_alpha}`` along the roots' words,
+  and ``verify`` and the tests check the two against each other;
 * ``modified_lambda(i, a)`` — ``(Lambda_i - m_i Lambda_0)(a)``, the family
   that commutes exactly;
 * ``e1_pullback`` — the ring map determined by ``sigma_i -> eps_i - m_i eps_0``;
@@ -25,14 +26,13 @@ The operators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
-from .polynomials import Poly, solve_exact
+from .polynomials import Poly, QClass, QModule, solve_exact
 from .roots import CorootVec, coroot_ht
 from .weyl import AffW, AffineWeylGroup, affine_weyl
 
@@ -53,85 +53,11 @@ def default_truncation(rank: int) -> int:
     return 8 if rank <= 2 else 6
 
 
-@dataclass
-class AffCohClass:
-    """A finitely supported class with exact q-polynomial coefficients."""
-
-    W: AffineWeylGroup = field(repr=False)
-    L: int
-    terms: dict[AffW, Poly]
-
-    def _nq(self) -> int:
-        return self.W.n + 1
-
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if not c.is_zero()}
-
-    def __add__(self, other: "AffCohClass") -> "AffCohClass":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return AffCohClass(self.W, max(self.L, other.L), out)
-
-    def __sub__(self, other: "AffCohClass") -> "AffCohClass":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "AffCohClass":
-        if isinstance(c, (int, Fraction)):
-            c = Poly.const(self._nq(), c)
-        return AffCohClass(self.W, self.L, {w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, AffCohClass) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def max_length(self) -> int:
-        return max((self.W.length(w) for w in self.terms), default=0)
-
-    def homogeneous_degree(self) -> int | None:
-        """Total degree ``len(w) + 2 ht(e)`` if constant over the support."""
-        degs = {
-            self.W.length(w) + 2 * sum(e)
-            for w, c in self.terms.items()
-            for e in c.terms
-        }
-        if len(degs) > 1:
-            return None
-        return degs.pop() if degs else 0
-
-    def specialize_q0(self) -> "AffCohClass":
-        return AffCohClass(
-            self.W, self.L, {w: c.set_var_zero(0) for w, c in self.terms.items()}
-        )
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for w in sorted(self.terms, key=lambda w: (self.W.length(w), self.W.reduced_word(w))):
-            for e, c in sorted(self.terms[w].terms.items()):
-                out.append(
-                    {
-                        "w": list(self.W.reduced_word(w)),
-                        "coeff": {
-                            "q": list(e),
-                            "num": c.numerator,
-                            "den": c.denominator,
-                        },
-                    }
-                )
-        return out
-
-
-class AffineCoh:
+class AffineCoh(QModule):
     """Operator calculator over one affine type."""
 
     def __init__(self, W: AffineWeylGroup, L: int | None = None):
+        super().__init__(W.length, W.reduced_word, W.identity, W.n + 1)
         self.W = W
         self.ard = W.ard
         self.n = W.n
@@ -139,81 +65,57 @@ class AffineCoh:
         self.fs = finite_schubert(W.rs.letter, W.rs.rank)
         self._chev = enumerate_chevalley_roots(W)
         self._e1_cache: dict = {}
-        self._mono_cache: dict[tuple[int, ...], AffCohClass] = {}
-
-    # -- constructors ---------------------------------------------------------
-
-    def zero(self) -> AffCohClass:
-        return AffCohClass(self.W, self.L, {})
-
-    def unit(self) -> AffCohClass:
-        return self.basis(self.W.identity)
-
-    def basis(self, w: AffW, coeff=1) -> AffCohClass:
-        nq = self.n + 1
-        c = coeff if isinstance(coeff, Poly) else Poly.const(nq, coeff)
-        return AffCohClass(self.W, self.L, {w: c})
+        self._mono_cache: dict[tuple[int, ...], QClass] = {}
 
     def q_monomial(self, e: CorootVec, num=1) -> Poly:
-        return Poly.monomial(self.n + 1, tuple(e), num)
+        return Poly.monomial(self.nq, tuple(e), num)
 
-    def _guard(self, a: AffCohClass, room: int = 1) -> None:
+    def _guard(self, a: QClass, room: int = 1) -> None:
         top = a.max_length()
         if top + room > self.L:
             raise TruncationOverflow(top + room, self.L)
 
     # -- cup and BGG operators ---------------------------------------------------
 
-    def chevalley(self, i: int, a: AffCohClass) -> AffCohClass:
+    def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
         self._guard(a)
         out: dict[AffW, Poly] = {}
         for w, c in a.terms.items():
             for u, alpha in self.W.bruhat_covers_up(w):
                 k = self.ard.coroot(alpha)[i]
-                if not k:
-                    continue
-                add = k * c
-                s = out.get(u)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    out.pop(u, None)
-                else:
-                    out[u] = s
-        return AffCohClass(self.W, self.L, out)
+                if k:
+                    s = out.get(u)
+                    out[u] = k * c if s is None else s + k * c
+        return self._make(out)
 
-    def D_letter(self, i: int, a: AffCohClass) -> AffCohClass:
+    def D_letter(self, i: int, a: QClass) -> QClass:
         out: dict[AffW, Poly] = {}
         si = self.W.simple(i)
         for w, c in a.terms.items():
             u = self.W.multiply(w, si)
             if self.W.length(u) < self.W.length(w):
-                s = out.get(u)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(u, None)
-                else:
-                    out[u] = s
-        return AffCohClass(self.W, self.L, out)
+                out[u] = c  # w -> w s_i is injective, so no two terms meet
+        return self._make(out)
 
-    def D_word(self, word: tuple[int, ...], a: AffCohClass) -> AffCohClass:
+    def D_word(self, word: tuple[int, ...], a: QClass) -> QClass:
         for i in reversed(word):
             if a.is_zero():
                 break
             a = self.D_letter(i, a)
         return a
 
-    def D_elt(self, w_aff: AffW, a: AffCohClass) -> AffCohClass:
-        return self.D_word(self.W.reduced_word(w_aff), a)
-
     # -- quantum Chevalley operators ------------------------------------------------
 
-    def lambda_op(self, i: int, a: AffCohClass) -> AffCohClass:
-        """The affine quantum Chevalley operator, two ways (asserted equal)."""
-        cup = self.chevalley(i, a)
+    def lambda_op(self, i: int, a: QClass) -> QClass:
+        """The affine quantum Chevalley operator ``Lambda_i``.
 
-        # route 1: the quantum-cover length condition
-        route1: dict[AffW, Poly] = {}
+        Cup part plus ``<lambda_i, alpha^vee> q^{alpha^vee} eps_{w s_alpha}``
+        for each distinguished root alpha and each ``w`` in the support with
+        ``l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee)``, the quantum-cover length
+        condition.
+        """
+        quantum: dict[AffW, Poly] = {}
         for w, c in a.terms.items():
             lw = self.W.length(w)
             for cr in self._chev:
@@ -221,30 +123,27 @@ class AffineCoh:
                 if not k:
                     continue
                 u = self.W.multiply(w, self.W.reflection(cr.root))
-                if self.W.length(u) != lw + 1 - 2 * cr.coroot_height:
-                    continue
-                add = self.q_monomial(cr.coroot, k) * c
-                s = route1.get(u)
-                s = add if s is None else s + add
-                if s.is_zero():
-                    route1.pop(u, None)
-                else:
-                    route1[u] = s
-        q1 = AffCohClass(self.W, self.L, route1)
+                if self.W.length(u) == lw + 1 - 2 * cr.coroot_height:
+                    add = self.q_monomial(cr.coroot, k) * c
+                    s = quantum.get(u)
+                    quantum[u] = add if s is None else s + add
+        return self.chevalley(i, a) + self._make(quantum)
 
-        # route 2: q^{alpha^vee} D_{s_alpha}, letters applied along the word
-        q2 = self.zero()
+    def lambda_op_by_words(self, i: int, a: QClass) -> QClass:
+        """``Lambda_i`` as cup plus ``<lambda_i, alpha^vee> q^{alpha^vee} D_{s_alpha}``.
+
+        The letters of each distinguished root's palindromic word are applied
+        one by one.  This is the oracle that ``verify`` and the tests compare
+        :meth:`lambda_op` against.
+        """
+        out = self.chevalley(i, a)
         for cr in self._chev:
             k = cr.coroot[i]
-            if not k:
-                continue
-            moved = self.D_word(cr.word, a)
-            if not moved.is_zero():
-                q2 = q2 + moved.scale(self.q_monomial(cr.coroot, k))
-        assert q1 == q2, "length-condition and D_word forms of Lambda disagree"
-        return cup + q1
+            if k:
+                out = out + self.D_word(cr.word, a).scale(self.q_monomial(cr.coroot, k))
+        return out
 
-    def modified_lambda(self, i: int, a: AffCohClass) -> AffCohClass:
+    def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
         if not 1 <= i <= self.n:
             raise ValueError("modified operator needs a finite index")
@@ -256,7 +155,7 @@ class AffineCoh:
 
     # -- pullback along evaluation at the base point ---------------------------------
 
-    def divisor_pullback(self, i: int, a: AffCohClass) -> AffCohClass:
+    def divisor_pullback(self, i: int, a: QClass) -> QClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
         m_i = self.ard.rs.theta_coroot[i - 1]
         out = self.chevalley(i, a)
@@ -264,7 +163,7 @@ class AffineCoh:
             out = out - self.chevalley(0, a).scale(Fraction(m_i))
         return out
 
-    def e1_pullback(self, a: FinCohClass) -> AffCohClass:
+    def e1_pullback(self, a: FinCohClass) -> QClass:
         out = self.zero()
         for w, c in a.items():
             key = w
@@ -281,7 +180,7 @@ class AffineCoh:
 
     # -- the divisor subring and its product ------------------------------------------
 
-    def divisor_monomial_class(self, mono: tuple[int, ...]) -> AffCohClass:
+    def divisor_monomial_class(self, mono: tuple[int, ...]) -> QClass:
         """Cup product ``eps_{i_1} ... eps_{i_k}`` (affine indices, may repeat)."""
         if mono not in self._mono_cache:
             cls = self.unit()
@@ -291,7 +190,7 @@ class AffineCoh:
         return self._mono_cache[mono]
 
     def express_in_divisor_monomials(
-        self, a: AffCohClass
+        self, a: QClass
     ) -> list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]:
         """Write ``a`` as sum of ``q^e * coeff * eps-monomial``; graded elimination.
 
@@ -311,10 +210,7 @@ class AffineCoh:
                 {w for col in cols for w in col.terms} | set(layer),
                 key=lambda w: self.W.reduced_word(w),
             )
-            rows = [
-                [col.terms.get(w, Poly.zero(self.n + 1)).constant_term for col in cols]
-                for w in support
-            ]
+            rows = [[col.coefficient(w).constant_term for col in cols] for w in support]
             rhs = [layer.get(w, Fraction(0)) for w in support]
             sol = solve_exact(rows, rhs)
             if sol is None:
@@ -324,7 +220,7 @@ class AffineCoh:
             out.extend((e, c, m) for c, m in zip(sol, monos) if c)
         return out
 
-    def _apply_lambda_expr(self, expr, target: AffCohClass) -> AffCohClass:
+    def _apply_lambda_expr(self, expr, target: QClass) -> QClass:
         out = self.zero()
         for e, c, mono in expr:
             cls = target
@@ -333,21 +229,17 @@ class AffineCoh:
             out = out + cls.scale(self.q_monomial(e, c))
         return out
 
-    def reduce_mod_qc(self, a: AffCohClass) -> AffCohClass:
+    def reduce_mod_qc(self, a: QClass) -> QClass:
         """Kill every coefficient monomial divisible by ``q^c``."""
         c = self.ard.c
-        out = {}
-        for w, poly in a.terms.items():
-            kept = {
-                e: v
-                for e, v in poly.terms.items()
-                if not all(x >= y for x, y in zip(e, c))
-            }
-            if kept:
-                out[w] = Poly(self.n + 1, kept)
-        return AffCohClass(self.W, a.L, out)
+        return self._make({
+            w: Poly(self.nq, {
+                e: v for e, v in poly.terms.items() if not all(x >= y for x, y in zip(e, c))
+            })
+            for w, poly in a.terms.items()
+        })
 
-    def qsharp_product(self, a: AffCohClass, b: AffCohClass) -> AffCohClass:
+    def qsharp_product(self, a: QClass, b: QClass) -> QClass:
         """``a * b = Lambda_a Lambda_b (1)`` modulo ``q^c``."""
         expr_a = self.express_in_divisor_monomials(a)
         expr_b = self.express_in_divisor_monomials(b)
@@ -357,12 +249,12 @@ class AffineCoh:
 
     # -- formatting --------------------------------------------------------------
 
-    def format_class(self, a: AffCohClass) -> str:
+    def format_class(self, a: QClass) -> str:
         if a.is_zero():
             return "0"
-        qnames = [f"q{i}" for i in range(self.n + 1)]
+        qnames = [f"q{i}" for i in range(self.nq)]
         bits = []
-        for w in sorted(a.terms, key=lambda w: (self.W.length(w), self.W.reduced_word(w))):
+        for w in a.ordered_support():
             c = a.terms[w].format(qnames)
             label = f"e[{self.W.format(w)}]"
             bits.append(f"({c})*{label}" if ("+" in c or "-" in c[1:]) else f"{c}*{label}")

@@ -45,25 +45,12 @@ class ChevalleyRootSet:
         self.W = W
         self.ard = W.ard
         self.roots = tuple(_enumerate(W))
-        self._by_root = {cr.root: cr for cr in self.roots}
 
     def __iter__(self):
         return iter(self.roots)
 
     def __len__(self) -> int:
         return len(self.roots)
-
-    def is_chevalley(self, alpha: AffineRoot) -> bool:
-        return alpha in self._by_root
-
-    def get(self, alpha: AffineRoot) -> ChevalleyRoot:
-        return self._by_root[alpha]
-
-    def by_coroot(self, v: CorootVec) -> ChevalleyRoot | None:
-        for cr in self.roots:
-            if cr.coroot == v:
-                return cr
-        return None
 
 
 def candidate_roots(ard: AffineRootData) -> list[AffineRoot]:
@@ -83,7 +70,8 @@ def _enumerate(W: AffineWeylGroup) -> list[ChevalleyRoot]:
         ht = coroot_ht(av)
         ell = W.length(W.reflection(alpha))
         if ell == 2 * ht - 1:
-            assert coroot_leq(av, ard.c) and av != ard.c, "member coroot must sit below c"
+            if not (coroot_leq(av, ard.c) and av != ard.c):
+                raise AssertionError("member coroot must sit below c")
             members.append((alpha, av, ht, ell))
     members.sort(key=lambda m: (m[2], m[0].level, m[0].finite))
 
@@ -106,8 +94,10 @@ def _enumerate(W: AffineWeylGroup) -> list[ChevalleyRoot]:
             else:
                 raise AssertionError(f"no peeling step found for {alpha}")
         word = words[alpha]
-        assert len(word) == ell
-        assert W.from_word(word) == W.reflection(alpha)
+        if len(word) != ell:
+            raise AssertionError(f"peeled word for {alpha} has length {len(word)}, not {ell}")
+        if W.from_word(word) != W.reflection(alpha):
+            raise AssertionError(f"peeled word for {alpha} is not its reflection")
         out.append(ChevalleyRoot(alpha, av, ht, ell, word))
     return out
 

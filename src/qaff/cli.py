@@ -15,9 +15,11 @@ import io
 import json
 import sys
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from . import toda
-from .affine import AffCohClass, AffineCoh, TruncationOverflow, default_truncation
+from .affine import AffineCoh, TruncationOverflow, default_truncation
 from .bgg import finite_schubert
 from .chevalley import enumerate_chevalley_roots, posir_reconstruct
 from .neighborhoods import (
@@ -26,9 +28,9 @@ from .neighborhoods import (
     moment_graph_slice,
     neighborhood_by_search,
 )
-from .polynomials import Poly
-from .quantum import FinQClass, format_fin_class, ordinary_qh, quantum_aff
-from .roots import parse_lie_type
+from .polynomials import Poly, QClass
+from .quantum import format_fin_class, ordinary_qh, quantum_aff
+from .roots import RootSystem, parse_lie_type
 from .weyl import affine_weyl, finite_weyl, weyl_order
 
 SCHEMA_VERSION = 1
@@ -65,28 +67,51 @@ class UsageError(Exception):
 # -- JSON (de)serialization of classes ------------------------------------------------
 
 
-def affine_class_json(calc: AffineCoh, a: AffCohClass, lie_type: str) -> dict:
+def affine_class_json(calc: AffineCoh, a: QClass, lie_type: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "type": lie_type,
         "basis": "eps",
-        "trunc": a.L,
+        "trunc": calc.L,
         "terms": a.to_json_obj(),
     }
 
 
-def affine_class_from_json(obj: dict, calc: AffineCoh) -> AffCohClass:
-    out = calc.zero()
+def _class_from_json(obj: dict, ring, rs: RootSystem, basis: str, ngens: int,
+                     from_word) -> QClass:
+    """Read the ``terms`` of a serialized class, refusing anything ``ring`` did not write.
+
+    Raises ValueError unless the schema version, type and basis match, every
+    generator index is below ``ngens``, every q-exponent vector has ``ring.nq``
+    non-negative entries and no denominator is zero.
+    """
+    if obj.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(f"schema_version {obj.get('schema_version')!r} is not "
+                         f"{SCHEMA_VERSION}")
+    if parse_lie_type(str(obj.get("type"))) != (rs.letter, rs.rank):
+        raise ValueError(f"class of type {obj.get('type')!r}, expected {rs.lie_type}")
+    if obj.get("basis") != basis:
+        raise ValueError(f"class in basis {obj.get('basis')!r}, expected {basis!r}")
+    out = ring.zero()
     for t in obj["terms"]:
-        w = calc.W.from_word(tuple(t["w"]))
-        c = Poly.monomial(
-            calc.n + 1, tuple(t["coeff"]["q"]), Fraction(t["coeff"]["num"], t["coeff"]["den"])
-        )
-        out = out + calc.basis(w, c)
+        word, coeff = t["w"], t["coeff"]
+        if not all(isinstance(i, int) and 0 <= i < ngens for i in word):
+            raise ValueError(f"generator index out of range 0..{ngens - 1} in {word}")
+        q = coeff["q"]
+        if len(q) != ring.nq or not all(isinstance(e, int) and e >= 0 for e in q):
+            raise ValueError(f"q-exponents {q} are not {ring.nq} non-negative integers")
+        if coeff["den"] == 0:
+            raise ValueError("coefficient has denominator 0")
+        c = Poly.monomial(ring.nq, tuple(q), Fraction(coeff["num"], coeff["den"]))
+        out = out + ring.basis(from_word(word), c)
     return out
 
 
-def quantum_class_json(ring, a: FinQClass, lie_type: str) -> dict:
+def affine_class_from_json(obj: dict, calc: AffineCoh) -> QClass:
+    return _class_from_json(obj, calc, calc.W.rs, "eps", calc.n + 1, calc.W.from_word)
+
+
+def quantum_class_json(ring, a: QClass, lie_type: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "type": lie_type,
@@ -95,45 +120,24 @@ def quantum_class_json(ring, a: FinQClass, lie_type: str) -> dict:
     }
 
 
-def quantum_class_from_json(obj: dict, ring) -> FinQClass:
-    out = ring.zero()
+def quantum_class_from_json(obj: dict, ring) -> QClass:
     FW = ring.FW
-    for t in obj["terms"]:
-        w = FW.identity
-        for i in t["w"]:
-            w = w * FW.gens[i]
-        c = Poly.monomial(
-            ring.nq, tuple(t["coeff"]["q"]), Fraction(t["coeff"]["num"], t["coeff"]["den"])
-        )
-        out = out + ring.basis(w, c)
-    return out
+    return _class_from_json(
+        obj, ring, ring.rs, "sigma", ring.n,
+        lambda word: reduce(mul, (FW.gens[i] for i in word), FW.identity),
+    )
 
 
 def _latex_poly(p: Poly, qnames: list[str]) -> str:
     return p.format(qnames).replace("*", " ")
 
 
-def _latex_class(ring, a: FinQClass) -> str:
-    if a.is_zero():
-        return "0"
-    FW = ring.FW
-    qnames = [f"q_{i}" for i in range(a.nq)]
-    bits = []
-    for w in sorted(a.terms, key=lambda w: (FW.length[w], FW.word[w])):
-        c = _latex_poly(a.terms[w], qnames)
-        if FW.length[w] == 0:
-            bits.append(c if "+" not in c and "-" not in c[1:] else f"({c})")
-            continue
-        label = "\\sigma_{%s}" % " ".join(f"s_{i + 1}" for i in FW.word[w])
-        if c == "1":
-            bits.append(label)
-        elif c == "-1":
-            bits.append(f"-{label}")
-        elif "+" in c or "-" in c[1:]:
-            bits.append(f"({c}) {label}")
-        else:
-            bits.append(f"{c} {label}")
-    return " + ".join(bits)
+def _latex_class(ring, a: QClass) -> str:
+    return format_fin_class(
+        a, [f"q_{i}" for i in range(a.nq)],
+        lambda w: "\\sigma_{%s}" % " ".join(f"s_{i + 1}" for i in ring.FW.word[w]),
+        sep=" ",
+    )
 
 
 # -- subcommand handlers ----------------------------------------------------------
@@ -374,6 +378,9 @@ def _suite_commutativity(letter: str, rank: int, report) -> None:
                     ok &= calc.reduce_mod_qc(comm).is_zero()
             tag = "expected-mod-q^c" if defect_seen else "exact"
             report(f"[Lambda_{i}, Lambda_{j}] = 0 mod q^c on l <= {lmax} ({tag})", ok)
+    ok = all(calc.lambda_op(i, calc.basis(w)) == calc.lambda_op_by_words(i, calc.basis(w))
+             for i in range(rank + 1) for ws in layers.values() for w in ws)
+    report(f"Lambda_i by the length condition equals q^a D_(s_a) on l <= {lmax}", ok)
     for i in range(1, rank + 1):
         for j in range(i + 1, rank + 1):
             ok = True

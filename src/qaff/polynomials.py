@@ -15,7 +15,7 @@ matrix needs; operations that cannot support negative exponents say so.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 Exp = tuple[int, ...]
 Scalar = int | Fraction
@@ -80,9 +80,6 @@ class Poly:
     @property
     def constant_term(self) -> Fraction:
         return self.terms.get((0,) * self.nvars, Fraction(0))
-
-    def is_constant(self) -> bool:
-        return all(all(x == 0 for x in e) for e in self.terms)
 
     def __iter__(self) -> Iterator[tuple[Exp, Fraction]]:
         return iter(self.terms.items())
@@ -267,6 +264,111 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self.format()})"
+
+
+class QClass:
+    """An element of a free ``Q[q_0..]``-module on a Schubert basis.
+
+    Both rings qaff computes in are such modules: ``H*(Fl_aff)`` on affine
+    Weyl elements and ``QH*_aff(G/B)`` on finite ones.  ``terms`` maps a basis
+    index to its ``Poly`` coefficient in ``nq`` variables; zero coefficients
+    are dropped on construction.  ``length`` and ``word`` give an index's
+    length and reduced word, which fix degrees and the printing order.
+    """
+
+    __slots__ = ("length", "word", "nq", "terms")
+
+    def __init__(
+        self,
+        length: Callable[[Hashable], int],
+        word: Callable[[Hashable], tuple[int, ...]],
+        nq: int,
+        terms: Mapping[Hashable, Poly],
+    ):
+        self.length = length
+        self.word = word
+        self.nq = nq
+        self.terms = {w: c for w, c in terms.items() if c}
+
+    def _like(self, terms: Mapping[Hashable, Poly]) -> "QClass":
+        return QClass(self.length, self.word, self.nq, terms)
+
+    def __add__(self, other: "QClass") -> "QClass":
+        out = dict(self.terms)
+        for w, c in other.terms.items():
+            s = out.get(w)
+            out[w] = c if s is None else s + c
+        return self._like(out)
+
+    def __sub__(self, other: "QClass") -> "QClass":
+        return self + other.scale(Fraction(-1))
+
+    def scale(self, c: "Poly | Scalar") -> "QClass":
+        if isinstance(c, (int, Fraction)):
+            c = Poly.const(self.nq, c)
+        return self._like({w: c * v for w, v in self.terms.items()})
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, QClass) and self.terms == other.terms
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def coefficient(self, w: Hashable) -> Poly:
+        return self.terms.get(w, Poly.zero(self.nq))
+
+    def ordered_support(self) -> list:
+        """The support by length, then reduced word: the printing order."""
+        return sorted(self.terms, key=lambda w: (self.length(w), self.word(w)))
+
+    def max_length(self) -> int:
+        return max(map(self.length, self.terms), default=0)
+
+    def homogeneous_degree(self) -> int | None:
+        """Total degree ``len(w) + 2 ht(e)`` if constant over the support."""
+        degs = {self.length(w) + 2 * sum(e) for w, c in self.terms.items() for e in c.terms}
+        if len(degs) > 1:
+            return None
+        return degs.pop() if degs else 0
+
+    def to_json_obj(self) -> list[dict]:
+        return [
+            {
+                "w": list(self.word(w)),
+                "coeff": {"q": list(e), "num": c.numerator, "den": c.denominator},
+            }
+            for w in self.ordered_support()
+            for e, c in sorted(self.terms[w].terms.items())
+        ]
+
+
+class QModule:
+    """Constructors of the :class:`QClass` elements of one ring."""
+
+    def __init__(
+        self,
+        length: Callable[[Hashable], int],
+        word: Callable[[Hashable], tuple[int, ...]],
+        identity: Hashable,
+        nq: int,
+    ):
+        self._length = length
+        self._word = word
+        self._identity = identity
+        self.nq = nq
+
+    def _make(self, terms: Mapping[Hashable, Poly]) -> QClass:
+        return QClass(self._length, self._word, self.nq, terms)
+
+    def zero(self) -> QClass:
+        return self._make({})
+
+    def unit(self) -> QClass:
+        return self.basis(self._identity)
+
+    def basis(self, w: Hashable, coeff: "Poly | Scalar" = 1) -> QClass:
+        c = coeff if isinstance(coeff, Poly) else Poly.const(self.nq, coeff)
+        return self._make({w: c})
 
 
 def exact_div_linear(f: Poly, linear: Poly) -> Poly:

@@ -13,222 +13,38 @@ Two engines live here, deliberately kept apart:
   finite-root quantum Chevalley rule, written against the root tables alone
   (no shared Schubert-calculus plumbing), so the ``q0 := 0`` comparison is a
   genuine cross-check rather than the same code evaluated twice.
+
+Both are free ``Q[q]``-modules on the finite Schubert basis; their
+constructors and the multiplication table live in :class:`FiniteQRing`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Callable
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
-from .polynomials import Poly, solve_exact
+from .polynomials import Poly, QClass, QModule, solve_exact
 from .roots import build_root_system, coroot_ht
 from .weyl import FinW, affine_weyl, finite_reflection, finite_weyl
 
 
-@dataclass
-class FinQClass:
-    """Finitely supported class on the finite Weyl group over Q[q-vars]."""
+class FiniteQRing(QModule):
+    """``H*(G/B) ⊗ Q[q]`` with ``nq`` q-variables: constructors and the table."""
 
-    FW: object = field(repr=False)
-    nq: int
-    terms: dict[FinW, Poly]
+    q_offset = 0  # the name of q-variable k is q{k + q_offset}
 
-    def __post_init__(self):
-        self.terms = {w: c for w, c in self.terms.items() if not c.is_zero()}
-
-    def __add__(self, other: "FinQClass") -> "FinQClass":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return FinQClass(self.FW, self.nq, out)
-
-    def __sub__(self, other: "FinQClass") -> "FinQClass":
-        return self + other.scale(Fraction(-1))
-
-    def scale(self, c) -> "FinQClass":
-        if isinstance(c, (int, Fraction)):
-            c = Poly.const(self.nq, c)
-        return FinQClass(self.FW, self.nq, {w: c * v for w, v in self.terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, FinQClass) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coefficient(self, w: FinW) -> Poly:
-        return self.terms.get(w, Poly.zero(self.nq))
-
-    def homogeneous_degree(self) -> int | None:
-        degs = {
-            self.FW.length[w] + 2 * sum(e)
-            for w, c in self.terms.items()
-            for e in c.terms
-        }
-        if len(degs) > 1:
-            return None
-        return degs.pop() if degs else 0
-
-    def to_json_obj(self) -> list[dict]:
-        out = []
-        for w in sorted(self.terms, key=lambda w: (self.FW.length[w], self.FW.word[w])):
-            for e, c in sorted(self.terms[w].terms.items()):
-                out.append(
-                    {
-                        "w": list(self.FW.word[w]),
-                        "coeff": {"q": list(e), "num": c.numerator, "den": c.denominator},
-                    }
-                )
-        return out
-
-
-class QuantumAff:
-    """star-product calculator for one simple type (q-variables q0..qn)."""
-
-    def __init__(self, letter: str, rank: int):
+    def __init__(self, letter: str, rank: int, nq: int):
         self.rs = build_root_system(letter, rank)
         self.n = rank
-        self.nq = rank + 1
-        self.fs = finite_schubert(letter, rank)
         self.FW = finite_weyl(letter, rank)
-        W_aff = affine_weyl(letter, rank)
-        self.ard = W_aff.ard
-        self._chev = enumerate_chevalley_roots(W_aff)
-        self._lambda_img: dict[tuple[int, FinW], FinQClass] = {}
-        self._lift_img: dict[tuple[FinW, FinW], FinQClass] = {}
-        self._express: dict[FinW, list] = {}
+        super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
+                         self.FW.identity, nq)
 
-    # -- constructors ------------------------------------------------------------
-
-    def zero(self) -> FinQClass:
-        return FinQClass(self.FW, self.nq, {})
-
-    def unit(self) -> FinQClass:
-        return self.basis(self.FW.identity)
-
-    def basis(self, w: FinW, coeff=1) -> FinQClass:
-        c = coeff if isinstance(coeff, Poly) else Poly.const(self.nq, coeff)
-        return FinQClass(self.FW, self.nq, {w: c})
-
-    def from_finite(self, a: FinCohClass) -> FinQClass:
-        return FinQClass(
-            self.FW, self.nq, {w: Poly.const(self.nq, c) for w, c in a.items()}
-        )
-
-    def parse_class(self, text: str) -> FinQClass:
-        return self.basis(self.FW.parse(text))
-
-    # -- the Chevalley operators ---------------------------------------------------
-
-    def _lambda_basis(self, i: int, w: FinW) -> FinQClass:
-        key = (i, w)
-        if key not in self._lambda_img:
-            cup = self.fs.chevalley_cup(i, {w: Fraction(1)})
-            out = self.from_finite(cup)
-            for cr in self._chev:
-                k = self.ard.level_zero_weight_pairing(i, cr.coroot)
-                if not k:
-                    continue
-                moved = self.fs.pi_word(cr.word, {w: Fraction(1)})
-                if moved:
-                    q = Poly.monomial(self.nq, tuple(cr.coroot), k)
-                    out = out + FinQClass(
-                        self.FW, self.nq, {v: q * c for v, c in moved.items()}
-                    )
-            self._lambda_img[key] = out
-        return self._lambda_img[key]
-
-    def lambda_bar(self, i: int, a: FinQClass) -> FinQClass:
-        """Quantum Chevalley operator for the finite index i (1..n)."""
-        if not 1 <= i <= self.n:
-            raise ValueError("lambda_bar takes a finite index 1..n")
-        out = self.zero()
-        for w, c in a.terms.items():
-            out = out + self._lambda_basis(i, w).scale(c)
-        return out
-
-    def lambda_word(self, word: tuple[int, ...], a: FinQClass) -> FinQClass:
-        for i in reversed(word):
-            a = self.lambda_bar(i, a)
-        return a
-
-    # -- operator lifting (graded Nakayama recursion) ----------------------------------
-
-    def lift_expression(self, w: FinW) -> list[tuple[Poly, tuple[int, ...]]]:
-        """``L_w`` flattened to ``[(q-coefficient, lambda_bar-monomial)]``.
-
-        The recursion ``L_w = T_w - sum c q^d L_v`` is expanded all the way
-        down, so the result is one operator polynomial in the ``lambda_bar``
-        with Q[q] coefficients whose value at 1 is exactly ``sigma_w``.
-        """
-        flat: list[tuple[Poly, tuple[int, ...]]] = []
-
-        def emit(scale: Poly, v: FinW) -> None:
-            for coef, mono in self.fs.express_in_divisors(v):
-                flat.append((scale * coef, mono))
-            t1 = self._T_apply(v, self.unit())
-            for u, poly in (t1 - self.basis(v)).terms.items():
-                if self.FW.length[u] >= self.FW.length[v]:
-                    raise AssertionError("lift correction grew")
-                emit(scale * poly * Fraction(-1), u)
-
-        emit(Poly.one(self.nq), w)
-        return flat
-
-    def _T_apply(self, w: FinW, b: FinQClass) -> FinQClass:
-        """The bare classical-expression operator ``T_w`` applied to ``b``."""
-        out = self.zero()
-        for coef, mono in self.fs.express_in_divisors(w):
-            out = out + self.lambda_word(mono, b).scale(coef)
-        return out
-
-    def _lift_apply_basis(self, w: FinW, v: FinW) -> FinQClass:
-        key = (w, v)
-        if key not in self._lift_img:
-            t = self._T_apply(w, self.basis(v))
-            t1 = self._T_apply(w, self.unit())
-            for u, poly in (t1 - self.basis(w)).terms.items():
-                if self.FW.length[u] >= self.FW.length[w]:
-                    raise AssertionError("lift correction grew")
-                t = t - self._lift_apply_basis(u, v).scale(poly)
-            self._lift_img[key] = t
-        return self._lift_img[key]
-
-    def lift_apply(self, w: FinW, b: FinQClass) -> FinQClass:
-        """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
-        out = self.zero()
-        for v, c in b.terms.items():
-            out = out + self._lift_apply_basis(w, v).scale(c)
-        return out
-
-    # -- the product -------------------------------------------------------------
-
-    def star(self, a: FinQClass, b: FinQClass) -> FinQClass:
-        out = self.zero()
-        for u, c in a.terms.items():
-            out = out + self.lift_apply(u, b).scale(c)
-        return out
-
-    def poincare_pairing(self, a: FinQClass, b: FinQClass) -> Poly:
-        """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
-        total = Poly.zero(self.nq)
-        w0 = self.FW.w0
-        for u, c in a.terms.items():
-            d = b.terms.get(w0 * u)
-            if d is not None:
-                total = total + c * d
-        return total
-
-    def multiplication_table(self, cap: int = 48) -> dict[tuple[FinW, FinW], FinQClass]:
+    def multiplication_table(self, cap: int = 48) -> dict[tuple[FinW, FinW], QClass]:
         """All ordered products; computed on unordered pairs and mirrored."""
         if len(self.FW.elements) > cap:
             raise ValueError(
@@ -242,6 +58,138 @@ class QuantumAff:
                 table[(u, v)] = prod
                 table[(v, u)] = prod
         return table
+
+    def format_class(self, a: QClass) -> str:
+        return format_fin_class(
+            a, [f"q{i + self.q_offset}" for i in range(a.nq)],
+            lambda w: f"s[{self.FW.format(w)}]",
+        )
+
+
+class QuantumAff(FiniteQRing):
+    """star-product calculator for one simple type (q-variables q0..qn)."""
+
+    def __init__(self, letter: str, rank: int):
+        super().__init__(letter, rank, rank + 1)
+        self.fs = finite_schubert(letter, rank)
+        W_aff = affine_weyl(letter, rank)
+        self.ard = W_aff.ard
+        self._chev = enumerate_chevalley_roots(W_aff)
+        self._lambda_img: dict[tuple[int, FinW], QClass] = {}
+        self._lift_img: dict[tuple[FinW, FinW], QClass] = {}
+        self._correction: dict[FinW, QClass] = {}
+
+    def from_finite(self, a: FinCohClass) -> QClass:
+        return self._make({w: Poly.const(self.nq, c) for w, c in a.items()})
+
+    def parse_class(self, text: str) -> QClass:
+        return self.basis(self.FW.parse(text))
+
+    # -- the Chevalley operators ---------------------------------------------------
+
+    def _lambda_basis(self, i: int, w: FinW) -> QClass:
+        key = (i, w)
+        if key not in self._lambda_img:
+            cup = self.fs.chevalley_cup(i, {w: Fraction(1)})
+            out = self.from_finite(cup)
+            for cr in self._chev:
+                k = self.ard.level_zero_weight_pairing(i, cr.coroot)
+                if not k:
+                    continue
+                moved = self.fs.pi_word(cr.word, {w: Fraction(1)})
+                if moved:
+                    q = Poly.monomial(self.nq, tuple(cr.coroot), k)
+                    out = out + self._make({v: q * c for v, c in moved.items()})
+            self._lambda_img[key] = out
+        return self._lambda_img[key]
+
+    def lambda_bar(self, i: int, a: QClass) -> QClass:
+        """Quantum Chevalley operator for the finite index i (1..n)."""
+        if not 1 <= i <= self.n:
+            raise ValueError("lambda_bar takes a finite index 1..n")
+        out = self.zero()
+        for w, c in a.terms.items():
+            out = out + self._lambda_basis(i, w).scale(c)
+        return out
+
+    def lambda_word(self, word: tuple[int, ...], a: QClass) -> QClass:
+        for i in reversed(word):
+            a = self.lambda_bar(i, a)
+        return a
+
+    # -- operator lifting (graded Nakayama recursion) ----------------------------------
+
+    def _lift_correction(self, w: FinW) -> QClass:
+        """``T_w(1) - sigma_w``, once per w.
+
+        The lift recursion ``L_w = T_w - sum c q^d L_v`` runs over its terms,
+        and ends because every one of them is shorter than w.
+        """
+        if w not in self._correction:
+            corr = self._T_apply(w, self.unit()) - self.basis(w)
+            if any(self.FW.length[u] >= self.FW.length[w] for u in corr.terms):
+                raise AssertionError("lift correction grew")
+            self._correction[w] = corr
+        return self._correction[w]
+
+    def lift_expression(self, w: FinW) -> list[tuple[Poly, tuple[int, ...]]]:
+        """``L_w`` flattened to ``[(q-coefficient, lambda_bar-monomial)]``.
+
+        The recursion is expanded all the way down, so the result is one
+        operator polynomial in the ``lambda_bar`` with Q[q] coefficients whose
+        value at 1 is exactly ``sigma_w``.
+        """
+        flat: list[tuple[Poly, tuple[int, ...]]] = []
+
+        def emit(scale: Poly, v: FinW) -> None:
+            for coef, mono in self.fs.express_in_divisors(v):
+                flat.append((scale * coef, mono))
+            for u, poly in self._lift_correction(v).terms.items():
+                emit(scale * poly * Fraction(-1), u)
+
+        emit(Poly.one(self.nq), w)
+        return flat
+
+    def _T_apply(self, w: FinW, b: QClass) -> QClass:
+        """The bare classical-expression operator ``T_w`` applied to ``b``."""
+        out = self.zero()
+        for coef, mono in self.fs.express_in_divisors(w):
+            out = out + self.lambda_word(mono, b).scale(coef)
+        return out
+
+    def _lift_apply_basis(self, w: FinW, v: FinW) -> QClass:
+        key = (w, v)
+        if key not in self._lift_img:
+            t = self._T_apply(w, self.basis(v))
+            for u, poly in self._lift_correction(w).terms.items():
+                t = t - self._lift_apply_basis(u, v).scale(poly)
+            self._lift_img[key] = t
+        return self._lift_img[key]
+
+    def lift_apply(self, w: FinW, b: QClass) -> QClass:
+        """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
+        out = self.zero()
+        for v, c in b.terms.items():
+            out = out + self._lift_apply_basis(w, v).scale(c)
+        return out
+
+    # -- the product -------------------------------------------------------------
+
+    def star(self, a: QClass, b: QClass) -> QClass:
+        out = self.zero()
+        for u, c in a.terms.items():
+            out = out + self.lift_apply(u, b).scale(c)
+        return out
+
+    def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
+        """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
+        total = Poly.zero(self.nq)
+        w0 = self.FW.w0
+        for u, c in a.terms.items():
+            d = b.terms.get(w0 * u)
+            if d is not None:
+                total = total + c * d
+        return total
 
     def quadratic_relation_holds(self) -> bool:
         """Sum (a_i^vee|a_j^vee) s_i * s_j = (th^vee|th^vee) q0 + sum_i (a_i^vee|a_i^vee) q_i."""
@@ -261,19 +209,19 @@ class QuantumAff:
             )
         return lhs == self.basis(self.FW.identity, rhs_poly)
 
-    def basis_simple(self, i: int) -> FinQClass:
+    def basis_simple(self, i: int) -> QClass:
         return self.basis(self.FW.gens[i - 1])
 
     # -- q0 := 0 and the ordinary-quantum cross-check ---------------------------------
 
-    def specialize_q0(self, a: FinQClass) -> FinQClass:
+    def specialize_q0(self, a: QClass) -> QClass:
         """Kill q0 and re-index the remaining variables to q1..qn."""
         out: dict[FinW, Poly] = {}
         for w, poly in a.terms.items():
             kept = {e[1:]: c for e, c in poly.terms.items() if e[0] == 0}
             if kept:
                 out[w] = Poly(self.n, kept)
-        return FinQClass(self.FW, self.n, out)
+        return QClass(self._length, self._word, self.n, out)
 
     def verify_fw_chevalley(self) -> dict:
         """Compare lambda_bar at q0=0 with the finite-root quantum Chevalley rule."""
@@ -293,13 +241,8 @@ class QuantumAff:
             "ok": mismatches == 0,
         }
 
-    # -- formatting --------------------------------------------------------------
 
-    def format_class(self, a: FinQClass) -> str:
-        return format_fin_class(self.FW, a, q_offset=0)
-
-
-class OrdinaryQH:
+class OrdinaryQH(FiniteQRing):
     """Ordinary QH*(G/B) from the finite-root quantum Chevalley rule.
 
     Built directly on the root tables: the classical terms are the Bruhat
@@ -307,14 +250,13 @@ class OrdinaryQH:
     finite positive roots with ``l(s_alpha) = 2 ht(alpha^vee) - 1`` and length
     drop ``2 ht(alpha^vee) - 1``.  Divisor expressions and lifting are redone
     here from the q = 0 part of this rule, so nothing quantum is shared with
-    :class:`QuantumAff`.
+    :class:`QuantumAff`.  Its q-variables are q1..qn.
     """
 
+    q_offset = 1
+
     def __init__(self, letter: str, rank: int):
-        self.rs = build_root_system(letter, rank)
-        self.n = rank
-        self.nq = rank
-        self.FW = finite_weyl(letter, rank)
+        super().__init__(letter, rank, rank)
         self._refl = {
             beta: finite_reflection(self.rs, beta) for beta in self.rs.positive_roots
         }
@@ -324,29 +266,15 @@ class OrdinaryQH:
             if self.FW.length[self._refl[beta]] == 2 * coroot_ht(self.rs.coroot(beta)) - 1
         ]
         self._express: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
-        self._lift_img: dict[tuple[FinW, FinW], FinQClass] = {}
+        self._lift_img: dict[tuple[FinW, FinW], QClass] = {}
 
-    def zero(self) -> FinQClass:
-        return FinQClass(self.FW, self.nq, {})
-
-    def unit(self) -> FinQClass:
-        return self.basis(self.FW.identity)
-
-    def basis(self, w: FinW, coeff=1) -> FinQClass:
-        c = coeff if isinstance(coeff, Poly) else Poly.const(self.nq, coeff)
-        return FinQClass(self.FW, self.nq, {w: c})
-
-    def chevalley(self, i: int, a: FinQClass) -> FinQClass:
+    def chevalley(self, i: int, a: QClass) -> QClass:
         """Full quantum Chevalley multiplication by sigma_i."""
         out: dict[FinW, Poly] = {}
 
         def add(w, poly):
             s = out.get(w)
-            s = poly if s is None else s + poly
-            if s.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = s
+            out[w] = poly if s is None else s + poly
 
         for w, c in a.terms.items():
             lw = self.FW.length[w]
@@ -366,9 +294,9 @@ class OrdinaryQH:
                 if self.FW.length[u] == lw + 1 - 2 * ht:
                     e = tuple(self.rs.coroot(beta))
                     add(u, Poly.monomial(self.nq, e, k) * c)
-        return FinQClass(self.FW, self.nq, out)
+        return self._make(out)
 
-    def chevalley_classical(self, i: int, a: FinQClass) -> FinQClass:
+    def chevalley_classical(self, i: int, a: QClass) -> QClass:
         out: dict[FinW, Poly] = {}
         for w, c in a.terms.items():
             lw = self.FW.length[w]
@@ -379,14 +307,10 @@ class OrdinaryQH:
                 u = w * self._refl[beta]
                 if self.FW.length[u] == lw + 1:
                     s = out.get(u)
-                    s = k * c if s is None else s + k * c
-                    if s.is_zero():
-                        out.pop(u, None)
-                    else:
-                        out[u] = s
-        return FinQClass(self.FW, self.nq, out)
+                    out[u] = k * c if s is None else s + k * c
+        return self._make(out)
 
-    def _monomial_classical(self, mono: tuple[int, ...]) -> FinQClass:
+    def _monomial_classical(self, mono: tuple[int, ...]) -> QClass:
         cls = self.unit()
         for i in reversed(mono):
             cls = self.chevalley_classical(i, cls)
@@ -409,7 +333,7 @@ class OrdinaryQH:
             self._express[w] = [(c, m) for c, m in zip(sol, monos) if c]
         return self._express[w]
 
-    def _T_apply(self, w: FinW, b: FinQClass) -> FinQClass:
+    def _T_apply(self, w: FinW, b: QClass) -> QClass:
         out = self.zero()
         for coef, mono in self.express_in_divisors(w):
             cls = b
@@ -418,7 +342,7 @@ class OrdinaryQH:
             out = out + cls.scale(coef)
         return out
 
-    def _lift_apply_basis(self, w: FinW, v: FinW) -> FinQClass:
+    def _lift_apply_basis(self, w: FinW, v: FinW) -> QClass:
         key = (w, v)
         if key not in self._lift_img:
             t = self._T_apply(w, self.basis(v))
@@ -430,49 +354,36 @@ class OrdinaryQH:
             self._lift_img[key] = t
         return self._lift_img[key]
 
-    def star(self, a: FinQClass, b: FinQClass) -> FinQClass:
+    def star(self, a: QClass, b: QClass) -> QClass:
         out = self.zero()
         for u, c in a.terms.items():
             for v, d in b.terms.items():
                 out = out + self._lift_apply_basis(u, v).scale(c * d)
         return out
 
-    def multiplication_table(self, cap: int = 48) -> dict[tuple[FinW, FinW], FinQClass]:
-        if len(self.FW.elements) > cap:
-            raise ValueError(
-                f"|W| = {len(self.FW.elements)} exceeds the table cap {cap}"
-            )
-        elts = sorted(self.FW.elements, key=lambda w: (self.FW.length[w], self.FW.word[w]))
-        table = {}
-        for i, u in enumerate(elts):
-            for v in elts[i:]:
-                prod = self.star(self.basis(u), self.basis(v))
-                table[(u, v)] = prod
-                table[(v, u)] = prod
-        return table
 
-    def format_class(self, a: FinQClass) -> str:
-        return format_fin_class(self.FW, a, q_offset=1)
+def format_fin_class(
+    a: QClass, qnames: list[str], label: Callable[[FinW], str], sep: str = "*"
+) -> str:
+    """A finite class as text: ``sep`` joins a coefficient to ``label(w)``.
 
-
-def format_fin_class(FW, a: FinQClass, q_offset: int = 0) -> str:
+    The identity's coefficient is printed bare, a coefficient of ``±1`` is
+    dropped, and one with several terms is parenthesized.
+    """
     if a.is_zero():
         return "0"
-    qnames = [f"q{i + q_offset}" for i in range(a.nq)]
     bits = []
-    for w in sorted(a.terms, key=lambda w: (FW.length[w], FW.word[w])):
-        c = a.terms[w].format(qnames)
-        label = f"s[{FW.format(w)}]"
-        if FW.length[w] == 0:
-            bits.append(c if not ("+" in c or "-" in c[1:]) else f"({c})")
+    for w in a.ordered_support():
+        c = a.terms[w].format(qnames).replace("*", sep)
+        compound = "+" in c or "-" in c[1:]
+        if a.length(w) == 0:
+            bits.append(f"({c})" if compound else c)
         elif c == "1":
-            bits.append(label)
+            bits.append(label(w))
         elif c == "-1":
-            bits.append(f"-{label}")
-        elif "+" in c or "-" in c[1:]:
-            bits.append(f"({c})*{label}")
+            bits.append(f"-{label(w)}")
         else:
-            bits.append(f"{c}*{label}")
+            bits.append(f"({c}){sep}{label(w)}" if compound else f"{c}{sep}{label(w)}")
     return " + ".join(bits)
 
 

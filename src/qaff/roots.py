@@ -226,10 +226,6 @@ class RootSystem:
 
     # -- pairings and the invariant form -----------------------------------
 
-    def pairing_simple(self, beta: Vec, i: int) -> int:
-        """``<beta, alpha_i^vee>`` for a root beta and 0-indexed i."""
-        return self.table.pairings[self.table.index_of(beta)][i]
-
     def pairing(self, beta: Vec, coroot: Vec) -> int:
         """``<beta, gamma^vee>`` for a root beta, gamma^vee in simple-coroot coordinates."""
         pv = self.table.pairings[self.table.index_of(beta)]

@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bgg import finite_schubert
-from .polynomials import Poly, matrix_rank
-from .quantum import FinQClass, QuantumAff, quantum_aff
+from .bgg import FinCohClass, finite_schubert
+from .polynomials import Poly, QClass, matrix_rank
+from .quantum import QuantumAff, quantum_aff
 from .roots import build_root_system
 
 Vec = tuple[int, ...]
@@ -140,10 +140,12 @@ def typeA_relations(n: int) -> list[RelationPoly]:
         hk = zfree.coefficient_of(lvar, n - k - 1)
         # still has two trailing all-zero exponents; strip them
         terms = {e[:-2]: c for e, c in hk.terms.items()}
-        assert all(e[zvar] == 0 and e[lvar] == 0 for e in hk.terms)
+        if not all(e[zvar] == 0 and e[lvar] == 0 for e in hk.terms):
+            raise AssertionError(f"H{k} still carries z or lambda")
         out.append(RelationPoly("A", rank, Poly(2 * rank + 1, terms), name=f"H{k}"))
     for rel in out:
-        assert rel.is_homogeneous(), rel.name
+        if not rel.is_homogeneous():
+            raise AssertionError(rel.name)
     return out
 
 
@@ -212,7 +214,7 @@ def quadratic_relation(letter: str, rank: int) -> RelationPoly:
 # -- evaluation into the quantum ring ----------------------------------------------
 
 
-def phi_evaluate(rel: RelationPoly, ring: QuantumAff | None = None) -> FinQClass:
+def phi_evaluate(rel: RelationPoly, ring: QuantumAff | None = None) -> QClass:
     """Substitute x_i -> sigma_i, products via the affine quantum product."""
     if ring is None:
         ring = quantum_aff(rel.letter, rel.rank)
@@ -235,16 +237,26 @@ def verify_relation(rel: RelationPoly, ring: QuantumAff | None = None) -> bool:
 # -- classical sanity: q := 0 lands on Borel invariants ----------------------------------
 
 
-def classical_part_vanishes(rel: RelationPoly) -> bool:
-    """At q = 0 a relation must be a positive-degree W-invariant: zero in H*(G/B)."""
+def classical_part(rel: RelationPoly) -> FinCohClass:
+    """The class in H*(G/B) of the q-free part, with ``x_i -> sigma_i``.
+
+    Each x-monomial is a product of divisors, evaluated by the Chevalley rule.
+    """
     rank = rel.rank
     fs = finite_schubert(rel.letter, rel.rank)
-    proj = Poly.zero(rank)
+    out: FinCohClass = {}
     for e, c in rel.poly.terms.items():
         if any(e[: rank + 1]):
             continue
-        proj = proj + Poly.monomial(rank, e[rank + 1 :], c)
-    return not fs.expand_in_schubert(proj)
+        mono = tuple(i + 1 for i, a in enumerate(e[rank + 1 :]) for _ in range(a))
+        for w, k in fs.monomial_class(mono).items():
+            out[w] = out.get(w, 0) + c * k
+    return {w: c for w, c in out.items() if c}
+
+
+def classical_part_vanishes(rel: RelationPoly) -> bool:
+    """At q = 0 a relation must be a positive-degree W-invariant: zero in H*(G/B)."""
+    return not classical_part(rel)
 
 
 # -- the presentation record --------------------------------------------------------

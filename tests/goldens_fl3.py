@@ -77,7 +77,7 @@ def build_class(ring, spec):
     for name, coeffs in spec.items():
         w = ring.FW.parse(name)
         poly = Poly(ring.nq, {tuple(e): Fraction(c) for e, c in coeffs.items()})
-        out = out + type(out)(ring.FW, ring.nq, {w: poly})
+        out = out + ring.basis(w, poly)
     return out
 
 

@@ -1,9 +1,10 @@
 """Golden CLI transcript: stdout and exit code of cheap calls, byte for byte.
 
-The transcript in ``data/cli_golden.json`` was recorded before the nil-Hecke
-``theta_matrix`` replaced the polynomial one, so it pins the rule that a
-speed-up leaves CLI output unchanged.  After a change that is meant to alter
-output, record it again with
+Each call in ``data/cli_golden.json`` was recorded before the change it
+guards: the first 15 before the nil-Hecke ``theta_matrix`` replaced the
+polynomial one, the rest before both rings moved onto one module class.  So
+it pins the rule that a speed-up or refactor leaves CLI output unchanged.
+After a change that is meant to alter output, record it again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -35,6 +36,14 @@ CALLS = [
     ["lambda", "--type", "A2", "--i", "0", "--w", "s1s2"],
     ["relations", "--type", "A2"],
     ["present", "--type", "A2"],
+    ["lambda", "--type", "A2", "--i", "0", "--w", "s1s2", "--format", "json"],
+    ["lambda", "--type", "A2", "--i", "1", "--w", "s0s1", "--modified"],
+    ["lambda", "--type", "A2", "--i", "0", "--w", "s0s1s2s1s0s2", "--trunc", "6"],
+    ["qsharp", "--type", "A1", "--u", "s0", "--v", "s1"],
+    ["qsharp", "--type", "A2", "--u", "s0", "--v", "s1", "--format", "json"],
+    ["product", "--type", "A2", "--u", "s1", "--v", "s1s2", "--format", "latex"],
+    ["table", "--type", "A2", "--format", "json"],
+    ["table", "--type", "A2", "--format", "latex"],
 ]
 
 

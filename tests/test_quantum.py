@@ -44,7 +44,8 @@ class TestGoldenTable:
         s1 = ring.basis_simple(1)
         prod = ring.star(s1, s1)
         expected = type(prod)(
-            ring.FW,
+            prod.length,
+            prod.word,
             2,
             {
                 ring.FW.identity: Poly(
@@ -184,7 +185,7 @@ class TestSpecialization:
         # sigma_1 * sigma_{s1s2} at q0 = 0 collapses to the single top class
         got = a2.specialize_q0(star_name(a2, "s1", "s1s2"))
         assert got == type(got)(
-            a2.FW, 2, {a2.FW.w0: Poly.one(2)}
+            got.length, got.word, 2, {a2.FW.w0: Poly.one(2)}
         )
 
     @pytest.mark.parametrize("lt", ["A2", "B2"])
@@ -213,7 +214,8 @@ class TestOrdinaryEngine:
         s1 = ring.basis(FW.parse("s1"))
         got = ring.star(s1, s1)
         want = type(got)(
-            FW,
+            got.length,
+            got.word,
             2,
             {
                 FW.parse("s2s1"): Poly.one(2),
@@ -228,7 +230,7 @@ class TestOrdinaryEngine:
         s1 = ring.basis(FW.gens[0])
         got = ring.star(s1, s1)
         assert got == type(got)(
-            FW, 1, {FW.identity: Poly(1, {(1,): Fraction(1)})}
+            got.length, got.word, 1, {FW.identity: Poly(1, {(1,): Fraction(1)})}
         )
 
     def test_commutes_and_associates(self):

@@ -9,8 +9,10 @@ table with the code under test.
 """
 
 import ast
+import importlib
 import inspect
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from qaff import bgg, quantum, roots, weyl
+import qaff
 from qaff.roots import AffineRoot, affinize, build_root_system, parse_lie_type
 from qaff.weyl import FiniteWeyl, affine_weyl, finite_reflection, finite_weyl, weyl_order
 
@@ -316,10 +318,12 @@ def test_affine_reflection_matches_oracle():
 
 
 def test_no_asserts_in_root_and_weyl_modules():
-    # also covers the BGG and quantum layers, whose invariant checks guard results
-    for module in (roots, weyl, bgg, quantum):
-        tree = ast.parse(inspect.getsource(module))
-        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    # covers every module of the package, whose invariant checks guard results
+    names = [info.name for info in pkgutil.iter_modules(qaff.__path__)]
+    assert "roots" in names and "weyl" in names
+    for name in names:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"qaff.{name}")))
+        assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], name
 
 
 def test_root_and_weyl_tests_pass_under_python_O():
@@ -331,7 +335,8 @@ def test_root_and_weyl_tests_pass_under_python_O():
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "tests/test_roots.py", "tests/test_weyl.py", "tests/test_bgg.py",
-         "tests/test_quantum.py"],
+         "tests/test_quantum.py", "tests/test_affine.py", "tests/test_chevalley.py",
+         "tests/test_toda.py"],
         cwd=repo, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
 from qaff.toda import (
     RelationPoly,
     b2_relations,
+    classical_part,
     classical_part_vanishes,
     lax_matrix,
     phi_evaluate,
@@ -184,6 +186,47 @@ class TestClassicalParts:
     def test_b2(self):
         for rel in b2_relations():
             assert classical_part_vanishes(rel)
+
+
+def _polynomial_classical_part(rel):
+    """The q-free part expanded through divided differences: the oracle."""
+    rank = rel.rank
+    proj = Poly.zero(rank)
+    for e, c in rel.poly.terms.items():
+        if not any(e[: rank + 1]):
+            proj = proj + Poly.monomial(rank, e[rank + 1 :], c)
+    return finite_schubert(rel.letter, rank).expand_in_schubert(proj)
+
+
+def _x_monomial(lt, x_exps, coeff):
+    rank = int(lt[1])
+    e = (0,) * (rank + 1) + tuple(x_exps) + (0,) * (rank - len(x_exps))
+    return RelationPoly(lt[0], rank, Poly(2 * rank + 1, {e: Fraction(coeff)}), name="m")
+
+
+CLASSICAL_CASES = (
+    [(f"A{n - 1}-H", lambda n=n: typeA_relations(n)) for n in range(2, 6)]
+    + [("B2-H", b2_relations)]
+    + [(f"{lt}-Hquad", lambda lt=lt: [quadratic_relation(lt[0], int(lt[1]))])
+       for lt in ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "D4", "F4"]]
+)
+NONZERO_CASES = [(lt, x) for lt in ["A3", "B3", "G2"] for x in [(2,), (1, 1)]]
+
+
+class TestClassicalPartRoute:
+    """``classical_part`` by the Chevalley rule against the polynomial route."""
+
+    @pytest.mark.parametrize("build", [b for _, b in CLASSICAL_CASES],
+                             ids=[name for name, _ in CLASSICAL_CASES])
+    def test_relations(self, build):
+        for rel in build():
+            assert classical_part(rel) == _polynomial_classical_part(rel) == {}, rel.name
+
+    @pytest.mark.parametrize("lt, x_exps", NONZERO_CASES)
+    def test_nonzero_monomials(self, lt, x_exps):
+        rel = _x_monomial(lt, x_exps, 3)
+        got = classical_part(rel)
+        assert got and got == _polynomial_classical_part(rel)
 
 
 class TestPresentation:
