@@ -33,7 +33,7 @@ from itertools import combinations_with_replacement
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import Poly, QClass, QModule, solve_exact
-from .roots import CorootVec, coroot_ht
+from .roots import CorootVec
 from .weyl import AffW, AffineWeylGroup, affine_weyl
 
 
@@ -136,12 +136,12 @@ class AffineCoh(QModule):
         one by one.  This is the oracle that ``verify`` and the tests compare
         :meth:`lambda_op` against.
         """
-        out = self.chevalley(i, a)
+        pairs = [(1, self.chevalley(i, a))]
         for cr in self._chev:
             k = cr.coroot[i]
             if k:
-                out = out + self.D_word(cr.word, a).scale(self.q_monomial(cr.coroot, k))
-        return out
+                pairs.append((self.q_monomial(cr.coroot, k), self.D_word(cr.word, a)))
+        return self.combine(pairs)
 
     def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
@@ -164,19 +164,16 @@ class AffineCoh(QModule):
         return out
 
     def e1_pullback(self, a: FinCohClass) -> QClass:
-        out = self.zero()
-        for w, c in a.items():
-            key = w
-            if key not in self._e1_cache:
-                img = self.zero()
+        for w in a:
+            if w not in self._e1_cache:
+                pairs = []
                 for coef, mono in self.fs.express_in_divisors(w):
                     cls = self.unit()
                     for i in reversed(mono):
                         cls = self.divisor_pullback(i, cls)
-                    img = img + cls.scale(coef)
-                self._e1_cache[key] = img
-            out = out + self._e1_cache[key].scale(c)
-        return out
+                    pairs.append((coef, cls))
+                self._e1_cache[w] = self.combine(pairs)
+        return self.combine((c, self._e1_cache[w]) for w, c in a.items())
 
     # -- the divisor subring and its product ------------------------------------------
 
@@ -221,13 +218,13 @@ class AffineCoh(QModule):
         return out
 
     def _apply_lambda_expr(self, expr, target: QClass) -> QClass:
-        out = self.zero()
+        pairs = []
         for e, c, mono in expr:
             cls = target
             for i in reversed(mono):
                 cls = self.lambda_op(i, cls)
-            out = out + cls.scale(self.q_monomial(e, c))
-        return out
+            pairs.append((self.q_monomial(e, c), cls))
+        return self.combine(pairs)
 
     def reduce_mod_qc(self, a: QClass) -> QClass:
         """Kill every coefficient monomial divisible by ``q^c``."""

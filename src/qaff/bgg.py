@@ -36,12 +36,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Iterable
 
 from .polynomials import Poly, exact_div_linear, solve_exact
 from .roots import RootSystem, Vec
-from .weyl import FinW, FiniteWeyl, finite_reflection, finite_weyl
+from .weyl import FinW, finite_reflection, finite_weyl
 
-FinCohClass = dict  # FinW -> coefficient (Fraction, or any Fraction-module element)
+FinCohClass = dict  # FinW -> coefficient (int, Fraction, or any Fraction-module element)
 
 
 class FiniteSchubert:
@@ -81,7 +82,9 @@ class FiniteSchubert:
         self._alpha_terms = [terms([rs.cartan[r][j] for r in range(self.n)])
                              for j in range(self.n)]
         self._reps: dict[FinW, Poly] | None = None
-        self._theta_matrix: dict[FinW, FinCohClass] | None = None
+        self._walk = self._theta_walk()
+        self._theta_rows: dict[FinW, dict[FinW, int]] = {}
+        self._reflect_rows: list[dict[FinW, dict[FinW, int]]] = [{} for _ in range(self.n)]
         self._divisor_expr: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
 
     # -- polynomial-level operators -----------------------------------------
@@ -140,14 +143,28 @@ class FiniteSchubert:
         return self._reps[w]
 
     def expand_in_schubert(self, f: Poly) -> FinCohClass:
-        """Decompose the class of f; degrees above len(w_0) vanish in H*."""
+        """Decompose the class of f; degrees above len(w_0) vanish in H*.
+
+        The coefficient of sigma_w is the constant term of ``partial_w`` applied
+        to the degree-``len(w)`` component.  Reduced words of one length share
+        suffixes, so ``partial`` of each suffix is computed once per component.
+        """
         out: FinCohClass = {}
         for deg, comp in f.homogeneous_components().items():
+            memo: dict[tuple[int, ...], Poly] = {(): comp}
+
+            def dd_suffix(word: tuple[int, ...]) -> Poly:
+                g = memo.get(word)
+                if g is None:
+                    rest = dd_suffix(word[1:])
+                    g = memo[word] = self.dd_simple(word[0], rest) if rest else rest
+                return g
+
             for w in self.W.by_length.get(deg, []):
-                c = self.dd_word(self.W.word[w], comp).constant_term
+                c = dd_suffix(self.W.word[w]).constant_term
                 if c:
-                    out[w] = out.get(w, Fraction(0)) + c
-        return {w: c for w, c in out.items() if c}
+                    out[w] = c
+        return out
 
     def class_poly(self, a: FinCohClass) -> Poly:
         out = Poly.zero(self.n)
@@ -192,50 +209,47 @@ class FiniteSchubert:
 
     # -- the pi map on nil-Coxeter words -----------------------------------------
 
-    def theta_matrix(self) -> dict[FinW, FinCohClass]:
-        """partial_theta on the Schubert basis by the nil-Hecke rule, computed once.
+    def theta_matrix(self, support: Iterable[FinW] | None = None) -> dict[FinW, dict[FinW, int]]:
+        """Rows ``w -> partial_theta sigma_w`` for ``w`` in ``support`` (default: all).
 
-        With ``theta = u(alpha_i)`` and ``u = s_{j_1} ... s_{j_k}``, every row is
+        With ``theta = u(alpha_i)`` and ``u = s_{j_1} ... s_{j_k}``, a row is
         ``s_{j_1} ... s_{j_k} partial_i s_{j_k} ... s_{j_1} sigma_w``, where
         ``s_j = 1 - alpha_j . partial_j``.  The operators are integral on the
-        Schubert basis, so rows are built over int and stored as Fraction.
+        Schubert basis, so rows are built over int.  Each row is built the first
+        time it is asked for and memoized, so ``pi_letter(0)`` builds only the
+        rows it reads.
         """
-        if self._theta_matrix is None:
-            W = self.W
-            i, walk = self._theta_walk()
-            reflect_rows: list[dict[FinW, dict[FinW, int]]] = [{} for _ in range(self.n)]
-
-            def reflect_row(j: int, w: FinW) -> dict[FinW, int]:
-                row = reflect_rows[j].get(w)
-                if row is None:
-                    row = {w: 1}
-                    v = w * W.gens[j]
-                    if W.length[v] < W.length[w]:
-                        for u, k in self._chevalley_rule(self._alpha_terms[j], {v: 1}).items():
-                            row[u] = row.get(u, 0) - k
-                    reflect_rows[j][w] = row
-                return row
-
-            def reflect(j: int, a: dict[FinW, int]) -> dict[FinW, int]:
-                out: dict[FinW, int] = {}
-                for w, c in a.items():
-                    for u, k in reflect_row(j, w).items():
-                        out[u] = out.get(u, 0) + k * c
-                return {u: c for u, c in out.items() if c}
-
-            position = {w: p for p, w in enumerate(W.elements)}
-            matrix = {}
-            for w in W.elements:
-                a = {w: 1}
+        i, walk = self._walk
+        rows = self._theta_rows
+        out = {}
+        for w in self.W.elements if support is None else support:
+            row = rows.get(w)
+            if row is None:
+                row = {w: 1}
                 for j in walk:
-                    a = reflect(j, a)
-                a = self.pi_letter(i + 1, a)
+                    row = self._reflect(j, row)
+                row = self.pi_letter(i + 1, row)
                 for j in reversed(walk):
-                    a = reflect(j, a)
-                # keys in W.elements order, the order the polynomial route produced
-                matrix[w] = {u: Fraction(a[u]) for u in sorted(a, key=position.get)}
-            self._theta_matrix = matrix
-        return self._theta_matrix
+                    row = self._reflect(j, row)
+                rows[w] = row
+            out[w] = row
+        return out
+
+    def _reflect(self, j: int, a: dict[FinW, int]) -> dict[FinW, int]:
+        """``s_j a = a - alpha_j . partial_j a`` over int, with memoized basis rows."""
+        W, rows = self.W, self._reflect_rows[j]
+        out: dict[FinW, int] = {}
+        for w, c in a.items():
+            row = rows.get(w)
+            if row is None:
+                row = rows[w] = {w: 1}
+                v = w * W.gens[j]
+                if W.length[v] < W.length[w]:
+                    for u, k in self._chevalley_rule(self._alpha_terms[j], {v: 1}).items():
+                        row[u] = row.get(u, 0) - k
+            for u, k in row.items():
+                out[u] = out.get(u, 0) + k * c
+        return {u: c for u, c in out.items() if c}
 
     def _theta_walk(self) -> tuple[int, tuple[int, ...]]:
         """``(i, (j_1, ..., j_k))`` with ``theta = s_{j_1} ... s_{j_k}(alpha_i)``, 0-indexed.
@@ -256,9 +270,9 @@ class FiniteSchubert:
         """Apply pi(D_i) for one affine letter i (0 = -partial_theta)."""
         out: FinCohClass = {}
         if i == 0:
-            mat = self.theta_matrix()
-            for w, c in a.items():
-                for u, k in mat[w].items():
+            for w, row in self.theta_matrix(a).items():
+                c = a[w]
+                for u, k in row.items():
                     s = out.get(u, 0) + (-k) * c
                     if s:
                         out[u] = s
@@ -290,7 +304,7 @@ class FiniteSchubert:
         return list(combinations_with_replacement(range(1, self.n + 1), degree))
 
     def monomial_class(self, mono: tuple[int, ...]) -> FinCohClass:
-        cls: FinCohClass = {self.W.identity: Fraction(1)}
+        cls: FinCohClass = {self.W.identity: 1}
         for i in reversed(mono):
             cls = self.chevalley_cup(i, cls)
         return cls

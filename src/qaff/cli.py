@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from functools import reduce
 from operator import mul
 
 from . import toda
-from .affine import AffineCoh, TruncationOverflow, default_truncation
+from .affine import AffineCoh, TruncationOverflow
 from .bgg import finite_schubert
 from .chevalley import enumerate_chevalley_roots, posir_reconstruct
 from .neighborhoods import (

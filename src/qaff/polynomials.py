@@ -2,9 +2,11 @@
 
 Everything downstream (coinvariant algebra classes, quantum parameters,
 integrable-system relations) works over one representation: a dict mapping
-exponent tuples to nonzero ``Fraction`` coefficients.  Exponents are plain
-``int`` and may be negative, which is what the spectral parameter in the Lax
-matrix needs; operations that cannot support negative exponents say so.
+exponent tuples to nonzero coefficients.  A coefficient is an ``int`` when it
+is integral and a ``Fraction`` only when it is not, so the integral Schubert
+calculus runs on machine integers; no coefficient is ever a float.  Exponents
+are plain ``int`` and may be negative, which is what the spectral parameter in
+the Lax matrix needs; operations that cannot support negative exponents say so.
 
 >>> x = Poly.variable(2, 0)
 >>> y = Poly.variable(2, 1)
@@ -15,7 +17,9 @@ matrix needs; operations that cannot support negative exponents say so.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from math import lcm
+from operator import add
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Exp = tuple[int, ...]
 Scalar = int | Fraction
@@ -25,6 +29,46 @@ def _as_fraction(c: Scalar) -> Fraction:
     return c if isinstance(c, Fraction) else Fraction(c)
 
 
+def _exact(c: Scalar) -> Scalar:
+    """``c`` as an ``int`` when it is integral, else as a ``Fraction``.
+
+    Anything else, a float above all, is refused: coefficients stay exact.
+    """
+    if c.__class__ is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):
+        return int(c)
+    raise TypeError(f"a coefficient is an int or a Fraction, not {type(c).__name__}")
+
+
+def _normalized(terms: Mapping[Exp, Scalar]) -> dict[Exp, Scalar]:
+    """Drop zero coefficients and store integral ``Fraction``s as ``int``."""
+    return {
+        e: c.numerator if c.__class__ is Fraction and c.denominator == 1 else c
+        for e, c in terms.items()
+        if c
+    }
+
+
+def _divided(c: Scalar, den: int) -> Scalar:
+    """``c / den``, exact, as an ``int`` when it is integral."""
+    if c.__class__ is int:
+        q, r = divmod(c, den)
+        if not r:
+            return q
+    return _exact(Fraction(c, den))
+
+
+def _poly(nvars: int, terms: dict[Exp, Scalar]) -> "Poly":
+    """A ``Poly`` on ``terms`` as given: nonzero, normalized, right arity."""
+    p = Poly.__new__(Poly)
+    p.nvars = nvars
+    p.terms = terms
+    return p
+
+
 class Poly:
     """Immutable-by-convention sparse polynomial in ``nvars`` variables."""
 
@@ -32,14 +76,14 @@ class Poly:
 
     def __init__(self, nvars: int, terms: Mapping[Exp, Scalar] | None = None):
         self.nvars = nvars
-        clean: dict[Exp, Fraction] = {}
+        clean: dict[Exp, Scalar] = {}
         if terms:
             for e, c in terms.items():
                 if len(e) != nvars:
                     raise ValueError(f"exponent {e} has wrong arity for {nvars} variables")
-                f = _as_fraction(c)
-                if f:
-                    clean[tuple(e)] = f
+                c = _exact(c)
+                if c:
+                    clean[tuple(e)] = c
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -50,21 +94,21 @@ class Poly:
 
     @classmethod
     def one(cls, nvars: int) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * nvars: 1})
 
     @classmethod
     def const(cls, nvars: int, c: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: _as_fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, nvars: int, i: int) -> "Poly":
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exps: Sequence[int], coeff: Scalar = 1) -> "Poly":
-        return cls(nvars, {tuple(exps): _as_fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     # -- basic queries ---------------------------------------------------
 
@@ -74,14 +118,14 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+    def coefficient(self, exps: Sequence[int]) -> Scalar:
+        return self.terms.get(tuple(exps), 0)
 
     @property
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+    def constant_term(self) -> Scalar:
+        return self.terms.get((0,) * self.nvars, 0)
 
-    def __iter__(self) -> Iterator[tuple[Exp, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[Exp, Scalar]]:
         return iter(self.terms.items())
 
     # -- arithmetic --------------------------------------------------------
@@ -96,23 +140,13 @@ class Poly:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+            out[e] = out.get(e, 0) + c
+        return _poly(self.nvars, _normalized(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p.nvars = self.nvars
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -124,25 +158,15 @@ class Poly:
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            p = Poly.__new__(Poly)
-            p.nvars = self.nvars
-            p.terms = {e: c * v for e, v in self.terms.items()} if c else {}
-            return p
+            c = _exact(other)
+            return _poly(self.nvars, _normalized({e: c * v for e, v in self.terms.items()}))
         self._check(other)
-        out: dict[Exp, Fraction] = {}
+        out: dict[Exp, Scalar] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p.nvars = self.nvars
-        p.terms = out
-        return p
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return _poly(self.nvars, _normalized(out))
 
     __rmul__ = __mul__
 
@@ -180,7 +204,7 @@ class Poly:
     def homogeneous_components(self, weights: Sequence[int] | None = None) -> dict[int, "Poly"]:
         if weights is None:
             weights = (1,) * self.nvars
-        buckets: dict[int, dict[Exp, Fraction]] = {}
+        buckets: dict[int, dict[Exp, Scalar]] = {}
         for e, c in self.terms.items():
             d = sum(w * x for w, x in zip(weights, e))
             buckets.setdefault(d, {})[e] = c
@@ -191,7 +215,7 @@ class Poly:
 
     def coefficient_of(self, var: int, power: int) -> "Poly":
         """Collect the coefficient of ``x_var^power`` (exponent of ``var`` zeroed out)."""
-        out: dict[Exp, Fraction] = {}
+        out: dict[Exp, Scalar] = {}
         for e, c in self.terms.items():
             if e[var] == power:
                 ee = list(e)
@@ -201,7 +225,7 @@ class Poly:
 
     def set_var_zero(self, var: int) -> "Poly":
         """Substitute ``x_var := 0`` (drops every term with a positive exponent there)."""
-        out: dict[Exp, Fraction] = {}
+        out: dict[Exp, Scalar] = {}
         for e, c in self.terms.items():
             if e[var] < 0:
                 raise ValueError("cannot set a variable with negative exponents to zero")
@@ -301,7 +325,7 @@ class QClass:
         return self._like(out)
 
     def __sub__(self, other: "QClass") -> "QClass":
-        return self + other.scale(Fraction(-1))
+        return self + other.scale(-1)
 
     def scale(self, c: "Poly | Scalar") -> "QClass":
         if isinstance(c, (int, Fraction)):
@@ -370,6 +394,56 @@ class QModule:
         c = coeff if isinstance(coeff, Poly) else Poly.const(self.nq, coeff)
         return self._make({w: c})
 
+    def combine(self, pairs: Iterable[tuple["Poly | Scalar", QClass]]) -> QClass:
+        """``sum c * x`` over the ``(c, x)`` pairs, where ``c`` is a Poly or a scalar.
+
+        The coefficients ``c`` are brought over one common denominator ``den``
+        first, so the sums run on ``int`` whenever the classes ``x`` have
+        integral coefficients.  Every product is added in place into one table
+        ``w -> exponent -> coefficient``, and one Poly is built per basis
+        element of the result, after dividing by ``den``.
+        """
+        work = []
+        den = 1
+        for c, x in pairs:
+            if not isinstance(c, Poly):
+                c = Poly.const(self.nq, c)
+            if c and x.terms:
+                work.append((c.terms, x))
+                for v in c.terms.values():
+                    if v.__class__ is Fraction:
+                        den = lcm(den, v.denominator)
+        const = (0,) * self.nq
+        acc: dict[Hashable, dict[Exp, Scalar]] = {}
+        for cterms, x in work:
+            scaled = [
+                (e, v * den if v.__class__ is int else v.numerator * (den // v.denominator))
+                for e, v in cterms.items()
+            ]
+            if len(scaled) == 1 and scaled[0][0] == const:
+                k = scaled[0][1]
+                for w, p in x.terms.items():
+                    d = acc.get(w)
+                    if d is None:
+                        d = acc[w] = {}
+                    for e, v in p.terms.items():
+                        d[e] = d.get(e, 0) + k * v
+            else:
+                for w, p in x.terms.items():
+                    d = acc.get(w)
+                    if d is None:
+                        d = acc[w] = {}
+                    for e1, c1 in scaled:
+                        for e2, c2 in p.terms.items():
+                            e = tuple(map(add, e1, e2))
+                            d[e] = d.get(e, 0) + c1 * c2
+        nq = self.nq
+        if den == 1:
+            return self._make({w: _poly(nq, _normalized(d)) for w, d in acc.items()})
+        return self._make({
+            w: _poly(nq, {e: _divided(v, den) for e, v in d.items() if v}) for w, d in acc.items()
+        })
+
 
 def exact_div_linear(f: Poly, linear: Poly) -> Poly:
     """Divide ``f`` by a linear form with zero constant term; remainder must vanish.
@@ -381,6 +455,8 @@ def exact_div_linear(f: Poly, linear: Poly) -> Poly:
     >>> x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     >>> exact_div_linear(x * x - y * y, x - y) == x + y
     True
+    >>> exact_div_linear(x, 2 * x).terms
+    {(0, 0): Fraction(1, 2)}
     """
     lin_terms = [(e, c) for e, c in linear.terms.items()]
     if not lin_terms or any(sum(e) != 1 for e, _ in lin_terms):
@@ -397,7 +473,7 @@ def exact_div_linear(f: Poly, linear: Poly) -> Poly:
             break
         te = list(e)
         te[pivot] -= 1
-        t = Poly.monomial(f.nvars, tuple(te), c / a)
+        t = Poly.monomial(f.nvars, tuple(te), Fraction(c) / a)
         quot = quot + t
         rem = rem - t * linear
     if rem.terms:

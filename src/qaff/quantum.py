@@ -90,27 +90,21 @@ class QuantumAff(FiniteQRing):
     def _lambda_basis(self, i: int, w: FinW) -> QClass:
         key = (i, w)
         if key not in self._lambda_img:
-            cup = self.fs.chevalley_cup(i, {w: Fraction(1)})
-            out = self.from_finite(cup)
+            pairs = [(1, self.from_finite(self.fs.chevalley_cup(i, {w: 1})))]
             for cr in self._chev:
                 k = self.ard.level_zero_weight_pairing(i, cr.coroot)
-                if not k:
-                    continue
-                moved = self.fs.pi_word(cr.word, {w: Fraction(1)})
-                if moved:
-                    q = Poly.monomial(self.nq, tuple(cr.coroot), k)
-                    out = out + self._make({v: q * c for v, c in moved.items()})
-            self._lambda_img[key] = out
+                if k:
+                    moved = self.fs.pi_word(cr.word, {w: 1})
+                    pairs.append((Poly.monomial(self.nq, tuple(cr.coroot), k),
+                                  self.from_finite(moved)))
+            self._lambda_img[key] = self.combine(pairs)
         return self._lambda_img[key]
 
     def lambda_bar(self, i: int, a: QClass) -> QClass:
         """Quantum Chevalley operator for the finite index i (1..n)."""
         if not 1 <= i <= self.n:
             raise ValueError("lambda_bar takes a finite index 1..n")
-        out = self.zero()
-        for w, c in a.terms.items():
-            out = out + self._lambda_basis(i, w).scale(c)
-        return out
+        return self.combine((c, self._lambda_basis(i, w)) for w, c in a.terms.items())
 
     def lambda_word(self, word: tuple[int, ...], a: QClass) -> QClass:
         for i in reversed(word):
@@ -145,41 +139,33 @@ class QuantumAff(FiniteQRing):
             for coef, mono in self.fs.express_in_divisors(v):
                 flat.append((scale * coef, mono))
             for u, poly in self._lift_correction(v).terms.items():
-                emit(scale * poly * Fraction(-1), u)
+                emit(-(scale * poly), u)
 
         emit(Poly.one(self.nq), w)
         return flat
 
     def _T_apply(self, w: FinW, b: QClass) -> QClass:
         """The bare classical-expression operator ``T_w`` applied to ``b``."""
-        out = self.zero()
-        for coef, mono in self.fs.express_in_divisors(w):
-            out = out + self.lambda_word(mono, b).scale(coef)
-        return out
+        return self.combine((coef, self.lambda_word(mono, b))
+                            for coef, mono in self.fs.express_in_divisors(w))
 
     def _lift_apply_basis(self, w: FinW, v: FinW) -> QClass:
         key = (w, v)
         if key not in self._lift_img:
-            t = self._T_apply(w, self.basis(v))
+            pairs = [(1, self._T_apply(w, self.basis(v)))]
             for u, poly in self._lift_correction(w).terms.items():
-                t = t - self._lift_apply_basis(u, v).scale(poly)
-            self._lift_img[key] = t
+                pairs.append((-poly, self._lift_apply_basis(u, v)))
+            self._lift_img[key] = self.combine(pairs)
         return self._lift_img[key]
 
     def lift_apply(self, w: FinW, b: QClass) -> QClass:
         """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
-        out = self.zero()
-        for v, c in b.terms.items():
-            out = out + self._lift_apply_basis(w, v).scale(c)
-        return out
+        return self.combine((c, self._lift_apply_basis(w, v)) for v, c in b.terms.items())
 
     # -- the product -------------------------------------------------------------
 
     def star(self, a: QClass, b: QClass) -> QClass:
-        out = self.zero()
-        for u, c in a.terms.items():
-            out = out + self.lift_apply(u, b).scale(c)
-        return out
+        return self.combine((c, self.lift_apply(u, b)) for u, c in a.terms.items())
 
     def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
         """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""

@@ -219,13 +219,12 @@ def phi_evaluate(rel: RelationPoly, ring: QuantumAff | None = None) -> QClass:
     if ring is None:
         ring = quantum_aff(rel.letter, rel.rank)
     rank = rel.rank
-    out = ring.zero()
+    pairs = []
     for e, c in rel.poly.terms.items():
         q_exps, x_exps = e[: rank + 1], e[rank + 1 :]
         word = tuple(i + 1 for i, a in enumerate(x_exps) for _ in range(a))
-        val = ring.lambda_word(word, ring.unit())
-        out = out + val.scale(Poly.monomial(rank + 1, q_exps, c))
-    return out
+        pairs.append((Poly.monomial(rank + 1, q_exps, c), ring.lambda_word(word, ring.unit())))
+    return ring.combine(pairs)
 
 
 def verify_relation(rel: RelationPoly, ring: QuantumAff | None = None) -> bool:

@@ -2,8 +2,10 @@
 
 Each call in ``data/cli_golden.json`` was recorded before the change it
 guards: the first 15 before the nil-Hecke ``theta_matrix`` replaced the
-polynomial one, the rest before both rings moved onto one module class.  So
-it pins the rule that a speed-up or refactor leaves CLI output unchanged.
+polynomial one, the next 8 before both rings moved onto one module class, and
+the last 2 (the whole A3 table and the B2 relations) before ``Poly`` moved to
+integer coefficients and the module sums to ``QModule.combine``.  So it pins
+the rule that a speed-up or refactor leaves CLI output unchanged.
 After a change that is meant to alter output, record it again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -44,6 +46,8 @@ CALLS = [
     ["product", "--type", "A2", "--u", "s1", "--v", "s1s2", "--format", "latex"],
     ["table", "--type", "A2", "--format", "json"],
     ["table", "--type", "A2", "--format", "latex"],
+    ["table", "--type", "A3", "--format", "json"],
+    ["relations", "--type", "B2"],
 ]
 
 

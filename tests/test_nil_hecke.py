@@ -3,6 +3,7 @@
 import pytest
 
 from qaff.bgg import FiniteSchubert, finite_schubert
+from qaff.quantum import QuantumAff
 from qaff.roots import build_root_system
 
 
@@ -40,3 +41,18 @@ class TestNilHeckeTheta:
             for j in reversed(walk):
                 beta = rs.reflect_root(rs.simple_root(j + 1), beta)
             assert beta == rs.theta, lt
+
+    def test_rows_are_built_on_first_use(self):
+        fs = FiniteSchubert(build_root_system("A", 4))
+        w = fs.W.parse("s1s2s3s4")
+        assert fs.pi_letter(0, {w: 1}) == {u: -k for u, k in fs.theta_matrix([w])[w].items()}
+        assert list(fs._theta_rows) == [w]
+        assert len(fs.theta_matrix()) == len(fs._theta_rows) == len(fs.W.elements)
+
+    def test_a4_product_reads_only_some_rows(self):
+        ring = QuantumAff("A", 4)
+        ring.fs = FiniteSchubert(ring.rs)
+        u, v = ring.FW.parse("s1s2s3s4"), ring.FW.parse("s4s3s2s1")
+        got = ring.star(ring.basis(u), ring.basis(v))
+        assert 0 < len(ring.fs._theta_rows) < len(ring.FW.elements)
+        assert got.homogeneous_degree() == 8
