@@ -202,14 +202,11 @@ class AffineCoh(QModule):
         out: list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]] = []
         for (e, lw), layer in sorted(layers.items()):
             monos = list(combinations_with_replacement(range(self.n + 1), lw))
-            cols = [self.divisor_monomial_class(m) for m in monos]
-            support: list[AffW] = sorted(
-                {w for col in cols for w in col.terms} | set(layer),
-                key=lambda w: self.W.reduced_word(w),
-            )
-            rows = [[col.coefficient(w).constant_term for col in cols] for w in support]
-            rhs = [layer.get(w, Fraction(0)) for w in support]
-            sol = solve_exact(rows, rhs)
+            cols = [
+                {w: p.constant_term for w, p in self.divisor_monomial_class(m).terms.items()}
+                for m in monos
+            ]
+            sol = solve_exact(cols, layer)
             if sol is None:
                 raise ValueError(
                     "class lies outside the subring generated by divisor classes"
@@ -261,9 +258,3 @@ class AffineCoh(QModule):
 @lru_cache(maxsize=None)
 def affine_coh(letter: str, rank: int, L: int | None = None) -> AffineCoh:
     return AffineCoh(affine_weyl(letter, rank), L)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

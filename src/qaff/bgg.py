@@ -316,13 +316,8 @@ class FiniteSchubert:
         """
         if w in self._divisor_expr:
             return self._divisor_expr[w]
-        deg = self.W.length[w]
-        monos = self.divisor_monomials(deg)
-        basis = self.W.by_length[deg]
-        cols = [self.monomial_class(m) for m in monos]
-        rows = [[col.get(u, Fraction(0)) for col in cols] for u in basis]
-        rhs = [Fraction(1) if u == w else Fraction(0) for u in basis]
-        sol = solve_exact(rows, rhs)
+        monos = self.divisor_monomials(self.W.length[w])
+        sol = solve_exact([self.monomial_class(m) for m in monos], {w: 1})
         if sol is None:
             raise AssertionError("divisor monomials failed to span")
         expr = [(c, m) for c, m in zip(sol, monos) if c]
@@ -335,9 +330,3 @@ def finite_schubert(letter: str, rank: int) -> FiniteSchubert:
     from .roots import build_root_system
 
     return FiniteSchubert(build_root_system(letter, rank))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

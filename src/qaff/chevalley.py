@@ -142,9 +142,3 @@ def posir_reconstruct(W: AffineWeylGroup) -> dict[AffineRoot, tuple[int, ...]]:
                     nxt.append(alpha)
         frontier = nxt
     return found
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

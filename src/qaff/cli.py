@@ -506,9 +506,9 @@ def _suite_neighborhoods(letter: str, rank: int, report) -> None:
 
 
 def _suite_intertwining(letter: str, rank: int, report) -> None:
-    calc = AffineCoh(affine_weyl(letter, rank))
-    fs = finite_schubert(letter, rank)
     FW = finite_weyl(letter, rank)
+    calc = AffineCoh(affine_weyl(letter, rank), L=FW.length[FW.w0])
+    fs = finite_schubert(letter, rank)
     ok = True
     for v in FW.elements:
         img = calc.e1_pullback({v: Fraction(1)})

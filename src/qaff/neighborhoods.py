@@ -236,9 +236,3 @@ def qbruhat_chains(
             if chain.degree == tuple(kappa):
                 out.append(chain)
     return out
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -11,22 +11,18 @@ the Lax matrix needs; operations that cannot support negative exponents say so.
 >>> x = Poly.variable(2, 0)
 >>> y = Poly.variable(2, 1)
 >>> str((x + y) * (x - y))
-'x0^2 - x1^2'
+'-x1^2 + x0^2'
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 Exp = tuple[int, ...]
 Scalar = int | Fraction
-
-
-def _as_fraction(c: Scalar) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
 
 
 def _exact(c: Scalar) -> Scalar:
@@ -137,6 +133,8 @@ class Poly:
     def __add__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
@@ -151,6 +149,8 @@ class Poly:
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(self.nvars, other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "Poly":
@@ -160,6 +160,8 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             c = _exact(other)
             return _poly(self.nvars, _normalized({e: c * v for e, v in self.terms.items()}))
+        if not isinstance(other, Poly):
+            return NotImplemented
         self._check(other)
         out: dict[Exp, Scalar] = {}
         for e1, c1 in self.terms.items():
@@ -481,69 +483,73 @@ def exact_div_linear(f: Poly, linear: Poly) -> Poly:
     return quot
 
 
-def solve_exact(
-    rows: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]
-) -> list[Fraction] | None:
-    """Solve ``rows @ x == rhs`` over the rationals; ``None`` when inconsistent.
+def _echelon(rows: Iterable[Mapping[Hashable, Scalar]]) -> dict:
+    """Row-echelon form of sparse rows ``col -> Scalar``, on integers.
 
-    Free variables are set to zero, so the answer is one solution, not the
-    general one — exactly what expressing a class in a spanning set needs.
+    Column keys must be mutually comparable; their order is the column order.
+    Each row is cleared of denominators by their lcm and is then reduced
+    against the pivot rows found so far, leftmost column first, by the
+    fraction-free step ``a*row - b*pivot`` (as in Bareiss, Math. Comp. 1968)
+    followed by division by the row's content.  Returns ``pivot column ->
+    row``, the pivot being the leftmost nonzero column of its row.  Whatever
+    the row order, the pivot columns are those not in the span of the columns
+    to their left, which fixes the rank and the solution read off from it.
+    Sparse rows go first: they become the pivots and keep the fill low.
     """
-    m = len(rows)
-    if m != len(rhs):
-        raise ValueError("row/rhs length mismatch")
-    n = len(rows[0]) if m else 0
-    aug = [[_as_fraction(v) for v in row] + [_as_fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(n):
-        sel = next((i for i in range(r, m) if aug[i][col]), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        inv = 1 / aug[r][col]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n]:
-            return None
+    pivots: dict[Hashable, dict[Hashable, int]] = {}
+    for raw in sorted(rows, key=len):
+        den = lcm(*(v.denominator for v in raw.values()))
+        row = {k: v.numerator * (den // v.denominator) for k, v in raw.items() if v}
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            g = gcd(p[c], row[c])
+            a, b = p[c] // g, row[c] // g
+            if a != 1:
+                row = {k: a * v for k, v in row.items()}
+            for k, v in p.items():
+                s = row.get(k, 0) - b * v
+                if s:
+                    row[k] = s
+                else:
+                    row.pop(k, None)
+            g = gcd(*row.values())
+            if g > 1:
+                row = {k: v // g for k, v in row.items()}
+    return pivots
+
+
+def solve_exact(
+    cols: Sequence[Mapping[Hashable, Scalar]], target: Mapping[Hashable, Scalar]
+) -> list[Fraction] | None:
+    """Coefficients ``x`` with ``sum x[j] * cols[j] == target``; ``None`` if none exist.
+
+    ``cols`` and ``target`` are sparse vectors over any hashable index.  Free
+    variables are set to zero, so the answer is one solution, not the general
+    one: the pivots are the columns independent of the columns to their left,
+    exactly what expressing a class in a spanning set needs.
+    """
+    n = len(cols)
+    rows: dict[Hashable, dict[int, Scalar]] = {}
+    for j, col in enumerate(cols):
+        for u, v in col.items():
+            rows.setdefault(u, {})[j] = v
+    for u, v in target.items():
+        rows.setdefault(u, {})[n] = v
+    pivots = _echelon(rows.values())
+    if n in pivots:
+        return None
     x = [Fraction(0)] * n
-    for row, col in pivots:
-        x[col] = aug[row][n]
+    for c in sorted(pivots, reverse=True):
+        row = pivots[c]
+        s = row.get(n, 0) - sum(v * x[k] for k, v in row.items() if c < k < n)
+        x[c] = Fraction(s, row[c])
     return x
 
 
-def matrix_rank(rows: Sequence[Sequence[Scalar]]) -> int:
-    """Rank over the rationals, by fraction-free-ish Gaussian elimination."""
-    work = [[_as_fraction(v) for v in row] for row in rows]
-    m = len(work)
-    n = len(work[0]) if m else 0
-    rank = 0
-    for col in range(n):
-        sel = next((i for i in range(rank, m) if work[i][col]), None)
-        if sel is None:
-            continue
-        work[rank], work[sel] = work[sel], work[rank]
-        inv = 1 / work[rank][col]
-        work[rank] = [v * inv for v in work[rank]]
-        for i in range(rank + 1, m):
-            if work[i][col]:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()
+def matrix_rank(rows: Iterable[Mapping[Hashable, Scalar]]) -> int:
+    """Rank over the rationals of sparse rows ``col -> Scalar`` (comparable keys)."""
+    return len(_echelon(rows))

@@ -306,14 +306,11 @@ class OrdinaryQH(FiniteQRing):
         if w not in self._express:
             lw = self.FW.length[w]
             monos = list(combinations_with_replacement(range(1, self.n + 1), lw))
-            cols = [self._monomial_classical(m) for m in monos]
-            support = sorted(
-                {v for col in cols for v in col.terms} | {w},
-                key=lambda v: self.FW.word[v],
-            )
-            rows = [[col.coefficient(v).constant_term for col in cols] for v in support]
-            rhs = [Fraction(1) if v == w else Fraction(0) for v in support]
-            sol = solve_exact(rows, rhs)
+            cols = [
+                {v: p.constant_term for v, p in self._monomial_classical(m).terms.items()}
+                for m in monos
+            ]
+            sol = solve_exact(cols, {w: 1})
             if sol is None:
                 raise AssertionError("divisor monomials must span classically")
             self._express[w] = [(c, m) for c, m in zip(sol, monos) if c]

@@ -466,9 +466,3 @@ class AffineRootData:
 @lru_cache(maxsize=None)
 def affinize(letter: str, rank: int) -> AffineRootData:
     return AffineRootData(build_root_system(letter, rank))
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

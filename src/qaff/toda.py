@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .bgg import FinCohClass, finite_schubert
 from .polynomials import Poly, QClass, matrix_rank
@@ -324,17 +325,12 @@ def quotient_dimension(rels: list[RelationPoly], degree: int) -> int:
     rank = rels[0].rank
     nv = 2 * rank + 1
     weights = rels[0].weights()
-    basis = _weighted_monomials(nv, weights, degree)
-    index = {m: i for i, m in enumerate(basis)}
-    rows = []
-    for rel in rels:
-        for shift in _weighted_monomials(nv, weights, degree - rel.degree()):
-            row = [Fraction(0)] * len(basis)
-            for e, c in rel.poly.terms.items():
-                tot = tuple(a + b for a, b in zip(e, shift))
-                row[index[tot]] = c
-            rows.append(row)
-    return len(basis) - matrix_rank(rows)
+    rows = [
+        {tuple(map(add, e, shift)): c for e, c in rel.poly.terms.items()}
+        for rel in rels
+        for shift in _weighted_monomials(nv, weights, degree - rel.degree())
+    ]
+    return len(_weighted_monomials(nv, weights, degree)) - matrix_rank(rows)
 
 
 def schubert_module_dimension(letter: str, rank: int, degree: int) -> int:

@@ -412,9 +412,3 @@ def weyl_order(letter: str, rank: int) -> int:
     if letter == "D":
         return 2 ** (rank - 1) * factorial(rank)
     return _EXCEPTIONAL_ORDER[(letter, rank)]
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

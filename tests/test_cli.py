@@ -282,6 +282,13 @@ class TestVerify:
         assert code == 0
         assert out.count("suite ") == 2
 
+    @pytest.mark.parametrize("typ", ["B3", "C3"])
+    def test_intertwining_on_rank_three(self, capsys, typ):
+        # pulls back w0, whose length exceeds the default truncation
+        code, out, _ = run(capsys, "verify", "--type", typ, "--suite", "intertwining")
+        assert code == 0
+        assert "1 passed, 0 failed" in out
+
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "--type", "A1", "--suite", "nope")
         assert code == 2

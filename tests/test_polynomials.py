@@ -35,6 +35,14 @@ class TestArithmetic:
         assert x ** 0 == Poly.one(1)
         assert (1 + x) ** 4 == P(1, {(0,): 1, (1,): 4, (2,): 6, (3,): 4, (4,): 1})
 
+    @pytest.mark.parametrize("op", [
+        lambda x: x * 0.5, lambda x: x + 0.5, lambda x: x - 0.5,
+        lambda x: 0.5 * x, lambda x: 0.5 + x,
+    ])
+    def test_float_operand_is_a_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(Poly.variable(2, 0))
+
     def test_laurent_exponents(self):
         zinv = Poly.monomial(1, (-1,), 1)
         z = Poly.variable(1, 0)
@@ -125,25 +133,27 @@ def test_division_rejects_remainders(f, lin):
 
 
 class TestLinearAlgebra:
+    # Systems are sparse: columns (and rows for the rank) map an index to a
+    # nonzero entry.
     def test_solve_simple(self):
-        rows = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
-        sol = solve_exact(rows, [Fraction(3), Fraction(1)])
+        cols = [{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(1), 1: Fraction(-1)}]
+        sol = solve_exact(cols, {0: Fraction(3), 1: Fraction(1)})
         assert sol == [Fraction(2), Fraction(1)]
 
     def test_solve_inconsistent(self):
-        rows = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)]]
-        assert solve_exact(rows, [Fraction(1), Fraction(3)]) is None
+        cols = [{0: Fraction(1), 1: Fraction(2)}, {0: Fraction(1), 1: Fraction(2)}]
+        assert solve_exact(cols, {0: Fraction(1), 1: Fraction(3)}) is None
 
     def test_underdetermined_picks_a_solution(self):
-        rows = [[Fraction(1), Fraction(1)]]
-        sol = solve_exact(rows, [Fraction(5)])
+        cols = [{0: Fraction(1)}, {0: Fraction(1)}]
+        sol = solve_exact(cols, {0: Fraction(5)})
         assert sol is not None
         assert sol[0] + sol[1] == 5
 
     def test_rank(self):
         rows = [
-            [Fraction(1), Fraction(2)],
-            [Fraction(2), Fraction(4)],
-            [Fraction(0), Fraction(1)],
+            {0: Fraction(1), 1: Fraction(2)},
+            {0: Fraction(2), 1: Fraction(4)},
+            {1: Fraction(1)},
         ]
         assert matrix_rank(rows) == 2

@@ -1,6 +1,8 @@
 """Source-level checks over every module of the package."""
 
 import ast
+import doctest
+import importlib
 from pathlib import Path
 
 import qaff
@@ -46,3 +48,12 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}"
                    for name, line in _imported_names(tree).items() if name not in used]
     assert not unused, unused
+
+
+def test_module_doctests_pass():
+    results = {
+        path.stem: doctest.testmod(importlib.import_module(f"qaff.{path.stem}"))
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert sum(r.attempted for r in results.values()) > 0
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
