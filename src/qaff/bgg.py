@@ -86,6 +86,9 @@ class FiniteSchubert:
         self._theta_rows: dict[FinW, dict[FinW, int]] = {}
         self._reflect_rows: list[dict[FinW, dict[FinW, int]]] = [{} for _ in range(self.n)]
         self._divisor_expr: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
+        self._mono_class: dict[tuple[int, ...], FinCohClass] = {(): {self.W.identity: 1}}
+        self._layer_cols: dict[int, tuple[list[tuple[int, FinW]], list[FinCohClass]]] = {}
+        self._chevalley_expr: dict[FinW, list[tuple[Fraction, int, FinW]]] = {}
 
     # -- polynomial-level operators -----------------------------------------
 
@@ -304,9 +307,12 @@ class FiniteSchubert:
         return list(combinations_with_replacement(range(1, self.n + 1), degree))
 
     def monomial_class(self, mono: tuple[int, ...]) -> FinCohClass:
-        cls: FinCohClass = {self.W.identity: 1}
-        for i in reversed(mono):
-            cls = self.chevalley_cup(i, cls)
+        """``sigma_{i_1} ... sigma_{i_k}``, memoized by suffix: one Chevalley step
+        per new monomial.  The returned dict is shared; do not mutate it."""
+        cls = self._mono_class.get(mono)
+        if cls is None:
+            cls = self._mono_class[mono] = self.chevalley_cup(
+                mono[0], self.monomial_class(mono[1:]))
         return cls
 
     def express_in_divisors(self, w: FinW) -> list[tuple[Fraction, tuple[int, ...]]]:
@@ -322,6 +328,36 @@ class FiniteSchubert:
             raise AssertionError("divisor monomials failed to span")
         expr = [(c, m) for c, m in zip(sol, monos) if c]
         self._divisor_expr[w] = expr
+        return expr
+
+    # -- the classical Monk step ----------------------------------------------------
+
+    def chevalley_expression(self, w: FinW) -> list[tuple[Fraction, int, FinW]]:
+        """``[(a, i, v)]`` with ``sigma_w = sum a sigma_i . sigma_v`` and len(v) = len(w) - 1.
+
+        One exact solve per w over the columns ``chevalley_cup(i, {v})`` of the
+        layer below, which are built once per length.  Columns ``(i, v)`` with v
+        covered by w come first, so the pivots favour a short answer.  Such a
+        combination exists for every w other than the identity because the
+        divisor classes generate H*(G/B; Q) and each is a cup of a divisor with
+        a class one degree lower.
+        """
+        expr = self._chevalley_expr.get(w)
+        if expr is not None:
+            return expr
+        lw = self.W.length[w]
+        if lw == 0:
+            raise ValueError("the identity has no Chevalley expression")
+        if lw not in self._layer_cols:
+            keys = [(i, v) for v in self.W.by_length[lw - 1] for i in range(1, self.n + 1)]
+            self._layer_cols[lw] = keys, [self.chevalley_cup(i, {v: 1}) for i, v in keys]
+        keys, cols = self._layer_cols[lw]
+        order = sorted(range(len(keys)), key=lambda k: w not in cols[k])
+        sol = solve_exact([cols[k] for k in order], {w: 1})
+        if sol is None:
+            raise AssertionError(f"no Chevalley expression for {self.W.format(w)}")
+        expr = [(c, *keys[k]) for c, k in zip(sol, order) if c]
+        self._chevalley_expr[w] = expr
         return expr
 
 

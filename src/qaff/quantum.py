@@ -116,8 +116,9 @@ class QuantumAff(FiniteQRing):
     def _lift_correction(self, w: FinW) -> QClass:
         """``T_w(1) - sigma_w``, once per w.
 
-        The lift recursion ``L_w = T_w - sum c q^d L_v`` runs over its terms,
-        and ends because every one of them is shorter than w.
+        It is the quantum part of ``sum a lambda_bar_i sigma_{w'}``.  The lift
+        recursion ``L_w = T_w - sum c q^d L_v`` runs over its terms, and ends
+        because every one of them is shorter than w.
         """
         if w not in self._correction:
             corr = self._T_apply(w, self.unit()) - self.basis(w)
@@ -129,25 +130,37 @@ class QuantumAff(FiniteQRing):
     def lift_expression(self, w: FinW) -> list[tuple[Poly, tuple[int, ...]]]:
         """``L_w`` flattened to ``[(q-coefficient, lambda_bar-monomial)]``.
 
-        The recursion is expanded all the way down, so the result is one
-        operator polynomial in the ``lambda_bar`` with Q[q] coefficients whose
-        value at 1 is exactly ``sigma_w``.
+        The recursion is expanded all the way down: ``T_w`` adds ``i`` to each
+        monomial of ``L_{w'}``, and the corrections subtract lower ``L_u``.  The
+        ``lambda_bar`` commute, so monomials are sorted and like ones merged.
+        The result is one operator polynomial in the ``lambda_bar`` with Q[q]
+        coefficients whose value at 1 is exactly ``sigma_w``.
         """
-        flat: list[tuple[Poly, tuple[int, ...]]] = []
+        zero = Poly.zero(self.nq)
+        memo: dict[FinW, dict[tuple[int, ...], Poly]] = {self.FW.identity: {(): Poly.one(self.nq)}}
 
-        def emit(scale: Poly, v: FinW) -> None:
-            for coef, mono in self.fs.express_in_divisors(v):
-                flat.append((scale * coef, mono))
-            for u, poly in self._lift_correction(v).terms.items():
-                emit(-(scale * poly), u)
+        def flat(v: FinW) -> dict[tuple[int, ...], Poly]:
+            if v not in memo:
+                out: dict[tuple[int, ...], Poly] = {}
+                for a, i, u in self.fs.chevalley_expression(v):
+                    for mono, poly in flat(u).items():
+                        key = tuple(sorted(mono + (i,)))
+                        out[key] = out.get(key, zero) + poly * a
+                for u, corr in self._lift_correction(v).terms.items():
+                    for mono, poly in flat(u).items():
+                        out[mono] = out.get(mono, zero) - corr * poly
+                memo[v] = {m: p for m, p in out.items() if not p.is_zero()}
+            return memo[v]
 
-        emit(Poly.one(self.nq), w)
-        return flat
+        return [(poly, mono) for mono, poly in flat(w).items()]
 
     def _T_apply(self, w: FinW, b: QClass) -> QClass:
-        """The bare classical-expression operator ``T_w`` applied to ``b``."""
-        return self.combine((coef, self.lambda_word(mono, b))
-                            for coef, mono in self.fs.express_in_divisors(w))
+        """``T_w(b) = sum a lambda_bar_i(L_{w'}(b))`` from the classical Monk step
+        ``sigma_w = sum a sigma_i . sigma_{w'}``; ``T_e`` is the identity."""
+        if w == self.FW.identity:
+            return b
+        return self.combine((a, self.lambda_bar(i, self.lift_apply(v, b)))
+                            for a, i, v in self.fs.chevalley_expression(w))
 
     def _lift_apply_basis(self, w: FinW, v: FinW) -> QClass:
         key = (w, v)
@@ -252,6 +265,7 @@ class OrdinaryQH(FiniteQRing):
             if self.FW.length[self._refl[beta]] == 2 * coroot_ht(self.rs.coroot(beta)) - 1
         ]
         self._express: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
+        self._mono_classical: dict[tuple[int, ...], QClass] = {(): self.unit()}
         self._lift_img: dict[tuple[FinW, FinW], QClass] = {}
 
     def chevalley(self, i: int, a: QClass) -> QClass:
@@ -297,9 +311,11 @@ class OrdinaryQH(FiniteQRing):
         return self._make(out)
 
     def _monomial_classical(self, mono: tuple[int, ...]) -> QClass:
-        cls = self.unit()
-        for i in reversed(mono):
-            cls = self.chevalley_classical(i, cls)
+        """Memoized by suffix, so each new monomial costs one Chevalley step."""
+        cls = self._mono_classical.get(mono)
+        if cls is None:
+            cls = self._mono_classical[mono] = self.chevalley_classical(
+                mono[0], self._monomial_classical(mono[1:]))
         return cls
 
     def express_in_divisors(self, w: FinW) -> list[tuple[Fraction, tuple[int, ...]]]:

@@ -36,20 +36,26 @@ class FinW:
     :class:`~qaff.roots.RootTable`, so multiplication composes index tuples and
     ``w(beta) < 0`` reads as ``perm[i] >= N``.  The actions on lattice vectors
     are linear, so they come from the images of the simple roots, and the
-    inverse actions from their preimages.  Equality and hashing use ``perm``.
+    inverse actions from their preimages.  Equality and hashing use ``perm``;
+    the hash is computed on first use and kept, since elements key every
+    Schubert-basis dict.
     """
 
-    __slots__ = ("perm", "table")
+    __slots__ = ("perm", "table", "_hash")
 
     def __init__(self, perm: tuple[int, ...], table: RootTable):
         self.perm = perm
         self.table = table
+        self._hash: int | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FinW) and self.perm == other.perm
 
     def __hash__(self) -> int:
-        return hash(self.perm)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.perm)
+        return h
 
     def __mul__(self, other: "FinW") -> "FinW":
         # a perm has at least two entries, so itemgetter returns a tuple

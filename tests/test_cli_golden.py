@@ -3,9 +3,12 @@
 Each call in ``data/cli_golden.json`` was recorded before the change it
 guards: the first 15 before the nil-Hecke ``theta_matrix`` replaced the
 polynomial one, the next 8 before both rings moved onto one module class, and
-the last 2 (the whole A3 table and the B2 relations) before ``Poly`` moved to
-integer coefficients and the module sums to ``QModule.combine``.  So it pins
-the rule that a speed-up or refactor leaves CLI output unchanged.
+the next 2 (the whole A3 table and the B2 relations) before ``Poly`` moved to
+integer coefficients and the module sums to ``QModule.combine``, and the last
+2 (``w0 * s1`` on D4 and B4, with ``w0`` as its printed reduced word) before
+the lift moved from divisor-monomial expressions to one classical Chevalley
+step per element.  So it pins the rule that a speed-up or refactor leaves CLI
+output unchanged.
 After a change that is meant to alter output, record it again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -48,6 +51,8 @@ CALLS = [
     ["table", "--type", "A2", "--format", "latex"],
     ["table", "--type", "A3", "--format", "json"],
     ["relations", "--type", "B2"],
+    ["product", "--type", "D4", "--u", "s1s2s1s3s2s1s4s2s1s3s2s4", "--v", "s1"],
+    ["product", "--type", "B4", "--u", "s1s2s1s3s2s1s4s3s2s1s4s3s2s4s3s4", "--v", "s1"],
 ]
 
 

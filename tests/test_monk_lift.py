@@ -1,0 +1,74 @@
+"""The layered Monk lift against the divisor-monomial lift it replaced.
+
+``QuantumAff`` lifts ``sigma_w`` one Chevalley step at a time
+(``T_w = sum a lambda_bar_i L_{w'}``); ``divisor_lift.DivisorLift`` lifts it
+through the whole divisor-monomial expression of ``sigma_w``.  Any operator
+polynomial in the commuting ``lambda_bar`` with value ``sigma_w`` at 1 gives
+the same product, so the two must agree entry for entry.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from divisor_lift import DivisorLift
+from qaff.quantum import quantum_aff
+
+TABLE_TYPES = [("A", 2), ("B", 2), ("G", 2), ("A", 3)]
+
+
+def _same_products(ring, pairs):
+    oracle = DivisorLift(ring)
+    bad = []
+    for u, v in pairs:
+        a, b = ring.basis(u), ring.basis(v)
+        if ring.star(a, b) != oracle.star(a, b):
+            bad.append((ring.FW.format(u), ring.FW.format(v)))
+    return bad
+
+
+@pytest.mark.parametrize("letter,rank", TABLE_TYPES, ids=[f"{t}{r}" for t, r in TABLE_TYPES])
+def test_whole_table_matches_divisor_lift(letter, rank):
+    ring = quantum_aff(letter, rank)
+    pairs = list(itertools.combinations_with_replacement(ring.FW.elements, 2))
+    assert _same_products(ring, pairs) == []
+
+
+@pytest.mark.parametrize("letter", ["B", "C"])
+def test_sampled_rank3_products_match_divisor_lift(letter):
+    ring = quantum_aff(letter, 3)
+    pairs = list(itertools.combinations_with_replacement(ring.FW.elements, 2))
+    sample = random.Random(20261018).sample(pairs, 40)
+    sample.append((ring.FW.w0, ring.FW.w0))
+    assert _same_products(ring, sample) == []
+
+
+def test_a4_w0_times_simples_matches_divisor_lift():
+    ring = quantum_aff("A", 4)
+    assert _same_products(ring, [(ring.FW.w0, s) for s in ring.FW.gens]) == []
+
+
+@pytest.mark.parametrize("letter,rank", TABLE_TYPES, ids=[f"{t}{r}" for t, r in TABLE_TYPES])
+def test_lift_expression_evaluates_to_the_basis_class(letter, rank):
+    ring = quantum_aff(letter, rank)
+    for w in ring.FW.elements:
+        expr = ring.lift_expression(w)
+        value = ring.combine((poly, ring.lambda_word(mono, ring.unit())) for poly, mono in expr)
+        assert value == ring.basis(w), ring.FW.format(w)
+        assert all(list(mono) == sorted(mono) for _, mono in expr)
+
+
+def test_chevalley_expression_is_one_classical_step():
+    fs = quantum_aff("B", 3).fs
+    with pytest.raises(ValueError):
+        fs.chevalley_expression(fs.W.identity)
+    for w in fs.W.elements:
+        if fs.W.length[w] == 0:
+            continue
+        total = {}
+        for a, i, v in fs.chevalley_expression(w):
+            assert fs.W.length[v] == fs.W.length[w] - 1
+            for u, k in fs.chevalley_cup(i, {v: 1}).items():
+                total[u] = total.get(u, 0) + a * k
+        assert {u: c for u, c in total.items() if c} == {w: 1}

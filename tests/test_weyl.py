@@ -66,6 +66,18 @@ def test_finite_reflection_squares_to_identity():
         assert s.root(beta) == tuple(-x for x in beta)
 
 
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("D", 4)])
+def test_products_equal_and_hash_like_canonical_elements(letter, rank):
+    fw = finite_weyl(letter, rank)
+    canonical = {w: w for w in fw.elements}
+    for w in fw.elements:
+        for s in fw.gens:
+            u = w * s
+            c = canonical[u]
+            assert u is not c and u == c and hash(u) == hash(c)
+            assert hash(u) == hash(u) == hash(u.perm)
+
+
 class TestAffineWeyl:
     def test_simple_reflections(self):
         W = affine_weyl("A", 2)
