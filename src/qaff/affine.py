@@ -82,8 +82,8 @@ class AffineCoh(QModule):
         self._guard(a)
         out: dict[AffW, Poly] = {}
         for w, c in a.terms.items():
-            for u, alpha in self.W.bruhat_covers_up(w):
-                k = self.ard.coroot(alpha)[i]
+            for u, _, coroot in self._chev.cover_rows(w).classical:
+                k = coroot[i]
                 if k:
                     s = out.get(u)
                     out[u] = k * c if s is None else s + k * c
@@ -117,13 +117,9 @@ class AffineCoh(QModule):
         """
         quantum: dict[AffW, Poly] = {}
         for w, c in a.terms.items():
-            lw = self.W.length(w)
-            for cr in self._chev:
+            for u, cr in self._chev.cover_rows(w).quantum:
                 k = cr.coroot[i]
-                if not k:
-                    continue
-                u = self.W.multiply(w, self.W.reflection(cr.root))
-                if self.W.length(u) == lw + 1 - 2 * cr.coroot_height:
+                if k:
                     add = self.q_monomial(cr.coroot, k) * c
                     s = quantum.get(u)
                     quantum[u] = add if s is None else s + add

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .roots import (
     AffineRoot,
@@ -26,7 +27,7 @@ from .roots import (
     coroot_ht,
     coroot_leq,
 )
-from .weyl import AffineWeylGroup, affine_weyl
+from .weyl import AffW, AffineWeylGroup, affine_weyl
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,47 @@ class ChevalleyRoot:
     word: tuple[int, ...]  # palindromic reduced word for s_root
 
 
+class CoverRows(NamedTuple):
+    classical: list[tuple[AffW, AffineRoot, CorootVec]]
+    quantum: list[tuple[AffW, ChevalleyRoot]]
+
+
 class ChevalleyRootSet:
-    """The full set for one affine type, sorted by coroot height."""
+    """The full set for one affine type, sorted by coroot height.
+
+    It also keeps, per affine element, the covers out of it (:meth:`cover_rows`),
+    which the affine quantum Chevalley operators and the weighted covers of
+    :mod:`qaff.neighborhoods` both read.
+    """
 
     def __init__(self, W: AffineWeylGroup):
         self.W = W
         self.ard = W.ard
         self.roots = tuple(_enumerate(W))
+        self._reflections = tuple(W.reflection(cr.root) for cr in self.roots)
+        self._rows: dict[AffW, CoverRows] = {}
+
+    def cover_rows(self, w: AffW) -> CoverRows:
+        """The covers out of ``w``, computed once per element and kept.
+
+        ``classical`` holds ``(w s_alpha, alpha, alpha^vee)`` for the Bruhat
+        covers, in :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order;
+        ``quantum`` holds ``(w s_alpha, member)`` for the members alpha with
+        ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, in set order.
+        """
+        rows = self._rows.get(w)
+        if rows is None:
+            W = self.W
+            lw = W.length(w)
+            classical = [(u, alpha, self.ard.coroot(alpha))
+                         for u, alpha in W.bruhat_covers_up(w)]
+            quantum = []
+            for cr, s in zip(self.roots, self._reflections):
+                u = W.multiply(w, s)
+                if W.length(u) == lw + 1 - 2 * cr.coroot_height:
+                    quantum.append((u, cr))
+            rows = self._rows[w] = CoverRows(classical, quantum)
+        return rows
 
     def __iter__(self):
         return iter(self.roots)

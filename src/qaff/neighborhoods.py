@@ -10,11 +10,18 @@ Schubert cell(s) reach while the componentwise degree budget lasts.
 Hecke-product shortcut (neighborhood of a point, then one Hecke product per
 component); ``neighborhood_by_search`` is the literal walk over the whole
 Schubert variety, kept as an independent oracle.
+
+``bruhat_maximal``, which both routes end in, takes the elements by
+decreasing length and tests each only against the maxima found so far.  That
+is exact: an element below some other element of the set lies, by
+transitivity, below a maximal one, which is strictly longer and so already
+found; a maximal element lies below none of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .chevalley import enumerate_chevalley_roots
 from .roots import AffineRoot, CorootVec, coroot_ht, coroot_leq
@@ -96,32 +103,29 @@ def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
     layers = W.enumerate_up_to(L)
     vertices = [w for ell in sorted(layers) for w in layers[ell]]
     index = set(vertices)
+    ard = W.ard
     edges = []
     # a reflection moving within the slice satisfies len(s_alpha) <= 2L
-    npos = W.rs.num_positive
-    ard = W.ard
-    k = 0
-    refs: list[AffineRoot] = []
-    while 2 * k - npos <= 2 * L:
-        for beta in W.rs.all_roots():
-            if k == 0 and sum(beta) < 0:
-                continue
-            refs.append(AffineRoot(k, beta))
-        k += 1
+    refs = W.short_reflections(2 * L)
     for w in vertices:
-        for alpha in refs:
-            u = W.multiply(w, W.reflection(alpha))
-            if u in index and W.length(u) > W.length(w):
+        lw = W.length(w)
+        for alpha, s, _ in refs:
+            u = W.multiply(w, s)
+            if u in index and W.length(u) > lw:
                 edges.append((w, u, alpha, ard.coroot(alpha)))
     return MomentGraphSlice(W, L, vertices, edges)
 
 
+@lru_cache(maxsize=None)
+def _moves(W: AffineWeylGroup, d: CorootVec) -> tuple[tuple[AffW, CorootVec], ...]:
+    """``(s_alpha, alpha^vee)`` for every real positive root with ``alpha^vee <= d``."""
+    ard = W.ard
+    return tuple((W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(d))
+
+
 def _reachable(W: AffineWeylGroup, starts: list[AffW], d: CorootVec) -> set[AffW]:
     """Vertices reachable from ``starts`` by walks of componentwise degree <= d."""
-    ard = W.ard
-    moves = [
-        (W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(d)
-    ]
+    moves = _moves(W, tuple(d))
     budgets: dict[AffW, list[CorootVec]] = {}
     stack: list[tuple[AffW, CorootVec]] = [(w, d) for w in starts]
 
@@ -147,9 +151,14 @@ def _reachable(W: AffineWeylGroup, starts: list[AffW], d: CorootVec) -> set[AffW
 
 
 def bruhat_maximal(W: AffineWeylGroup, elts: set[AffW]) -> list[AffW]:
-    out = []
-    for w in elts:
-        if not any(v != w and W.bruhat_leq(w, v) for v in elts):
+    """The Bruhat-maximal elements of ``elts``, by length, then reduced word.
+
+    Elements are taken by decreasing length and each is tested only against
+    the maxima found so far (see the module docstring).
+    """
+    out: list[AffW] = []
+    for w in sorted(elts, key=W.length, reverse=True):
+        if not any(W.bruhat_leq(w, m) for m in out):
             out.append(w)
     out.sort(key=lambda w: (W.length(w), W.reduced_word(w)))
     return out
@@ -199,15 +208,9 @@ def qbruhat_covers(W: AffineWeylGroup, u: AffW) -> list[QBruhatCover]:
     ``len(u s_alpha) = len(u) + 1 - 2 ht(alpha^vee)``, which forces alpha into
     the distinguished root set, so only those are scanned.
     """
-    ard = W.ard
-    out: list[QBruhatCover] = []
-    lu = W.length(u)
-    for v, alpha in W.bruhat_covers_up(u):
-        out.append(QBruhatCover(u, v, alpha, ard.coroot(alpha), None))
-    for cr in enumerate_chevalley_roots(W):
-        v = W.multiply(u, W.reflection(cr.root))
-        if W.length(v) == lu + 1 - 2 * cr.coroot_height:
-            out.append(QBruhatCover(u, v, cr.root, cr.coroot, cr.coroot))
+    rows = enumerate_chevalley_roots(W).cover_rows(u)
+    out = [QBruhatCover(u, v, alpha, coroot, None) for v, alpha, coroot in rows.classical]
+    out += [QBruhatCover(u, v, cr.root, cr.coroot, cr.coroot) for v, cr in rows.quantum]
     return out
 
 

@@ -136,6 +136,9 @@ class AffineWeylGroup:
         self._bruhat_memo: dict[tuple[AffW, AffW], bool] = {}
         self._covers_memo: dict[AffW, list[tuple[AffW, AffineRoot]]] = {}
         self._word_memo: dict[AffW, tuple[int, ...]] = {}
+        # (alpha, s_alpha, len(s_alpha)) per level, built on demand
+        self._refl_levels: list[list[tuple[AffineRoot, AffW, int]]] = []
+        self._short_memo: dict[int, list[tuple[AffineRoot, AffW, int]]] = {}
 
     # -- group structure -----------------------------------------------------
 
@@ -254,30 +257,49 @@ class AffineWeylGroup:
         self._bruhat_memo[key] = res
         return res
 
-    def bruhat_covers_up(self, w: AffW) -> list[tuple[AffW, AffineRoot]]:
-        """All ``(w s_alpha, alpha)`` with ``len(w s_alpha) = len(w) + 1``.
+    def short_reflections(self, bound: int) -> list[tuple[AffineRoot, AffW, int]]:
+        """Every ``(alpha, s_alpha, len(s_alpha))`` with ``len(s_alpha) <= bound``.
 
-        Completeness: any reflection t with ``len(w t) = len(w) + 1`` has
-        ``len(t) <= 2 len(w) + 1``, and a reflection with root at level k has
-        length at least ``2k - #(positive roots)``, so scanning levels up to
-        ``(2 len(w) + 1 + #pos)/2`` misses nothing.
+        Positive real roots come in level order, in ``all_roots()`` order within
+        a level.  A root at level k has ``len(s_alpha) >= 2k - #(positive
+        roots)``, so levels up to ``(bound + #pos)/2`` hold every such root.
+        Levels are built one at a time on first use and kept.
         """
-        if w in self._covers_memo:
-            return self._covers_memo[w]
-        lw = self.length(w)
-        target = 2 * lw + 1
+        hit = self._short_memo.get(bound)
+        if hit is not None:
+            return hit
+        levels = self._refl_levels
         npos = self.rs.num_positive
-        out: list[tuple[AffW, AffineRoot]] = []
-        k = 0
-        while 2 * k - npos <= target:
+        while 2 * len(levels) - npos <= bound:
+            k = len(levels)
+            row = []
             for beta in self.rs.all_roots():
                 if k == 0 and sum(beta) < 0:
                     continue
                 alpha = AffineRoot(k, beta)
-                u = self.multiply(w, self.reflection(alpha))
-                if self.length(u) == lw + 1:
-                    out.append((u, alpha))
-            k += 1
+                s = self.reflection(alpha)
+                row.append((alpha, s, self.length(s)))
+            levels.append(row)
+        out = [r for row in levels for r in row if r[2] <= bound]
+        self._short_memo[bound] = out
+        return out
+
+    def bruhat_covers_up(self, w: AffW) -> list[tuple[AffW, AffineRoot]]:
+        """All ``(w s_alpha, alpha)`` with ``len(w s_alpha) = len(w) + 1``.
+
+        Completeness: any reflection t with ``len(w t) = len(w) + 1`` has
+        ``len(t) <= len(w) + len(w t) = 2 len(w) + 1``, so scanning the
+        reflections of exact length at most that bound
+        (:meth:`short_reflections`) misses nothing.
+        """
+        if w in self._covers_memo:
+            return self._covers_memo[w]
+        lw = self.length(w)
+        out: list[tuple[AffW, AffineRoot]] = []
+        for alpha, s, _ in self.short_reflections(2 * lw + 1):
+            u = self.multiply(w, s)
+            if self.length(u) == lw + 1:
+                out.append((u, alpha))
         out.sort(key=lambda pair: (pair[1].level, pair[1].finite))
         self._covers_memo[w] = out
         return out

@@ -4,11 +4,13 @@ Each call in ``data/cli_golden.json`` was recorded before the change it
 guards: the first 15 before the nil-Hecke ``theta_matrix`` replaced the
 polynomial one, the next 8 before both rings moved onto one module class, and
 the next 2 (the whole A3 table and the B2 relations) before ``Poly`` moved to
-integer coefficients and the module sums to ``QModule.combine``, and the last
+integer coefficients and the module sums to ``QModule.combine``, the next
 2 (``w0 * s1`` on D4 and B4, with ``w0`` as its printed reduced word) before
 the lift moved from divisor-monomial expressions to one classical Chevalley
-step per element.  So it pins the rule that a speed-up or refactor leaves CLI
-output unchanged.
+step per element, and the last 16 (``curve-nbhd`` in every output form,
+``gw``, ``chevalley-roots`` and ``lambda --modified``) before the affine
+cover scan moved to a short-reflection table and per-element cover rows.  So
+it pins the rule that a speed-up or refactor leaves CLI output unchanged.
 After a change that is meant to alter output, record it again with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -53,6 +55,22 @@ CALLS = [
     ["relations", "--type", "B2"],
     ["product", "--type", "D4", "--u", "s1s2s1s3s2s1s4s2s1s3s2s4", "--v", "s1"],
     ["product", "--type", "B4", "--u", "s1s2s1s3s2s1s4s3s2s1s4s3s2s4s3s4", "--v", "s1"],
+    ["curve-nbhd", "--type", "A2", "--u", "s0", "--d", "1,1,1"],
+    ["curve-nbhd", "--type", "A2", "--u", "s0s1", "--d", "1,1,1", "--format", "json"],
+    ["curve-nbhd", "--type", "A2", "--u", "s0", "--d", "1,1,1", "--format", "dot", "--graph-l", "3"],
+    ["curve-nbhd", "--type", "A2", "--u", "s1s2", "--d", "2,1,1", "--check-oracle"],
+    ["curve-nbhd", "--type", "A2", "--u", "s0s1s2", "--d", "2,2,2", "--check-oracle"],
+    ["curve-nbhd", "--type", "A3", "--u", "s0", "--d", "1,1,1,1"],
+    ["curve-nbhd", "--type", "A3", "--u", "s0s2", "--d", "1,1,0,1", "--format", "json"],
+    ["curve-nbhd", "--type", "A3", "--u", "s1", "--d", "1,1,1,1", "--format", "dot", "--graph-l", "3"],
+    ["curve-nbhd", "--type", "A3", "--u", "e", "--d", "1,1,1,1", "--format", "dot", "--graph-l", "4"],
+    ["curve-nbhd", "--type", "A3", "--u", "s0s1", "--d", "1,1,1,1", "--check-oracle"],
+    ["curve-nbhd", "--type", "G2", "--u", "s0", "--d", "1,1,1"],
+    ["gw", "--type", "A2", "--i", "1", "--u", "s0s1s0", "--w", "e", "--d", "1,1,0"],
+    ["gw", "--type", "A2", "--i", "1", "--u", "s0s1s0", "--w", "s1s0", "--d", "0,1,0", "--format", "json"],
+    ["chevalley-roots", "--type", "A3", "--format", "csv"],
+    ["chevalley-roots", "--type", "G2", "--format", "csv"],
+    ["lambda", "--type", "A3", "--i", "2", "--w", "s0s1s2", "--modified"],
 ]
 
 

@@ -1,0 +1,124 @@
+"""The short-reflection cover scan, the per-element cover rows and the maxima-only filter.
+
+Each fast route is compared with the route it replaced (``cover_oracles``),
+as ordered lists: the Bruhat cover scan, the moment-graph slice edges and
+``bruhat_maximal``.  The quantum cover rows are compared with the word form
+``q^{alpha^vee} D_{s_alpha}`` of the affine quantum Chevalley operators.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from cover_oracles import (
+    all_pairs_maximal,
+    level_bound_covers_up,
+    level_bound_slice_edges,
+)
+from qaff.affine import affine_coh
+from qaff.chevalley import chevalley_root_set
+from qaff.neighborhoods import _reachable, bruhat_maximal, moment_graph_slice, qbruhat_covers
+from qaff.roots import AffineRoot, affinize
+from qaff.weyl import AffineWeylGroup, affine_weyl
+
+COVER_CASES = [("A", 1, 4), ("A", 2, 4), ("A", 3, 4), ("A", 4, 4), ("B", 2, 4),
+               ("B", 3, 4), ("C", 3, 4), ("G", 2, 4), ("D", 4, 3), ("F", 4, 2)]
+
+
+def _elements(W, top):
+    return [w for ws in W.enumerate_up_to(top).values() for w in ws]
+
+
+@pytest.mark.parametrize("letter,rank,top", COVER_CASES,
+                         ids=[f"{x}{n}-l{t}" for x, n, t in COVER_CASES])
+def test_cover_scan_matches_level_bound_scan(letter, rank, top):
+    W = affine_weyl(letter, rank)
+    for w in _elements(W, top):
+        assert W.bruhat_covers_up(w) == level_bound_covers_up(W, w), W.format(w)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2), ("F", 4)])
+def test_short_reflections_are_exactly_the_short_ones(letter, rank):
+    W = affine_weyl(letter, rank)
+    npos = W.rs.num_positive
+    for bound in (1, 3, 5, 9):
+        top = (bound + npos) // 2 + 2  # two levels past the level bound
+        expect = []
+        for k in range(top + 1):
+            for beta in W.rs.all_roots():
+                if k == 0 and sum(beta) < 0:
+                    continue
+                alpha = AffineRoot(k, beta)
+                s = W.reflection(alpha)
+                if W.length(s) <= bound:
+                    expect.append((alpha, s, W.length(s)))
+        assert W.short_reflections(bound) == expect
+
+
+def test_reflection_table_is_built_on_first_use():
+    W = AffineWeylGroup(affinize("A", 3))
+    assert W._refl_levels == []
+    W.bruhat_covers_up(W.identity)
+    assert len(W._refl_levels) == 4  # levels k with 2k - 6 <= 1
+
+
+@pytest.mark.parametrize("letter,rank,top", [("A", 2, 4), ("A", 3, 3), ("B", 2, 4), ("G", 2, 4)])
+def test_moment_graph_slice_matches_level_bound_scan(letter, rank, top):
+    W = affine_weyl(letter, rank)
+    for L in range(top + 1):
+        assert moment_graph_slice(W, L).edges == level_bound_slice_edges(W, L)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_classical_rows_are_the_covers_with_their_coroots(letter, rank):
+    W = affine_weyl(letter, rank)
+    crs = chevalley_root_set(letter, rank)
+    for w in _elements(W, 3):
+        expect = [(u, alpha, W.ard.coroot(alpha)) for u, alpha in level_bound_covers_up(W, w)]
+        assert crs.cover_rows(w).classical == expect
+
+
+@pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 3)])
+def test_quantum_rows_match_word_form(letter, rank):
+    calc = affine_coh(letter, rank)
+    W = calc.W
+    crs = chevalley_root_set(letter, rank)
+    for w in _elements(W, 3):
+        a = calc.basis(w)
+        # D_{s_alpha} eps_w = eps_{w s_alpha} exactly on the quantum covers
+        by_words = []
+        for cr in crs:
+            image = calc.D_word(cr.word, a)
+            if not image.is_zero():
+                (u,) = image.terms
+                by_words.append((u, cr))
+        assert crs.cover_rows(w).quantum == by_words, W.format(w)
+        assert [(c.target, c.root) for c in qbruhat_covers(W, w) if c.is_quantum] == [
+            (u, cr.root) for u, cr in by_words]
+        for i in range(rank + 1):
+            assert calc.lambda_op(i, a) == calc.lambda_op_by_words(i, a)
+
+
+def _degrees(nq, top):
+    return [d for d in itertools.product(range(top + 1), repeat=nq) if sum(d) <= top]
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_bruhat_maximal_matches_all_pairs_on_reachable_sets(letter, rank):
+    W = affine_weyl(letter, rank)
+    starts = [[W.identity]] + [[W.identity, W.simple(i)] for i in range(rank + 1)]
+    for d in _degrees(rank + 1, 3):
+        for cells in starts:
+            elts = _reachable(W, cells, d)
+            assert bruhat_maximal(W, elts) == all_pairs_maximal(W, elts)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 2), ("G", 2)])
+def test_bruhat_maximal_matches_all_pairs_on_random_subsets(letter, rank):
+    W = affine_weyl(letter, rank)
+    pool = _elements(W, 5)
+    rng = random.Random(f"bruhat-maximal/{letter}{rank}")
+    for _ in range(60):
+        elts = set(rng.sample(pool, rng.randint(1, 25)))
+        assert bruhat_maximal(W, elts) == all_pairs_maximal(W, elts)
