@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
-from .bgg import FinCohClass, finite_schubert
+from .bgg import FinCohClass, FiniteSchubert, finite_schubert
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import Poly, QClass, QModule, solve_exact
 from .roots import CorootVec
@@ -62,10 +62,14 @@ class AffineCoh(QModule):
         self.ard = W.ard
         self.n = W.n
         self.L = default_truncation(self.n) if L is None else L
-        self.fs = finite_schubert(W.rs.letter, W.rs.rank)
         self._chev = enumerate_chevalley_roots(W)
         self._e1_cache: dict = {}
         self._mono_cache: dict[tuple[int, ...], QClass] = {}
+
+    @property
+    def fs(self) -> FiniteSchubert:
+        """The cached finite Schubert calculator of this type, read by :meth:`e1_pullback`."""
+        return finite_schubert(self.W.rs.letter, self.W.rs.rank)
 
     def q_monomial(self, e: CorootVec, num=1) -> Poly:
         return Poly.monomial(self.nq, tuple(e), num)

@@ -16,7 +16,6 @@ the coroot can stay below the center).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,8 +29,7 @@ from .roots import (
 from .weyl import AffW, AffineWeylGroup, affine_weyl
 
 
-@dataclass(frozen=True)
-class ChevalleyRoot:
+class ChevalleyRoot(NamedTuple):
     root: AffineRoot
     coroot: CorootVec
     coroot_height: int

@@ -20,16 +20,15 @@ found; a maximal element lies below none of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .chevalley import enumerate_chevalley_roots
 from .roots import AffineRoot, CorootVec, coroot_ht, coroot_leq
 from .weyl import AffW, AffineWeylGroup
 
 
-@dataclass(frozen=True)
-class QBruhatCover:
+class QBruhatCover(NamedTuple):
     """One weighted cover ``u -> u s_alpha``; quantum iff ``q_deg`` is not None."""
 
     source: AffW
@@ -43,8 +42,7 @@ class QBruhatCover:
         return self.q_deg is not None
 
 
-@dataclass(frozen=True)
-class QBruhatChain:
+class QBruhatChain(NamedTuple):
     """A two-step chain u -> mid -> v with its type tag."""
 
     first: QBruhatCover
@@ -58,12 +56,20 @@ class QBruhatChain:
         return tuple(x + y for x, y in zip(a, b))
 
 
-@dataclass
 class MomentGraphSlice:
-    W: AffineWeylGroup
-    L: int
-    vertices: list[AffW]
-    edges: list[tuple[AffW, AffW, AffineRoot, CorootVec]]
+    __slots__ = ("W", "L", "vertices", "edges")
+
+    def __init__(
+        self,
+        W: AffineWeylGroup,
+        L: int,
+        vertices: list[AffW],
+        edges: list[tuple[AffW, AffW, AffineRoot, CorootVec]],
+    ):
+        self.W = W
+        self.L = L
+        self.vertices = vertices
+        self.edges = edges
 
     def to_dot(self) -> str:
         fmt = self.W.format

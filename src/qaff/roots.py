@@ -22,9 +22,11 @@ Conventions, fixed once and used everywhere downstream:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
+from operator import mul
+from typing import NamedTuple
 
 Vec = tuple[int, ...]
 CorootVec = tuple[int, ...]  # coordinates in (alpha_0^vee, ..., alpha_n^vee)
@@ -47,12 +49,16 @@ def parse_lie_type(s: str) -> tuple[str, int]:
         rank = int(s[1:])
     except ValueError as exc:
         raise ValueError(f"bad Lie type {s!r}: rank is not an integer") from exc
+    _check_rank(letter, rank)
+    return letter, rank
+
+
+def _check_rank(letter: str, rank: int) -> None:
     if letter in _FIXED_RANK:
         if rank not in _FIXED_RANK[letter]:
             raise ValueError(f"type {letter} only exists in ranks {_FIXED_RANK[letter]}")
     elif rank < _MIN_RANK[letter]:
         raise ValueError(f"type {letter} needs rank >= {_MIN_RANK[letter]}")
-    return letter, rank
 
 
 def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
@@ -106,7 +112,6 @@ def _symmetrizers(cartan: list[list[int]]) -> tuple[Fraction, ...]:
     return tuple(x / top for x in d)  # type: ignore[operator]
 
 
-@dataclass(frozen=True, eq=False)
 class RootTable:
     """Per-root data of one root system, built once by :func:`build_root_system`.
 
@@ -115,14 +120,28 @@ class RootTable:
     so a root is negative exactly when its index is ``>= N``.
     """
 
-    roots: tuple[Vec, ...]
-    index: dict[Vec, int]
-    coroots: tuple[Vec, ...]  # beta^vee in simple-coroot coordinates
-    d_roots: tuple[Fraction, ...]  # (beta|beta)/2
-    inv_d: tuple[int, ...]  # 1/d_root, which is 1, 2 or 3
-    pairings: tuple[Vec, ...]  # <beta, alpha_i^vee> for 0-indexed i
-    reflections: tuple[tuple[int, ...], ...]  # s_beta as a permutation of indices
-    simple: tuple[int, ...]  # index of alpha_i, for 0-indexed i
+    __slots__ = ("roots", "index", "coroots", "d_roots", "inv_d", "pairings",
+                 "reflections", "simple")
+
+    def __init__(
+        self,
+        roots: tuple[Vec, ...],
+        index: dict[Vec, int],
+        coroots: tuple[Vec, ...],  # beta^vee in simple-coroot coordinates
+        d_roots: tuple[Fraction, ...],  # (beta|beta)/2
+        inv_d: tuple[int, ...],  # 1/d_root, which is 1, 2 or 3
+        pairings: tuple[Vec, ...],  # <beta, alpha_i^vee> for 0-indexed i
+        reflections: tuple[tuple[int, ...], ...],  # s_beta as a permutation of indices
+        simple: tuple[int, ...],  # index of alpha_i, for 0-indexed i
+    ):
+        self.roots = roots
+        self.index = index
+        self.coroots = coroots
+        self.d_roots = d_roots
+        self.inv_d = inv_d
+        self.pairings = pairings
+        self.reflections = reflections
+        self.simple = simple
 
     def index_of(self, beta: Vec) -> int:
         try:
@@ -131,71 +150,92 @@ class RootTable:
             raise ValueError(f"{beta} is not a root") from None
 
 
+def _neg(v: Vec) -> Vec:
+    return tuple(-x for x in v)
+
+
 def _root_table(
     cartan: list[list[int]], d: tuple[Fraction, ...], positives: list[Vec]
 ) -> RootTable:
     """Index every root and compute its coroot, norm, pairings and reflection.
 
-    Every coroot ``(2/(beta|beta)) beta`` and every ``1/d_root`` is checked to
-    be integral here, once per root, so lookups need no check.
+    Everything is integer arithmetic: with ``D`` the common denominator of the
+    symmetrizers and ``e_i = D d_i``, ``D (beta|beta)/2`` is the integer
+    ``nb = sum_i e_i beta_i <beta, alpha_i^vee> / 2``, the coroot is
+    ``beta_j e_j / nb`` and ``1/d_root`` is ``D / nb``.  Both are checked to be
+    integral here, once per positive root, so lookups need no check.  A
+    negative root takes the negated coroot and pairings of its positive root,
+    the same ``d_root``, and the reflection of its positive root.
     """
     n = len(cartan)
-    roots = tuple(positives) + tuple(tuple(-x for x in b) for b in positives)
-    index = {beta: i for i, beta in enumerate(roots)}
+    npos = len(positives)
+    D = lcm(*(x.denominator for x in d))
+    e = [x.numerator * (D // x.denominator) for x in d]
     coroots, d_roots, inv_d, pairings = [], [], [], []
-    for beta in roots:
-        # (beta|beta)/2 in the theta-normalized invariant form
-        db = sum(
-            d[i] * cartan[i][j] * beta[i] * beta[j]
-            for i in range(n)
-            for j in range(n)
-            if beta[i] and beta[j]
-        ) / 2
-        co = [b * d[j] / db for j, b in enumerate(beta)]
-        if any(v.denominator != 1 for v in co):
+    for beta in positives:
+        pv = tuple(sum(map(mul, row, beta)) for row in cartan)
+        nb = sum(ei * b * p for ei, b, p in zip(e, beta, pv)) // 2
+        if any(b * ej % nb for b, ej in zip(beta, e)):
             raise AssertionError(f"non-integer coroot for {beta}")
-        if db.numerator != 1:
+        if D % nb:
             raise AssertionError(f"1/d_root is not an integer for {beta}")
-        coroots.append(tuple(int(v) for v in co))
-        d_roots.append(db)
-        inv_d.append(db.denominator)
-        pairings.append(
-            tuple(sum(b * cartan[i][j] for j, b in enumerate(beta)) for i in range(n))
-        )
+        coroots.append(tuple(b * ej // nb for b, ej in zip(beta, e)))
+        d_roots.append(Fraction(nb, D))
+        inv_d.append(D // nb)
+        pairings.append(pv)
+    roots = tuple(positives) + tuple(map(_neg, positives))
+    index = {beta: i for i, beta in enumerate(roots)}
     reflections = []
-    for beta, bco in zip(positives, coroots):  # the first N coroots are the positives'
-        # s_beta(gamma) = gamma - <gamma, beta^vee> beta
-        perm = []
-        for gamma, pv in zip(roots, pairings):
-            k = sum(p * c for p, c in zip(pv, bco))
-            perm.append(index[tuple(g - k * b for g, b in zip(gamma, beta))])
-        reflections.append(tuple(perm))
+    for beta, bco in zip(positives, coroots):
+        # s_beta(gamma) = gamma - <gamma, beta^vee> beta, and s_beta(-gamma) = -s_beta(gamma)
+        half = []
+        for g, (gamma, pv) in enumerate(zip(positives, pairings)):
+            k = sum(map(mul, pv, bco))
+            half.append(index[tuple(x - k * b for x, b in zip(gamma, beta))] if k else g)
+        reflections.append(tuple(half) + tuple(j + npos if j < npos else j - npos for j in half))
     return RootTable(
         roots=roots,
         index=index,
-        coroots=tuple(coroots),
-        d_roots=tuple(d_roots),
-        inv_d=tuple(inv_d),
-        pairings=tuple(pairings),
+        coroots=tuple(coroots) + tuple(map(_neg, coroots)),
+        d_roots=tuple(d_roots) * 2,
+        inv_d=tuple(inv_d) * 2,
+        pairings=tuple(pairings) + tuple(map(_neg, pairings)),
         reflections=tuple(reflections) * 2,  # s_{-beta} = s_beta
         simple=tuple(index[tuple(1 if j == i else 0 for j in range(n))] for i in range(n)),
     )
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """Finite root system data for one simple type."""
 
-    letter: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
-    d: tuple[Fraction, ...]
-    positive_roots: tuple[Vec, ...]  # sorted by (height, coords)
-    theta: Vec
-    theta_coroot: Vec
-    _root_set: frozenset[Vec] = field(repr=False)
-    killing_coroots: tuple[tuple[Fraction, ...], ...] = field(repr=False)
-    table: RootTable = field(repr=False, compare=False)
+    __slots__ = ("letter", "rank", "cartan", "d", "positive_roots", "theta",
+                 "theta_coroot", "_root_set", "killing_coroots", "table")
+
+    def __init__(
+        self,
+        letter: str,
+        rank: int,
+        cartan: tuple[tuple[int, ...], ...],
+        d: tuple[Fraction, ...],
+        positive_roots: tuple[Vec, ...],  # sorted by (height, coords)
+        theta: Vec,
+        theta_coroot: Vec,
+        killing_coroots: tuple[tuple[Fraction, ...], ...],
+        table: RootTable,
+    ):
+        self.letter = letter
+        self.rank = rank
+        self.cartan = cartan
+        self.d = d
+        self.positive_roots = positive_roots
+        self.theta = theta
+        self.theta_coroot = theta_coroot
+        # positives and negatives joined as two sets: all_roots() iterates in this
+        # set's order, and short_reflections (so CLI output) follows it
+        npos = len(positive_roots)
+        self._root_set = frozenset(table.roots[:npos]) | frozenset(table.roots[npos:])
+        self.killing_coroots = killing_coroots
+        self.table = table
 
     @property
     def lie_type(self) -> str:
@@ -286,15 +326,25 @@ def _positive_root_closure(cartan: list[list[int]]) -> list[Vec]:
     return sorted(known, key=lambda v: (sum(v), v))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def build_root_system(letter: str, rank: int) -> RootSystem:
     """Construct (and cache) the root system for one simple type.
+
+    ``letter`` and ``rank`` are what :func:`parse_lie_type` returns: an
+    uppercase ``"A"``..``"G"`` and an ``int`` rank that type exists in;
+    anything else raises ``ValueError``.  The cache is typed, so ``("A", 2.0)``
+    or ``("A", True)`` reach the check instead of an equal cached key.
 
     >>> rs = build_root_system("G", 2)
     >>> rs.theta, rs.theta_coroot
     ((3, 2), (1, 2))
     """
-    letter, rank = parse_lie_type(f"{letter}{rank}")
+    if not (isinstance(letter, str) and len(letter) == 1 and letter in "ABCDEFG"
+            and type(rank) is int):
+        raise ValueError(
+            f"bad Lie type ({letter!r}, {rank!r}): expected a letter A..G and an int rank"
+        )
+    _check_rank(letter, rank)
     cartan = _cartan_matrix(letter, rank)
     d = _symmetrizers(cartan)
     positives = _positive_root_closure(cartan)
@@ -322,9 +372,6 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
         positive_roots=tuple(positives),
         theta=theta,
         theta_coroot=table.coroots[theta_index],
-        _root_set=frozenset(positives) | frozenset(
-            tuple(-x for x in b) for b in positives
-        ),
         killing_coroots=killing,
         table=table,
     )
@@ -338,8 +385,7 @@ def build_root_system_str(lie_type: str) -> RootSystem:
 # affine layer
 
 
-@dataclass(frozen=True)
-class AffineRoot:
+class AffineRoot(NamedTuple):
     """A real affine root ``level*delta + finite`` (imaginary when finite = 0)."""
 
     level: int

@@ -17,9 +17,9 @@ Constructive sources:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
+from typing import NamedTuple
 
 from .bgg import FinCohClass, finite_schubert
 from .polynomials import Poly, QClass, matrix_rank
@@ -29,8 +29,7 @@ from .roots import build_root_system
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RelationPoly:
+class RelationPoly(NamedTuple):
     """A candidate relation for one type: a polynomial in q_0..q_n, x_1..x_n."""
 
     letter: str

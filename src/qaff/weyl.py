@@ -20,11 +20,11 @@ cross-validate against breadth-first word enumeration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter, mul
 import re
+from typing import NamedTuple
 
 from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec
 
@@ -100,8 +100,7 @@ def finite_reflection(rs: RootSystem, beta: Vec) -> FinW:
     return FinW(table.reflections[table.index_of(beta)], table)
 
 
-@dataclass(frozen=True)
-class AffW:
+class AffW(NamedTuple):
     """Affine Weyl element ``v * t_lambda`` (lambda in finite coroot coordinates)."""
 
     v: FinW

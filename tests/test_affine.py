@@ -1,6 +1,10 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +159,55 @@ class TestEvaluationPullback:
     def test_pullback_of_unit(self, a2):
         fs = finite_schubert("A", 2)
         assert a2.e1_pullback({fs.W.identity: Fraction(1)}) == a2.unit()
+
+    def test_a2_pullback_classes(self, a2):
+        assert a2.fs is finite_schubert("A", 2)
+        expected = {
+            "e": "1*e[e]",
+            "s1": "-1*e[s0] + 1*e[s1]",
+            "s2": "-1*e[s0] + 1*e[s2]",
+            "s1s2": "-1*e[s0s2] + 1*e[s1s0] + 1*e[s1s2] + -1*e[s2s0]",
+            "s2s1": "-1*e[s0s1] + -1*e[s1s0] + 1*e[s2s0] + 1*e[s2s1]",
+            "s1s2s1": "1*e[s0s1s0] + -1*e[s0s1s2] + 1*e[s0s2s0] + -1*e[s0s2s1]"
+                      " + -1*e[s1s0s2] + -1*e[s1s2s0] + 1*e[s1s2s1] + -1*e[s2s0s1]"
+                      " + -1*e[s2s1s0]",
+        }
+        FW = a2.fs.W
+        got = {FW.format(w): a2.format_class(a2.e1_pullback({w: Fraction(1)}))
+               for w in FW.elements}
+        assert got == expected
+
+
+def test_affine_coh_refuses_an_unparsed_letter():
+    with pytest.raises(ValueError, match="letter A..G"):
+        affine_coh("A2", 2)
+
+
+def test_operators_leave_the_finite_group_unbuilt():
+    # a fresh interpreter, so no other test has built the F4 finite group
+    code = (
+        "from qaff.affine import affine_coh\n"
+        "from qaff.bgg import finite_schubert\n"
+        "from qaff.neighborhoods import curve_neighborhood\n"
+        "from qaff.weyl import finite_weyl\n"
+        "sizes = lambda: (finite_schubert.cache_info().currsize,"
+        " finite_weyl.cache_info().currsize)\n"
+        "H = affine_coh('F', 4)\n"
+        "before = sizes()\n"
+        "b = H.basis(H.W.parse('s0s1'))\n"
+        "assert not H.lambda_op(0, b).is_zero()\n"
+        "assert not H.modified_lambda(2, b).is_zero()\n"
+        "assert curve_neighborhood(H.W, H.W.parse('s1'), (0, 1, 0, 0, 0))\n"
+        "print(before, sizes())\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["(0,", "0)", "(0,", "0)"]
 
 
 class TestDivisorSubring:

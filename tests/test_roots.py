@@ -48,6 +48,18 @@ def test_parse_lie_type():
             parse_lie_type(bad)
 
 
+@pytest.mark.parametrize("letter,rank", [
+    ("A2", 2), ("a", 2), ("", 2), (None, 2), ("H", 3),
+    ("A", "2"), ("A", 2.0), ("A", True), ("B", 1), ("D", 2), ("E", 9), ("F", 5),
+])
+def test_build_root_system_takes_only_parsed_types(letter, rank):
+    # cached first: ("A", True) and ("A", 2.0) equal these keys
+    build_root_system("A", 1)
+    build_root_system("A", 2)
+    with pytest.raises(ValueError):
+        build_root_system(letter, rank)
+
+
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)
 def test_positive_root_counts(letter, rank):
     rs = build_root_system(letter, rank)
@@ -188,3 +200,12 @@ class TestAffineLayer:
             assert coroot_leq(ard.coroot(mu), (1, 1))
         bigger = ard.real_positive_roots_leq((1, 2))
         assert AffineRoot(1, (1,)) in bigger
+
+
+def test_affine_root_is_an_immutable_value():
+    a = AffineRoot(1, (0, -1))
+    assert hash(a) == hash((1, (0, -1)))
+    assert a == AffineRoot(1, (0, -1)) and -a == AffineRoot(-1, (0, 1))
+    assert repr(a) == "AffineRoot(level=1, finite=(0, -1))"
+    with pytest.raises(AttributeError):
+        a.level = 2

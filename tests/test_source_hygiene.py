@@ -3,6 +3,9 @@
 import ast
 import doctest
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qaff
@@ -57,3 +60,37 @@ def test_module_doctests_pass():
     }
     assert sum(r.attempted for r in results.values()) > 0
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for m in mods
+                      if m.split(".")[0] == "dataclasses"]
+    assert not found, found
+
+
+def test_import_does_not_load_dataclasses_or_inspect():
+    # against the interpreter's own start-up set, since site may preload modules
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import qaff, qaff.affine, qaff.neighborhoods, qaff.quantum, qaff.toda\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    added = set(proc.stdout.split())
+    assert "qaff.toda" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)

@@ -196,3 +196,12 @@ def test_coxeter_relations_a2_affine():
         sisj = W.multiply(si, sj)
         braid = W.multiply(W.multiply(sisj, si), W.multiply(sj, W.multiply(si, sj)))
         assert braid.is_identity()  # (s_i s_j)^3 = e for affine A2
+
+
+def test_affw_is_an_immutable_value():
+    W = affine_weyl("A", 2)
+    w = W.parse("s0s1")
+    assert hash(AffW(w.v, w.t)) == hash((w.v, w.t))
+    assert AffW(w.v, w.t) == w == W.multiply(W.simple(0), W.simple(1))
+    with pytest.raises(AttributeError):
+        w.t = (0, 0)
