@@ -244,17 +244,10 @@ class AffineCoh(QModule):
     # -- formatting --------------------------------------------------------------
 
     def format_class(self, a: QClass) -> str:
-        if a.is_zero():
-            return "0"
-        qnames = [f"q{i}" for i in range(self.nq)]
-        bits = []
-        for w in a.ordered_support():
-            c = a.terms[w].format(qnames)
-            label = f"e[{self.W.format(w)}]"
-            bits.append(f"({c})*{label}" if ("+" in c or "-" in c[1:]) else f"{c}*{label}")
-        return " + ".join(bits)
+        return a.format([f"q{i}" for i in range(self.nq)],
+                        lambda w: f"e[{self.W.format(w)}]", always_coeff=True)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def affine_coh(letter: str, rank: int, L: int | None = None) -> AffineCoh:
     return AffineCoh(affine_weyl(letter, rank), L)

@@ -1,16 +1,10 @@
-"""BGG calculus on the rational cohomology of the finite flag variety.
+"""Schubert calculus on the rational cohomology of the finite flag variety.
 
-Polynomials live in the fundamental-weight variables ``omega_1..omega_n`` over
-the rationals; the coinvariant presentation never appears explicitly because
-every class is reduced to the Schubert basis through divided differences:
-
-    partial_beta(f) = (f - s_beta f) / beta,
-    coefficient of sigma_w in [f]  =  constant term of partial_w(f).
-
-Representatives are normalized by ``rep(w_0) = (1/|W|) * prod(positive roots)``
-and pushed down with ``rep(w s_i) = partial_i rep(w)``; this pins the Poincare
-pairing to ``<sigma_u, sigma_v> = delta(v = w_0 u)``, which the tests verify
-against the polynomial-level integral rather than assuming.
+Classes are dicts on the Schubert basis ``sigma_w`` of ``H*(G/B; Q)``; no
+polynomial representative is ever built.  Cup products by divisors come from
+the Chevalley rule, divisor monomials are repeated Chevalley steps
+(``monomial_class``), and each ``sigma_w`` is solved for in them
+(``express_in_divisors``, ``chevalley_expression``).
 
 The nil-Coxeter letters ``D_i`` of the affine Weyl group act here through
 
@@ -26,9 +20,9 @@ Schubert basis, with no polynomials:
     s_j = 1 - alpha_j . partial_j,
     partial_theta = u partial_i u^{-1}   where theta = u(alpha_i).
 
-The polynomial layer (``rep``, ``divided_difference``, ``expand_in_schubert``,
-``cup_product``, ``poincare_pairing``) stays as the independent oracle that
-``verify`` and the tests check the combinatorial rules against.
+The polynomial BGG route these rules replace (Schubert polynomials and
+divided differences ``(f - s_beta f) / beta``) is a test-side oracle,
+``tests/bgg_oracle.py``, that the tests check the rules against.
 """
 
 from __future__ import annotations
@@ -38,8 +32,8 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import Iterable
 
-from .polynomials import Poly, exact_div_linear, solve_exact
-from .roots import RootSystem, Vec
+from .polynomials import solve_exact
+from .roots import RootSystem
 from .weyl import FinW, finite_reflection, finite_weyl
 
 FinCohClass = dict  # FinW -> coefficient (int, Fraction, or any Fraction-module element)
@@ -53,20 +47,6 @@ class FiniteSchubert:
         self.n = rs.rank
         self.W = finite_weyl(rs.letter, rs.rank)
         self.w0 = self.W.w0
-        # simple roots as linear polynomials in the omega variables
-        self._alpha = [
-            Poly(
-                self.n,
-                {
-                    tuple(1 if r == i else 0 for r in range(self.n)): Fraction(
-                        rs.cartan[i][j]
-                    )
-                    for i in range(self.n)
-                    if rs.cartan[i][j]
-                },
-            )
-            for j in range(self.n)
-        ]
         # (s_beta, beta^vee) for every positive root, read by the Chevalley rule
         chevalley = [
             (finite_reflection(rs, beta), rs.coroot(beta)) for beta in rs.positive_roots
@@ -81,7 +61,6 @@ class FiniteSchubert:
         self._omega_terms = [terms([int(r == i) for r in range(self.n)]) for i in range(self.n)]
         self._alpha_terms = [terms([rs.cartan[r][j] for r in range(self.n)])
                              for j in range(self.n)]
-        self._reps: dict[FinW, Poly] | None = None
         self._walk = self._theta_walk()
         self._theta_rows: dict[FinW, dict[FinW, int]] = {}
         self._reflect_rows: list[dict[FinW, dict[FinW, int]]] = [{} for _ in range(self.n)]
@@ -90,95 +69,7 @@ class FiniteSchubert:
         self._layer_cols: dict[int, tuple[list[tuple[int, FinW]], list[FinCohClass]]] = {}
         self._chevalley_expr: dict[FinW, list[tuple[Fraction, int, FinW]]] = {}
 
-    # -- polynomial-level operators -----------------------------------------
-
-    def root_poly(self, beta: Vec) -> Poly:
-        out = Poly.zero(self.n)
-        for j, b in enumerate(beta):
-            if b:
-                out = out + b * self._alpha[j]
-        return out
-
-    def reflect_poly(self, beta: Vec, f: Poly) -> Poly:
-        bco = self.rs.coroot(beta)
-        bpoly = self.root_poly(beta)
-        images = [
-            Poly.variable(self.n, i) - bco[i] * bpoly for i in range(self.n)
-        ]
-        return f.substitute(images)
-
-    def divided_difference(self, beta: Vec, f: Poly) -> Poly:
-        """``(f - s_beta f) / beta`` — exact by construction."""
-        num = f - self.reflect_poly(beta, f)
-        if num.is_zero():
-            return Poly.zero(self.n)
-        return exact_div_linear(num, self.root_poly(beta))
-
-    def dd_simple(self, j: int, f: Poly) -> Poly:
-        """Divided difference along alpha_j, 0-indexed."""
-        return self.divided_difference(self.rs.simple_root(j + 1), f)
-
-    def dd_word(self, word: tuple[int, ...], f: Poly) -> Poly:
-        """``partial_{i_1} ... partial_{i_k}`` applied rightmost first (0-indexed)."""
-        for j in reversed(word):
-            f = self.dd_simple(j, f)
-            if f.is_zero():
-                break
-        return f
-
-    # -- Schubert representatives --------------------------------------------
-
-    def rep(self, w: FinW) -> Poly:
-        if self._reps is None:
-            top = Poly.one(self.n)
-            for beta in self.rs.positive_roots:
-                top = top * self.root_poly(beta)
-            top = top * Fraction(1, len(self.W))
-            reps = {self.w0: top}
-            order = sorted(self.W.elements, key=lambda x: -self.W.length[x])
-            for v in order:
-                for j in range(self.n):
-                    u = v * self.W.gens[j]
-                    if self.W.length[u] < self.W.length[v] and u not in reps:
-                        reps[u] = self.dd_simple(j, reps[v])
-                reps.setdefault(v, reps.get(v))
-            self._reps = reps
-        return self._reps[w]
-
-    def expand_in_schubert(self, f: Poly) -> FinCohClass:
-        """Decompose the class of f; degrees above len(w_0) vanish in H*.
-
-        The coefficient of sigma_w is the constant term of ``partial_w`` applied
-        to the degree-``len(w)`` component.  Reduced words of one length share
-        suffixes, so ``partial`` of each suffix is computed once per component.
-        """
-        out: FinCohClass = {}
-        for deg, comp in f.homogeneous_components().items():
-            memo: dict[tuple[int, ...], Poly] = {(): comp}
-
-            def dd_suffix(word: tuple[int, ...]) -> Poly:
-                g = memo.get(word)
-                if g is None:
-                    rest = dd_suffix(word[1:])
-                    g = memo[word] = self.dd_simple(word[0], rest) if rest else rest
-                return g
-
-            for w in self.W.by_length.get(deg, []):
-                c = dd_suffix(self.W.word[w]).constant_term
-                if c:
-                    out[w] = c
-        return out
-
-    def class_poly(self, a: FinCohClass) -> Poly:
-        out = Poly.zero(self.n)
-        for w, c in a.items():
-            out = out + c * self.rep(w)
-        return out
-
     # -- ring structure ---------------------------------------------------------
-
-    def cup_product(self, a: FinCohClass, b: FinCohClass) -> FinCohClass:
-        return self.expand_in_schubert(self.class_poly(a) * self.class_poly(b))
 
     def _chevalley_rule(self, terms: list[tuple[FinW, int]], a: FinCohClass) -> FinCohClass:
         """``lambda . a``: sigma_w goes to the sum of k sigma_{w s_beta} over the
@@ -201,14 +92,6 @@ class FiniteSchubert:
         and <omega_i, alpha^vee> is the i-th coordinate of alpha^vee.
         """
         return self._chevalley_rule(self._omega_terms[i - 1], a)
-
-    def poincare_pairing(self, a: FinCohClass, b: FinCohClass) -> Fraction:
-        """Integral over G/B, computed at polynomial level via partial_{w_0}."""
-        prod = self.class_poly(a) * self.class_poly(b)
-        top = prod.homogeneous_components().get(self.W.length[self.w0])
-        if top is None:
-            return Fraction(0)
-        return self.dd_word(self.W.word[self.w0], top).constant_term
 
     # -- the pi map on nil-Coxeter words -----------------------------------------
 
@@ -361,7 +244,7 @@ class FiniteSchubert:
         return expr
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def finite_schubert(letter: str, rank: int) -> FiniteSchubert:
     from .roots import build_root_system
 

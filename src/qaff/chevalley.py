@@ -135,7 +135,7 @@ def _enumerate(W: AffineWeylGroup) -> list[ChevalleyRoot]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def chevalley_root_set(letter: str, rank: int) -> ChevalleyRootSet:
     return ChevalleyRootSet(affine_weyl(letter, rank))
 

@@ -28,7 +28,7 @@ from .neighborhoods import (
     neighborhood_by_search,
 )
 from .polynomials import Poly, QClass
-from .quantum import format_fin_class, ordinary_qh, quantum_aff
+from .quantum import ordinary_qh, quantum_aff
 from .roots import RootSystem, parse_lie_type
 from .weyl import affine_weyl, finite_weyl, weyl_order
 
@@ -132,8 +132,8 @@ def _latex_poly(p: Poly, qnames: list[str]) -> str:
 
 
 def _latex_class(ring, a: QClass) -> str:
-    return format_fin_class(
-        a, [f"q_{i}" for i in range(a.nq)],
+    return a.format(
+        [f"q_{i}" for i in range(a.nq)],
         lambda w: "\\sigma_{%s}" % " ".join(f"s_{i + 1}" for i in ring.FW.word[w]),
         sep=" ",
     )
@@ -433,16 +433,16 @@ def _suite_associativity(letter: str, rank: int, report) -> None:
 
 def _suite_divisor_law(letter: str, rank: int, report) -> None:
     ring = quantum_aff(letter, rank)
+    # the classical part from OrdinaryQH's root-table Chevalley rule, not from
+    # ring.fs, which star itself reads
+    ord_ring = ordinary_qh(letter, rank)
     marks = ring.rs.theta_coroot
     ok = True
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             prod = ring.star(ring.basis_simple(i), ring.basis_simple(j))
-            cup = ring.from_finite(
-                ring.fs.cup_product(
-                    {ring.FW.gens[i - 1]: Fraction(1)}, {ring.FW.gens[j - 1]: Fraction(1)}
-                )
-            )
+            classical = ord_ring.chevalley_classical(i, ord_ring.basis(ring.FW.gens[j - 1]))
+            cup = ring.from_finite({w: p.constant_term for w, p in classical.terms.items()})
             extra = Poly.monomial(rank + 1, (1,) + (0,) * rank, marks[i - 1] * marks[j - 1])
             if i == j:
                 extra = extra + Poly.monomial(

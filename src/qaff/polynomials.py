@@ -367,6 +367,30 @@ class QClass:
             for e, c in sorted(self.terms[w].terms.items())
         ]
 
+    def format(
+        self, qnames: Sequence[str], label: Callable[[Hashable], str],
+        sep: str = "*", always_coeff: bool = False,
+    ) -> str:
+        """The class as text: ``sep`` joins a coefficient to ``label(w)``.
+
+        A coefficient with several terms is parenthesized.  Unless
+        ``always_coeff``, the identity's coefficient is printed bare and a
+        coefficient of ``±1`` is dropped.
+        """
+        if self.is_zero():
+            return "0"
+        bits = []
+        for w in self.ordered_support():
+            c = self.terms[w].format(qnames).replace("*", sep)
+            compound = "+" in c or "-" in c[1:]
+            if not always_coeff and self.length(w) == 0:
+                bits.append(f"({c})" if compound else c)
+            elif not always_coeff and c in ("1", "-1"):
+                bits.append(("-" if c == "-1" else "") + label(w))
+            else:
+                bits.append(f"({c}){sep}{label(w)}" if compound else f"{c}{sep}{label(w)}")
+        return " + ".join(bits)
+
 
 class QModule:
     """Constructors of the :class:`QClass` elements of one ring."""

@@ -23,7 +23,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Callable
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
@@ -60,10 +59,8 @@ class FiniteQRing(QModule):
         return table
 
     def format_class(self, a: QClass) -> str:
-        return format_fin_class(
-            a, [f"q{i + self.q_offset}" for i in range(a.nq)],
-            lambda w: f"s[{self.FW.format(w)}]",
-        )
+        return a.format([f"q{i + self.q_offset}" for i in range(a.nq)],
+                        lambda w: f"s[{self.FW.format(w)}]")
 
 
 class QuantumAff(FiniteQRing):
@@ -269,22 +266,11 @@ class OrdinaryQH(FiniteQRing):
         self._lift_img: dict[tuple[FinW, FinW], QClass] = {}
 
     def chevalley(self, i: int, a: QClass) -> QClass:
-        """Full quantum Chevalley multiplication by sigma_i."""
-        out: dict[FinW, Poly] = {}
-
-        def add(w, poly):
-            s = out.get(w)
-            out[w] = poly if s is None else s + poly
-
+        """Full quantum Chevalley multiplication by sigma_i: the classical
+        terms of :meth:`chevalley_classical` plus the quantum-root terms."""
+        out = dict(self.chevalley_classical(i, a).terms)
         for w, c in a.terms.items():
             lw = self.FW.length[w]
-            for beta in self.rs.positive_roots:
-                k = self.rs.coroot(beta)[i - 1]
-                if not k:
-                    continue
-                u = w * self._refl[beta]
-                if self.FW.length[u] == lw + 1:
-                    add(u, k * c)
             for beta in self._quantum_roots:
                 k = self.rs.coroot(beta)[i - 1]
                 if not k:
@@ -293,7 +279,9 @@ class OrdinaryQH(FiniteQRing):
                 u = w * self._refl[beta]
                 if self.FW.length[u] == lw + 1 - 2 * ht:
                     e = tuple(self.rs.coroot(beta))
-                    add(u, Poly.monomial(self.nq, e, k) * c)
+                    s = out.get(u)
+                    q = Poly.monomial(self.nq, e, k) * c
+                    out[u] = q if s is None else s + q
         return self._make(out)
 
     def chevalley_classical(self, i: int, a: QClass) -> QClass:
@@ -361,36 +349,11 @@ class OrdinaryQH(FiniteQRing):
         return out
 
 
-def format_fin_class(
-    a: QClass, qnames: list[str], label: Callable[[FinW], str], sep: str = "*"
-) -> str:
-    """A finite class as text: ``sep`` joins a coefficient to ``label(w)``.
-
-    The identity's coefficient is printed bare, a coefficient of ``±1`` is
-    dropped, and one with several terms is parenthesized.
-    """
-    if a.is_zero():
-        return "0"
-    bits = []
-    for w in a.ordered_support():
-        c = a.terms[w].format(qnames).replace("*", sep)
-        compound = "+" in c or "-" in c[1:]
-        if a.length(w) == 0:
-            bits.append(f"({c})" if compound else c)
-        elif c == "1":
-            bits.append(label(w))
-        elif c == "-1":
-            bits.append(f"-{label(w)}")
-        else:
-            bits.append(f"({c}){sep}{label(w)}" if compound else f"{c}{sep}{label(w)}")
-    return " + ".join(bits)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def quantum_aff(letter: str, rank: int) -> QuantumAff:
     return QuantumAff(letter, rank)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def ordinary_qh(letter: str, rank: int) -> OrdinaryQH:
     return OrdinaryQH(letter, rank)

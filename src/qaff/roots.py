@@ -509,6 +509,6 @@ class AffineRootData:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def affinize(letter: str, rank: int) -> AffineRootData:
     return AffineRootData(build_root_system(letter, rank))

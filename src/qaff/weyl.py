@@ -356,7 +356,7 @@ class AffineWeylGroup:
         return "".join(f"s{i}" for i in word) if word else "e"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def affine_weyl(letter: str, rank: int) -> AffineWeylGroup:
     from .roots import affinize
 
@@ -419,7 +419,7 @@ class FiniteWeyl:
         return w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def finite_weyl(letter: str, rank: int) -> FiniteWeyl:
     from .roots import build_root_system
 

@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 import acceptance_log
+from bgg_oracle import PolynomialBGG
 from goldens_fl3 import all_21_products
 
 from qaff.affine import AffineCoh, affine_coh
@@ -55,13 +56,13 @@ def test_criterion_02_divisor_law():
     ok = True
     for lt in [("A", 2), ("B", 2), ("G", 2), ("A", 3)]:
         ring = quantum_aff(*lt)
-        fs = ring.fs
+        oracle = PolynomialBGG(ring.fs)
         marks = ring.ard.rs.theta_coroot
         n = ring.FW.n
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 got = ring.star(ring.basis_simple(i), ring.basis_simple(j))
-                cup = fs.cup_product(
+                cup = oracle.cup_product(
                     {ring.FW.gens[i - 1]: Fraction(1)},
                     {ring.FW.gens[j - 1]: Fraction(1)},
                 )

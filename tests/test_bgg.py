@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bgg_oracle import PolynomialBGG
 from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
 
@@ -16,75 +17,83 @@ def a2():
     return finite_schubert("A", 2)
 
 
+@pytest.fixture(scope="module")
+def a2_poly(a2):
+    return PolynomialBGG(a2)
+
+
 class TestDividedDifferences:
-    def test_square_zero(self, a2):
-        f = a2.rep(a2.W.w0)
+    def test_square_zero(self, a2_poly):
+        f = a2_poly.rep(a2_poly.W.w0)
         for j in range(2):
-            g = a2.dd_simple(j, a2.dd_simple(j, f))
+            g = a2_poly.dd_simple(j, a2_poly.dd_simple(j, f))
             assert g.is_zero()
 
-    def test_braid_relation(self, a2):
+    def test_braid_relation(self, a2_poly):
         # A2: d1 d2 d1 = d2 d1 d2 on any polynomial
-        f = (a2.rep(a2.W.w0) + Poly.variable(2, 0) ** 3) * Poly.variable(2, 1)
-        lhs = a2.dd_word((0, 1, 0), f)
-        rhs = a2.dd_word((1, 0, 1), f)
+        f = (a2_poly.rep(a2_poly.W.w0) + Poly.variable(2, 0) ** 3) * Poly.variable(2, 1)
+        lhs = a2_poly.dd_word((0, 1, 0), f)
+        rhs = a2_poly.dd_word((1, 0, 1), f)
         assert lhs == rhs
 
-    def test_leibniz_simple(self, a2):
+    def test_leibniz_simple(self, a2_poly):
         # d_j(fg) = d_j(f) g + s_j(f) d_j(g)
         x, y = Poly.variable(2, 0), Poly.variable(2, 1)
         f, g = x * x + y, x * y
         for j in range(2):
-            beta = a2.rs.simple_root(j + 1)
-            lhs = a2.divided_difference(beta, f * g)
-            rhs = a2.divided_difference(beta, f) * g + a2.reflect_poly(
+            beta = a2_poly.rs.simple_root(j + 1)
+            lhs = a2_poly.divided_difference(beta, f * g)
+            rhs = a2_poly.divided_difference(beta, f) * g + a2_poly.reflect_poly(
                 beta, f
-            ) * a2.divided_difference(beta, g)
+            ) * a2_poly.divided_difference(beta, g)
             assert lhs == rhs
 
 
 class TestSchubertBasis:
-    def test_reps_triangular(self, a2):
+    def test_reps_triangular(self, a2_poly):
         # peeling w's own reduced word (rightmost letter first) reaches 1
-        for w in a2.W.elements:
-            word = a2.W.word[w]
-            assert a2.dd_word(word, a2.rep(w)) == Poly.one(2)
+        for w in a2_poly.W.elements:
+            word = a2_poly.W.word[w]
+            assert a2_poly.dd_word(word, a2_poly.rep(w)) == Poly.one(2)
 
-    def test_expand_roundtrip(self, a2):
-        for w in a2.W.elements:
-            expanded = a2.expand_in_schubert(a2.rep(w))
+    def test_expand_roundtrip(self, a2_poly):
+        for w in a2_poly.W.elements:
+            expanded = a2_poly.expand_in_schubert(a2_poly.rep(w))
             assert classes_equal(expanded, {w: Fraction(1)})
 
-    def test_poincare_duality_all_pairs(self, a2):
-        FW = a2.W
+    def test_poincare_duality_all_pairs(self, a2_poly):
+        FW = a2_poly.W
         for u in FW.elements:
             for v in FW.elements:
                 expected = 1 if u == FW.w0 * v else 0
-                assert a2.poincare_pairing({u: 1}, {v: 1}) == expected
+                assert a2_poly.poincare_pairing({u: 1}, {v: 1}) == expected
 
-    def test_cup_is_commutative_and_unital(self, a2):
-        FW = a2.W
+    def test_cup_is_commutative_and_unital(self, a2_poly):
+        FW = a2_poly.W
         one = {FW.identity: Fraction(1)}
         for u in FW.elements:
-            assert classes_equal(a2.cup_product(one, {u: 1}), {u: 1})
+            assert classes_equal(a2_poly.cup_product(one, {u: 1}), {u: 1})
         a = {FW.parse("s1"): Fraction(1)}
         b = {FW.parse("s2s1"): Fraction(2)}
-        assert classes_equal(a2.cup_product(a, b), a2.cup_product(b, a))
+        assert classes_equal(a2_poly.cup_product(a, b), a2_poly.cup_product(b, a))
 
-    def test_chevalley_matches_polynomial_cup(self, a2):
-        FW = a2.W
-        for i in (1, 2):
+    @pytest.mark.parametrize("lt", ["A2", "A3", "B3", "C3", "G2"])
+    def test_chevalley_matches_polynomial_cup(self, lt):
+        fs = finite_schubert(lt[0], int(lt[1]))
+        oracle = PolynomialBGG(fs)
+        FW = fs.W
+        for i in range(1, fs.n + 1):
             for w in FW.elements:
-                via_rule = a2.chevalley_cup(i, {w: Fraction(1)})
-                via_poly = a2.cup_product({FW.gens[i - 1]: Fraction(1)}, {w: 1})
-                assert classes_equal(via_rule, via_poly)
+                via_rule = fs.chevalley_cup(i, {w: Fraction(1)})
+                via_poly = oracle.cup_product({FW.gens[i - 1]: Fraction(1)}, {w: 1})
+                assert classes_equal(via_rule, via_poly), (lt, i, FW.format(w))
 
-    def test_a2_multiplication_facts(self, a2):
-        FW = a2.W
+    def test_a2_multiplication_facts(self, a2_poly):
+        FW = a2_poly.W
         s1, s2 = FW.parse("s1"), FW.parse("s2")
-        out = a2.cup_product({s1: Fraction(1)}, {s1: Fraction(1)})
+        out = a2_poly.cup_product({s1: Fraction(1)}, {s1: Fraction(1)})
         assert classes_equal(out, {FW.parse("s2s1"): Fraction(1)})
-        out = a2.cup_product({s1: Fraction(1)}, {s2: Fraction(1)})
+        out = a2_poly.cup_product({s1: Fraction(1)}, {s2: Fraction(1)})
         assert classes_equal(
             out, {FW.parse("s1s2"): Fraction(1), FW.parse("s2s1"): Fraction(1)}
         )
@@ -154,10 +163,10 @@ class TestDivisorExpressions:
             total = {u: c for u, c in total.items() if c}
             assert classes_equal(total, {w: Fraction(1)}), FW.format(w)
 
-    def test_monomial_class_builds_by_cups(self, a2):
+    def test_monomial_class_builds_by_cups(self, a2, a2_poly):
         FW = a2.W
         got = a2.monomial_class((1, 2))
-        want = a2.cup_product({FW.parse("s1"): Fraction(1)}, {FW.parse("s2"): 1})
+        want = a2_poly.cup_product({FW.parse("s1"): Fraction(1)}, {FW.parse("s2"): 1})
         assert classes_equal(got, want)
 
     def test_divisor_monomials_degree(self, a2):

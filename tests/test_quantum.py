@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from goldens_fl3 import FL3_TABLE, build_class
 
+from qaff.affine import affine_coh
 from qaff.polynomials import Poly
 from qaff.quantum import ordinary_qh, quantum_aff
 
@@ -266,6 +267,20 @@ class TestInterfaces:
     def test_format_class_names_variables(self, a2):
         text = a2.format_class(star_name(a2, "s1", "s1"))
         assert "q0" in text and "q1" in text and "s2s1" in text
+
+    def test_finite_and_affine_formats(self, a2):
+        # the finite form prints the identity's coefficient bare and drops +-1;
+        # the affine form always prints the coefficient
+        FW, q = a2.FW, lambda e, c: Poly.monomial(3, e, c)
+        cls = (a2.basis(FW.identity, q((1, 0, 0), 1) + q((0, 1, 0), -2))
+               + a2.basis(FW.parse("s1"), -1) + a2.basis(FW.parse("s2"), 1)
+               + a2.basis(FW.parse("s1s2"), q((0, 0, 1), 3)))
+        assert a2.format_class(cls) == "(-2*q1 + q0) + -s[s1] + s[s2] + 3*q2*s[s1s2]"
+        H = affine_coh("A", 2)
+        W = H.W
+        aff = (H.basis(W.identity, q((1, 0, 0), 1) + q((0, 1, 0), -2))
+               + H.basis(W.parse("s1"), -1) + H.basis(W.parse("s0"), 1))
+        assert H.format_class(aff) == "(-2*q1 + q0)*e[e] + 1*e[s0] + -1*e[s1]"
 
     def test_json_has_degree_data(self, a2):
         payload = star_name(a2, "s1", "s2").to_json_obj()

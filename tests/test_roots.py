@@ -1,3 +1,4 @@
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -58,6 +59,21 @@ def test_build_root_system_takes_only_parsed_types(letter, rank):
     build_root_system("A", 2)
     with pytest.raises(ValueError):
         build_root_system(letter, rank)
+
+
+@pytest.mark.parametrize("rank", [1.0, True])
+@pytest.mark.parametrize("module,name", [
+    ("qaff.roots", "affinize"), ("qaff.weyl", "affine_weyl"), ("qaff.weyl", "finite_weyl"),
+    ("qaff.bgg", "finite_schubert"), ("qaff.affine", "affine_coh"),
+    ("qaff.quantum", "quantum_aff"), ("qaff.quantum", "ordinary_qh"),
+    ("qaff.chevalley", "chevalley_root_set"),
+])
+def test_cached_factories_refuse_non_int_ranks(module, name, rank):
+    factory = getattr(importlib.import_module(module), name)
+    # cached first: ("A", 1.0) and ("A", True) equal this key
+    factory("A", 1)
+    with pytest.raises(ValueError):
+        factory("A", rank)
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bgg_oracle import PolynomialBGG
 from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
 from qaff.toda import (
@@ -195,7 +196,7 @@ def _polynomial_classical_part(rel):
     for e, c in rel.poly.terms.items():
         if not any(e[: rank + 1]):
             proj = proj + Poly.monomial(rank, e[rank + 1 :], c)
-    return finite_schubert(rel.letter, rank).expand_in_schubert(proj)
+    return PolynomialBGG(finite_schubert(rel.letter, rank)).expand_in_schubert(proj)
 
 
 def _x_monomial(lt, x_exps, coeff):
