@@ -34,9 +34,9 @@ from typing import Iterable
 
 from .polynomials import solve_exact
 from .roots import RootSystem
-from .weyl import FinW, finite_reflection, finite_weyl
+from .weyl import finite_weyl
 
-FinCohClass = dict  # FinW -> coefficient (int, Fraction, or any Fraction-module element)
+FinCohClass = dict  # element id -> coefficient (int, Fraction, or any Fraction-module element)
 
 
 class FiniteSchubert:
@@ -47,40 +47,33 @@ class FiniteSchubert:
         self.n = rs.rank
         self.W = finite_weyl(rs.letter, rs.rank)
         self.w0 = self.W.w0
-        # (s_beta, beta^vee) for every positive root, read by the Chevalley rule
-        chevalley = [
-            (finite_reflection(rs, beta), rs.coroot(beta)) for beta in rs.positive_roots
+        coroots = rs.table.coroots[:rs.num_positive]
+        # <lambda, beta^vee> per positive root (table order), read by the Chevalley
+        # rule: lambda = omega_i, and lambda = alpha_j = sum_r cartan[r][j] omega_r
+        self._omega_coeffs = [[bco[i] for bco in coroots] for i in range(self.n)]
+        self._alpha_coeffs = [
+            [sum(rs.cartan[r][j] * bco[r] for r in range(self.n)) for bco in coroots]
+            for j in range(self.n)
         ]
-
-        def terms(weight: list[int]) -> list[tuple[FinW, int]]:
-            """Nonzero (s_beta, <lambda, beta^vee>) for lambda = sum weight[r] omega_r."""
-            pairs = [(s, sum(x * b for x, b in zip(weight, bco))) for s, bco in chevalley]
-            return [(s, k) for s, k in pairs if k]
-
-        # lambda = omega_i, and lambda = alpha_j = sum_r cartan[r][j] omega_r
-        self._omega_terms = [terms([int(r == i) for r in range(self.n)]) for i in range(self.n)]
-        self._alpha_terms = [terms([rs.cartan[r][j] for r in range(self.n)])
-                             for j in range(self.n)]
         self._walk = self._theta_walk()
-        self._theta_rows: dict[FinW, dict[FinW, int]] = {}
-        self._reflect_rows: list[dict[FinW, dict[FinW, int]]] = [{} for _ in range(self.n)]
-        self._divisor_expr: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
+        self._theta_rows: dict[int, dict[int, int]] = {}
+        self._reflect_rows: list[dict[int, dict[int, int]]] = [{} for _ in range(self.n)]
+        self._divisor_expr: dict[int, list[tuple[Fraction, tuple[int, ...]]]] = {}
         self._mono_class: dict[tuple[int, ...], FinCohClass] = {(): {self.W.identity: 1}}
-        self._layer_cols: dict[int, tuple[list[tuple[int, FinW]], list[FinCohClass]]] = {}
-        self._chevalley_expr: dict[FinW, list[tuple[Fraction, int, FinW]]] = {}
+        self._layer_cols: dict[int, tuple[list[tuple[int, int]], list[FinCohClass]]] = {}
+        self._chevalley_expr: dict[int, list[tuple[Fraction, int, int]]] = {}
 
     # -- ring structure ---------------------------------------------------------
 
-    def _chevalley_rule(self, terms: list[tuple[FinW, int]], a: FinCohClass) -> FinCohClass:
-        """``lambda . a``: sigma_w goes to the sum of k sigma_{w s_beta} over the
-        (s_beta, k) in ``terms`` with len(w s_beta) = len(w) + 1."""
-        length = self.W.length
+    def _chevalley_rule(self, coeffs: list[int], a: FinCohClass) -> FinCohClass:
+        """``lambda . a``: sigma_w goes to the sum of k sigma_u over the covers
+        ``(u, b)`` of w (:meth:`~qaff.weyl.FiniteWeyl.covers`), k = ``coeffs[b]``."""
+        covers = self.W.covers
         out: FinCohClass = {}
         for w, c in a.items():
-            lw = length[w] + 1
-            for s_beta, k in terms:
-                u = w * s_beta
-                if length[u] == lw:
+            for u, b in covers(w):
+                k = coeffs[b]
+                if k:
                     out[u] = out.get(u, 0) + k * c
         return {w: c for w, c in out.items() if c}
 
@@ -91,11 +84,11 @@ class FiniteSchubert:
         len(w s_alpha) = len(w) + 1 of <omega_i, alpha^vee> sigma_{w s_alpha},
         and <omega_i, alpha^vee> is the i-th coordinate of alpha^vee.
         """
-        return self._chevalley_rule(self._omega_terms[i - 1], a)
+        return self._chevalley_rule(self._omega_coeffs[i - 1], a)
 
     # -- the pi map on nil-Coxeter words -----------------------------------------
 
-    def theta_matrix(self, support: Iterable[FinW] | None = None) -> dict[FinW, dict[FinW, int]]:
+    def theta_matrix(self, support: Iterable[int] | None = None) -> dict[int, dict[int, int]]:
         """Rows ``w -> partial_theta sigma_w`` for ``w`` in ``support`` (default: all).
 
         With ``theta = u(alpha_i)`` and ``u = s_{j_1} ... s_{j_k}``, a row is
@@ -121,17 +114,17 @@ class FiniteSchubert:
             out[w] = row
         return out
 
-    def _reflect(self, j: int, a: dict[FinW, int]) -> dict[FinW, int]:
+    def _reflect(self, j: int, a: dict[int, int]) -> dict[int, int]:
         """``s_j a = a - alpha_j . partial_j a`` over int, with memoized basis rows."""
-        W, rows = self.W, self._reflect_rows[j]
-        out: dict[FinW, int] = {}
+        length, rows = self.W.length, self._reflect_rows[j]
+        out: dict[int, int] = {}
         for w, c in a.items():
             row = rows.get(w)
             if row is None:
                 row = rows[w] = {w: 1}
-                v = w * W.gens[j]
-                if W.length[v] < W.length[w]:
-                    for u, k in self._chevalley_rule(self._alpha_terms[j], {v: 1}).items():
+                v = self.W.rmul[j][w]
+                if length[v] < length[w]:
+                    for u, k in self._chevalley_rule(self._alpha_coeffs[j], {v: 1}).items():
                         row[u] = row.get(u, 0) - k
             for u, k in row.items():
                 out[u] = out.get(u, 0) + k * c
@@ -165,15 +158,11 @@ class FiniteSchubert:
                     else:
                         out.pop(u, None)
             return out
-        j = i - 1
+        col, length = self.W.rmul[i - 1], self.W.length
         for w, c in a.items():
-            u = w * self.W.gens[j]
-            if self.W.length[u] < self.W.length[w]:
-                s = out.get(u, 0) + c
-                if s:
-                    out[u] = s
-                else:
-                    out.pop(u, None)
+            u = col[w]
+            if c and length[u] < length[w]:
+                out[u] = c  # w -> w s_i is injective, so no two terms meet
         return out
 
     def pi_word(self, word: tuple[int, ...], a: FinCohClass) -> FinCohClass:
@@ -198,7 +187,7 @@ class FiniteSchubert:
                 mono[0], self.monomial_class(mono[1:]))
         return cls
 
-    def express_in_divisors(self, w: FinW) -> list[tuple[Fraction, tuple[int, ...]]]:
+    def express_in_divisors(self, w: int) -> list[tuple[Fraction, tuple[int, ...]]]:
         """Write sigma_w as a rational combination of divisor monomials.
 
         Possible for every w because divisor classes generate H*(G/B; Q).
@@ -215,7 +204,7 @@ class FiniteSchubert:
 
     # -- the classical Monk step ----------------------------------------------------
 
-    def chevalley_expression(self, w: FinW) -> list[tuple[Fraction, int, FinW]]:
+    def chevalley_expression(self, w: int) -> list[tuple[Fraction, int, int]]:
         """``[(a, i, v)]`` with ``sigma_w = sum a sigma_i . sigma_v`` and len(v) = len(w) - 1.
 
         One exact solve per w over the columns ``chevalley_cup(i, {v})`` of the

@@ -15,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 from functools import reduce
-from operator import mul
 
 from . import toda
 from .affine import AffineCoh, TruncationOverflow
@@ -61,6 +60,51 @@ def _parse_degree(text: str, expect: int) -> tuple[int, ...]:
 
 class UsageError(Exception):
     pass
+
+
+# -- JSON output ----------------------------------------------------------------------
+
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def json_text(obj, nl: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte; ``nl`` is the current indent.
+
+    With an indent, ``json.dumps`` leaves its C encoder for the pure-Python
+    one; this writer builds the same text directly.  Strings go through the
+    encoder's own escaping, and scalars other than ``str`` and ``int`` through
+    ``json.dumps``.
+    """
+    if isinstance(obj, str):
+        return _json_str(obj)
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_str(_json_key(k)) + ": " + json_text(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    return json.dumps(obj)
+
+
+def _json_key(key) -> str:
+    """A dict key as ``json.dumps`` writes it: str as is, other scalars as their JSON."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def print_json(obj, indent: bool = True) -> None:
+    """Every JSON print of the CLI: indented by two spaces, or on one line."""
+    print(json_text(obj) if indent else json.dumps(obj))
 
 
 # -- JSON (de)serialization of classes ------------------------------------------------
@@ -123,7 +167,7 @@ def quantum_class_from_json(obj: dict, ring) -> QClass:
     FW = ring.FW
     return _class_from_json(
         obj, ring, ring.rs, "sigma", ring.n,
-        lambda word: reduce(mul, (FW.gens[i] for i in word), FW.identity),
+        lambda word: reduce(lambda w, i: FW.rmul[i][w], word, FW.identity),
     )
 
 
@@ -157,8 +201,8 @@ def cmd_chevalley_roots(args) -> int:
         for cr in crs
     ]
     if args.format == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "type": args.type.upper(),
-                          "count": len(rows), "roots": rows}, indent=2))
+        print_json({"schema_version": SCHEMA_VERSION, "type": args.type.upper(),
+                    "count": len(rows), "roots": rows})
     elif args.format == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(["level", "finite", "coroot", "length", "word"])
@@ -187,13 +231,13 @@ def cmd_curve_nbhd(args) -> int:
             print("error: Hecke and search oracles disagree", file=sys.stderr)
             return 1
     if args.format == "json":
-        print(json.dumps({
+        print_json({
             "schema_version": SCHEMA_VERSION,
             "type": args.type.upper(),
             "u": list(W.reduced_word(u)),
             "d": list(d),
             "components": [list(W.reduced_word(z)) for z in comps],
-        }, indent=2))
+        })
     elif args.format == "dot":
         L = args.graph_l if args.graph_l is not None else max(
             (W.length(z) for z in comps), default=0)
@@ -213,9 +257,9 @@ def cmd_gw(args) -> int:
         raise UsageError(f"--i must be in 0..{rank}")
     val = gw_invariant(W, args.i, u, w, d)
     if args.format == "json":
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "type": args.type.upper(),
-                          "i": args.i, "u": list(W.reduced_word(u)),
-                          "w": list(W.reduced_word(w)), "d": list(d), "value": val}))
+        print_json({"schema_version": SCHEMA_VERSION, "type": args.type.upper(),
+                    "i": args.i, "u": list(W.reduced_word(u)),
+                    "w": list(W.reduced_word(w)), "d": list(d), "value": val}, indent=False)
     else:
         print(val)
     return 0
@@ -235,7 +279,7 @@ def cmd_lambda(args) -> int:
             raise UsageError(f"--i must be in 0..{rank}")
         out = calc.lambda_op(args.i, a)
     if args.format == "json":
-        print(json.dumps(affine_class_json(calc, out, args.type.upper()), indent=2))
+        print_json(affine_class_json(calc, out, args.type.upper()))
     else:
         print(calc.format_class(out))
     return 0
@@ -251,7 +295,7 @@ def cmd_product(args) -> int:
         raise UsageError(str(exc))
     out = ring.star(ring.basis(u), ring.basis(v))
     if args.format == "json":
-        print(json.dumps(quantum_class_json(ring, out, args.type.upper()), indent=2))
+        print_json(quantum_class_json(ring, out, args.type.upper()))
     elif args.format == "latex":
         print(_latex_class(ring, out))
     else:
@@ -277,7 +321,7 @@ def cmd_table(args) -> int:
                         FW.length[kv[0][1]], FW.word[kv[0][1]]),
     )
     if args.format == "json":
-        print(json.dumps({
+        print_json({
             "schema_version": SCHEMA_VERSION,
             "type": args.type.upper(),
             "entries": [
@@ -285,7 +329,7 @@ def cmd_table(args) -> int:
                  "product": table[(u, v)].to_json_obj()}
                 for (u, v), _ in items
             ],
-        }, indent=2))
+        })
     elif args.format == "latex":
         print("\\begin{tabular}{|c|c|c|}")
         print("\\hline")
@@ -315,7 +359,7 @@ def cmd_qsharp(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     if args.format == "json":
-        print(json.dumps(affine_class_json(calc, out, args.type.upper()), indent=2))
+        print_json(affine_class_json(calc, out, args.type.upper()))
     else:
         print(calc.format_class(out))
     return 0
@@ -351,7 +395,7 @@ def cmd_present(args) -> int:
         if record["status"] == "partial":
             print(f"% {record['gap']}")
     else:
-        print(json.dumps(record, indent=2))
+        print_json(record)
     return 0
 
 

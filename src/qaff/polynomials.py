@@ -427,7 +427,9 @@ class QModule:
         first, so the sums run on ``int`` whenever the classes ``x`` have
         integral coefficients.  Every product is added in place into one table
         ``w -> exponent -> coefficient``, and one Poly is built per basis
-        element of the result, after dividing by ``den``.
+        element of the result, after dividing by ``den``.  A lone ``(1, x)``
+        with ``x`` of this module returns ``x`` itself, not a copy: classes are
+        immutable by convention.
         """
         work = []
         den = 1
@@ -440,6 +442,11 @@ class QModule:
                     if v.__class__ is Fraction:
                         den = lcm(den, v.denominator)
         const = (0,) * self.nq
+        if len(work) == 1:
+            cterms, x = work[0]
+            if (len(cterms) == 1 and cterms.get(const) == 1 and x.nq == self.nq
+                    and x.length is self._length and x.word is self._word):
+                return x
         acc: dict[Hashable, dict[Exp, Scalar]] = {}
         for cterms, x in work:
             scaled = [

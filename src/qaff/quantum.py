@@ -28,7 +28,7 @@ from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import Poly, QClass, QModule, solve_exact
 from .roots import build_root_system, coroot_ht
-from .weyl import FinW, affine_weyl, finite_reflection, finite_weyl
+from .weyl import affine_weyl, finite_reflection, finite_weyl
 
 
 class FiniteQRing(QModule):
@@ -43,7 +43,7 @@ class FiniteQRing(QModule):
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
                          self.FW.identity, nq)
 
-    def multiplication_table(self, cap: int = 48) -> dict[tuple[FinW, FinW], QClass]:
+    def multiplication_table(self, cap: int = 48) -> dict[tuple[int, int], QClass]:
         """All ordered products; computed on unordered pairs and mirrored."""
         if len(self.FW.elements) > cap:
             raise ValueError(
@@ -71,10 +71,17 @@ class QuantumAff(FiniteQRing):
         self.fs = finite_schubert(letter, rank)
         W_aff = affine_weyl(letter, rank)
         self.ard = W_aff.ard
-        self._chev = enumerate_chevalley_roots(W_aff)
-        self._lambda_img: dict[tuple[int, FinW], QClass] = {}
-        self._lift_img: dict[tuple[FinW, FinW], QClass] = {}
-        self._correction: dict[FinW, QClass] = {}
+        # per finite index i: (<lambda_i - m_i lambda_0, alpha^vee> q^{alpha^vee}, word of
+        # s_alpha) over the Chevalley roots alpha with a nonzero pairing
+        self._quantum_terms = [
+            [(Poly.monomial(self.nq, tuple(cr.coroot), k), cr.word)
+             for cr in enumerate_chevalley_roots(W_aff)
+             if (k := self.ard.level_zero_weight_pairing(i, cr.coroot))]
+            for i in range(1, rank + 1)
+        ]
+        self._lambda_img: dict[tuple[int, int], QClass] = {}
+        self._lift_img: dict[tuple[int, int], QClass] = {}
+        self._correction: dict[int, QClass] = {}
 
     def from_finite(self, a: FinCohClass) -> QClass:
         return self._make({w: Poly.const(self.nq, c) for w, c in a.items()})
@@ -84,16 +91,12 @@ class QuantumAff(FiniteQRing):
 
     # -- the Chevalley operators ---------------------------------------------------
 
-    def _lambda_basis(self, i: int, w: FinW) -> QClass:
+    def _lambda_basis(self, i: int, w: int) -> QClass:
         key = (i, w)
         if key not in self._lambda_img:
             pairs = [(1, self.from_finite(self.fs.chevalley_cup(i, {w: 1})))]
-            for cr in self._chev:
-                k = self.ard.level_zero_weight_pairing(i, cr.coroot)
-                if k:
-                    moved = self.fs.pi_word(cr.word, {w: 1})
-                    pairs.append((Poly.monomial(self.nq, tuple(cr.coroot), k),
-                                  self.from_finite(moved)))
+            for q, word in self._quantum_terms[i - 1]:
+                pairs.append((q, self.from_finite(self.fs.pi_word(word, {w: 1}))))
             self._lambda_img[key] = self.combine(pairs)
         return self._lambda_img[key]
 
@@ -110,7 +113,7 @@ class QuantumAff(FiniteQRing):
 
     # -- operator lifting (graded Nakayama recursion) ----------------------------------
 
-    def _lift_correction(self, w: FinW) -> QClass:
+    def _lift_correction(self, w: int) -> QClass:
         """``T_w(1) - sigma_w``, once per w.
 
         It is the quantum part of ``sum a lambda_bar_i sigma_{w'}``.  The lift
@@ -124,7 +127,7 @@ class QuantumAff(FiniteQRing):
             self._correction[w] = corr
         return self._correction[w]
 
-    def lift_expression(self, w: FinW) -> list[tuple[Poly, tuple[int, ...]]]:
+    def lift_expression(self, w: int) -> list[tuple[Poly, tuple[int, ...]]]:
         """``L_w`` flattened to ``[(q-coefficient, lambda_bar-monomial)]``.
 
         The recursion is expanded all the way down: ``T_w`` adds ``i`` to each
@@ -134,9 +137,9 @@ class QuantumAff(FiniteQRing):
         coefficients whose value at 1 is exactly ``sigma_w``.
         """
         zero = Poly.zero(self.nq)
-        memo: dict[FinW, dict[tuple[int, ...], Poly]] = {self.FW.identity: {(): Poly.one(self.nq)}}
+        memo: dict[int, dict[tuple[int, ...], Poly]] = {self.FW.identity: {(): Poly.one(self.nq)}}
 
-        def flat(v: FinW) -> dict[tuple[int, ...], Poly]:
+        def flat(v: int) -> dict[tuple[int, ...], Poly]:
             if v not in memo:
                 out: dict[tuple[int, ...], Poly] = {}
                 for a, i, u in self.fs.chevalley_expression(v):
@@ -151,7 +154,7 @@ class QuantumAff(FiniteQRing):
 
         return [(poly, mono) for mono, poly in flat(w).items()]
 
-    def _T_apply(self, w: FinW, b: QClass) -> QClass:
+    def _T_apply(self, w: int, b: QClass) -> QClass:
         """``T_w(b) = sum a lambda_bar_i(L_{w'}(b))`` from the classical Monk step
         ``sigma_w = sum a sigma_i . sigma_{w'}``; ``T_e`` is the identity."""
         if w == self.FW.identity:
@@ -159,7 +162,7 @@ class QuantumAff(FiniteQRing):
         return self.combine((a, self.lambda_bar(i, self.lift_apply(v, b)))
                             for a, i, v in self.fs.chevalley_expression(w))
 
-    def _lift_apply_basis(self, w: FinW, v: FinW) -> QClass:
+    def _lift_apply_basis(self, w: int, v: int) -> QClass:
         key = (w, v)
         if key not in self._lift_img:
             pairs = [(1, self._T_apply(w, self.basis(v)))]
@@ -168,7 +171,7 @@ class QuantumAff(FiniteQRing):
             self._lift_img[key] = self.combine(pairs)
         return self._lift_img[key]
 
-    def lift_apply(self, w: FinW, b: QClass) -> QClass:
+    def lift_apply(self, w: int, b: QClass) -> QClass:
         """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
         return self.combine((c, self._lift_apply_basis(w, v)) for v, c in b.terms.items())
 
@@ -180,9 +183,9 @@ class QuantumAff(FiniteQRing):
     def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
         """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
         total = Poly.zero(self.nq)
-        w0 = self.FW.w0
+        FW = self.FW
         for u, c in a.terms.items():
-            d = b.terms.get(w0 * u)
+            d = b.terms.get(FW.mul(FW.w0, u))
             if d is not None:
                 total = total + c * d
         return total
@@ -212,7 +215,7 @@ class QuantumAff(FiniteQRing):
 
     def specialize_q0(self, a: QClass) -> QClass:
         """Kill q0 and re-index the remaining variables to q1..qn."""
-        out: dict[FinW, Poly] = {}
+        out: dict[int, Poly] = {}
         for w, poly in a.terms.items():
             kept = {e[1:]: c for e, c in poly.terms.items() if e[0] == 0}
             if kept:
@@ -246,7 +249,10 @@ class OrdinaryQH(FiniteQRing):
     finite positive roots with ``l(s_alpha) = 2 ht(alpha^vee) - 1`` and length
     drop ``2 ht(alpha^vee) - 1``.  Divisor expressions and lifting are redone
     here from the q = 0 part of this rule, so nothing quantum is shared with
-    :class:`QuantumAff`.  Its q-variables are q1..qn.
+    :class:`QuantumAff`.  Its q-variables are q1..qn.  It multiplies by
+    ``s_alpha`` by composing root permutations (:class:`~qaff.weyl.FinW`) and
+    reads only ``perm``, ``index`` and ``length`` of the numbered group, never
+    the generator table or the cover rows that :class:`QuantumAff` runs on.
     """
 
     q_offset = 1
@@ -259,24 +265,25 @@ class OrdinaryQH(FiniteQRing):
         self._quantum_roots = [
             beta
             for beta in self.rs.positive_roots
-            if self.FW.length[self._refl[beta]] == 2 * coroot_ht(self.rs.coroot(beta)) - 1
+            if self.FW.length[self.FW.id_of(self._refl[beta])]
+            == 2 * coroot_ht(self.rs.coroot(beta)) - 1
         ]
-        self._express: dict[FinW, list[tuple[Fraction, tuple[int, ...]]]] = {}
+        self._express: dict[int, list[tuple[Fraction, tuple[int, ...]]]] = {}
         self._mono_classical: dict[tuple[int, ...], QClass] = {(): self.unit()}
-        self._lift_img: dict[tuple[FinW, FinW], QClass] = {}
+        self._lift_img: dict[tuple[int, int], QClass] = {}
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Full quantum Chevalley multiplication by sigma_i: the classical
         terms of :meth:`chevalley_classical` plus the quantum-root terms."""
         out = dict(self.chevalley_classical(i, a).terms)
         for w, c in a.terms.items():
-            lw = self.FW.length[w]
+            x, lw = self.FW.element(w), self.FW.length[w]
             for beta in self._quantum_roots:
                 k = self.rs.coroot(beta)[i - 1]
                 if not k:
                     continue
                 ht = coroot_ht(self.rs.coroot(beta))
-                u = w * self._refl[beta]
+                u = self.FW.id_of(x * self._refl[beta])
                 if self.FW.length[u] == lw + 1 - 2 * ht:
                     e = tuple(self.rs.coroot(beta))
                     s = out.get(u)
@@ -285,14 +292,14 @@ class OrdinaryQH(FiniteQRing):
         return self._make(out)
 
     def chevalley_classical(self, i: int, a: QClass) -> QClass:
-        out: dict[FinW, Poly] = {}
+        out: dict[int, Poly] = {}
         for w, c in a.terms.items():
-            lw = self.FW.length[w]
+            x, lw = self.FW.element(w), self.FW.length[w]
             for beta in self.rs.positive_roots:
                 k = self.rs.coroot(beta)[i - 1]
                 if not k:
                     continue
-                u = w * self._refl[beta]
+                u = self.FW.id_of(x * self._refl[beta])
                 if self.FW.length[u] == lw + 1:
                     s = out.get(u)
                     out[u] = k * c if s is None else s + k * c
@@ -306,7 +313,7 @@ class OrdinaryQH(FiniteQRing):
                 mono[0], self._monomial_classical(mono[1:]))
         return cls
 
-    def express_in_divisors(self, w: FinW) -> list[tuple[Fraction, tuple[int, ...]]]:
+    def express_in_divisors(self, w: int) -> list[tuple[Fraction, tuple[int, ...]]]:
         if w not in self._express:
             lw = self.FW.length[w]
             monos = list(combinations_with_replacement(range(1, self.n + 1), lw))
@@ -320,7 +327,7 @@ class OrdinaryQH(FiniteQRing):
             self._express[w] = [(c, m) for c, m in zip(sol, monos) if c]
         return self._express[w]
 
-    def _T_apply(self, w: FinW, b: QClass) -> QClass:
+    def _T_apply(self, w: int, b: QClass) -> QClass:
         out = self.zero()
         for coef, mono in self.express_in_divisors(w):
             cls = b
@@ -329,7 +336,7 @@ class OrdinaryQH(FiniteQRing):
             out = out + cls.scale(coef)
         return out
 
-    def _lift_apply_basis(self, w: FinW, v: FinW) -> QClass:
+    def _lift_apply_basis(self, w: int, v: int) -> QClass:
         key = (w, v)
         if key not in self._lift_img:
             t = self._T_apply(w, self.basis(v))

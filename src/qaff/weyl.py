@@ -37,8 +37,9 @@ class FinW:
     ``w(beta) < 0`` reads as ``perm[i] >= N``.  The actions on lattice vectors
     are linear, so they come from the images of the simple roots, and the
     inverse actions from their preimages.  Equality and hashing use ``perm``;
-    the hash is computed on first use and kept, since elements key every
-    Schubert-basis dict.
+    the hash is computed on first use and kept, since affine elements (whose
+    ``v`` is a ``FinW``) key the affine memos.  The finite side runs on the ids
+    of :class:`FiniteWeyl` instead.
     """
 
     __slots__ = ("perm", "table", "_hash")
@@ -364,47 +365,102 @@ def affine_weyl(letter: str, rank: int) -> AffineWeylGroup:
 
 
 class FiniteWeyl:
-    """The finite Weyl group of a root system, fully enumerated with words."""
+    """The finite Weyl group of a root system, its elements numbered ``0..|W|-1``.
+
+    Elements are ints (ids), in breadth-first order from the identity ``0``
+    along right multiplication by ``s_1, ..., s_n``, so ids grow with length.
+    Every Schubert-basis dict of :mod:`qaff.bgg` and :mod:`qaff.quantum` is
+    keyed by them, and arithmetic on them is table lookup:
+
+    * ``rmul[i][w]`` is the id of ``w s_{i+1}``;
+    * ``length[w]`` and ``word[w]`` (0-indexed letters) are indexed by id;
+    * ``covers(w)`` lists the Bruhat covers ``w s_beta``, once per element.
+
+    :class:`FinW` is the boundary form: ``perm[w]`` is element w's permutation
+    of the roots and ``index`` maps a permutation back to its id, which
+    :meth:`element`, :meth:`id_of` and the general product :meth:`mul` use.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self.n = rs.rank
-        self.identity = finite_identity(rs)
-        self.gens = [
-            finite_reflection(rs, rs.simple_root(i + 1)) for i in range(self.n)
-        ]
-        self.elements: list[FinW] = [self.identity]
-        self.word: dict[FinW, tuple[int, ...]] = {self.identity: ()}
-        self.length: dict[FinW, int] = {self.identity: 0}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for i, s in enumerate(self.gens):
-                    u = w * s
-                    if u not in self.word:
-                        self.word[u] = self.word[w] + (i,)
-                        self.length[u] = self.length[w] + 1
-                        self.elements.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        self.w0 = max(self.elements, key=self.length.get)  # type: ignore[arg-type]
-        self.by_length: dict[int, list[FinW]] = {}
+        table = rs.table
+        npos = rs.num_positive
+        e = tuple(range(len(table.roots)))
+        self.perm: list[tuple[int, ...]] = [e]
+        self.index: dict[tuple[int, ...], int] = {e: 0}
+        self.length: list[int] = [0]
+        # a dict, not a list, so that readers may call word.get
+        self.word: dict[int, tuple[int, ...]] = {0: ()}
+        self.rmul: list[list[int]] = [[] for _ in range(self.n)]
+        gens = [itemgetter(*table.reflections[s]) for s in table.simple]
+        # ids are handed out in discovery order, so scanning them in order is the BFS
+        w = 0
+        while w < len(self.perm):
+            p, lw, word = self.perm[w], self.length[w] + 1, self.word[w]
+            for i, (g, row) in enumerate(zip(gens, self.rmul)):
+                q = g(p)
+                u = self.index.get(q)
+                if u is None:
+                    u = self.index[q] = len(self.perm)
+                    self.perm.append(q)
+                    self.length.append(lw)
+                    self.word[u] = word + (i,)
+                row.append(u)
+            w += 1
+        self.elements = range(len(self.perm))
+        self.identity = 0
+        self.gens = [row[0] for row in self.rmul]
+        self.w0 = max(self.elements, key=self.length.__getitem__)
+        self.by_length: dict[int, list[int]] = {}
         for w in self.elements:
             self.by_length.setdefault(self.length[w], []).append(w)
+        self._refl = [itemgetter(*r) for r in table.reflections[:npos]]
+        self._covers: list[list[tuple[int, int]] | None] = [None] * len(self.perm)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.perm)
 
-    def right_descents(self, w: FinW) -> list[int]:
+    def element(self, w: int) -> FinW:
+        return FinW(self.perm[w], self.rs.table)
+
+    def id_of(self, x: FinW) -> int:
+        return self.index[x.perm]
+
+    def mul(self, u: int, v: int) -> int:
+        """The id of ``u v``, by composing permutations; for cold paths."""
+        return self.index[itemgetter(*self.perm[v])(self.perm[u])]
+
+    def covers(self, w: int) -> list[tuple[int, int]]:
+        """``[(u, b)]`` with ``u = w s_beta`` and ``len(u) = len(w) + 1``, where
+        ``beta`` is the positive root of table index ``b``; in ``b`` order.
+
+        ``len(w s_beta) > len(w)`` exactly when ``w(beta) > 0``, so only those
+        roots are tried.  Each row is built on first use and kept.
+        """
+        row = self._covers[w]
+        if row is None:
+            p, npos = self.perm[w], self.rs.num_positive
+            lw = self.length[w] + 1
+            row = []
+            for b, refl in enumerate(self._refl):
+                if p[b] < npos:
+                    u = self.index[refl(p)]
+                    if self.length[u] == lw:
+                        row.append((u, b))
+            self._covers[w] = row
+        return row
+
+    def right_descents(self, w: int) -> list[int]:
         npos = self.rs.num_positive
-        return [i for i, s in enumerate(self.rs.table.simple) if w.perm[s] >= npos]
+        p = self.perm[w]
+        return [i for i, s in enumerate(self.rs.table.simple) if p[s] >= npos]
 
-    def format(self, w: FinW) -> str:
+    def format(self, w: int) -> str:
         word = self.word[w]
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
-    def parse(self, text: str) -> FinW:
+    def parse(self, text: str) -> int:
         text = text.strip()
         if text in ("e", "", "1"):
             return self.identity
@@ -415,7 +471,7 @@ class FiniteWeyl:
             i = int(m)
             if not 1 <= i <= self.n:
                 raise ValueError(f"generator index {i} out of range")
-            w = w * self.gens[i - 1]
+            w = self.rmul[i - 1][w]
         return w
 
 

@@ -93,7 +93,7 @@ class PolynomialBGG:
             order = sorted(self.W.elements, key=lambda x: -self.W.length[x])
             for v in order:
                 for j in range(self.n):
-                    u = v * self.W.gens[j]
+                    u = self.W.mul(v, self.W.gens[j])
                     if self.W.length[u] < self.W.length[v] and u not in reps:
                         reps[u] = self.dd_simple(j, reps[v])
                 reps.setdefault(v, reps.get(v))

@@ -65,7 +65,7 @@ class TestSchubertBasis:
         FW = a2_poly.W
         for u in FW.elements:
             for v in FW.elements:
-                expected = 1 if u == FW.w0 * v else 0
+                expected = 1 if u == FW.mul(FW.w0, v) else 0
                 assert a2_poly.poincare_pairing({u: 1}, {v: 1}) == expected
 
     def test_cup_is_commutative_and_unital(self, a2_poly):

@@ -94,6 +94,20 @@ class TestCombine:
         assert got == x
         assert all(type(c) is int for c in coefficients(got))
 
+    def test_a_lone_unit_pair_returns_the_class_itself(self):
+        x = MODULE.basis(1, Poly.variable(NQ, 0) + 3) + MODULE.basis(4, Fraction(1, 2))
+        assert MODULE.combine([(1, x)]) is x
+        assert MODULE.combine([(Poly.one(NQ), x)]) is x
+        assert MODULE.combine((c, x) for c in [1, 0]) is x
+        for pairs in ([(2, x)], [(Fraction(1, 2), x)], [(Poly.variable(NQ, 1), x)],
+                      [(1, x), (1, x)], [(Fraction(1, 2), x), (Fraction(1, 2), x)]):
+            got = MODULE.combine(pairs)
+            assert got is not x and got == scale_and_add(pairs)
+        # a class of another module (other length and word callables) is copied
+        other = QModule(lambda w: w, lambda w: (w,), 0, NQ)
+        got = other.combine([(1, x)])
+        assert got is not x and got == x and got.length is other._length
+
     def test_accepts_a_generator_and_skips_zero_coefficients(self):
         x = MODULE.basis(2)
         got = MODULE.combine((c, x) for c in [0, Poly.zero(NQ), 2])

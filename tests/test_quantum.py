@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 from goldens_fl3 import FL3_TABLE, build_class
 
+from qaff import quantum
 from qaff.affine import affine_coh
 from qaff.polynomials import Poly
-from qaff.quantum import ordinary_qh, quantum_aff
+from qaff.quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
+from qaff.weyl import FiniteWeyl
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +145,7 @@ class TestRingAxioms:
         for u in FW.elements:
             for v in FW.elements:
                 pairing = a2.poincare_pairing(a2.basis(u), a2.basis(v))
-                if FW.w0 * u == v:
+                if FW.mul(FW.w0, u) == v:
                     assert pairing == Poly.one(3)
                 else:
                     assert pairing.is_zero()
@@ -206,6 +208,41 @@ class TestSpecialization:
         assert report["ok"], report
         assert report["mismatches"] == 0
         assert report["checked"] > 0
+
+    @pytest.mark.parametrize("lt", ["B3", "C3", "D4"])
+    def test_fw_chevalley_on_rank_three_and_four(self, lt):
+        ring = quantum_aff(lt[0], int(lt[1]))
+        report = ring.verify_fw_chevalley()
+        assert report["ok"], report
+        assert report["checked"] == ring.n * len(ring.FW)
+
+    def test_fw_chevalley_sees_one_changed_row(self):
+        ring = QuantumAff("B", 3)
+        assert ring.verify_fw_chevalley()["ok"]
+        key = (2, ring.FW.w0)
+        ring._lambda_img[key] = ring._lambda_img[key] + ring.basis(ring.FW.identity)
+        assert ring.verify_fw_chevalley()["mismatches"] == 1
+
+    def test_ordinary_engine_reads_no_generator_table_or_cover_rows(self, monkeypatch):
+        ring = quantum_aff("B", 3)
+        assert ring.verify_fw_chevalley()["ok"]  # fills the rows before the guard
+        fw = FiniteWeyl(ring.rs)
+        fw.rmul = None
+
+        def no_covers(self, w):
+            raise AssertionError("OrdinaryQH read a cover row")
+
+        monkeypatch.setattr(FiniteWeyl, "covers", no_covers)
+        monkeypatch.setattr(quantum, "finite_weyl", lambda letter, rank: fw)
+        oq = OrdinaryQH("B", 3)
+        assert oq.FW is fw
+        for i in range(1, 4):
+            for w in fw.elements:
+                want = oq.chevalley(i, oq.basis(w))
+                assert ring.specialize_q0(ring._lambda_basis(i, w)).terms == want.terms
+        u, v = ring.FW.parse("s1s2"), ring.FW.parse("s3s2")
+        assert oq.star(oq.basis(u), oq.basis(v)) == ordinary_qh("B", 3).star(
+            ordinary_qh("B", 3).basis(u), ordinary_qh("B", 3).basis(v))
 
 
 class TestOrdinaryEngine:

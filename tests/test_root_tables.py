@@ -246,8 +246,8 @@ def test_finite_products_actions_inverses_match_oracle(letter, rank):
     def both(word):
         w, o = fw.identity, oracle_identity(rank)
         for i in word:
-            w, o = w * fw.gens[i], o * gens[i]
-        return w, o
+            w, o = fw.mul(w, fw.gens[i]), o * gens[i]
+        return fw.element(w), o
 
     words = _words(rng, range(rank), 24, 2 * rs.num_positive)
     for wa, wb in zip(words, reversed(words)):
@@ -267,7 +267,7 @@ def test_finite_products_actions_inverses_match_oracle(letter, rank):
             assert a.inv_coroot(x) == _matvec(oa.inv_comat, x)
         for beta in rs.positive_roots:
             assert a.root(beta) == rs.table.roots[a.perm[rs.table.index[beta]]]
-        assert fw.right_descents(a) == [
+        assert fw.right_descents(fw.id_of(a)) == [
             i for i in range(rank) if sum(_matvec(oa.mat, rs.simple_root(i + 1))) < 0
         ]
 

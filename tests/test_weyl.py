@@ -1,9 +1,17 @@
 import itertools
+import random
 
 import pytest
 
 from qaff.roots import AffineRoot, affinize, build_root_system
-from qaff.weyl import AffW, affine_weyl, finite_reflection, finite_weyl, weyl_order
+from qaff.weyl import (
+    AffW,
+    affine_weyl,
+    finite_identity,
+    finite_reflection,
+    finite_weyl,
+    weyl_order,
+)
 
 GROUP_ORDERS = {"A2": 6, "B2": 8, "G2": 12, "A3": 24, "B3": 48}
 
@@ -32,7 +40,7 @@ def test_finite_words_are_reduced():
         assert len(word) == fw.length[w]
         rebuilt = fw.identity
         for i in word:
-            rebuilt = rebuilt * fw.gens[i]
+            rebuilt = fw.mul(rebuilt, fw.gens[i])
         assert rebuilt == w
 
 
@@ -51,10 +59,10 @@ def test_finite_parse_format_roundtrip():
 def test_longest_element():
     fw = finite_weyl("A", 3)
     assert fw.length[fw.w0] == 6
-    assert fw.w0 * fw.w0 == fw.identity
+    assert fw.mul(fw.w0, fw.w0) == fw.identity
     # w0 sends every positive root to a negative one
     for beta in fw.rs.positive_roots:
-        img = fw.w0.root(beta)
+        img = fw.element(fw.w0).root(beta)
         assert all(x <= 0 for x in img) and any(x < 0 for x in img)
 
 
@@ -69,9 +77,9 @@ def test_finite_reflection_squares_to_identity():
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("D", 4)])
 def test_products_equal_and_hash_like_canonical_elements(letter, rank):
     fw = finite_weyl(letter, rank)
-    canonical = {w: w for w in fw.elements}
-    for w in fw.elements:
-        for s in fw.gens:
+    canonical = {w: w for w in map(fw.element, fw.elements)}
+    for w in map(fw.element, fw.elements):
+        for s in map(fw.element, fw.gens):
             u = w * s
             c = canonical[u]
             assert u is not c and u == c and hash(u) == hash(c)
@@ -205,3 +213,54 @@ def test_affw_is_an_immutable_value():
     assert AffW(w.v, w.t) == w == W.multiply(W.simple(0), W.simple(1))
     with pytest.raises(AttributeError):
         w.t = (0, 0)
+
+
+# -- the numbered finite group against permutation composition ----------------------
+
+ID_TYPES = [
+    ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+    ("B", 2), ("B", 3), ("B", 4),
+    ("C", 2), ("C", 3), ("C", 4),
+    ("D", 4), ("G", 2), ("F", 4),
+]
+
+
+@pytest.mark.parametrize("letter,rank", ID_TYPES)
+def test_finite_ids_match_permutation_composition(letter, rank):
+    """The generator table, ``mul``, the cover rows, ``length``, ``word``, ``w0``
+    and ``by_length`` against ``FinW`` products of the ids' permutations."""
+    rs = build_root_system(letter, rank)
+    fw = finite_weyl(letter, rank)
+    npos = rs.num_positive
+    elts = [fw.element(w) for w in fw.elements]
+    gens = [finite_reflection(rs, rs.simple_root(i + 1)) for i in range(rank)]
+
+    def id_of(x):
+        return fw.index[x.perm]
+
+    assert len(set(fw.perm)) == len(fw) == weyl_order(letter, rank)
+    assert all(fw.index[p] == w for w, p in enumerate(fw.perm))
+    assert elts[fw.identity] == finite_identity(rs)
+    assert [elts[s] for s in fw.gens] == gens
+    for w, x in enumerate(elts):
+        assert fw.length[w] == sum(p >= npos for p in x.perm[:npos])  # inversions
+        rebuilt = finite_identity(rs)
+        for i in fw.word[w]:
+            rebuilt = rebuilt * gens[i]
+        assert len(fw.word[w]) == fw.length[w] and rebuilt == x
+        assert [row[w] for row in fw.rmul] == [id_of(x * s) for s in gens]
+        covers = []
+        for beta in rs.positive_roots:
+            u = id_of(x * finite_reflection(rs, beta))
+            if fw.length[u] == fw.length[w] + 1:
+                covers.append((u, rs.table.index[beta]))
+        assert fw.covers(w) == sorted(covers, key=lambda pair: pair[1])
+    assert list(fw.elements) == sorted(fw.elements, key=fw.length.__getitem__)
+    assert [w for w, x in enumerate(elts) if all(p >= npos for p in x.perm[:npos])] == [fw.w0]
+    assert fw.by_length == {
+        ell: [w for w in fw.elements if fw.length[w] == ell] for ell in range(npos + 1)
+    }
+    rng = random.Random(f"ids/{letter}{rank}")
+    for _ in range(200):
+        u, v = rng.randrange(len(fw)), rng.randrange(len(fw))
+        assert fw.mul(u, v) == id_of(elts[u] * elts[v])
