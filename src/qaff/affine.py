@@ -1,7 +1,8 @@
 """Schubert calculus on the (truncated) cohomology of the affine flag manifold.
 
-Classes are finitely supported maps from affine Weyl elements to polynomials
-in the quantum parameters ``q_0..q_n``.  The coefficients are exact, so the
+Classes are finitely supported maps from affine Weyl elements (the int ids of
+:class:`~qaff.weyl.AffineWeylGroup`) to polynomials in the quantum parameters
+``q_0..q_n``.  The coefficients are exact, so the
 truncation bound L is an interface guard, not a numerical watermark: asking an
 operator to produce support at length >= L raises :class:`TruncationOverflow`
 naming the bound that would suffice.
@@ -34,7 +35,7 @@ from .bgg import FinCohClass, FiniteSchubert, finite_schubert
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import Poly, QClass, QModule, solve_exact
 from .roots import CorootVec
-from .weyl import AffW, AffineWeylGroup, affine_weyl
+from .weyl import AffineWeylGroup, affine_weyl
 
 
 class TruncationOverflow(RuntimeError):
@@ -84,7 +85,7 @@ class AffineCoh(QModule):
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
         self._guard(a)
-        out: dict[AffW, Poly] = {}
+        out: dict[int, Poly] = {}
         for w, c in a.terms.items():
             for u, _, coroot in self._chev.cover_rows(w).classical:
                 k = coroot[i]
@@ -94,11 +95,11 @@ class AffineCoh(QModule):
         return self._make(out)
 
     def D_letter(self, i: int, a: QClass) -> QClass:
-        out: dict[AffW, Poly] = {}
-        si = self.W.simple(i)
+        out: dict[int, Poly] = {}
+        W = self.W
         for w, c in a.terms.items():
-            u = self.W.multiply(w, si)
-            if self.W.length(u) < self.W.length(w):
+            u = W.rmul(w, i)
+            if W.length(u) < W.length(w):
                 out[u] = c  # w -> w s_i is injective, so no two terms meet
         return self._make(out)
 
@@ -119,7 +120,7 @@ class AffineCoh(QModule):
         ``l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee)``, the quantum-cover length
         condition.
         """
-        quantum: dict[AffW, Poly] = {}
+        quantum: dict[int, Poly] = {}
         for w, c in a.terms.items():
             for u, cr in self._chev.cover_rows(w).quantum:
                 k = cr.coroot[i]
@@ -148,20 +149,18 @@ class AffineCoh(QModule):
         if not 1 <= i <= self.n:
             raise ValueError("modified operator needs a finite index")
         m_i = self.ard.rs.theta_coroot[i - 1]
-        out = self.lambda_op(i, a)
-        if m_i:
-            out = out - self.lambda_op(0, a).scale(Fraction(m_i))
-        return out
+        if not m_i:
+            return self.lambda_op(i, a)
+        return self.combine([(1, self.lambda_op(i, a)), (-m_i, self.lambda_op(0, a))])
 
     # -- pullback along evaluation at the base point ---------------------------------
 
     def divisor_pullback(self, i: int, a: QClass) -> QClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
         m_i = self.ard.rs.theta_coroot[i - 1]
-        out = self.chevalley(i, a)
-        if m_i:
-            out = out - self.chevalley(0, a).scale(Fraction(m_i))
-        return out
+        if not m_i:
+            return self.chevalley(i, a)
+        return self.combine([(1, self.chevalley(i, a)), (-m_i, self.chevalley(0, a))])
 
     def e1_pullback(self, a: FinCohClass) -> QClass:
         for w in a:
@@ -194,7 +193,7 @@ class AffineCoh(QModule):
         Raises ValueError when some layer lies outside the divisor span.
         """
         # split into (q-exponent, length) layers of plain rational classes
-        layers: dict[tuple[tuple[int, ...], int], dict[AffW, Fraction]] = {}
+        layers: dict[tuple[tuple[int, ...], int], dict[int, Fraction]] = {}
         for w, poly in a.terms.items():
             lw = self.W.length(w)
             for e, c in poly.terms.items():

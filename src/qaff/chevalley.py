@@ -26,7 +26,7 @@ from .roots import (
     coroot_ht,
     coroot_leq,
 )
-from .weyl import AffW, AffineWeylGroup, affine_weyl
+from .weyl import AffineWeylGroup, affine_weyl
 
 
 class ChevalleyRoot(NamedTuple):
@@ -38,16 +38,16 @@ class ChevalleyRoot(NamedTuple):
 
 
 class CoverRows(NamedTuple):
-    classical: list[tuple[AffW, AffineRoot, CorootVec]]
-    quantum: list[tuple[AffW, ChevalleyRoot]]
+    classical: list[tuple[int, AffineRoot, CorootVec]]
+    quantum: list[tuple[int, ChevalleyRoot]]
 
 
 class ChevalleyRootSet:
     """The full set for one affine type, sorted by coroot height.
 
-    It also keeps, per affine element, the covers out of it (:meth:`cover_rows`),
-    which the affine quantum Chevalley operators and the weighted covers of
-    :mod:`qaff.neighborhoods` both read.
+    It also keeps, per affine element id of ``W``, the covers out of it
+    (:meth:`cover_rows`), which the affine quantum Chevalley operators and the
+    weighted covers of :mod:`qaff.neighborhoods` both read.
     """
 
     def __init__(self, W: AffineWeylGroup):
@@ -55,9 +55,9 @@ class ChevalleyRootSet:
         self.ard = W.ard
         self.roots = tuple(_enumerate(W))
         self._reflections = tuple(W.reflection(cr.root) for cr in self.roots)
-        self._rows: dict[AffW, CoverRows] = {}
+        self._rows: dict[int, CoverRows] = {}
 
-    def cover_rows(self, w: AffW) -> CoverRows:
+    def cover_rows(self, w: int) -> CoverRows:
         """The covers out of ``w``, computed once per element and kept.
 
         ``classical`` holds ``(w s_alpha, alpha, alpha^vee)`` for the Bruhat
@@ -141,7 +141,10 @@ def chevalley_root_set(letter: str, rank: int) -> ChevalleyRootSet:
 
 
 def enumerate_chevalley_roots(W: AffineWeylGroup) -> ChevalleyRootSet:
-    return chevalley_root_set(W.rs.letter, W.rs.rank)
+    """The set over ``W``: the cached one for the cached group, else a new one,
+    since cover rows hold ``W``'s own element ids."""
+    crs = chevalley_root_set(W.rs.letter, W.rs.rank)
+    return crs if crs.W is W else ChevalleyRootSet(W)
 
 
 def posir_reconstruct(W: AffineWeylGroup) -> dict[AffineRoot, tuple[int, ...]]:

@@ -1,6 +1,7 @@
 """Curve neighborhoods on the moment graph of the affine flag manifold.
 
-Vertices are affine Weyl elements; there is an edge between ``w`` and
+Vertices are affine Weyl elements (the int ids of
+:class:`~qaff.weyl.AffineWeylGroup`); there is an edge between ``w`` and
 ``w s_alpha`` for every real positive root alpha, and the T-stable curve it
 names has degree ``alpha^vee``.  A degree-d neighborhood question is a
 budget-bounded walk problem: which vertices can a walk starting at the
@@ -25,14 +26,14 @@ from typing import NamedTuple
 
 from .chevalley import enumerate_chevalley_roots
 from .roots import AffineRoot, CorootVec, coroot_ht, coroot_leq
-from .weyl import AffW, AffineWeylGroup
+from .weyl import AffineWeylGroup
 
 
 class QBruhatCover(NamedTuple):
     """One weighted cover ``u -> u s_alpha``; quantum iff ``q_deg`` is not None."""
 
-    source: AffW
-    target: AffW
+    source: int
+    target: int
     root: AffineRoot
     coroot: CorootVec
     q_deg: CorootVec | None
@@ -63,8 +64,8 @@ class MomentGraphSlice:
         self,
         W: AffineWeylGroup,
         L: int,
-        vertices: list[AffW],
-        edges: list[tuple[AffW, AffW, AffineRoot, CorootVec]],
+        vertices: list[int],
+        edges: list[tuple[int, int, AffineRoot, CorootVec]],
     ):
         self.W = W
         self.L = L
@@ -123,19 +124,19 @@ def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
 
 
 @lru_cache(maxsize=None)
-def _moves(W: AffineWeylGroup, d: CorootVec) -> tuple[tuple[AffW, CorootVec], ...]:
+def _moves(W: AffineWeylGroup, d: CorootVec) -> tuple[tuple[int, CorootVec], ...]:
     """``(s_alpha, alpha^vee)`` for every real positive root with ``alpha^vee <= d``."""
     ard = W.ard
     return tuple((W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(d))
 
 
-def _reachable(W: AffineWeylGroup, starts: list[AffW], d: CorootVec) -> set[AffW]:
+def _reachable(W: AffineWeylGroup, starts: list[int], d: CorootVec) -> set[int]:
     """Vertices reachable from ``starts`` by walks of componentwise degree <= d."""
     moves = _moves(W, tuple(d))
-    budgets: dict[AffW, list[CorootVec]] = {}
-    stack: list[tuple[AffW, CorootVec]] = [(w, d) for w in starts]
+    budgets: dict[int, list[CorootVec]] = {}
+    stack: list[tuple[int, CorootVec]] = [(w, d) for w in starts]
 
-    def record(w: AffW, b: CorootVec) -> bool:
+    def record(w: int, b: CorootVec) -> bool:
         kept = budgets.setdefault(w, [])
         if any(coroot_leq(b, old) for old in kept):
             return False
@@ -156,13 +157,13 @@ def _reachable(W: AffineWeylGroup, starts: list[AffW], d: CorootVec) -> set[AffW
     return set(budgets)
 
 
-def bruhat_maximal(W: AffineWeylGroup, elts: set[AffW]) -> list[AffW]:
+def bruhat_maximal(W: AffineWeylGroup, elts: set[int]) -> list[int]:
     """The Bruhat-maximal elements of ``elts``, by length, then reduced word.
 
     Elements are taken by decreasing length and each is tested only against
     the maxima found so far (see the module docstring).
     """
-    out: list[AffW] = []
+    out: list[int] = []
     for w in sorted(elts, key=W.length, reverse=True):
         if not any(W.bruhat_leq(w, m) for m in out):
             out.append(w)
@@ -170,20 +171,20 @@ def bruhat_maximal(W: AffineWeylGroup, elts: set[AffW]) -> list[AffW]:
     return out
 
 
-def z_components(W: AffineWeylGroup, d: CorootVec) -> list[AffW]:
+def z_components(W: AffineWeylGroup, d: CorootVec) -> list[int]:
     """Bruhat-maximal elements reachable from the identity within budget d."""
     if coroot_ht(d) == 0:
         return [W.identity]
     return bruhat_maximal(W, _reachable(W, [W.identity], d))
 
 
-def curve_neighborhood(W: AffineWeylGroup, u: AffW, d: CorootVec) -> list[AffW]:
+def curve_neighborhood(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
     """Components of the degree-d neighborhood of X(u), via Hecke products."""
     hits = {W.hecke_product(u, z) for z in z_components(W, d)}
     return bruhat_maximal(W, hits)
 
 
-def neighborhood_by_search(W: AffineWeylGroup, u: AffW, d: CorootVec) -> list[AffW]:
+def neighborhood_by_search(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
     """Independent oracle: walk from every cell of X(u), then take maxima."""
     lu = W.length(u)
     layers = W.enumerate_up_to(lu)
@@ -191,7 +192,7 @@ def neighborhood_by_search(W: AffineWeylGroup, u: AffW, d: CorootVec) -> list[Af
     return bruhat_maximal(W, _reachable(W, cells, d))
 
 
-def gw_invariant(W: AffineWeylGroup, i: int, u: AffW, w: AffW, d: CorootVec) -> int:
+def gw_invariant(W: AffineWeylGroup, i: int, u: int, w: int, d: CorootVec) -> int:
     """Coefficient-level Gromov-Witten number: nonzero only on degree match.
 
     This is the coefficient of ``q^d eps_w`` in the quantum part of
@@ -207,7 +208,7 @@ def gw_invariant(W: AffineWeylGroup, i: int, u: AffW, w: AffW, d: CorootVec) -> 
     return W.ard.weight_pairing(i, d)
 
 
-def qbruhat_covers(W: AffineWeylGroup, u: AffW) -> list[QBruhatCover]:
+def qbruhat_covers(W: AffineWeylGroup, u: int) -> list[QBruhatCover]:
     """All weighted covers out of u: classical ones and quantum ones.
 
     Classical covers come from the Bruhat cover scan.  Quantum covers need
@@ -233,7 +234,7 @@ def _chain_kind(first: QBruhatCover, second: QBruhatCover, rs) -> str:
 
 
 def qbruhat_chains(
-    W: AffineWeylGroup, u: AffW, v: AffW, kappa: CorootVec
+    W: AffineWeylGroup, u: int, v: int, kappa: CorootVec
 ) -> list[QBruhatChain]:
     """All two-step weighted chains from u to v of total quantum degree kappa."""
     out = []

@@ -561,7 +561,9 @@ def solve_exact(
     ``cols`` and ``target`` are sparse vectors over any hashable index.  Free
     variables are set to zero, so the answer is one solution, not the general
     one: the pivots are the columns independent of the columns to their left,
-    exactly what expressing a class in a spanning set needs.
+    exactly what expressing a class in a spanning set needs.  Back-substitution
+    runs on integers: ``x[k] = num[k] / den``, where ``den`` is the lcm of the
+    denominators found so far.
     """
     n = len(cols)
     rows: dict[Hashable, dict[int, Scalar]] = {}
@@ -573,12 +575,25 @@ def solve_exact(
     pivots = _echelon(rows.values())
     if n in pivots:
         return None
-    x = [Fraction(0)] * n
+    num = [0] * n
+    den = 1
+    done: list[int] = []
     for c in sorted(pivots, reverse=True):
         row = pivots[c]
-        s = row.get(n, 0) - sum(v * x[k] for k, v in row.items() if c < k < n)
-        x[c] = Fraction(s, row[c])
-    return x
+        # x[c] = t / (row[c] den), brought over the common denominator
+        t = row.get(n, 0) * den - sum(v * num[k] for k, v in row.items() if c < k < n)
+        d = row[c] * den
+        g = gcd(t, d)
+        t, d = (t // g, d // g) if d > 0 else (-t // g, -d // g)
+        f = d // gcd(d, den)
+        if f != 1:
+            den *= f
+            for k in done:
+                num[k] *= f
+        num[c] = t * (den // d)
+        done.append(c)
+    zero = Fraction(0)  # free variables share one immutable zero
+    return [Fraction(v, den) if v else zero for v in num]
 
 
 def matrix_rank(rows: Iterable[Mapping[Hashable, Scalar]]) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 import re
 from typing import NamedTuple
 
@@ -36,59 +36,63 @@ class FinW:
     :class:`~qaff.roots.RootTable`, so multiplication composes index tuples and
     ``w(beta) < 0`` reads as ``perm[i] >= N``.  The actions on lattice vectors
     are linear, so they come from the images of the simple roots, and the
-    inverse actions from their preimages.  Equality and hashing use ``perm``;
-    the hash is computed on first use and kept, since affine elements (whose
-    ``v`` is a ``FinW``) key the affine memos.  The finite side runs on the ids
-    of :class:`FiniteWeyl` instead.
+    inverse actions from their preimages.  Equality and hashing use ``perm``.
+    It is the boundary form of both groups: the finite side runs on the ids of
+    :class:`FiniteWeyl`, the affine side on those of :class:`AffineWeylGroup`.
     """
 
-    __slots__ = ("perm", "table", "_hash")
+    __slots__ = ("perm", "table")
 
     def __init__(self, perm: tuple[int, ...], table: RootTable):
         self.perm = perm
         self.table = table
-        self._hash: int | None = None
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FinW) and self.perm == other.perm
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.perm)
-        return h
+        return hash(self.perm)
 
     def __mul__(self, other: "FinW") -> "FinW":
         # a perm has at least two entries, so itemgetter returns a tuple
         return FinW(itemgetter(*other.perm)(self.perm), self.table)
 
     def inv(self) -> "FinW":
-        perm = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            perm[j] = i
-        return FinW(tuple(perm), self.table)
-
-    def _act(self, v: Vec, vectors: tuple[Vec, ...], image) -> Vec:
-        """``sum_j v_j * vectors[image(simple_j)]``, skipping zero coefficients."""
-        out = [0] * len(v)
-        for c, s in zip(v, self.table.simple):
-            if c:
-                for r, x in enumerate(vectors[image(s)]):
-                    out[r] += c * x
-        return tuple(out)
+        return FinW(_inverse(self.perm), self.table)
 
     def root(self, v: Vec) -> Vec:
-        return self._act(v, self.table.roots, self.perm.__getitem__)
+        return _act(self.table, v, self.table.roots, self.perm.__getitem__)
 
     def coroot(self, v: Vec) -> Vec:
-        return self._act(v, self.table.coroots, self.perm.__getitem__)
+        return _act(self.table, v, self.table.coroots, self.perm.__getitem__)
 
     def inv_coroot(self, v: Vec) -> Vec:
         """``w^{-1}(v)`` on coroot coordinates, from the preimages of the simple roots."""
-        return self._act(v, self.table.coroots, self.perm.index)
+        return _act(self.table, v, self.table.coroots, self.perm.index)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.perm))
+
+
+def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return tuple(out)
+
+
+def _act(table: RootTable, v: Vec, vectors: tuple[Vec, ...], image) -> Vec:
+    """``sum_j v_j * vectors[image(simple_j)]``, skipping zero coefficients.
+
+    With ``image`` a root permutation (or its ``index``, for the inverse), this
+    is the linear action on root or coroot coordinates.
+    """
+    out = [0] * len(v)
+    for c, s in zip(v, table.simple):
+        if c:
+            for r, x in enumerate(vectors[image(s)]):
+                out[r] += c * x
+    return tuple(out)
 
 
 def finite_identity(rs: RootSystem) -> FinW:
@@ -102,7 +106,12 @@ def finite_reflection(rs: RootSystem, beta: Vec) -> FinW:
 
 
 class AffW(NamedTuple):
-    """Affine Weyl element ``v * t_lambda`` (lambda in finite coroot coordinates)."""
+    """Affine Weyl element ``v * t_lambda`` (lambda in finite coroot coordinates).
+
+    The boundary form of an element of :class:`AffineWeylGroup`, which works
+    on int ids; see :meth:`AffineWeylGroup.element` and
+    :meth:`AffineWeylGroup.id_of`.
+    """
 
     v: FinW
     t: Vec
@@ -112,7 +121,15 @@ class AffW(NamedTuple):
 
 
 class AffineWeylGroup:
-    """Calculator for one affine Weyl group; owns the caches.
+    """Calculator for one affine Weyl group, on int ids; owns the caches.
+
+    The group is infinite, so elements are numbered as they are met: every
+    element is made by :meth:`_intern`, which gives each new ``(perm, t)`` the
+    next id.  ``perm[w]`` is the root permutation of w's finite part,
+    ``trans[w]`` its translation, and ``index`` maps ``(perm, t)`` back to the
+    id.  The identity is ``0``.  Lengths are computed on first read and kept,
+    and :meth:`rmul` keeps each product ``w s_i``.  :class:`AffW` is the
+    boundary form (:meth:`element`, :meth:`id_of`).
 
     >>> from qaff.roots import affinize
     >>> W = AffineWeylGroup(affinize("A", 1))
@@ -125,62 +142,108 @@ class AffineWeylGroup:
         self.rs = ard.rs
         self.table = ard.rs.table
         self.n = ard.rs.rank
-        self.identity = AffW(finite_identity(self.rs), (0,) * self.n)
-        self._simple: list[AffW] = []
+        self.perm: list[tuple[int, ...]] = []
+        self.trans: list[Vec] = []
+        self.index: dict[tuple[tuple[int, ...], Vec], int] = {}
+        self._length: list[int] = []  # -1 until first read
+        self._rmul: list[list[int] | None] = []  # per id, w s_i by i, -1 until made
+        self.identity = self._intern(finite_identity(self.rs).perm, (0,) * self.n)
+        self._simple: list[int] = []
         # each affine simple root as (level, index of its finite part)
         self._simple_roots: list[tuple[int, int]] = []
         for i in range(self.n + 1):
             ai = ard.simple_root(i)
             self._simple.append(self.reflection(ai))
             self._simple_roots.append((ai.level, self.table.index[ai.finite]))
-        self._bruhat_memo: dict[tuple[AffW, AffW], bool] = {}
-        self._covers_memo: dict[AffW, list[tuple[AffW, AffineRoot]]] = {}
-        self._word_memo: dict[AffW, tuple[int, ...]] = {}
+        self._bruhat_memo: dict[tuple[int, int], bool] = {}
+        self._covers_memo: dict[int, list[tuple[int, AffineRoot]]] = {}
+        self._word_memo: dict[int, tuple[int, ...]] = {}
         # (alpha, s_alpha, len(s_alpha)) per level, built on demand
-        self._refl_levels: list[list[tuple[AffineRoot, AffW, int]]] = []
-        self._short_memo: dict[int, list[tuple[AffineRoot, AffW, int]]] = {}
+        self._refl_levels: list[list[tuple[AffineRoot, int, int]]] = []
+        self._short_memo: dict[int, list[tuple[AffineRoot, int, int]]] = {}
+
+    def _intern(self, p: tuple[int, ...], t: Vec) -> int:
+        """The id of the element with root permutation ``p`` and translation ``t``."""
+        key = (p, t)
+        w = self.index.get(key)
+        if w is None:
+            w = self.index[key] = len(self.perm)
+            self.perm.append(p)
+            self.trans.append(t)
+            self._length.append(-1)
+            self._rmul.append(None)
+        return w
+
+    def element(self, w: int) -> AffW:
+        return AffW(FinW(self.perm[w], self.table), self.trans[w])
+
+    def id_of(self, x: AffW) -> int:
+        return self._intern(x.v.perm, tuple(x.t))
 
     # -- group structure -----------------------------------------------------
 
-    def simple(self, i: int) -> AffW:
+    def simple(self, i: int) -> int:
         return self._simple[i]
 
-    def multiply(self, a: AffW, b: AffW) -> AffW:
-        lam = tuple(x + y for x, y in zip(b.v.inv_coroot(a.t), b.t))
-        return AffW(a.v * b.v, lam)
+    def multiply(self, a: int, b: int) -> int:
+        """``(v1, l1) (v2, l2) = (v1 v2, v2^{-1}(l1) + l2)``."""
+        pb = self.perm[b]
+        lam = self.trans[b]
+        ta = self.trans[a]
+        if any(ta):
+            lam = tuple(map(add, _act(self.table, ta, self.table.coroots, pb.index), lam))
+        # a perm has at least two entries, so itemgetter returns a tuple
+        return self._intern(itemgetter(*pb)(self.perm[a]), lam)
 
-    def invert(self, a: AffW) -> AffW:
-        return AffW(a.v.inv(), tuple(-x for x in a.v.coroot(a.t)))
+    def rmul(self, w: int, i: int) -> int:
+        """The id of ``w s_i``, computed once per ``(w, i)``."""
+        row = self._rmul[w]
+        if row is None:
+            row = self._rmul[w] = [-1] * (self.n + 1)
+        u = row[i]
+        if u < 0:
+            u = row[i] = self.multiply(w, self._simple[i])
+            back = self._rmul[u]
+            if back is None:
+                back = self._rmul[u] = [-1] * (self.n + 1)
+            back[i] = w
+        return u
 
-    def apply(self, a: AffW, alpha: AffineRoot) -> AffineRoot:
+    def invert(self, a: int) -> int:
+        p = self.perm[a]
+        lam = _act(self.table, self.trans[a], self.table.coroots, p.__getitem__)
+        return self._intern(_inverse(p), tuple(-x for x in lam))
+
+    def apply(self, a: int, alpha: AffineRoot) -> AffineRoot:
         """Action on a real affine root."""
         b = self.table.index_of(alpha.finite)
-        drop = sum(map(mul, self.table.pairings[b], a.t))
-        return AffineRoot(alpha.level - drop, self.table.roots[a.v.perm[b]])
+        drop = sum(map(mul, self.table.pairings[b], self.trans[a]))
+        return AffineRoot(alpha.level - drop, self.table.roots[self.perm[a][b]])
 
-    def reflection(self, alpha: AffineRoot) -> AffW:
+    def reflection(self, alpha: AffineRoot) -> int:
         """``s_alpha`` for a real affine root ``alpha = k delta + beta``."""
         if not alpha.is_real():
             raise ValueError("no reflection for imaginary roots")
         table = self.table
         b = table.index_of(alpha.finite)
-        s = FinW(table.reflections[b], table)
-        return AffW(s, tuple(alpha.level * x for x in table.coroots[b]))
+        return self._intern(table.reflections[b],
+                            tuple(alpha.level * x for x in table.coroots[b]))
 
-    def reflection_root(self, w: AffW) -> AffineRoot:
+    def reflection_root(self, w: int) -> AffineRoot:
         """The positive real root alpha with ``w = s_alpha``; raises otherwise."""
+        p, t = self.perm[w], self.trans[w]
         for beta in self.rs.positive_roots:
-            if w.v != finite_reflection(self.rs, beta):
+            if p != self.table.reflections[self.table.index[beta]]:
                 continue
             bco = self.rs.coroot(beta)
             ks = {
-                (x, y) for x, y in zip(w.t, bco) if y
+                (x, y) for x, y in zip(t, bco) if y
             }
             levels = {x // y for x, y in ks if x % y == 0}
             if len(levels) != 1:
                 break
             k = levels.pop()
-            if any(x != k * y for x, y in zip(w.t, bco)):
+            if any(x != k * y for x, y in zip(t, bco)):
                 break
             alpha = AffineRoot(k, beta) if k >= 0 else AffineRoot(-k, tuple(-b for b in beta))
             if k == 0 and sum(beta) < 0:
@@ -192,50 +255,55 @@ class AffineWeylGroup:
 
     # -- length and words ------------------------------------------------------
 
-    def length(self, w: AffW) -> int:
-        """The closed form, as ``sum over beta > 0 of |<beta,l> + [v beta < 0]|``."""
-        npos = self.rs.num_positive
-        t = w.t
-        total = 0
-        for pv, image in zip(self.table.pairings, w.v.perm[:npos]):
-            total += abs(sum(map(mul, pv, t)) + (image >= npos))
-        return total
+    def length(self, w: int) -> int:
+        """The closed form ``sum over beta > 0 of |<beta,l> + [v beta < 0]|``, on first read."""
+        ell = self._length[w]
+        if ell < 0:
+            npos = self.rs.num_positive
+            t = self.trans[w]
+            ell = 0
+            for pv, image in zip(self.table.pairings, self.perm[w][:npos]):
+                ell += abs(sum(map(mul, pv, t)) + (image >= npos))
+            self._length[w] = ell
+        return ell
 
-    def right_descents(self, w: AffW) -> list[int]:
+    def right_descents(self, w: int) -> list[int]:
         """The i with ``w(alpha_i) < 0``: negative level, or level 0 and ``v(beta) < 0``."""
         npos = self.rs.num_positive
+        p, t = self.perm[w], self.trans[w]
         out = []
         for i, (level, b) in enumerate(self._simple_roots):
-            level -= sum(map(mul, self.table.pairings[b], w.t))
-            if level < 0 or (level == 0 and w.v.perm[b] >= npos):
+            level -= sum(map(mul, self.table.pairings[b], t))
+            if level < 0 or (level == 0 and p[b] >= npos):
                 out.append(i)
         return out
 
-    def reduced_word(self, w: AffW) -> tuple[int, ...]:
-        if w in self._word_memo:
-            return self._word_memo[w]
-        out: list[int] = []
-        cur = w
-        while not cur.is_identity():
-            ds = self.right_descents(cur)
-            if not ds:
-                raise AssertionError("non-identity element with no descent")
-            i = ds[0]
-            cur = self.multiply(cur, self._simple[i])
-            out.append(i)
-        word = tuple(reversed(out))
-        self._word_memo[w] = word
+    def reduced_word(self, w: int) -> tuple[int, ...]:
+        """The word read off by stripping the first right descent until ``e``."""
+        memo = self._word_memo
+        word = memo.get(w)
+        if word is None:
+            out: list[int] = []
+            cur = w
+            # stop at e or at the first element whose word is already known
+            while cur != self.identity and (word := memo.get(cur)) is None:
+                ds = self.right_descents(cur)
+                if not ds:
+                    raise AssertionError("non-identity element with no descent")
+                out.append(ds[0])
+                cur = self.rmul(cur, ds[0])
+            word = memo[w] = (word or ()) + tuple(reversed(out))
         return word
 
-    def from_word(self, word: list[int] | tuple[int, ...]) -> AffW:
+    def from_word(self, word: list[int] | tuple[int, ...]) -> int:
         w = self.identity
         for i in word:
-            w = self.multiply(w, self._simple[i])
+            w = self.rmul(w, i)
         return w
 
     # -- Bruhat order ------------------------------------------------------------
 
-    def bruhat_leq(self, u: AffW, w: AffW) -> bool:
+    def bruhat_leq(self, u: int, w: int) -> bool:
         if u == w:
             return True
         key = (u, w)
@@ -247,9 +315,8 @@ class AffineWeylGroup:
             res = False
         else:
             i = self.right_descents(w)[0]
-            si = self._simple[i]
-            ws = self.multiply(w, si)
-            us = self.multiply(u, si)
+            ws = self.rmul(w, i)
+            us = self.rmul(u, i)
             if self.length(us) < lu:
                 res = self.bruhat_leq(us, ws)
             else:
@@ -257,7 +324,7 @@ class AffineWeylGroup:
         self._bruhat_memo[key] = res
         return res
 
-    def short_reflections(self, bound: int) -> list[tuple[AffineRoot, AffW, int]]:
+    def short_reflections(self, bound: int) -> list[tuple[AffineRoot, int, int]]:
         """Every ``(alpha, s_alpha, len(s_alpha))`` with ``len(s_alpha) <= bound``.
 
         Positive real roots come in level order, in ``all_roots()`` order within
@@ -284,7 +351,7 @@ class AffineWeylGroup:
         self._short_memo[bound] = out
         return out
 
-    def bruhat_covers_up(self, w: AffW) -> list[tuple[AffW, AffineRoot]]:
+    def bruhat_covers_up(self, w: int) -> list[tuple[int, AffineRoot]]:
         """All ``(w s_alpha, alpha)`` with ``len(w s_alpha) = len(w) + 1``.
 
         Completeness: any reflection t with ``len(w t) = len(w) + 1`` has
@@ -295,7 +362,7 @@ class AffineWeylGroup:
         if w in self._covers_memo:
             return self._covers_memo[w]
         lw = self.length(w)
-        out: list[tuple[AffW, AffineRoot]] = []
+        out: list[tuple[int, AffineRoot]] = []
         for alpha, s, _ in self.short_reflections(2 * lw + 1):
             u = self.multiply(w, s)
             if self.length(u) == lw + 1:
@@ -304,31 +371,31 @@ class AffineWeylGroup:
         self._covers_memo[w] = out
         return out
 
-    def hecke_product(self, u: AffW, v: AffW) -> AffW:
+    def hecke_product(self, u: int, v: int) -> int:
         """Demazure (0-Hecke) product, via any reduced word of v."""
         cur = u
         lcur = self.length(cur)
         for i in self.reduced_word(v):
-            nxt = self.multiply(cur, self._simple[i])
+            nxt = self.rmul(cur, i)
             lnxt = self.length(nxt)
             if lnxt > lcur:
                 cur, lcur = nxt, lnxt
         return cur
 
-    def enumerate_up_to(self, L: int) -> dict[int, list[AffW]]:
+    def enumerate_up_to(self, L: int) -> dict[int, list[int]]:
         """Elements grouped by length, for lengths 0..L, by right-multiplication BFS.
 
         Layers are cached and extended on demand, so repeated calls are cheap.
         """
         if not hasattr(self, "_layers"):
-            self._layers: dict[int, list[AffW]] = {0: [self.identity]}
-            self._layer_seen: set[AffW] = {self.identity}
+            self._layers: dict[int, list[int]] = {0: [self.identity]}
+            self._layer_seen: set[int] = {self.identity}
         layers = self._layers
         for ell in range(len(layers) - 1, L):
-            nxt: list[AffW] = []
+            nxt: list[int] = []
             for w in layers[ell]:
                 for i in range(self.n + 1):
-                    u = self.multiply(w, self._simple[i])
+                    u = self.rmul(w, i)
                     if u not in self._layer_seen:
                         if self.length(u) != ell + 1:
                             raise AssertionError("length formula vs BFS depth")
@@ -339,7 +406,7 @@ class AffineWeylGroup:
 
     # -- formatting --------------------------------------------------------------
 
-    def parse(self, text: str) -> AffW:
+    def parse(self, text: str) -> int:
         """Parse ``"s0s2s1"`` (or ``"e"``) into an element; words need not be reduced."""
         text = text.strip()
         if text in ("e", "", "1"):
@@ -352,7 +419,7 @@ class AffineWeylGroup:
             raise ValueError(f"generator index out of range {bad} for rank {self.n}")
         return self.from_word(word)
 
-    def format(self, w: AffW) -> str:
+    def format(self, w: int) -> str:
         word = self.reduced_word(w)
         return "".join(f"s{i}" for i in word) if word else "e"
 

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from qaff.affine import AffineCoh, affine_coh
 from qaff.chevalley import chevalley_root_set
 from qaff.neighborhoods import (
     curve_neighborhood,
@@ -13,7 +14,8 @@ from qaff.neighborhoods import (
     qbruhat_covers,
     z_components,
 )
-from qaff.weyl import affine_weyl
+from qaff.roots import affinize
+from qaff.weyl import AffineWeylGroup, affine_weyl
 
 
 def test_sl2_degree_c_neighborhood_of_identity():
@@ -140,3 +142,29 @@ def test_moment_graph_slice_shapes():
     payload = g.to_json_obj()
     json.dumps(payload)  # must be serializable
     assert payload["vertices"] and payload["edges"]
+
+
+def test_outputs_do_not_depend_on_id_order():
+    # a fresh A3 group that numbers the elements of length <= 4 longest first
+    W = affine_weyl("A", 3)
+    fresh = AffineWeylGroup(affinize("A", 3))
+    layers = W.enumerate_up_to(4)
+    elts = [w for ell in sorted(layers) for w in layers[ell]]
+    for w in reversed(elts):
+        fresh.id_of(W.element(w))
+    assert [fresh.id_of(W.element(w)) for w in elts] != elts
+    degrees = [d for d in itertools.product(range(3), repeat=4) if 0 < sum(d) <= 3]
+    names = [W.format(u) for ell in range(2) for u in layers[ell]]
+    assert len(names) * len(degrees) == 150
+    for name in names:
+        for d in degrees:
+            assert [W.format(z) for z in curve_neighborhood(W, W.parse(name), d)] == [
+                fresh.format(z) for z in curve_neighborhood(fresh, fresh.parse(name), d)]
+    calc, other = affine_coh("A", 3), AffineCoh(fresh)
+    for ell in range(4):
+        for w in layers[ell]:
+            a, b = calc.basis(w), other.basis(fresh.parse(W.format(w)))
+            for i, j in ((1, 2), (1, 3), (2, 3)):
+                assert (calc.modified_lambda(i, calc.modified_lambda(j, a)).to_json_obj()
+                        == other.modified_lambda(i, other.modified_lambda(j, b)).to_json_obj())
+    assert moment_graph_slice(W, 3).to_dot() == moment_graph_slice(fresh, 3).to_dot()

@@ -286,7 +286,8 @@ def test_affine_multiply_and_length_match_oracle(letter, rank):
         return w, o
 
     def same(w, o):
-        return root_matrix(w.v) == o[0].mat and coroot_matrix(w.v) == o[0].comat and w.t == o[1]
+        x = W.element(w)
+        return root_matrix(x.v) == o[0].mat and coroot_matrix(x.v) == o[0].comat and x.t == o[1]
 
     words = _words(rng, range(rank + 1), 16, 12)
     for wa, wb in zip(words, reversed(words)):
@@ -298,7 +299,7 @@ def test_affine_multiply_and_length_match_oracle(letter, rank):
         assert same(prod, oprod)
         assert W.length(prod) == oracle_length(rs, oprod)
         inv = W.invert(a)
-        assert W.multiply(a, inv).is_identity()
+        assert W.multiply(a, inv) == W.identity
         assert W.length(inv) == W.length(a)
 
 
@@ -309,9 +310,10 @@ def test_affine_reflection_matches_oracle():
         for k in range(-2, 3):
             for beta in rs.all_roots():
                 r = W.reflection(AffineRoot(k, beta))
-                assert root_matrix(r.v) == oracle_reflection(rs, beta).mat
-                assert r.t == tuple(k * x for x in formula_coroot(rs, beta))
-                assert W.multiply(r, r).is_identity()
+                e = W.element(r)
+                assert root_matrix(e.v) == oracle_reflection(rs, beta).mat
+                assert e.t == tuple(k * x for x in formula_coroot(rs, beta))
+                assert W.multiply(r, r) == W.identity
 
 
 # -- robustness ----------------------------------------------------------------------

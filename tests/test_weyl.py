@@ -91,13 +91,13 @@ class TestAffineWeyl:
         W = affine_weyl("A", 2)
         for i in range(3):
             s = W.simple(i)
-            assert W.multiply(s, s).is_identity()
+            assert W.multiply(s, s) == W.identity
             assert W.length(s) == 1
 
     def test_translation_component(self):
         W = affine_weyl("A", 1)
         s0, s1 = W.simple(0), W.simple(1)
-        t = W.multiply(s0, s1)  # translation by theta^vee
+        t = W.element(W.multiply(s0, s1))  # translation by theta^vee
         assert t.v.is_identity()
         assert t.t != (0,) * W.n
 
@@ -144,7 +144,7 @@ class TestAffineWeyl:
         for mu in ard.real_positive_roots_leq((1, 1, 1)):
             r = W.reflection(mu)
             assert W.reflection_root(r) == mu
-            assert W.multiply(r, r).is_identity()
+            assert W.multiply(r, r) == W.identity
 
     def test_apply_permutes_affine_roots(self):
         W = affine_weyl("A", 1)
@@ -183,8 +183,9 @@ class TestAffineWeyl:
 
 def test_affw_identity_detection():
     W = affine_weyl("A", 1)
-    assert W.identity.is_identity()
-    assert not AffW(W.identity.v, (1,)).is_identity()
+    e = W.element(W.identity)
+    assert e.is_identity()
+    assert not AffW(e.v, (1,)).is_identity()
 
 
 def test_enumerate_is_cached_consistently():
@@ -203,14 +204,14 @@ def test_coxeter_relations_a2_affine():
         si, sj = W.simple(i), W.simple(j)
         sisj = W.multiply(si, sj)
         braid = W.multiply(W.multiply(sisj, si), W.multiply(sj, W.multiply(si, sj)))
-        assert braid.is_identity()  # (s_i s_j)^3 = e for affine A2
+        assert braid == W.identity  # (s_i s_j)^3 = e for affine A2
 
 
 def test_affw_is_an_immutable_value():
     W = affine_weyl("A", 2)
-    w = W.parse("s0s1")
+    w = W.element(W.parse("s0s1"))
     assert hash(AffW(w.v, w.t)) == hash((w.v, w.t))
-    assert AffW(w.v, w.t) == w == W.multiply(W.simple(0), W.simple(1))
+    assert AffW(w.v, w.t) == w == W.element(W.multiply(W.simple(0), W.simple(1)))
     with pytest.raises(AttributeError):
         w.t = (0, 0)
 
@@ -264,3 +265,49 @@ def test_finite_ids_match_permutation_composition(letter, rank):
     for _ in range(200):
         u, v = rng.randrange(len(fw)), rng.randrange(len(fw))
         assert fw.mul(u, v) == id_of(elts[u] * elts[v])
+
+
+# -- the numbered affine group against AffW composition -----------------------------
+
+
+def _affw_mul(x, y):
+    """``(v1, l1) (v2, l2) = (v1 v2, v2^{-1}(l1) + l2)`` on the boundary form."""
+    return AffW(x.v * y.v, tuple(a + b for a, b in zip(y.v.inv_coroot(x.t), y.t)))
+
+
+def _affw_length(rs, x):
+    """``sum over beta > 0 of |<beta, l> + [v beta < 0]|``, from ``FinW.root``."""
+    return sum(abs(rs.pairing(beta, x.t) + (sum(x.v.root(beta)) < 0))
+               for beta in rs.positive_roots)
+
+
+@pytest.mark.parametrize("letter,rank", ID_TYPES)
+def test_affine_ids_match_affw_composition(letter, rank):
+    """``multiply``, ``rmul``, ``invert``, ``apply``, ``length`` and ``id_of`` on
+    the ids of ``enumerate_up_to(3)`` and the short reflections, against
+    ``FinW`` products of ``element(w)``."""
+    W = affine_weyl(letter, rank)
+    rs = W.rs
+    elts = [w for ws in W.enumerate_up_to(3).values() for w in ws]
+    refls = [s for _, s, _ in W.short_reflections(7)]
+    elts += refls
+    xs = {w: W.element(w) for w in elts}
+    gens = [W.element(W.simple(i)) for i in range(rank + 1)]
+    roots = [W.ard.simple_root(i) for i in range(rank + 1)] + [AffineRoot(2, rs.positive_roots[-1])]
+    for w, x in xs.items():
+        assert W.id_of(x) == w
+        assert W.length(w) == _affw_length(rs, x)
+        for i, g in enumerate(gens):
+            assert W.element(W.rmul(w, i)) == _affw_mul(x, g)
+        inv = W.element(W.invert(w))
+        assert inv == AffW(x.v.inv(), tuple(-c for c in x.v.coroot(x.t)))
+        assert _affw_mul(x, inv).is_identity()
+        for alpha in roots:
+            img = x.v.root(alpha.finite)
+            assert W.apply(w, alpha) == AffineRoot(alpha.level - rs.pairing(alpha.finite, x.t), img)
+        for s in refls:  # the products the cover scans make
+            assert W.element(W.multiply(w, s)) == _affw_mul(x, xs[s])
+    rng = random.Random(f"affine-ids/{letter}{rank}")
+    for _ in range(300):
+        a, b = rng.choice(elts), rng.choice(elts)
+        assert W.element(W.multiply(a, b)) == _affw_mul(xs[a], xs[b])
