@@ -22,53 +22,21 @@ found; a maximal element lies below none of them.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
-from .chevalley import enumerate_chevalley_roots
 from .roots import AffineRoot, CorootVec, coroot_ht, coroot_leq
 from .weyl import AffineWeylGroup
 
 
-class QBruhatCover(NamedTuple):
-    """One weighted cover ``u -> u s_alpha``; quantum iff ``q_deg`` is not None."""
-
-    source: int
-    target: int
-    root: AffineRoot
-    coroot: CorootVec
-    q_deg: CorootVec | None
-
-    @property
-    def is_quantum(self) -> bool:
-        return self.q_deg is not None
-
-
-class QBruhatChain(NamedTuple):
-    """A two-step chain u -> mid -> v with its type tag."""
-
-    first: QBruhatCover
-    second: QBruhatCover
-    kind: str  # "11", "1q", "q1", "qq'", "qq''"
-
-    @property
-    def degree(self) -> CorootVec:
-        a = self.first.q_deg or (0,) * len(self.first.coroot)
-        b = self.second.q_deg or (0,) * len(self.second.coroot)
-        return tuple(x + y for x, y in zip(a, b))
-
-
 class MomentGraphSlice:
-    __slots__ = ("W", "L", "vertices", "edges")
+    __slots__ = ("W", "vertices", "edges")
 
     def __init__(
         self,
         W: AffineWeylGroup,
-        L: int,
         vertices: list[int],
         edges: list[tuple[int, int, AffineRoot, CorootVec]],
     ):
         self.W = W
-        self.L = L
         self.vertices = vertices
         self.edges = edges
 
@@ -83,26 +51,6 @@ class MomentGraphSlice:
             )
         lines.append("}")
         return "\n".join(lines)
-
-    def to_json_obj(self) -> dict:
-        fmt = self.W.format
-        return {
-            "schema_version": 1,
-            "truncation": self.L,
-            "vertices": [
-                {"w": list(self.W.reduced_word(w)), "name": fmt(w), "length": self.W.length(w)}
-                for w in self.vertices
-            ],
-            "edges": [
-                {
-                    "source": fmt(u),
-                    "target": fmt(v),
-                    "root": {"level": alpha.level, "finite": list(alpha.finite)},
-                    "degree": list(deg),
-                }
-                for u, v, alpha, deg in self.edges
-            ],
-        }
 
 
 def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
@@ -120,7 +68,7 @@ def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
             u = W.multiply(w, s)
             if u in index and W.length(u) > lw:
                 edges.append((w, u, alpha, ard.coroot(alpha)))
-    return MomentGraphSlice(W, L, vertices, edges)
+    return MomentGraphSlice(W, vertices, edges)
 
 
 @lru_cache(maxsize=None)
@@ -206,43 +154,3 @@ def gw_invariant(W: AffineWeylGroup, i: int, u: int, w: int, d: CorootVec) -> in
     if u not in comps:
         return 0
     return W.ard.weight_pairing(i, d)
-
-
-def qbruhat_covers(W: AffineWeylGroup, u: int) -> list[QBruhatCover]:
-    """All weighted covers out of u: classical ones and quantum ones.
-
-    Classical covers come from the Bruhat cover scan.  Quantum covers need
-    ``len(u s_alpha) = len(u) + 1 - 2 ht(alpha^vee)``, which forces alpha into
-    the distinguished root set, so only those are scanned.
-    """
-    rows = enumerate_chevalley_roots(W).cover_rows(u)
-    out = [QBruhatCover(u, v, alpha, coroot, None) for v, alpha, coroot in rows.classical]
-    out += [QBruhatCover(u, v, cr.root, cr.coroot, cr.coroot) for v, cr in rows.quantum]
-    return out
-
-
-def _chain_kind(first: QBruhatCover, second: QBruhatCover, rs) -> str:
-    fq, sq = first.is_quantum, second.is_quantum
-    if not fq and not sq:
-        return "11"
-    if not fq and sq:
-        return "1q"
-    if fq and not sq:
-        return "q1"
-    pair = rs.pairing(first.root.finite, rs.coroot(second.root.finite))
-    return "qq'" if pair == 0 else "qq''"
-
-
-def qbruhat_chains(
-    W: AffineWeylGroup, u: int, v: int, kappa: CorootVec
-) -> list[QBruhatChain]:
-    """All two-step weighted chains from u to v of total quantum degree kappa."""
-    out = []
-    for c1 in qbruhat_covers(W, u):
-        for c2 in qbruhat_covers(W, c1.target):
-            if c2.target != v:
-                continue
-            chain = QBruhatChain(c1, c2, _chain_kind(c1, c2, W.rs))
-            if chain.degree == tuple(kappa):
-                out.append(chain)
-    return out

@@ -225,16 +225,6 @@ class Poly:
                 out[tuple(ee)] = c
         return Poly(self.nvars, out)
 
-    def set_var_zero(self, var: int) -> "Poly":
-        """Substitute ``x_var := 0`` (drops every term with a positive exponent there)."""
-        out: dict[Exp, Scalar] = {}
-        for e, c in self.terms.items():
-            if e[var] < 0:
-                raise ValueError("cannot set a variable with negative exponents to zero")
-            if e[var] == 0:
-                out[e] = c
-        return Poly(self.nvars, out)
-
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Ring homomorphism sending ``x_i`` to ``images[i]``.
 

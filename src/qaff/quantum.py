@@ -86,9 +86,6 @@ class QuantumAff(FiniteQRing):
     def from_finite(self, a: FinCohClass) -> QClass:
         return self._make({w: Poly.const(self.nq, c) for w, c in a.items()})
 
-    def parse_class(self, text: str) -> QClass:
-        return self.basis(self.FW.parse(text))
-
     # -- the Chevalley operators ---------------------------------------------------
 
     def _lambda_basis(self, i: int, w: int) -> QClass:
@@ -126,33 +123,6 @@ class QuantumAff(FiniteQRing):
                 raise AssertionError("lift correction grew")
             self._correction[w] = corr
         return self._correction[w]
-
-    def lift_expression(self, w: int) -> list[tuple[Poly, tuple[int, ...]]]:
-        """``L_w`` flattened to ``[(q-coefficient, lambda_bar-monomial)]``.
-
-        The recursion is expanded all the way down: ``T_w`` adds ``i`` to each
-        monomial of ``L_{w'}``, and the corrections subtract lower ``L_u``.  The
-        ``lambda_bar`` commute, so monomials are sorted and like ones merged.
-        The result is one operator polynomial in the ``lambda_bar`` with Q[q]
-        coefficients whose value at 1 is exactly ``sigma_w``.
-        """
-        zero = Poly.zero(self.nq)
-        memo: dict[int, dict[tuple[int, ...], Poly]] = {self.FW.identity: {(): Poly.one(self.nq)}}
-
-        def flat(v: int) -> dict[tuple[int, ...], Poly]:
-            if v not in memo:
-                out: dict[tuple[int, ...], Poly] = {}
-                for a, i, u in self.fs.chevalley_expression(v):
-                    for mono, poly in flat(u).items():
-                        key = tuple(sorted(mono + (i,)))
-                        out[key] = out.get(key, zero) + poly * a
-                for u, corr in self._lift_correction(v).terms.items():
-                    for mono, poly in flat(u).items():
-                        out[mono] = out.get(mono, zero) - corr * poly
-                memo[v] = {m: p for m, p in out.items() if not p.is_zero()}
-            return memo[v]
-
-        return [(poly, mono) for mono, poly in flat(w).items()]
 
     def _T_apply(self, w: int, b: QClass) -> QClass:
         """``T_w(b) = sum a lambda_bar_i(L_{w'}(b))`` from the classical Monk step

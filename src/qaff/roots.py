@@ -209,7 +209,7 @@ class RootSystem:
     """Finite root system data for one simple type."""
 
     __slots__ = ("letter", "rank", "cartan", "d", "positive_roots", "theta",
-                 "theta_coroot", "_root_set", "killing_coroots", "table")
+                 "theta_coroot", "killing_coroots", "table")
 
     def __init__(
         self,
@@ -230,10 +230,6 @@ class RootSystem:
         self.positive_roots = positive_roots
         self.theta = theta
         self.theta_coroot = theta_coroot
-        # positives and negatives joined as two sets: all_roots() iterates in this
-        # set's order, and short_reflections (so CLI output) follows it
-        npos = len(positive_roots)
-        self._root_set = frozenset(table.roots[:npos]) | frozenset(table.roots[npos:])
         self.killing_coroots = killing_coroots
         self.table = table
 
@@ -249,20 +245,9 @@ class RootSystem:
         """The i-th simple root, 1-indexed."""
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
-    def all_roots(self) -> frozenset[Vec]:
-        return self._root_set
-
-    def is_root(self, v: Vec) -> bool:
-        return v in self._root_set
-
-    @staticmethod
-    def height(beta: Vec) -> int:
-        return sum(beta)
-
-    def is_positive(self, beta: Vec) -> bool:
-        if beta not in self._root_set:
-            raise ValueError(f"{beta} is not a root")
-        return sum(beta) > 0
+    def all_roots(self) -> tuple[Vec, ...]:
+        """Every root in root-table index order: the positives, then their negatives."""
+        return self.table.roots
 
     # -- pairings and the invariant form -----------------------------------
 
@@ -377,10 +362,6 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     )
 
 
-def build_root_system_str(lie_type: str) -> RootSystem:
-    return build_root_system(*parse_lie_type(lie_type))
-
-
 # ---------------------------------------------------------------------------
 # affine layer
 
@@ -407,11 +388,6 @@ def coroot_leq(a: CorootVec, b: CorootVec) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def q_degree(v: CorootVec) -> int:
-    """Cohomological degree of the quantum monomial q^v, namely 2 ht(v)."""
-    return 2 * sum(v)
-
-
 class AffineRootData:
     """Affine root bookkeeping over one finite root system.
 
@@ -425,35 +401,11 @@ class AffineRootData:
         self.n = rs.rank
         self.c: CorootVec = (1,) + rs.theta_coroot
         self.delta_height = 1 + sum(rs.theta)
-        self.affine_cartan = tuple(
-            tuple(
-                self.pairing(self.simple_root(j), self.coroot(self.simple_root(i)))
-                for j in range(self.n + 1)
-            )
-            for i in range(self.n + 1)
-        )
-
-    @property
-    def lie_type(self) -> str:
-        return self.rs.lie_type
 
     def simple_root(self, i: int) -> AffineRoot:
         if i == 0:
             return AffineRoot(1, tuple(-x for x in self.rs.theta))
         return AffineRoot(0, self.rs.simple_root(i))
-
-    def simple_coroot(self, i: int) -> CorootVec:
-        return tuple(1 if j == i else 0 for j in range(self.n + 1))
-
-    def is_root(self, a: AffineRoot) -> bool:
-        if a.is_real():
-            return a.finite in self.rs.all_roots()
-        return a.level != 0
-
-    def is_positive(self, a: AffineRoot) -> bool:
-        if a.level:
-            return a.level > 0
-        return sum(a.finite) > 0
 
     def height(self, a: AffineRoot) -> int:
         return a.level * self.delta_height + sum(a.finite)

@@ -37,10 +37,6 @@ class RelationPoly(NamedTuple):
     poly: Poly
     name: str = "R"
 
-    @property
-    def nq(self) -> int:
-        return self.rank + 1
-
     def weights(self) -> tuple[int, ...]:
         return (2,) * (self.rank + 1) + (1,) * self.rank
 

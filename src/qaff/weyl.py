@@ -70,9 +70,6 @@ class FinW:
         """``w^{-1}(v)`` on coroot coordinates, from the preimages of the simple roots."""
         return _act(self.table, v, self.table.coroots, self.perm.index)
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.perm))
-
 
 def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
     out = [0] * len(perm)
@@ -115,9 +112,6 @@ class AffW(NamedTuple):
 
     v: FinW
     t: Vec
-
-    def is_identity(self) -> bool:
-        return self.v.is_identity() and not any(self.t)
 
 
 class AffineWeylGroup:
@@ -209,17 +203,6 @@ class AffineWeylGroup:
             back[i] = w
         return u
 
-    def invert(self, a: int) -> int:
-        p = self.perm[a]
-        lam = _act(self.table, self.trans[a], self.table.coroots, p.__getitem__)
-        return self._intern(_inverse(p), tuple(-x for x in lam))
-
-    def apply(self, a: int, alpha: AffineRoot) -> AffineRoot:
-        """Action on a real affine root."""
-        b = self.table.index_of(alpha.finite)
-        drop = sum(map(mul, self.table.pairings[b], self.trans[a]))
-        return AffineRoot(alpha.level - drop, self.table.roots[self.perm[a][b]])
-
     def reflection(self, alpha: AffineRoot) -> int:
         """``s_alpha`` for a real affine root ``alpha = k delta + beta``."""
         if not alpha.is_real():
@@ -228,30 +211,6 @@ class AffineWeylGroup:
         b = table.index_of(alpha.finite)
         return self._intern(table.reflections[b],
                             tuple(alpha.level * x for x in table.coroots[b]))
-
-    def reflection_root(self, w: int) -> AffineRoot:
-        """The positive real root alpha with ``w = s_alpha``; raises otherwise."""
-        p, t = self.perm[w], self.trans[w]
-        for beta in self.rs.positive_roots:
-            if p != self.table.reflections[self.table.index[beta]]:
-                continue
-            bco = self.rs.coroot(beta)
-            ks = {
-                (x, y) for x, y in zip(t, bco) if y
-            }
-            levels = {x // y for x, y in ks if x % y == 0}
-            if len(levels) != 1:
-                break
-            k = levels.pop()
-            if any(x != k * y for x, y in zip(t, bco)):
-                break
-            alpha = AffineRoot(k, beta) if k >= 0 else AffineRoot(-k, tuple(-b for b in beta))
-            if k == 0 and sum(beta) < 0:
-                alpha = -alpha
-            if self.reflection(alpha) == w:
-                return alpha
-            break
-        raise ValueError("element is not a reflection")
 
     # -- length and words ------------------------------------------------------
 
@@ -517,11 +476,6 @@ class FiniteWeyl:
                         row.append((u, b))
             self._covers[w] = row
         return row
-
-    def right_descents(self, w: int) -> list[int]:
-        npos = self.rs.num_positive
-        p = self.perm[w]
-        return [i for i, s in enumerate(self.rs.table.simple) if p[s] >= npos]
 
     def format(self, w: int) -> str:
         word = self.word[w]

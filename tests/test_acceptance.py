@@ -217,6 +217,11 @@ def _pairbij_bijection(letter, rank):
     ard = W.ard
     crs = list(chevalley_root_set(letter, rank))
     by_coroot = {cr.coroot: cr for cr in crs}
+    # every element looked up below is a product of at most three Chevalley
+    # reflections, so a reflection among them is in this table; the table
+    # holds the positive real roots only
+    root_of = {s: alpha for alpha, s, _ in
+               W.short_reflections(3 * max(cr.reflection_length for cr in crs))}
 
     pairs_a = []
     for ca in crs:
@@ -238,12 +243,8 @@ def _pairbij_bijection(letter, rank):
         sg = W.reflection(cg.root)
         below = cg.reflection_length - 1
         for y in W.enumerate_up_to(below)[below]:
-            candidate = W.multiply(sg, y)
-            try:
-                eta = W.reflection_root(candidate)
-            except ValueError:
-                continue
-            if ard.is_positive(eta):
+            eta = root_of.get(W.multiply(sg, y))
+            if eta is not None:
                 pairs_b.add((cg.root, eta))
 
     images = []
@@ -254,9 +255,8 @@ def _pairbij_bijection(letter, rank):
             return False
         sg = W.reflection(cg.root)
         prod = W.multiply(W.reflection(ca.root), W.reflection(cb.root))
-        try:
-            eta = W.reflection_root(W.multiply(sg, prod))
-        except ValueError:
+        eta = root_of.get(W.multiply(sg, prod))
+        if eta is None:
             return False
         images.append((cg.root, eta))
         # closed-form image: (s_a(b), a) at pairing -1, else (s_b(a), s_b s_a(b))

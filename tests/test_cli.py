@@ -1,4 +1,3 @@
-import copy
 import csv
 import io
 import json
@@ -6,11 +5,7 @@ import time
 
 import pytest
 
-from qaff.cli import (
-    affine_class_from_json,
-    main,
-    quantum_class_from_json,
-)
+from qaff.cli import main
 
 
 def run(capsys, *argv):
@@ -124,11 +119,10 @@ class TestProduct:
         from qaff.quantum import quantum_aff
 
         ring = quantum_aff("A", 2)
-        cls = quantum_class_from_json(payload, ring)
         direct = ring.star(
             ring.basis(ring.FW.parse("s1")), ring.basis(ring.FW.parse("s1s2"))
         )
-        assert cls == direct
+        assert payload["terms"] == direct.to_json_obj()
 
     def test_latex(self, capsys):
         code, out, _ = run(
@@ -145,46 +139,6 @@ class TestProduct:
         )
         assert code == 0
         assert "sigma[s1]" in out or "s1" in out
-
-
-class TestSerializedClassValidation:
-    """Both readers refuse a class that their calculator could not have written."""
-
-    @pytest.fixture(params=["sigma", "eps"])
-    def case(self, request, capsys):
-        from qaff.affine import affine_coh
-        from qaff.quantum import quantum_aff
-
-        if request.param == "sigma":
-            argv = ("product", "--type", "A2", "--u", "s1", "--v", "s1s2")
-            reader, ring = quantum_class_from_json, quantum_aff("A", 2)
-        else:
-            argv = ("lambda", "--type", "A2", "--i", "1", "--w", "s0s1")
-            reader, ring = affine_class_from_json, affine_coh("A", 2)
-        _, out, _ = run(capsys, *argv, "--format", "json")
-        return json.loads(out), reader, ring
-
-    def test_written_class_reads_back(self, case):
-        payload, reader, ring = case
-        assert not reader(payload, ring).is_zero()
-
-    @pytest.mark.parametrize("field, edit", [
-        ("schema_version", lambda p: p.update(schema_version=99)),
-        ("type", lambda p: p.update(type="B7")),
-        ("basis", lambda p: p.update(basis={"eps": "sigma", "sigma": "eps"}[p["basis"]])),
-        ("generator index", lambda p: p["terms"][0]["w"].append(-1)),
-        ("generator index", lambda p: p["terms"][0]["w"].append(9)),
-        ("q-exponents", lambda p: p["terms"][0]["coeff"]["q"].append(0)),
-        ("q-exponents", lambda p: p["terms"][0]["coeff"].update(q=[-1, 1, 0])),
-        ("denominator", lambda p: p["terms"][0]["coeff"].update(den=0)),
-    ], ids=["schema", "type", "basis", "negative-index", "large-index", "q-count",
-            "negative-q", "zero-den"])
-    def test_rejection(self, case, field, edit):
-        payload, reader, ring = case
-        bad = copy.deepcopy(payload)
-        edit(bad)
-        with pytest.raises(ValueError, match=field):
-            reader(bad, ring)
 
 
 class TestTable:
@@ -330,6 +284,5 @@ class TestAffineJsonRoundtrip:
         from qaff.affine import affine_coh
 
         calc = affine_coh("A", 1, payload["trunc"])
-        cls = affine_class_from_json(payload, calc)
         direct = calc.lambda_op(0, calc.basis(calc.W.parse("s0")))
-        assert cls == direct
+        assert payload["terms"] == direct.to_json_obj()

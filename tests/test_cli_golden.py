@@ -9,8 +9,11 @@ integer coefficients and the module sums to ``QModule.combine``, the next
 the lift moved from divisor-monomial expressions to one classical Chevalley
 step per element, and the last 16 (``curve-nbhd`` in every output form,
 ``gw``, ``chevalley-roots`` and ``lambda --modified``) before the affine
-cover scan moved to a short-reflection table and per-element cover rows.  So
-it pins the rule that a speed-up or refactor leaves CLI output unchanged.
+cover scan moved to a short-reflection table and per-element cover rows.  The
+three ``--format dot`` calls were recorded again when the slice's edges came
+to follow the root-table index instead of a hash set's order; each kept the
+same lines, in a new order.  So it pins the rule that a speed-up or refactor
+leaves CLI output unchanged.
 After a change that is meant to alter output, record it again with
 
     PYTHONPATH=src python tests/test_cli_golden.py

@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import pytest
 
@@ -10,8 +9,6 @@ from qaff.neighborhoods import (
     gw_invariant,
     moment_graph_slice,
     neighborhood_by_search,
-    qbruhat_chains,
-    qbruhat_covers,
     z_components,
 )
 from qaff.roots import affinize
@@ -99,35 +96,6 @@ class TestGW:
                             assert coeff == gw_invariant(W, i, u, w, exps)
 
 
-class TestCovers:
-    def test_cover_lengths(self):
-        W = affine_weyl("B", 2)
-        u = W.from_word([0, 1])
-        from qaff.roots import coroot_ht
-
-        for c in qbruhat_covers(W, u):
-            if c.is_quantum:
-                assert W.length(c.target) == 2 + 1 - 2 * coroot_ht(c.q_deg)
-            else:
-                assert W.length(c.target) == 3
-
-    def test_chain_kinds_partition(self):
-        # s0s1 -> s0 -> e, both steps quantum; the two roots are non-orthogonal
-        W = affine_weyl("A", 1)
-        chains = qbruhat_chains(W, W.from_word([0, 1]), W.identity, (1, 1))
-        assert len(chains) == 1
-        assert chains[0].kind == "qq''"
-        assert chains[0].first.is_quantum and chains[0].second.is_quantum
-
-    def test_mixed_chains(self):
-        W = affine_weyl("A", 2)
-        v = W.from_word([1])
-        chains = qbruhat_chains(W, W.identity, v, (1, 0, 1))
-        for c in chains:
-            assert c.kind in ("1q", "q1", "qq'", "qq''")
-            assert c.degree == (1, 0, 1)
-
-
 def test_moment_graph_slice_shapes():
     W = affine_weyl("A", 1)
     g = moment_graph_slice(W, 3)
@@ -139,9 +107,6 @@ def test_moment_graph_slice_shapes():
         assert coroot == W.ard.coroot(root)
     dot = g.to_dot()
     assert dot.startswith("digraph") or dot.startswith("graph")
-    payload = g.to_json_obj()
-    json.dumps(payload)  # must be serializable
-    assert payload["vertices"] and payload["edges"]
 
 
 def test_outputs_do_not_depend_on_id_order():

@@ -57,13 +57,6 @@ class TestQueries:
         assert f.coefficient_of(1, 1) == x * x + x
         assert f.coefficient_of(1, 0) == 3 * x
 
-    def test_set_var_zero(self):
-        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-        f = x * y + x + 1
-        assert f.set_var_zero(1) == x + 1
-        with pytest.raises(ValueError):
-            Poly.monomial(2, (0, -1), 1).set_var_zero(1)
-
     def test_homogeneous_split(self):
         x, y = Poly.variable(2, 0), Poly.variable(2, 1)
         f = x * x + y  # weights (1, 2): both degree 2

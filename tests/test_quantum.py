@@ -99,11 +99,6 @@ class TestLifts:
                 a2.basis(FW.w0), target
             )
 
-    def test_lift_corrections_strictly_shorter(self, a2):
-        for w in a2.FW.elements:
-            for poly, mono in a2.lift_expression(w):
-                assert len(mono) <= a2.FW.length[w]
-
 
 class TestRingAxioms:
     @pytest.mark.parametrize("ring_name", ["a2", "b2"])
@@ -291,10 +286,6 @@ class TestOrdinaryEngine:
 
 
 class TestInterfaces:
-    def test_parse_class(self, a2):
-        got = a2.parse_class("s1s2")
-        assert got == a2.basis(a2.FW.parse("s1s2"))
-
     def test_lambda_bar_rejects_bad_index(self, a2):
         with pytest.raises(ValueError):
             a2.lambda_bar(0, a2.unit())

@@ -3,6 +3,7 @@
 import ast
 import doctest
 import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -94,3 +95,73 @@ def test_import_does_not_load_dataclasses_or_inspect():
     added = set(proc.stdout.split())
     assert "qaff.toda" in added
     assert not added & {"dataclasses", "inspect"}, sorted(added)
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# Reached only by tests, and kept on purpose: `inv` and `inv_coroot` are the
+# boundary form's counterparts of `root` and `coroot`, which the id tests
+# compare against; `quotient_dimension` and `schubert_module_dimension` wait
+# for the presentation's fullness certificate to give them a caller.
+UNREFERENCED_ON_PURPOSE = {"inv", "inv_coroot", "quotient_dimension",
+                           "schubert_module_dimension"}
+
+
+def _definitions(tree: ast.Module):
+    """Module-level functions and classes, and every non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__") and item.name.endswith("__"))):
+                    yield item
+
+
+def _tracer_targets() -> list:
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def _references(node: ast.AST, owner, defs: set):
+    """``(owner, name)`` per name read; the owner is the innermost definition."""
+    if node in defs:
+        owner = node
+    if isinstance(node, ast.Name):
+        yield owner, node.id
+    elif isinstance(node, ast.Attribute):
+        yield owner, node.attr
+    for child in ast.iter_child_nodes(node):
+        yield from _references(child, owner, defs)
+
+
+def test_every_definition_is_referenced():
+    # A definition is live when its name is read outside every dead
+    # definition, so code that only dead code reads is dead as well.
+    named = set(qaff.__all__) | UNREFERENCED_ON_PURPOSE
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        named.update(name for _, name in _references(tree, None, set()))
+    for _, _, target, _ in _tracer_targets():
+        named.update(target.split("."))
+    defs, readers = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = list(_definitions(tree))
+        defs += [(path.name, node) for node in found]
+        for owner, name in _references(tree, None, set(found)):
+            readers.setdefault(name, set()).add(owner)
+    dead: set = set()
+    changed = True
+    while changed:
+        changed = False
+        for _, node in defs:
+            if (node not in dead and node.name not in named
+                    and readers.get(node.name, set()) <= dead | {node}):
+                dead.add(node)
+                changed = True
+    unread = sorted(f"{file}:{node.lineno} {node.name}" for file, node in defs if node in dead)
+    assert not unread, "\n".join(unread)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from qaff.roots import AffineRoot, affinize, build_root_system
+from qaff.roots import affinize, build_root_system
 from qaff.weyl import (
     AffW,
     affine_weyl,
@@ -70,7 +70,7 @@ def test_finite_reflection_squares_to_identity():
     rs = build_root_system("B", 3)
     for beta in rs.positive_roots:
         s = finite_reflection(rs, beta)
-        assert (s * s).is_identity()
+        assert s * s == finite_identity(rs)
         assert s.root(beta) == tuple(-x for x in beta)
 
 
@@ -98,7 +98,7 @@ class TestAffineWeyl:
         W = affine_weyl("A", 1)
         s0, s1 = W.simple(0), W.simple(1)
         t = W.element(W.multiply(s0, s1))  # translation by theta^vee
-        assert t.v.is_identity()
+        assert t.v == finite_identity(W.rs)
         assert t.t != (0,) * W.n
 
     def test_length_matches_bfs(self):
@@ -138,22 +138,6 @@ class TestAffineWeyl:
         for i in W.right_descents(w):
             assert W.length(W.multiply(w, W.simple(i))) == W.length(w) - 1
 
-    def test_reflection_root_inverse_of_reflection(self):
-        W = affine_weyl("A", 2)
-        ard = W.ard
-        for mu in ard.real_positive_roots_leq((1, 1, 1)):
-            r = W.reflection(mu)
-            assert W.reflection_root(r) == mu
-            assert W.multiply(r, r) == W.identity
-
-    def test_apply_permutes_affine_roots(self):
-        W = affine_weyl("A", 1)
-        w = W.from_word([0, 1])
-        alpha1 = W.ard.simple_root(1)
-        # t_{theta^vee} shifts alpha by -<alpha, theta^vee> delta... check root-hood
-        img = W.apply(w, alpha1)
-        assert W.ard.is_root(img)
-
     def test_hecke_product(self):
         W = affine_weyl("A", 1)
         s0 = W.simple(0)
@@ -171,7 +155,7 @@ class TestAffineWeyl:
         # covers go up by exactly one
         for u, alpha in W.bruhat_covers_up(w):
             assert W.length(u) == 4
-            assert W.ard.is_positive(alpha)
+            assert alpha.level > 0 or sum(alpha.finite) > 0
             assert u == W.multiply(w, W.reflection(alpha))
 
     def test_covers_count_small(self):
@@ -179,13 +163,6 @@ class TestAffineWeyl:
         W = affine_weyl("B", 2)
         covers = W.bruhat_covers_up(W.identity)
         assert sorted(W.format(u) for u, _ in covers) == ["s0", "s1", "s2"]
-
-
-def test_affw_identity_detection():
-    W = affine_weyl("A", 1)
-    e = W.element(W.identity)
-    assert e.is_identity()
-    assert not AffW(e.v, (1,)).is_identity()
 
 
 def test_enumerate_is_cached_consistently():
@@ -283,9 +260,9 @@ def _affw_length(rs, x):
 
 @pytest.mark.parametrize("letter,rank", ID_TYPES)
 def test_affine_ids_match_affw_composition(letter, rank):
-    """``multiply``, ``rmul``, ``invert``, ``apply``, ``length`` and ``id_of`` on
-    the ids of ``enumerate_up_to(3)`` and the short reflections, against
-    ``FinW`` products of ``element(w)``."""
+    """``multiply``, ``rmul``, ``length`` and ``id_of`` on the ids of
+    ``enumerate_up_to(3)`` and the short reflections, against ``FinW`` products
+    of ``element(w)``."""
     W = affine_weyl(letter, rank)
     rs = W.rs
     elts = [w for ws in W.enumerate_up_to(3).values() for w in ws]
@@ -293,18 +270,11 @@ def test_affine_ids_match_affw_composition(letter, rank):
     elts += refls
     xs = {w: W.element(w) for w in elts}
     gens = [W.element(W.simple(i)) for i in range(rank + 1)]
-    roots = [W.ard.simple_root(i) for i in range(rank + 1)] + [AffineRoot(2, rs.positive_roots[-1])]
     for w, x in xs.items():
         assert W.id_of(x) == w
         assert W.length(w) == _affw_length(rs, x)
         for i, g in enumerate(gens):
             assert W.element(W.rmul(w, i)) == _affw_mul(x, g)
-        inv = W.element(W.invert(w))
-        assert inv == AffW(x.v.inv(), tuple(-c for c in x.v.coroot(x.t)))
-        assert _affw_mul(x, inv).is_identity()
-        for alpha in roots:
-            img = x.v.root(alpha.finite)
-            assert W.apply(w, alpha) == AffineRoot(alpha.level - rs.pairing(alpha.finite, x.t), img)
         for s in refls:  # the products the cover scans make
             assert W.element(W.multiply(w, s)) == _affw_mul(x, xs[s])
     rng = random.Random(f"affine-ids/{letter}{rank}")
