@@ -23,13 +23,20 @@ The operators:
 * ``e1_pullback`` — the ring map determined by ``sigma_i -> eps_i - m_i eps_0``;
 * ``qsharp_product`` — ``a * b := Lambda_a Lambda_b (1)`` reduced modulo the
   principal ideal generated by ``q^c``.
+
+``chevalley``, ``lambda_op``, ``modified_lambda`` and ``divisor_pullback`` are
+one sum over the cover rows of :class:`~qaff.chevalley.ChevalleyRootSet`, with
+the weight ``<lambda_i, alpha^vee>`` or ``<lambda_i - m_i lambda_0, alpha^vee>``
+on a cover and with or without the quantum covers.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
+from operator import add
+from typing import Callable
 
 from .bgg import FinCohClass, FiniteSchubert, finite_schubert
 from .chevalley import enumerate_chevalley_roots
@@ -82,17 +89,32 @@ class AffineCoh(QModule):
 
     # -- cup and BGG operators ---------------------------------------------------
 
+    def _cover_sum(self, a: QClass, weight: Callable[[CorootVec], int], quantum: bool) -> QClass:
+        """``sum weight(alpha^vee) c_w eps_{w s_alpha}`` over the Bruhat covers of the
+        support and, if ``quantum``, its quantum covers with ``q^{alpha^vee}``."""
+        self._guard(a)
+        acc: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
+        for w, c in a.terms.items():
+            rows = self._chev.cover_rows(w)
+            for u, _, coroot in rows.classical:
+                k = weight(coroot)
+                if k:
+                    d = acc.setdefault(u, {})
+                    for e, v in c.terms.items():
+                        d[e] = d.get(e, 0) + k * v
+            if quantum:
+                for u, cr in rows.quantum:
+                    k = weight(cr.coroot)
+                    if k:
+                        d = acc.setdefault(u, {})
+                        for e, v in c.terms.items():
+                            qe = tuple(map(add, e, cr.coroot))
+                            d[qe] = d.get(qe, 0) + k * v
+        return self.from_table(acc, 1)
+
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
-        self._guard(a)
-        out: dict[int, Poly] = {}
-        for w, c in a.terms.items():
-            for u, _, coroot in self._chev.cover_rows(w).classical:
-                k = coroot[i]
-                if k:
-                    s = out.get(u)
-                    out[u] = k * c if s is None else s + k * c
-        return self._make(out)
+        return self._cover_sum(a, partial(self.ard.weight_pairing, i), False)
 
     def D_letter(self, i: int, a: QClass) -> QClass:
         out: dict[int, Poly] = {}
@@ -120,15 +142,7 @@ class AffineCoh(QModule):
         ``l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee)``, the quantum-cover length
         condition.
         """
-        quantum: dict[int, Poly] = {}
-        for w, c in a.terms.items():
-            for u, cr in self._chev.cover_rows(w).quantum:
-                k = cr.coroot[i]
-                if k:
-                    add = self.q_monomial(cr.coroot, k) * c
-                    s = quantum.get(u)
-                    quantum[u] = add if s is None else s + add
-        return self.chevalley(i, a) + self._make(quantum)
+        return self._cover_sum(a, partial(self.ard.weight_pairing, i), True)
 
     def lambda_op_by_words(self, i: int, a: QClass) -> QClass:
         """``Lambda_i`` as cup plus ``<lambda_i, alpha^vee> q^{alpha^vee} D_{s_alpha}``.
@@ -148,19 +162,13 @@ class AffineCoh(QModule):
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
         if not 1 <= i <= self.n:
             raise ValueError("modified operator needs a finite index")
-        m_i = self.ard.rs.theta_coroot[i - 1]
-        if not m_i:
-            return self.lambda_op(i, a)
-        return self.combine([(1, self.lambda_op(i, a)), (-m_i, self.lambda_op(0, a))])
+        return self._cover_sum(a, partial(self.ard.level_zero_weight_pairing, i), True)
 
     # -- pullback along evaluation at the base point ---------------------------------
 
     def divisor_pullback(self, i: int, a: QClass) -> QClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
-        m_i = self.ard.rs.theta_coroot[i - 1]
-        if not m_i:
-            return self.chevalley(i, a)
-        return self.combine([(1, self.chevalley(i, a)), (-m_i, self.chevalley(0, a))])
+        return self._cover_sum(a, partial(self.ard.level_zero_weight_pairing, i), False)
 
     def e1_pullback(self, a: FinCohClass) -> QClass:
         for w in a:
@@ -225,12 +233,10 @@ class AffineCoh(QModule):
     def reduce_mod_qc(self, a: QClass) -> QClass:
         """Kill every coefficient monomial divisible by ``q^c``."""
         c = self.ard.c
-        return self._make({
-            w: Poly(self.nq, {
-                e: v for e, v in poly.terms.items() if not all(x >= y for x, y in zip(e, c))
-            })
+        return self.from_table({
+            w: {e: v for e, v in poly.terms.items() if not all(x >= y for x, y in zip(e, c))}
             for w, poly in a.terms.items()
-        })
+        }, 1)
 
     def qsharp_product(self, a: QClass, b: QClass) -> QClass:
         """``a * b = Lambda_a Lambda_b (1)`` modulo ``q^c``."""

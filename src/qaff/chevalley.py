@@ -46,8 +46,8 @@ class ChevalleyRootSet:
     """The full set for one affine type, sorted by coroot height.
 
     It also keeps, per affine element id of ``W``, the covers out of it
-    (:meth:`cover_rows`), which the affine quantum Chevalley operators and the
-    weighted covers of :mod:`qaff.neighborhoods` both read.
+    (:meth:`cover_rows`), which only the cover sum behind the Chevalley
+    operators of :class:`~qaff.affine.AffineCoh` reads.
     """
 
     def __init__(self, W: AffineWeylGroup):

@@ -39,11 +39,11 @@ def _type_arg(parser: argparse.ArgumentParser) -> None:
                         help='Lie type, e.g. "A2", "B2", "G2" (case-insensitive)')
 
 
-def _parse_type(s: str) -> tuple[str, int]:
-    try:
-        return parse_lie_type(s)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def nonnegative_int(text: str) -> int:
+    """A bound flag's value, an ``int >= 0``; argparse exits 2 naming the flag otherwise."""
+    if (n := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 def _parse_degree(text: str, expect: int) -> tuple[int, ...]:
@@ -145,7 +145,7 @@ def _latex_class(ring, a: QClass) -> str:
 
 
 def cmd_chevalley_roots(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     W = affine_weyl(letter, rank)
     crs = enumerate_chevalley_roots(W)
     rows = [
@@ -178,7 +178,7 @@ def cmd_chevalley_roots(args) -> int:
 
 
 def cmd_curve_nbhd(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     W = affine_weyl(letter, rank)
     u = W.parse(args.u)
     d = _parse_degree(args.d, rank + 1)
@@ -207,7 +207,7 @@ def cmd_curve_nbhd(args) -> int:
 
 
 def cmd_gw(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     W = affine_weyl(letter, rank)
     u, w = W.parse(args.u), W.parse(args.w)
     d = _parse_degree(args.d, rank + 1)
@@ -224,7 +224,7 @@ def cmd_gw(args) -> int:
 
 
 def cmd_lambda(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     calc = AffineCoh(affine_weyl(letter, rank), args.trunc)
     w = calc.W.parse(args.w)
     a = calc.basis(w)
@@ -244,13 +244,10 @@ def cmd_lambda(args) -> int:
 
 
 def cmd_product(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     ring = quantum_aff(letter, rank)
-    try:
-        u = ring.FW.parse(args.u)
-        v = ring.FW.parse(args.v)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    u = ring.FW.parse(args.u)
+    v = ring.FW.parse(args.v)
     out = ring.star(ring.basis(u), ring.basis(v))
     if args.format == "json":
         print_json(quantum_class_json(ring, out, args.type.upper()))
@@ -262,7 +259,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_table(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     order = weyl_order(letter, rank)
     if order > args.cap:
         # checked before building the ring: enumerating W is the expensive part
@@ -305,14 +302,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_qsharp(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     calc = AffineCoh(affine_weyl(letter, rank), args.trunc)
     u = calc.W.parse(args.u)
     v = calc.W.parse(args.v)
-    try:
-        out = calc.qsharp_product(calc.basis(u), calc.basis(v))
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    out = calc.qsharp_product(calc.basis(u), calc.basis(v))
     if args.format == "json":
         print_json(affine_class_json(calc, out, args.type.upper()))
     else:
@@ -321,7 +315,7 @@ def cmd_qsharp(args) -> int:
 
 
 def cmd_relations(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     rels, status = toda.relations_for(letter, rank)
     bad = 0
     for rel in rels:
@@ -336,7 +330,7 @@ def cmd_relations(args) -> int:
 
 
 def cmd_present(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     record = toda.present_ring(letter, rank)
     if args.format == "latex":
         gens = ", ".join(f"x_{i}" for i in range(1, rank + 1))
@@ -546,7 +540,7 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    letter, rank = _parse_type(args.type)
+    letter, rank = parse_lie_type(args.type)
     names = args.suite or list(SUITES)
     passed = failed = 0
     reports = []
@@ -590,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--u", required=True, help='Weyl element, e.g. "s0s1"')
     s.add_argument("--d", required=True, help='degree coordinates "d0,d1,..."')
     s.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    s.add_argument("--graph-l", type=int, default=None,
+    s.add_argument("--graph-l", type=nonnegative_int, default=None,
                    help="length bound for the DOT moment-graph slice")
     s.add_argument("--check-oracle", action="store_true",
                    help="cross-check against the moment-graph search")
@@ -611,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--w", required=True)
     s.add_argument("--modified", action="store_true",
                    help="apply Lambda_i - m_i Lambda_0 instead")
-    s.add_argument("--trunc", type=int, default=None, help="truncation bound L")
+    s.add_argument("--trunc", type=nonnegative_int, default=None, help="truncation bound L")
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.set_defaults(fn=cmd_lambda)
 
@@ -632,7 +626,7 @@ def build_parser() -> argparse.ArgumentParser:
     _type_arg(s)
     s.add_argument("--u", required=True)
     s.add_argument("--v", required=True)
-    s.add_argument("--trunc", type=int, default=None, help="truncation bound L")
+    s.add_argument("--trunc", type=nonnegative_int, default=None, help="truncation bound L")
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.set_defaults(fn=cmd_qsharp)
 
@@ -660,10 +654,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TruncationOverflow as exc:

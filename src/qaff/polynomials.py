@@ -114,9 +114,6 @@ class Poly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def coefficient(self, exps: Sequence[int]) -> Scalar:
-        return self.terms.get(tuple(exps), 0)
-
     @property
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.nvars, 0)
@@ -330,9 +327,6 @@ class QClass:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, w: Hashable) -> Poly:
-        return self.terms.get(w, Poly.zero(self.nq))
-
     def ordered_support(self) -> list:
         """The support by length, then reduced word: the printing order."""
         return sorted(self.terms, key=lambda w: (self.length(w), self.word(w)))
@@ -416,8 +410,8 @@ class QModule:
         The coefficients ``c`` are brought over one common denominator ``den``
         first, so the sums run on ``int`` whenever the classes ``x`` have
         integral coefficients.  Every product is added in place into one table
-        ``w -> exponent -> coefficient``, and one Poly is built per basis
-        element of the result, after dividing by ``den``.  A lone ``(1, x)``
+        ``w -> exponent -> coefficient``, which :meth:`from_table` divides by
+        ``den`` and turns into one Poly per basis element.  A lone ``(1, x)``
         with ``x`` of this module returns ``x`` itself, not a copy: classes are
         immutable by convention.
         """
@@ -460,6 +454,10 @@ class QModule:
                         for e2, c2 in p.terms.items():
                             e = tuple(map(add, e1, e2))
                             d[e] = d.get(e, 0) + c1 * c2
+        return self.from_table(acc, den)
+
+    def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]], den: int) -> QClass:
+        """The class of a table ``w -> exponent -> coefficient``, divided by ``den``."""
         nq = self.nq
         if den == 1:
             return self._make({w: _poly(nq, _normalized(d)) for w, d in acc.items()})
@@ -485,8 +483,7 @@ def exact_div_linear(f: Poly, linear: Poly) -> Poly:
     if not lin_terms or any(sum(e) != 1 for e, _ in lin_terms):
         raise ValueError("divisor must be a nonzero linear form without constant term")
     pivot = max(lin_terms, key=lambda ec: abs(ec[1]))[0].index(1)
-    a = linear.coefficient(tuple(1 if i == pivot else 0 for i in range(linear.nvars)))
-    rest = linear - Poly.monomial(linear.nvars, tuple(1 if i == pivot else 0 for i in range(linear.nvars)), a)
+    a = linear.terms[tuple(1 if i == pivot else 0 for i in range(linear.nvars))]
 
     quot = Poly.zero(f.nvars)
     rem = f

@@ -71,10 +71,10 @@ class QuantumAff(FiniteQRing):
         self.fs = finite_schubert(letter, rank)
         W_aff = affine_weyl(letter, rank)
         self.ard = W_aff.ard
-        # per finite index i: (<lambda_i - m_i lambda_0, alpha^vee> q^{alpha^vee}, word of
+        # per finite index i: (alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word of
         # s_alpha) over the Chevalley roots alpha with a nonzero pairing
         self._quantum_terms = [
-            [(Poly.monomial(self.nq, tuple(cr.coroot), k), cr.word)
+            [(tuple(cr.coroot), k, cr.word)
              for cr in enumerate_chevalley_roots(W_aff)
              if (k := self.ard.level_zero_weight_pairing(i, cr.coroot))]
             for i in range(1, rank + 1)
@@ -91,10 +91,13 @@ class QuantumAff(FiniteQRing):
     def _lambda_basis(self, i: int, w: int) -> QClass:
         key = (i, w)
         if key not in self._lambda_img:
-            pairs = [(1, self.from_finite(self.fs.chevalley_cup(i, {w: 1})))]
-            for q, word in self._quantum_terms[i - 1]:
-                pairs.append((q, self.from_finite(self.fs.pi_word(word, {w: 1}))))
-            self._lambda_img[key] = self.combine(pairs)
+            const = (0,) * self.nq
+            acc = {u: {const: c} for u, c in self.fs.chevalley_cup(i, {w: 1}).items()}
+            for e, k, word in self._quantum_terms[i - 1]:
+                for u, c in self.fs.pi_word(word, {w: 1}).items():
+                    d = acc.setdefault(u, {})
+                    d[e] = d.get(e, 0) + k * c
+            self._lambda_img[key] = self.from_table(acc, 1)
         return self._lambda_img[key]
 
     def lambda_bar(self, i: int, a: QClass) -> QClass:

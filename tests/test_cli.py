@@ -271,6 +271,30 @@ class TestErrors:
             main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["lambda", "--type", "A1", "--i", "1", "--w", "s0", "--trunc", "-3"],
+        ["qsharp", "--type", "A1", "--u", "s0", "--v", "s1", "--trunc", "-1"],
+        ["curve-nbhd", "--type", "A2", "--u", "e", "--d", "1,1,1", "--format", "dot",
+         "--graph-l", "-1"],
+    ])
+    def test_negative_bound_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {argv[-2]}: must be non-negative, got {argv[-1]}" in err
+
+    def test_zero_bound_is_accepted(self, capsys):
+        code, _, err = run(
+            capsys, "lambda", "--type", "A1", "--i", "1", "--w", "e", "--trunc", "0")
+        assert code == 3
+        assert "configured L = 0" in err
+        code, out, _ = run(
+            capsys, "curve-nbhd", "--type", "A1", "--u", "e", "--d", "0,0",
+            "--format", "dot", "--graph-l", "0")
+        assert code == 0
+        assert "graph" in out
+
 
 class TestAffineJsonRoundtrip:
     def test_lambda_json_reparses(self, capsys):
