@@ -5,7 +5,7 @@ relations, present, verify.  Weyl elements are hyphen-free generator strings
 ("s0s1s2", "e" for the identity); words need not be reduced.  Exit codes:
 0 success, 1 a failed check (`verify`, `relations --verify`, `curve-nbhd
 --check-oracle`), 2 usage/config error, 3 truncation overflow (the message
-names the truncation that would suffice).
+names the truncation that would suffice), 4 internal error (a broken invariant).
 """
 
 from __future__ import annotations
@@ -660,6 +660,9 @@ def main(argv: list[str] | None = None) -> int:
     except TruncationOverflow as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -23,6 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
+from operator import add
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
@@ -81,7 +83,7 @@ class QuantumAff(FiniteQRing):
         ]
         self._lambda_img: dict[tuple[int, int], QClass] = {}
         self._lift_img: dict[tuple[int, int], QClass] = {}
-        self._correction: dict[int, QClass] = {}
+        self._correction: dict[int, list] = {}
 
     def from_finite(self, a: FinCohClass) -> QClass:
         return self._make({w: Poly.const(self.nq, c) for w, c in a.items()})
@@ -113,36 +115,71 @@ class QuantumAff(FiniteQRing):
 
     # -- operator lifting (graded Nakayama recursion) ----------------------------------
 
-    def _lift_correction(self, w: int) -> QClass:
-        """``T_w(1) - sigma_w``, once per w.
-
-        It is the quantum part of ``sum a lambda_bar_i sigma_{w'}``.  The lift
-        recursion ``L_w = T_w - sum c q^d L_v`` runs over its terms, and ends
-        because every one of them is shorter than w.
-        """
+    def _lift_correction(self, w: int) -> list[tuple[int, list]]:
+        """``den * (sigma_w - T_w(1))`` as ``[(u, [(d, c), ...])]``, with the ``den`` of
+        :meth:`_T_apply`, once per w other than e: the quantum part of ``sum a lambda_bar_i
+        sigma_{w'}``, negated.  The lift ``L_w = T_w - sum c q^d L_u`` runs over its
+        terms, and ends because every one of them is shorter than w."""
         if w not in self._correction:
-            corr = self._T_apply(w, self.unit()) - self.basis(w)
-            if any(self.FW.length[u] >= self.FW.length[w] for u in corr.terms):
+            acc: dict = {}
+            den = self._T_apply(w, self.FW.identity, acc)
+            top = acc.pop(w, None)
+            neg = [(u, [(e, -c) for e, c in d.items() if c])
+                   for u, d in acc.items() if any(d.values())]
+            if top != {(0,) * self.nq: den} or any(
+                    self.FW.length[u] >= self.FW.length[w] for u, _ in neg):
                 raise AssertionError("lift correction grew")
-            self._correction[w] = corr
+            self._correction[w] = neg
         return self._correction[w]
 
-    def _T_apply(self, w: int, b: QClass) -> QClass:
-        """``T_w(b) = sum a lambda_bar_i(L_{w'}(b))`` from the classical Monk step
-        ``sigma_w = sum a sigma_i . sigma_{w'}``; ``T_e`` is the identity."""
-        if w == self.FW.identity:
-            return b
-        return self.combine((a, self.lambda_bar(i, self.lift_apply(v, b)))
-                            for a, i, v in self.fs.chevalley_expression(w))
+    def _T_apply(self, w: int, v: int, acc: dict) -> int:
+        """Add ``den * T_w(sigma_v)`` into the table ``acc`` and return ``den``, the lcm
+        of the denominators of the ``a`` in ``T_w = sum a lambda_bar_i L_{w'}`` (the
+        classical Monk step of w, which is not e), so the sums run on ``int``."""
+        expr = self.fs.chevalley_expression(w)
+        den = lcm(*(a.denominator for a, _, _ in expr))
+        for a, i, x in expr:
+            k = a.numerator * (den // a.denominator)
+            for y, p in self._lift_apply_basis(x, v).terms.items():
+                self._add_product(acc, [(e, k * c) for e, c in p.terms.items()],
+                                  self._lambda_basis(i, y))
+        return den
+
+    def _add_product(self, acc: dict, coef: list, x: QClass) -> None:
+        """Add ``sum c q^e . x`` over the ``(e, c)`` of ``coef`` into the table ``acc``;
+        terms of ``x`` with exponent 0 (a classical cup, say) skip the exponent sum."""
+        const = (0,) * self.nq
+        for u, p in x.terms.items():
+            d = acc.get(u)
+            if d is None:
+                d = acc[u] = {}
+            for e2, c2 in p.terms.items():
+                if e2 == const:
+                    for e, c in coef:
+                        d[e] = d.get(e, 0) + c * c2
+                else:
+                    for e1, c in coef:
+                        e = tuple(map(add, e1, e2))
+                        d[e] = d.get(e, 0) + c * c2
 
     def _lift_apply_basis(self, w: int, v: int) -> QClass:
+        """``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)`` over the terms of
+        the correction, summed in one table; ``L_e`` is the identity."""
         key = (w, v)
-        if key not in self._lift_img:
-            pairs = [(1, self._T_apply(w, self.basis(v)))]
-            for u, poly in self._lift_correction(w).terms.items():
-                pairs.append((-poly, self._lift_apply_basis(u, v)))
-            self._lift_img[key] = self.combine(pairs)
-        return self._lift_img[key]
+        img = self._lift_img.get(key)
+        if img is None:
+            if w == self.FW.identity:
+                img = self.basis(v)
+            elif self.FW.length[w] == 1:  # L_{s_i} = lambda_bar_i: share its image
+                img = self._lambda_basis(self.FW.word[w][0] + 1, v)
+            else:
+                acc: dict = {}
+                den = self._T_apply(w, v, acc)
+                for u, neg in self._lift_correction(w):
+                    self._add_product(acc, neg, self._lift_apply_basis(u, v))
+                img = self.from_table(acc, den)
+            self._lift_img[key] = img
+        return img
 
     def lift_apply(self, w: int, b: QClass) -> QClass:
         """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""

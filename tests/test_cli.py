@@ -5,7 +5,9 @@ import time
 
 import pytest
 
+from qaff import cli
 from qaff.cli import main
+from qaff.quantum import QuantumAff
 
 
 def run(capsys, *argv):
@@ -294,6 +296,19 @@ class TestErrors:
             "--format", "dot", "--graph-l", "0")
         assert code == 0
         assert "graph" in out
+
+    def test_internal_error_has_its_own_exit_code(self, capsys, monkeypatch):
+        def broken(self, w):
+            raise AssertionError("lift correction grew")
+
+        # a fresh ring, so no memo entry from an earlier test skips the lift
+        monkeypatch.setattr(cli, "quantum_aff", lambda letter, rank: QuantumAff(letter, rank))
+        monkeypatch.setattr(QuantumAff, "_lift_correction", broken)
+        code, out, err = run(capsys, "product", "--type", "A2", "--u", "s1s2", "--v", "s1")
+        assert code == 4
+        assert out == ""
+        assert "internal error: lift correction grew" in err
+        assert "Traceback" not in err
 
 
 class TestAffineJsonRoundtrip:
