@@ -5,7 +5,8 @@ relations, present, verify.  Weyl elements are hyphen-free generator strings
 ("s0s1s2", "e" for the identity); words need not be reduced.  Exit codes:
 0 success, 1 a failed check (`verify`, `relations --verify`, `curve-nbhd
 --check-oracle`), 2 usage/config error, 3 truncation overflow (the message
-names the truncation that would suffice), 4 internal error (a broken invariant).
+names the truncation that would suffice), 4 internal error (a broken invariant,
+or the run ran out of memory).
 """
 
 from __future__ import annotations
@@ -662,6 +663,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except MemoryError:
+        print(f"internal error: out of memory ({args.command} --type {args.type})",
+              file=sys.stderr)
         return 4
 
 

@@ -10,7 +10,11 @@ Schubert cell(s) reach while the componentwise degree budget lasts.
 ``curve_neighborhood`` computes the Bruhat-maximal reachable set through the
 Hecke-product shortcut (neighborhood of a point, then one Hecke product per
 component); ``neighborhood_by_search`` is the literal walk over the whole
-Schubert variety, kept as an independent oracle.
+Schubert variety, kept as an independent oracle.  The neighborhood of a
+point, ``z_d``, depends on ``d`` alone and is computed once per ``(W, d)``.
+The walk indexes its moves by the remaining budget: a vertex reached with
+budget ``b`` takes exactly the moves of coroot ``<= b``, built once per
+``(W, b)``.
 
 ``bruhat_maximal``, which both routes end in, takes the elements by
 decreasing length and tests each only against the maxima found so far.  That
@@ -72,17 +76,16 @@ def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
 
 
 @lru_cache(maxsize=None)
-def _moves(W: AffineWeylGroup, d: CorootVec) -> tuple[tuple[int, CorootVec], ...]:
-    """``(s_alpha, alpha^vee)`` for every real positive root with ``alpha^vee <= d``."""
+def _moves(W: AffineWeylGroup, b: CorootVec) -> tuple[tuple[int, CorootVec], ...]:
+    """``(s_alpha, alpha^vee)`` for every real positive root with ``alpha^vee <= b``."""
     ard = W.ard
-    return tuple((W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(d))
+    return tuple((W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(b))
 
 
 def _reachable(W: AffineWeylGroup, starts: list[int], d: CorootVec) -> set[int]:
     """Vertices reachable from ``starts`` by walks of componentwise degree <= d."""
-    moves = _moves(W, tuple(d))
     budgets: dict[int, list[CorootVec]] = {}
-    stack: list[tuple[int, CorootVec]] = [(w, d) for w in starts]
+    stack: list[tuple[int, CorootVec]] = [(w, tuple(d)) for w in starts]
 
     def record(w: int, b: CorootVec) -> bool:
         kept = budgets.setdefault(w, [])
@@ -96,12 +99,11 @@ def _reachable(W: AffineWeylGroup, starts: list[int], d: CorootVec) -> set[int]:
         record(w, b)
     while stack:
         w, b = stack.pop()
-        for s, cost in moves:
-            if coroot_leq(cost, b):
-                w2 = W.multiply(w, s)
-                b2 = tuple(x - y for x, y in zip(b, cost))
-                if record(w2, b2):
-                    stack.append((w2, b2))
+        for s, cost in _moves(W, b):
+            w2 = W.multiply(w, s)
+            b2 = tuple(x - y for x, y in zip(b, cost))
+            if record(w2, b2):
+                stack.append((w2, b2))
     return set(budgets)
 
 
@@ -119,11 +121,15 @@ def bruhat_maximal(W: AffineWeylGroup, elts: set[int]) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _z(W: AffineWeylGroup, d: CorootVec) -> tuple[int, ...]:
+    """``z_d``, the neighborhood of a point, once per ``(W, d)`` like ``_moves``."""
+    return tuple(bruhat_maximal(W, _reachable(W, [W.identity], d)))
+
+
 def z_components(W: AffineWeylGroup, d: CorootVec) -> list[int]:
     """Bruhat-maximal elements reachable from the identity within budget d."""
-    if coroot_ht(d) == 0:
-        return [W.identity]
-    return bruhat_maximal(W, _reachable(W, [W.identity], d))
+    return list(_z(W, tuple(d)))
 
 
 def curve_neighborhood(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:

@@ -281,6 +281,7 @@ class OrdinaryQH(FiniteQRing):
         self._express: dict[int, list[tuple[Fraction, tuple[int, ...]]]] = {}
         self._mono_classical: dict[tuple[int, ...], QClass] = {(): self.unit()}
         self._lift_img: dict[tuple[int, int], QClass] = {}
+        self._correction: dict[int, QClass] = {}  # w -> T_w(1) - sigma_w
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Full quantum Chevalley multiplication by sigma_i: the classical
@@ -350,8 +351,10 @@ class OrdinaryQH(FiniteQRing):
         key = (w, v)
         if key not in self._lift_img:
             t = self._T_apply(w, self.basis(v))
-            t1 = self._T_apply(w, self.unit())
-            for u, poly in (t1 - self.basis(w)).terms.items():
+            corr = self._correction.get(w)
+            if corr is None:
+                corr = self._correction[w] = self._T_apply(w, self.unit()) - self.basis(w)
+            for u, poly in corr.terms.items():
                 if self.FW.length[u] >= self.FW.length[w]:
                     raise AssertionError("lift correction grew")
                 t = t - self._lift_apply_basis(u, v).scale(poly)

@@ -310,6 +310,17 @@ class TestErrors:
         assert "internal error: lift correction grew" in err
         assert "Traceback" not in err
 
+    def test_out_of_memory_is_an_internal_error(self, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_product", exhausted)
+        code, out, err = run(capsys, "product", "--type", "A2", "--u", "s1", "--v", "s2")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: out of memory (product --type A2)\n"
+        assert "Traceback" not in err
+
 
 class TestAffineJsonRoundtrip:
     def test_lambda_json_reparses(self, capsys):

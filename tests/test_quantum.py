@@ -284,6 +284,26 @@ class TestOrdinaryEngine:
         ring = ordinary_qh("A", 2)
         assert len(ring.multiplication_table()) == 36
 
+    def test_unit_lift_once_per_element(self, monkeypatch):
+        # T_w(1) - sigma_w is kept per w, so lifting w against several v
+        # applies T_w to the unit once
+        ring = OrdinaryQH("B", 3)
+        FW = ring.FW
+        unit_calls = {}
+        real = OrdinaryQH._T_apply
+
+        def counting(self, w, b):
+            if b == self.unit():
+                unit_calls[w] = unit_calls.get(w, 0) + 1
+            return real(self, w, b)
+
+        monkeypatch.setattr(OrdinaryQH, "_T_apply", counting)
+        vs = [FW.parse(t) for t in ("s1", "s3s2", "s1s2s3")]
+        for w in FW.elements:
+            for v in vs:
+                ring.star(ring.basis(w), ring.basis(v))
+        assert unit_calls == dict.fromkeys(FW.elements, 1)
+
 
 class TestInterfaces:
     def test_lambda_bar_rejects_bad_index(self, a2):
