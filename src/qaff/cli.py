@@ -405,7 +405,9 @@ def _suite_frobenius(letter: str, rank: int, report) -> None:
         for u in elts for v in elts for w in elts
     )
     report("Frobenius pairing symmetric on all Schubert triples", ok)
-    sym = all(cache[(u, v)] == cache[(v, u)] for u in elts for v in elts)
+    # star lifts the shorter factor, so compare the two lift routes, not star both ways
+    sym = all(ring.lift_apply(u, ring.basis(v)) == ring.lift_apply(v, ring.basis(u))
+              for u in elts for v in elts)
     report("star product commutes on all Schubert pairs", sym)
 
 

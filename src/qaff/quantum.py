@@ -7,7 +7,21 @@ Two engines live here, deliberately kept apart:
   plus ``<lambda_i - m_i lambda_0, alpha^vee> q^{alpha^vee} pi(D_{s_alpha})``
   summed over the distinguished affine roots.  Every ``sigma_w`` is lifted to
   an operator polynomial in the ``lambda_bar`` by a graded Nakayama recursion,
-  and ``star(a, b)`` evaluates the lift of ``a`` on ``b``.
+  and ``star(a, b)`` evaluates, per pair of basis elements, the lift of the
+  shorter one on the other.
+
+  Inside the lift every ``q^e`` is one ``int``, ``sum e_j << B(n - j)`` with
+  ``q0`` most significant, and the memo rows are ``[(u, [(key, c), ...])]``.
+  Every term of ``lambda_bar_i sigma_w``, ``T_w(sigma_v)`` and
+  ``L_w(sigma_v)``, and of every partial sum inside them, is homogeneous of
+  degree ``l(w) + l(v) <= 2 l(w0)`` with ``deg q^e = 2 sum e``, so each entry
+  ``e_j`` of a row is at most ``l(w0)``.  The coefficients of an input class
+  are packed once per call and held to the same bound (an entry outside
+  ``0..l(w0)`` is refused), so a term of ``star``, input times input times
+  row, has entries at most ``3 l(w0) < 2^B`` with ``B`` the bit length of
+  ``3 l(w0)``: adding two keys adds the exponents and never carries, and int
+  order is tuple order.  One step (``_to_class``) turns packed rows into a
+  class and builds each exponent tuple once per ring.
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -24,11 +38,10 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import lcm
-from operator import add
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
-from .polynomials import Poly, QClass, QModule, solve_exact
+from .polynomials import Poly, QClass, QModule, _divided, _exact, _poly, solve_exact
 from .roots import build_root_system, coroot_ht
 from .weyl import affine_weyl, finite_reflection, finite_weyl
 
@@ -73,50 +86,130 @@ class QuantumAff(FiniteQRing):
         self.fs = finite_schubert(letter, rank)
         W_aff = affine_weyl(letter, rank)
         self.ard = W_aff.ard
-        # per finite index i: (alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word of
-        # s_alpha) over the Chevalley roots alpha with a nonzero pairing
+        self._cap = self.FW.length[self.FW.w0]  # the largest entry of an input q-exponent
+        self._width = (3 * self._cap).bit_length()  # B, the bits of one packed entry
+        self._exps: dict[int, tuple[int, ...]] = {}  # packed key -> exponent tuple
+        # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
+        # of s_alpha) over the Chevalley roots alpha with a nonzero pairing
         self._quantum_terms = [
-            [(tuple(cr.coroot), k, cr.word)
+            [(self._pack(tuple(cr.coroot)), k, cr.word)
              for cr in enumerate_chevalley_roots(W_aff)
              if (k := self.ard.level_zero_weight_pairing(i, cr.coroot))]
             for i in range(1, rank + 1)
         ]
-        self._lambda_img: dict[tuple[int, int], QClass] = {}
-        self._lift_img: dict[tuple[int, int], QClass] = {}
+        self._lambda_img: dict[tuple[int, int], list] = {}
+        self._lift_img: dict[tuple[int, int], list] = {}
         self._correction: dict[int, list] = {}
 
     def from_finite(self, a: FinCohClass) -> QClass:
         return self._make({w: Poly.const(self.nq, c) for w, c in a.items()})
 
+    # -- packed q-exponents --------------------------------------------------------
+
+    def _pack(self, e: tuple[int, ...]) -> int:
+        """``q^e`` as ``sum e_j << B(n - j)``; an entry outside ``0..l(w0)`` is refused."""
+        if len(e) != self.nq or min(e) < 0 or max(e) > self._cap:
+            raise ValueError(f"q-exponent {e} is not {self.nq} entries in 0..{self._cap} = l(w0)")
+        key = 0
+        for x in e:
+            key = (key << self._width) | x
+        return key
+
+    def _packed(self, a: QClass) -> list:
+        """The packed row of an input class, built once per call."""
+        return [(w, [(self._pack(e), c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of ``key``, kept in ``_exps``."""
+        B, mask = self._width, (1 << self._width) - 1
+        e = self._exps[key] = tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
+        return e
+
+    def _to_class(self, row) -> QClass:
+        """The one step from packed ``(u, [(key, c), ...])`` pairs to a class; each
+        exponent tuple is built once per ring."""
+        exps, nq = self._exps, self.nq
+        return self._make({
+            u: _poly(nq, {exps.get(k) or self._unpack(k): c if c.__class__ is int else _exact(c)
+                          for k, c in terms if c})
+            for u, terms in row})
+
+    @staticmethod
+    def _row(acc: dict, den: int) -> list:
+        """The nonzero entries of the table ``acc``, divided by ``den``, as a packed row
+        ``[(u, [(key, c), ...]), ...]``."""
+        return [(u, t) for u, d in acc.items()
+                if (t := [(e, c if den == 1 else _divided(c, den)) for e, c in d.items() if c])]
+
+    def _add_product(self, acc: dict, coef: list, row: list) -> None:
+        """Add ``sum c q^e . row`` over the ``(e, c)`` of ``coef`` into the table ``acc``."""
+        for u, terms in row:
+            d = acc.get(u)
+            if d is None:
+                d = acc[u] = {}
+            for e2, c2 in terms:
+                for e1, c in coef:
+                    e = e1 + e2
+                    d[e] = d.get(e, 0) + c * c2
+
+    def _sum_rows(self, pairs) -> QClass:
+        """``sum coef . row`` over the ``(coef, row)`` pairs, in one table; a lone row
+        with coefficient 1 is read as it is."""
+        pairs = list(pairs)
+        if len(pairs) == 1 and pairs[0][0] == [(0, 1)]:
+            return self._to_class(pairs[0][1])
+        acc: dict = {}
+        for coef, row in pairs:
+            self._add_product(acc, coef, row)
+        return self._to_class((u, d.items()) for u, d in acc.items())
+
     # -- the Chevalley operators ---------------------------------------------------
 
-    def _lambda_basis(self, i: int, w: int) -> QClass:
+    def _lambda_basis(self, i: int, w: int) -> list:
+        """The packed row of ``lambda_bar_i(sigma_w)``."""
         key = (i, w)
-        if key not in self._lambda_img:
-            const = (0,) * self.nq
-            acc = {u: {const: c} for u, c in self.fs.chevalley_cup(i, {w: 1}).items()}
+        row = self._lambda_img.get(key)
+        if row is None:
+            acc = {u: {0: c} for u, c in self.fs.chevalley_cup(i, {w: 1}).items()}
             for e, k, word in self._quantum_terms[i - 1]:
                 for u, c in self.fs.pi_word(word, {w: 1}).items():
                     d = acc.setdefault(u, {})
                     d[e] = d.get(e, 0) + k * c
-            self._lambda_img[key] = self.from_table(acc, 1)
-        return self._lambda_img[key]
+            row = self._lambda_img[key] = self._row(acc, 1)
+        return row
 
     def lambda_bar(self, i: int, a: QClass) -> QClass:
         """Quantum Chevalley operator for the finite index i (1..n)."""
         if not 1 <= i <= self.n:
             raise ValueError("lambda_bar takes a finite index 1..n")
-        return self.combine((c, self._lambda_basis(i, w)) for w, c in a.terms.items())
+        return self._sum_rows((coef, self._lambda_basis(i, w)) for w, coef in self._packed(a))
 
-    def lambda_word(self, word: tuple[int, ...], a: QClass) -> QClass:
-        for i in reversed(word):
-            a = self.lambda_bar(i, a)
-        return a
+    def lambda_eval(self, terms) -> QClass:
+        """``sum c q^e lambda_bar_{word}(1)`` over the ``(e, c, word)`` of ``terms``.
+
+        Word images are memoized by suffix for this call only, so each new word costs
+        one ``lambda_bar`` step.  A word longer than ``2 l(w0)`` is refused: its image
+        could hold an exponent entry beyond ``l(w0)``.
+        """
+        memo = {(): [(self.FW.identity, [(0, 1)])]}
+
+        def image(word):
+            row = memo.get(word)
+            if row is None:
+                if len(word) > 2 * self._cap:
+                    raise ValueError(f"lambda_bar word {word} is longer than 2 l(w0)")
+                acc: dict = {}
+                for w, coef in image(word[1:]):
+                    self._add_product(acc, coef, self._lambda_basis(word[0], w))
+                row = memo[word] = self._row(acc, 1)
+            return row
+
+        return self._sum_rows(([(self._pack(e), c)], image(word)) for e, c, word in terms)
 
     # -- operator lifting (graded Nakayama recursion) ----------------------------------
 
     def _lift_correction(self, w: int) -> list[tuple[int, list]]:
-        """``den * (sigma_w - T_w(1))`` as ``[(u, [(d, c), ...])]``, with the ``den`` of
+        """``den * (sigma_w - T_w(1))`` as a packed row, with the ``den`` of
         :meth:`_T_apply`, once per w other than e: the quantum part of ``sum a lambda_bar_i
         sigma_{w'}``, negated.  The lift ``L_w = T_w - sum c q^d L_u`` runs over its
         terms, and ends because every one of them is shorter than w."""
@@ -126,7 +219,7 @@ class QuantumAff(FiniteQRing):
             top = acc.pop(w, None)
             neg = [(u, [(e, -c) for e, c in d.items() if c])
                    for u, d in acc.items() if any(d.values())]
-            if top != {(0,) * self.nq: den} or any(
+            if top != {0: den} or any(
                     self.FW.length[u] >= self.FW.length[w] for u, _ in neg):
                 raise AssertionError("lift correction grew")
             self._correction[w] = neg
@@ -140,36 +233,19 @@ class QuantumAff(FiniteQRing):
         den = lcm(*(a.denominator for a, _, _ in expr))
         for a, i, x in expr:
             k = a.numerator * (den // a.denominator)
-            for y, p in self._lift_apply_basis(x, v).terms.items():
-                self._add_product(acc, [(e, k * c) for e, c in p.terms.items()],
+            for y, terms in self._lift_apply_basis(x, v):
+                self._add_product(acc, [(e, k * c) for e, c in terms],
                                   self._lambda_basis(i, y))
         return den
 
-    def _add_product(self, acc: dict, coef: list, x: QClass) -> None:
-        """Add ``sum c q^e . x`` over the ``(e, c)`` of ``coef`` into the table ``acc``;
-        terms of ``x`` with exponent 0 (a classical cup, say) skip the exponent sum."""
-        const = (0,) * self.nq
-        for u, p in x.terms.items():
-            d = acc.get(u)
-            if d is None:
-                d = acc[u] = {}
-            for e2, c2 in p.terms.items():
-                if e2 == const:
-                    for e, c in coef:
-                        d[e] = d.get(e, 0) + c * c2
-                else:
-                    for e1, c in coef:
-                        e = tuple(map(add, e1, e2))
-                        d[e] = d.get(e, 0) + c * c2
-
-    def _lift_apply_basis(self, w: int, v: int) -> QClass:
-        """``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)`` over the terms of
-        the correction, summed in one table; ``L_e`` is the identity."""
+    def _lift_apply_basis(self, w: int, v: int) -> list:
+        """The packed row of ``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)``
+        over the terms of the correction, summed in one table; ``L_e`` is the identity."""
         key = (w, v)
         img = self._lift_img.get(key)
         if img is None:
             if w == self.FW.identity:
-                img = self.basis(v)
+                img = [(v, [(0, 1)])]
             elif self.FW.length[w] == 1:  # L_{s_i} = lambda_bar_i: share its image
                 img = self._lambda_basis(self.FW.word[w][0] + 1, v)
             else:
@@ -177,18 +253,25 @@ class QuantumAff(FiniteQRing):
                 den = self._T_apply(w, v, acc)
                 for u, neg in self._lift_correction(w):
                     self._add_product(acc, neg, self._lift_apply_basis(u, v))
-                img = self.from_table(acc, den)
+                img = self._row(acc, den)
             self._lift_img[key] = img
         return img
 
     def lift_apply(self, w: int, b: QClass) -> QClass:
         """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
-        return self.combine((c, self._lift_apply_basis(w, v)) for v, c in b.terms.items())
+        return self._sum_rows((coef, self._lift_apply_basis(w, v)) for v, coef in self._packed(b))
 
     # -- the product -------------------------------------------------------------
 
     def star(self, a: QClass, b: QClass) -> QClass:
-        return self.combine((c, self.lift_apply(u, b)) for u, c in a.terms.items())
+        """``a * b``.  The product commutes, so each pair ``sigma_u, sigma_v`` lifts the
+        shorter of the two (``u`` on a tie): its lift has fewer correction terms."""
+        length, pb = self.FW.length, self._packed(b)
+        return self._sum_rows(
+            ([(e1 + e2, c1 * c2) for e1, c1 in p for e2, c2 in r],
+             self._lift_apply_basis(u, v) if length[u] <= length[v]
+             else self._lift_apply_basis(v, u))
+            for u, p in self._packed(a) for v, r in pb)
 
     def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
         """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
@@ -238,7 +321,7 @@ class QuantumAff(FiniteQRing):
         checked = mismatches = 0
         for i in range(1, self.n + 1):
             for w in self.FW.elements:
-                lhs = self.specialize_q0(self._lambda_basis(i, w))
+                lhs = self.specialize_q0(self.lambda_bar(i, self.basis(w)))
                 rhs = ord_ring.chevalley(i, ord_ring.basis(w))
                 checked += 1
                 if lhs.terms != rhs.terms:

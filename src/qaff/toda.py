@@ -211,16 +211,15 @@ def quadratic_relation(letter: str, rank: int) -> RelationPoly:
 
 
 def phi_evaluate(rel: RelationPoly, ring: QuantumAff | None = None) -> QClass:
-    """Substitute x_i -> sigma_i, products via the affine quantum product."""
+    """Substitute x_i -> sigma_i, products via the affine quantum product: the
+    images of the x-monomials, as words in the ``lambda_bar`` applied to 1, are
+    summed in one table."""
     if ring is None:
         ring = quantum_aff(rel.letter, rel.rank)
     rank = rel.rank
-    pairs = []
-    for e, c in rel.poly.terms.items():
-        q_exps, x_exps = e[: rank + 1], e[rank + 1 :]
-        word = tuple(i + 1 for i, a in enumerate(x_exps) for _ in range(a))
-        pairs.append((Poly.monomial(rank + 1, q_exps, c), ring.lambda_word(word, ring.unit())))
-    return ring.combine(pairs)
+    return ring.lambda_eval(
+        (e[: rank + 1], c, tuple(i + 1 for i, a in enumerate(e[rank + 1 :]) for _ in range(a)))
+        for e, c in rel.poly.terms.items())
 
 
 def verify_relation(rel: RelationPoly, ring: QuantumAff | None = None) -> bool:

@@ -8,8 +8,15 @@ each monomial applied as a word in the ``lambda_bar``, and the lift is
     L_w = T_w - sum c q^d L_u     over the terms of T_w(1) - sigma_w.
 
 The tests compare products through this lift against ``QuantumAff.star``.
-Only the ring's ``lambda_word``, ``combine`` and constructors are shared.
+Only the ring's ``lambda_bar``, ``combine`` and constructors are shared.
 """
+
+
+def lambda_word(ring, word, b):
+    """``lambda_bar_{word}(b)``, one ``lambda_bar`` class per letter, last letter first."""
+    for i in reversed(word):
+        b = ring.lambda_bar(i, b)
+    return b
 
 
 class DivisorLift:
@@ -22,7 +29,7 @@ class DivisorLift:
 
     def T_apply(self, w, b):
         R = self.ring
-        return R.combine((coef, R.lambda_word(mono, b))
+        return R.combine((coef, lambda_word(R, mono, b))
                          for coef, mono in R.fs.express_in_divisors(w))
 
     def correction(self, w):

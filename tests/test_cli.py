@@ -301,10 +301,11 @@ class TestErrors:
         def broken(self, w):
             raise AssertionError("lift correction grew")
 
-        # a fresh ring, so no memo entry from an earlier test skips the lift
+        # a fresh ring, so no memo entry from an earlier test skips the lift; star
+        # lifts the shorter factor, so both have length 2 and one needs a correction
         monkeypatch.setattr(cli, "quantum_aff", lambda letter, rank: QuantumAff(letter, rank))
         monkeypatch.setattr(QuantumAff, "_lift_correction", broken)
-        code, out, err = run(capsys, "product", "--type", "A2", "--u", "s1s2", "--v", "s1")
+        code, out, err = run(capsys, "product", "--type", "A2", "--u", "s1s2", "--v", "s2s1")
         assert code == 4
         assert out == ""
         assert "internal error: lift correction grew" in err

@@ -95,7 +95,7 @@ def test_lambda_basis_matches_the_combine_form(letter, rank):
     ring = quantum_aff(letter, rank)
     for i in range(1, rank + 1):
         for w in ring.FW.elements:
-            assert ring._lambda_basis(i, w) == old_lambda_basis(ring, i, w)
+            assert ring.lambda_bar(i, ring.basis(w)) == old_lambda_basis(ring, i, w)
 
 
 class ArithmeticReached(RuntimeError):

@@ -1,0 +1,128 @@
+"""Packed q-exponents in ``QuantumAff``, and the routes around them.
+
+Inside the lift every ``q^e`` is one int, ``sum e_j << B(n - j)`` with ``q0``
+most significant, so adding keys adds exponents and int order is tuple
+order.  The tests pin the packing on every exponent the A3 and B3 tables
+meet, the refusal of exponents it cannot hold, ``star`` lifting its
+shorter factor against the first-factor route ``lift_apply(u, sigma_v)``,
+and ``phi_evaluate`` (one table, words memoized by suffix for one call)
+against the per-monomial ``combine`` route it replaced.
+"""
+
+import pytest
+from divisor_lift import lambda_word
+
+from qaff.polynomials import Poly
+from qaff.quantum import QuantumAff, quantum_aff
+from qaff.toda import RelationPoly, phi_evaluate, quadratic_relation, relations_for
+
+LIFT_TYPES = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
+PHI_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("G", 2)]
+
+
+def _ids(types):
+    return [f"{t}{r}" for t, r in types]
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3)])
+def test_pack_round_trip_and_order(letter, rank):
+    ring = quantum_aff(letter, rank)
+    table = ring.multiplication_table()
+    exps = {e for cls in table.values() for p in cls.terms.values() for e in p.terms}
+    keys = {k for row in ring._lift_img.values() for _, terms in row for k, _ in terms}
+    assert len(exps) > 1 and len(keys) > 1
+    for e in exps:
+        assert ring._unpack(ring._pack(e)) == e
+    for k in keys:
+        assert ring._pack(ring._unpack(k)) == k
+    assert sorted(exps) == sorted(exps, key=ring._pack)
+    assert sorted(keys) == sorted(keys, key=ring._unpack)
+
+
+def test_largest_input_exponents_do_not_carry():
+    ring = quantum_aff("B", 3)
+    cap = ring.FW.length[ring.FW.w0]
+    q = Poly.monomial(ring.nq, (cap,) * ring.nq, 1)
+    w0 = ring.FW.w0
+    for u in (ring.FW.identity, ring.FW.gens[1], w0):
+        got = ring.star(ring.basis(u, q), ring.basis(w0, q))
+        assert got == ring.star(ring.basis(u), ring.basis(w0)).scale(q * q)
+
+
+@pytest.mark.parametrize("exp", [(-1, 0, 0, 0), (0, 7, 0, 0), (0, 0, 0)],
+                         ids=["negative", "oversized", "wrong-arity"])
+def test_refuses_an_exponent_the_packing_cannot_hold(exp):
+    ring = quantum_aff("A", 3)  # l(w0) = 6
+    bad = ring.basis(ring.FW.identity, Poly.monomial(len(exp), exp, 1))
+    s1 = ring.basis_simple(1)
+    calls = [lambda: ring.star(bad, s1), lambda: ring.star(s1, bad),
+             lambda: ring.lift_apply(ring.FW.gens[0], bad), lambda: ring.lambda_bar(1, bad)]
+    for call in calls:
+        with pytest.raises(ValueError, match="q-exponent"):
+            call()
+
+
+def test_refuses_a_word_longer_than_twice_the_top_length():
+    ring = quantum_aff("A", 1)  # l(w0) = 1
+    assert not ring.lambda_eval([((0, 0), 1, (1, 1))]).is_zero()
+    with pytest.raises(ValueError, match="longer than 2 l"):
+        ring.lambda_eval([((0, 0), 1, (1, 1, 1))])
+    cube = RelationPoly("A", 1, Poly.monomial(3, (0, 0, 3), 1), "X")
+    with pytest.raises(ValueError):
+        phi_evaluate(cube)
+
+
+@pytest.mark.parametrize("letter,rank", LIFT_TYPES, ids=_ids(LIFT_TYPES))
+def test_star_matches_the_first_factor_lift(letter, rank):
+    ring = quantum_aff(letter, rank)
+    elts = ring.FW.elements
+    bad = [(ring.FW.format(u), ring.FW.format(v)) for u in elts for v in elts
+           if ring.star(ring.basis(u), ring.basis(v)) != ring.lift_apply(u, ring.basis(v))]
+    assert bad == []
+
+
+def test_star_lifts_the_shorter_factor():
+    ring = QuantumAff("A", 3)
+    FW = ring.FW
+    w0, s1 = FW.w0, FW.gens[0]
+    ring.star(ring.basis(w0), ring.basis(s1))
+    assert (s1, w0) in ring._lift_img
+    assert all(w != w0 for w, _ in ring._lift_img)
+    u, v = FW.parse("s1s2"), FW.parse("s2s3")  # a tie keeps the first factor
+    ring.star(ring.basis(u), ring.basis(v))
+    assert (u, v) in ring._lift_img and (v, u) not in ring._lift_img
+
+
+def _per_monomial_phi(rel, ring):
+    """The route ``phi_evaluate`` took before: one ``lambda_bar`` chain from the
+    unit per monomial, summed by ``combine``."""
+    rank = rel.rank
+    pairs = []
+    for e, c in rel.poly.terms.items():
+        word = tuple(i + 1 for i, a in enumerate(e[rank + 1:]) for _ in range(a))
+        pairs.append((Poly.monomial(rank + 1, e[: rank + 1], c),
+                      lambda_word(ring, word, ring.unit())))
+    return ring.combine(pairs)
+
+
+@pytest.mark.parametrize("letter,rank", PHI_TYPES, ids=_ids(PHI_TYPES))
+def test_phi_matches_the_per_monomial_route(letter, rank):
+    ring = quantum_aff(letter, rank)
+    rels = [quadratic_relation(letter, rank)] + relations_for(letter, rank)[0]
+    # each relation vanishes; its single terms and its q-free part do not
+    pieces = list(rels)
+    for rel in rels:
+        nv = rel.poly.nvars
+        pieces += [RelationPoly(letter, rank, Poly(nv, {e: c}), "term")
+                   for e, c in rel.poly.terms.items()]
+        free = {e: c for e, c in rel.poly.terms.items() if not any(e[: rank + 1])}
+        pieces.append(RelationPoly(letter, rank, Poly(nv, free), "q-free"))
+    attrs = set(vars(ring))
+    nonzero = 0
+    for rel in pieces:
+        got = phi_evaluate(rel, ring)
+        assert got == _per_monomial_phi(rel, ring), rel.format()
+        nonzero += not got.is_zero()
+    assert all(phi_evaluate(rel, ring).is_zero() for rel in rels)
+    assert nonzero > 0
+    assert set(vars(ring)) == attrs  # the word images live for one call only
