@@ -20,7 +20,9 @@ The operators:
   and ``verify`` and the tests check the two against each other;
 * ``modified_lambda(i, a)`` — ``(Lambda_i - m_i Lambda_0)(a)``, the family
   that commutes exactly;
-* ``e1_pullback`` — the ring map determined by ``sigma_i -> eps_i - m_i eps_0``;
+* ``e1_pullback`` — the ring map determined by ``sigma_i -> eps_i - m_i eps_0``,
+  built by the Monk step: ``sigma_w = sum c sigma_i . sigma_v`` pulls back to
+  ``sum c (eps_i - m_i eps_0) . e1(sigma_v)``;
 * ``qsharp_product`` — ``a * b := Lambda_a Lambda_b (1)`` reduced modulo the
   principal ideal generated by ``q^c``.
 
@@ -71,7 +73,7 @@ class AffineCoh(QModule):
         self.n = W.n
         self.L = default_truncation(self.n) if L is None else L
         self._chev = enumerate_chevalley_roots(W)
-        self._e1_cache: dict = {}
+        self._e1_cache: dict[int, QClass] = {}
         self._mono_cache: dict[tuple[int, ...], QClass] = {}
 
     @property
@@ -151,12 +153,12 @@ class AffineCoh(QModule):
         one by one.  This is the oracle that ``verify`` and the tests compare
         :meth:`lambda_op` against.
         """
-        pairs = [(1, self.chevalley(i, a))]
+        out = self.chevalley(i, a)
         for cr in self._chev:
             k = cr.coroot[i]
             if k:
-                pairs.append((self.q_monomial(cr.coroot, k), self.D_word(cr.word, a)))
-        return self.combine(pairs)
+                out = out + self.D_word(cr.word, a).scale(self.q_monomial(cr.coroot, k))
+        return out
 
     def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
@@ -171,16 +173,24 @@ class AffineCoh(QModule):
         return self._cover_sum(a, partial(self.ard.level_zero_weight_pairing, i), False)
 
     def e1_pullback(self, a: FinCohClass) -> QClass:
-        for w in a:
-            if w not in self._e1_cache:
-                pairs = []
-                for coef, mono in self.fs.express_in_divisors(w):
-                    cls = self.unit()
-                    for i in reversed(mono):
-                        cls = self.divisor_pullback(i, cls)
-                    pairs.append((coef, cls))
-                self._e1_cache[w] = self.combine(pairs)
-        return self.combine((c, self._e1_cache[w]) for w, c in a.items())
+        """The ring map ``sigma_i -> eps_i - m_i eps_0`` on a finite class."""
+        out = self.zero()
+        for w, c in a.items():
+            out = out + self._e1_basis(w).scale(c)
+        return out
+
+    def _e1_basis(self, w: int) -> QClass:
+        """``e1(sigma_w)`` by the Monk step of ``chevalley_expression``, memoized per w."""
+        img = self._e1_cache.get(w)
+        if img is None:
+            if w == self.fs.W.identity:
+                img = self.unit()
+            else:
+                img = self.zero()
+                for c, i, v in self.fs.chevalley_expression(w):
+                    img = img + self.divisor_pullback(i, self._e1_basis(v)).scale(c)
+            self._e1_cache[w] = img
+        return img
 
     # -- the divisor subring and its product ------------------------------------------
 
@@ -222,13 +232,13 @@ class AffineCoh(QModule):
         return out
 
     def _apply_lambda_expr(self, expr, target: QClass) -> QClass:
-        pairs = []
+        out = self.zero()
         for e, c, mono in expr:
             cls = target
             for i in reversed(mono):
                 cls = self.lambda_op(i, cls)
-            pairs.append((self.q_monomial(e, c), cls))
-        return self.combine(pairs)
+            out = out + cls.scale(self.q_monomial(e, c))
+        return out
 
     def reduce_mod_qc(self, a: QClass) -> QClass:
         """Kill every coefficient monomial divisible by ``q^c``."""

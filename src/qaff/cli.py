@@ -121,7 +121,7 @@ def affine_class_json(calc: AffineCoh, a: QClass, lie_type: str) -> dict:
     }
 
 
-def quantum_class_json(ring, a: QClass, lie_type: str) -> dict:
+def quantum_class_json(a: QClass, lie_type: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "type": lie_type,
@@ -251,7 +251,7 @@ def cmd_product(args) -> int:
     v = ring.FW.parse(args.v)
     out = ring.star(ring.basis(u), ring.basis(v))
     if args.format == "json":
-        print_json(quantum_class_json(ring, out, args.type.upper()))
+        print_json(quantum_class_json(out, args.type.upper()))
     elif args.format == "latex":
         print(_latex_class(ring, out))
     else:

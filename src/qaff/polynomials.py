@@ -404,58 +404,6 @@ class QModule:
         c = coeff if isinstance(coeff, Poly) else Poly.const(self.nq, coeff)
         return self._make({w: c})
 
-    def combine(self, pairs: Iterable[tuple["Poly | Scalar", QClass]]) -> QClass:
-        """``sum c * x`` over the ``(c, x)`` pairs, where ``c`` is a Poly or a scalar.
-
-        The coefficients ``c`` are brought over one common denominator ``den``
-        first, so the sums run on ``int`` whenever the classes ``x`` have
-        integral coefficients.  Every product is added in place into one table
-        ``w -> exponent -> coefficient``, which :meth:`from_table` divides by
-        ``den`` and turns into one Poly per basis element.  A lone ``(1, x)``
-        with ``x`` of this module returns ``x`` itself, not a copy: classes are
-        immutable by convention.
-        """
-        work = []
-        den = 1
-        for c, x in pairs:
-            if not isinstance(c, Poly):
-                c = Poly.const(self.nq, c)
-            if c and x.terms:
-                work.append((c.terms, x))
-                for v in c.terms.values():
-                    if v.__class__ is Fraction:
-                        den = lcm(den, v.denominator)
-        const = (0,) * self.nq
-        if len(work) == 1:
-            cterms, x = work[0]
-            if (len(cterms) == 1 and cterms.get(const) == 1 and x.nq == self.nq
-                    and x.length is self._length and x.word is self._word):
-                return x
-        acc: dict[Hashable, dict[Exp, Scalar]] = {}
-        for cterms, x in work:
-            scaled = [
-                (e, v * den if v.__class__ is int else v.numerator * (den // v.denominator))
-                for e, v in cterms.items()
-            ]
-            if len(scaled) == 1 and scaled[0][0] == const:
-                k = scaled[0][1]
-                for w, p in x.terms.items():
-                    d = acc.get(w)
-                    if d is None:
-                        d = acc[w] = {}
-                    for e, v in p.terms.items():
-                        d[e] = d.get(e, 0) + k * v
-            else:
-                for w, p in x.terms.items():
-                    d = acc.get(w)
-                    if d is None:
-                        d = acc[w] = {}
-                    for e1, c1 in scaled:
-                        for e2, c2 in p.terms.items():
-                            e = tuple(map(add, e1, e2))
-                            d[e] = d.get(e, 0) + c1 * c2
-        return self.from_table(acc, den)
-
     def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]], den: int) -> QClass:
         """The class of a table ``w -> exponent -> coefficient``, divided by ``den``."""
         nq = self.nq

@@ -1,20 +1,22 @@
-"""The lift summed by ``combine``: the reference for the one-table lift.
+"""The lift summed class by class: the reference for the one-table lift.
 
 This is the route ``qaff.quantum.QuantumAff`` took before its lift images
 were summed in one table.  Each step is a class of its own, added up by
-``QModule.combine``:
+``class_sums.scale_and_add``:
 
-    T_w(b)       = combine of (a, lambda_bar_i(L_{w'}(b)))  over the Monk step of w
-    L_w(sigma_v) = combine of (1, T_w(sigma_v)) and (-c q^d, L_u(sigma_v))
+    T_w(b)       = sum of a lambda_bar_i(L_{w'}(b))  over the Monk step of w
+    L_w(sigma_v) = T_w(sigma_v) - sum of c q^d L_u(sigma_v)
 
 over the terms ``c q^d sigma_u`` of ``T_w(1) - sigma_w``.  Only the ring's
-``lambda_bar``, ``combine``, constructors and Chevalley expressions are
-shared.  The counters record how often a Monk coefficient ``a`` and a
-correction coefficient were not integers, so a test can show that both
-denominator branches of the one-table kernel were reached.
+``lambda_bar``, constructors and Chevalley expressions are shared.  The
+counters record how often a Monk coefficient ``a`` and a correction
+coefficient were not integers, so a test can show that both denominator
+branches of the one-table kernel were reached.
 """
 
 from fractions import Fraction
+
+from class_sums import scale_and_add
 
 
 def _fractional(c):
@@ -39,7 +41,7 @@ class CombineLift:
         for a, i, v in R.fs.chevalley_expression(w):
             self.fractional_a += _fractional(a)
             pairs.append((a, R.lambda_bar(i, self.lift_apply(v, b))))
-        return R.combine(pairs)
+        return scale_and_add(R, pairs)
 
     def correction(self, w):
         if w not in self._correction:
@@ -58,9 +60,9 @@ class CombineLift:
             for u, poly in self.correction(w).terms.items():
                 self.fractional_correction += any(map(_fractional, poly.terms.values()))
                 pairs.append((-poly, self.lift_apply_basis(u, v)))
-            self._img[key] = R.combine(pairs)
+            self._img[key] = scale_and_add(R, pairs)
         return self._img[key]
 
     def lift_apply(self, w, b):
         R = self.ring
-        return R.combine((c, self.lift_apply_basis(w, v)) for v, c in b.terms.items())
+        return scale_and_add(R, ((c, self.lift_apply_basis(w, v)) for v, c in b.terms.items()))

@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from divisor_lift import e1_by_divisors
 
 from qaff.affine import TruncationOverflow, affine_coh, default_truncation
 from qaff.bgg import finite_schubert
@@ -176,6 +177,28 @@ class TestEvaluationPullback:
         got = {FW.format(w): a2.format_class(a2.e1_pullback({w: Fraction(1)}))
                for w in FW.elements}
         assert got == expected
+
+    @pytest.mark.parametrize("lt,top", [("A2", 3), ("B2", 4), ("G2", 6), ("A3", 6),
+                                        ("B3", 9), ("C3", 9), ("D4", 5)])
+    def test_monk_step_matches_the_divisor_route(self, lt, top):
+        # every w of length <= top; in D4 the divisor route alone takes 3.8 s
+        # on the whole group, so it stops at length 5
+        H = affine_coh(lt[0], int(lt[1]), max(top + 1, 6))
+        FW = H.fs.W
+        bad = [FW.format(w) for w in FW.elements if FW.length[w] <= top
+               and H.e1_pullback({w: Fraction(1)}) != e1_by_divisors(H, {w: Fraction(1)})]
+        assert bad == []
+
+    def test_monk_step_with_fraction_coefficients(self):
+        H = affine_coh("B", 3, 10)
+        FW = H.fs.W
+        a = {FW.parse("s1"): Fraction(1, 2), FW.parse("s2s3"): Fraction(-3, 4),
+             FW.parse("s3s2s3"): Fraction(5, 3), FW.w0: Fraction(2)}
+        got = H.e1_pullback(a)
+        assert got == e1_by_divisors(H, a)
+        values = [c for p in got.terms.values() for c in p.terms.values()]
+        assert any(type(c) is Fraction for c in values)
+        assert all(type(c) is int or c.denominator != 1 for c in values)
 
 
 def test_affine_coh_refuses_an_unparsed_letter():

@@ -4,7 +4,7 @@ Each call in ``data/cli_golden.json`` was recorded before the change it
 guards: the first 15 before the nil-Hecke ``theta_matrix`` replaced the
 polynomial one, the next 8 before both rings moved onto one module class, and
 the next 2 (the whole A3 table and the B2 relations) before ``Poly`` moved to
-integer coefficients and the module sums to ``QModule.combine``, the next
+integer coefficients and sums of classes to one integer table, the next
 2 (``w0 * s1`` on D4 and B4, with ``w0`` as its printed reduced word) before
 the lift moved from divisor-monomial expressions to one classical Chevalley
 step per element, and the last 16 (``curve-nbhd`` in every output form,

@@ -1,20 +1,20 @@
-"""The one-table lift against the ``combine`` route it replaced.
+"""The one-table lift against the class-by-class route it replaced.
 
 ``QuantumAff._lift_apply_basis`` adds ``a lambda_bar_i L_{w'}(sigma_v)`` and
 ``-c q^d L_u(sigma_v)`` into one integer table over a common denominator,
 keyed by packed q-exponents; ``combine_lift.CombineLift`` builds every step
-as a class and sums them with ``combine``.  They must agree on every
+as a class and sums them with ``scale`` and ``+``.  They must agree on every
 ``(w, v)``.  B2, G2, B3 and C3 reach both denominator branches (a fractional
 Monk coefficient ``a`` and a fractional correction); A2 and A3 reach
-neither.  A second test pins the design: with ``Poly`` arithmetic,
-``QClass.__add__`` and ``QModule.combine`` made to raise, ``lift_apply``,
-``star``, ``lambda_bar`` and ``phi_evaluate`` still return the same classes.
+neither.  A second test pins the design: with ``Poly`` arithmetic and
+``QClass.__add__`` made to raise, ``lift_apply``, ``star``, ``lambda_bar``
+and ``phi_evaluate`` still return the same classes.
 """
 
 import pytest
 
 from combine_lift import CombineLift
-from qaff.polynomials import Poly, QClass, QModule
+from qaff.polynomials import Poly, QClass
 from qaff.quantum import QuantumAff, quantum_aff
 from qaff.toda import phi_evaluate, relations_for
 
@@ -66,7 +66,6 @@ def test_lift_needs_no_per_term_arithmetic(monkeypatch, letter, rank):
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
         monkeypatch.setattr(Poly, name, _refuse)
     monkeypatch.setattr(QClass, "__add__", _refuse)
-    monkeypatch.setattr(QModule, "combine", _refuse)
     with pytest.raises(ArithmeticReached):
         Poly.one(ring.nq) + Poly.one(ring.nq)
     got = images(ring)

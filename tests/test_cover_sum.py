@@ -5,19 +5,21 @@ compositions it replaced.
 ``divisor_pullback`` as one sum over the cover rows, and ``QuantumAff`` adds
 the cup and ``pi(D_{s_alpha})`` images of ``lambda_bar_i(sigma_w)`` into one
 table.  The oracles here are the earlier forms: ``Lambda_i - m_i Lambda_0`` as
-a ``combine`` of two ``lambda_op`` images, ``eps_i - m_i eps_0`` as a
-``combine`` of two ``chevalley`` images, the cup and quantum sums built one
-``Poly`` per term, and ``lambda_bar_i(sigma_w)`` as a ``combine`` of
-``from_finite`` classes with the quantum terms rebuilt from the Chevalley
-roots.  A second test pins the design: with ``Poly`` arithmetic and
-``QModule.combine`` made to raise, the four operators still return.
+a sum of two ``lambda_op`` images, ``eps_i - m_i eps_0`` as a sum of two
+``chevalley`` images, the cup and quantum sums built one ``Poly`` per term,
+and ``lambda_bar_i(sigma_w)`` as a sum of ``from_finite`` classes with the
+quantum terms rebuilt from the Chevalley roots.  The sums are
+``class_sums.scale_and_add`` chains.  A second test pins the design: with
+``Poly`` arithmetic and ``QClass.__add__`` made to raise, the four operators
+still return.
 """
 
 import pytest
+from class_sums import scale_and_add
 
 from qaff.affine import AffineCoh, affine_coh
 from qaff.chevalley import enumerate_chevalley_roots
-from qaff.polynomials import Poly, QClass, QModule
+from qaff.polynomials import Poly, QClass
 from qaff.quantum import quantum_aff
 from qaff.roots import affinize
 from qaff.weyl import AffineWeylGroup, affine_weyl
@@ -52,14 +54,14 @@ def old_lambda_op(calc, i, a):
 
 
 def old_lambda_basis(ring, i, w):
-    """``lambda_bar_i(sigma_w)`` as a ``combine`` of ``from_finite`` classes."""
+    """``lambda_bar_i(sigma_w)`` as a sum of ``from_finite`` classes."""
     pairs = [(1, ring.from_finite(ring.fs.chevalley_cup(i, {w: 1})))]
     for cr in enumerate_chevalley_roots(affine_weyl(ring.rs.letter, ring.rs.rank)):
         k = ring.ard.level_zero_weight_pairing(i, cr.coroot)
         if k:
             q = Poly.monomial(ring.nq, tuple(cr.coroot), k)
             pairs.append((q, ring.from_finite(ring.fs.pi_word(cr.word, {w: 1}))))
-    return ring.combine(pairs)
+    return scale_and_add(ring, pairs)
 
 
 def mixed_class(calc, elements):
@@ -69,7 +71,7 @@ def mixed_class(calc, elements):
         e = [0] * calc.nq
         e[k % calc.nq] = k % 3
         pairs.append((Poly(calc.nq, {tuple(e): k + 1, (0,) * calc.nq: -1}), calc.basis(w)))
-    return calc.combine(pairs)
+    return scale_and_add(calc, pairs)
 
 
 @pytest.mark.parametrize("letter,rank", AFFINE_TYPES)
@@ -84,10 +86,10 @@ def test_operators_match_their_compositions(letter, rank):
             assert calc.lambda_op(i, b) == old_lambda_op(calc, i, b)
         for i in range(1, rank + 1):
             m_i = marks[i - 1]
-            assert calc.modified_lambda(i, b) == calc.combine(
-                [(1, calc.lambda_op(i, b)), (-m_i, calc.lambda_op(0, b))])
-            assert calc.divisor_pullback(i, b) == calc.combine(
-                [(1, calc.chevalley(i, b)), (-m_i, calc.chevalley(0, b))])
+            assert calc.modified_lambda(i, b) == scale_and_add(
+                calc, [(1, calc.lambda_op(i, b)), (-m_i, calc.lambda_op(0, b))])
+            assert calc.divisor_pullback(i, b) == scale_and_add(
+                calc, [(1, calc.chevalley(i, b)), (-m_i, calc.chevalley(0, b))])
 
 
 @pytest.mark.parametrize("letter,rank", QUANTUM_TYPES)
@@ -127,7 +129,6 @@ def test_operators_need_no_per_term_arithmetic(monkeypatch):
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__"):
         monkeypatch.setattr(Poly, name, _refuse)
     monkeypatch.setattr(QClass, "__add__", _refuse)
-    monkeypatch.setattr(QModule, "combine", _refuse)
     with pytest.raises(ArithmeticReached):
         Poly.one(calc.nq) + Poly.one(calc.nq)
     got = images(calc, bs)

@@ -1,15 +1,16 @@
 """The integer-coefficient kernel of the ``Q[q]``-module layer.
 
 ``Poly`` stores a coefficient as an ``int`` when it is integral and as a
-``Fraction`` only when it is not, and ``QModule.combine`` sums ``c * x`` pairs
-in place over one common denominator.  The summation it replaced, a chain of
-``scale`` and ``+``, is the oracle for ``combine``.
+``Fraction`` only when it is not.  Classes are summed by a chain of
+``QClass.scale`` and ``+`` (``class_sums.scale_and_add``); the tests check
+that chain against a coefficient-by-coefficient ``Fraction`` sum.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+from class_sums import scale_and_add
 from divisor_lift import lambda_word
 
 from qaff.affine import affine_coh
@@ -52,11 +53,23 @@ def random_pairs(rng, k):
     return [(random_coefficient(rng), random_class(rng)) for _ in range(k)]
 
 
-def scale_and_add(pairs):
-    out = MODULE.zero()
+def fraction_sum(pairs):
+    """``sum c * x`` as a table ``w -> exponent -> Fraction``, zeros dropped."""
+    out = {}
     for c, x in pairs:
-        out = out + x.scale(c)
-    return out
+        cterms = c.terms if isinstance(c, Poly) else {(0,) * NQ: c}
+        for w, p in x.terms.items():
+            d = out.setdefault(w, {})
+            for e1, c1 in cterms.items():
+                for e2, c2 in p.terms.items():
+                    e = tuple(a + b for a, b in zip(e1, e2))
+                    d[e] = d.get(e, 0) + Fraction(c1) * c2
+    out = {w: {e: v for e, v in d.items() if v} for w, d in out.items()}
+    return {w: d for w, d in out.items() if d}
+
+
+def table(cls):
+    return {w: p.terms for w, p in cls.terms.items()}
 
 
 def coefficients(cls):
@@ -71,12 +84,16 @@ def assert_exact(values):
 
 
 class TestCombine:
+    """Sums of ``c * x`` pairs by the ``scale`` and ``+`` chain, which the
+    ``e1`` route and the test oracles use: equal to a coefficient-by-coefficient
+    ``Fraction`` sum, and exact, with ``int`` wherever a sum is integral."""
+
     @pytest.mark.parametrize("seed", range(40))
     def test_equals_scale_and_add_chain(self, seed):
         rng = random.Random(seed)
         pairs = random_pairs(rng, rng.randint(0, 6))
-        got = MODULE.combine(pairs)
-        assert got == scale_and_add(pairs)
+        got = scale_and_add(MODULE, pairs)
+        assert table(got) == fraction_sum(pairs)
         assert_exact(coefficients(got))
 
     @pytest.mark.parametrize("seed", range(10))
@@ -84,34 +101,20 @@ class TestCombine:
         rng = random.Random(100 + seed)
         kept, dropped = random_pairs(rng, 3), random_pairs(rng, 3)
         negated = [(-c, x) for c, x in dropped]
-        assert MODULE.combine(dropped + negated).is_zero()
-        got = MODULE.combine(dropped + kept + negated)
-        assert got == scale_and_add(kept)
+        assert scale_and_add(MODULE, dropped + negated).is_zero()
+        got = scale_and_add(MODULE, dropped + kept + negated)
+        assert table(got) == fraction_sum(kept)
         assert_exact(coefficients(got))
 
     def test_halves_sum_to_an_int(self):
         x = MODULE.basis(1, Poly.variable(NQ, 0) + 3)
-        got = MODULE.combine([(Fraction(1, 2), x), (Poly.const(NQ, Fraction(1, 2)), x)])
+        got = scale_and_add(MODULE, [(Fraction(1, 2), x), (Poly.const(NQ, Fraction(1, 2)), x)])
         assert got == x
         assert all(type(c) is int for c in coefficients(got))
 
-    def test_a_lone_unit_pair_returns_the_class_itself(self):
-        x = MODULE.basis(1, Poly.variable(NQ, 0) + 3) + MODULE.basis(4, Fraction(1, 2))
-        assert MODULE.combine([(1, x)]) is x
-        assert MODULE.combine([(Poly.one(NQ), x)]) is x
-        assert MODULE.combine((c, x) for c in [1, 0]) is x
-        for pairs in ([(2, x)], [(Fraction(1, 2), x)], [(Poly.variable(NQ, 1), x)],
-                      [(1, x), (1, x)], [(Fraction(1, 2), x), (Fraction(1, 2), x)]):
-            got = MODULE.combine(pairs)
-            assert got is not x and got == scale_and_add(pairs)
-        # a class of another module (other length and word callables) is copied
-        other = QModule(lambda w: w, lambda w: (w,), 0, NQ)
-        got = other.combine([(1, x)])
-        assert got is not x and got == x and got.length is other._length
-
     def test_accepts_a_generator_and_skips_zero_coefficients(self):
         x = MODULE.basis(2)
-        got = MODULE.combine((c, x) for c in [0, Poly.zero(NQ), 2])
+        got = scale_and_add(MODULE, ((c, x) for c in [0, Poly.zero(NQ), 2]))
         assert got == MODULE.basis(2, 2)
 
 

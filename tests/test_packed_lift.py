@@ -6,10 +6,11 @@ order.  The tests pin the packing on every exponent the A3 and B3 tables
 meet, the refusal of exponents it cannot hold, ``star`` lifting its
 shorter factor against the first-factor route ``lift_apply(u, sigma_v)``,
 and ``phi_evaluate`` (one table, words memoized by suffix for one call)
-against the per-monomial ``combine`` route it replaced.
+against the per-monomial route it replaced.
 """
 
 import pytest
+from class_sums import scale_and_add
 from divisor_lift import lambda_word
 
 from qaff.polynomials import Poly
@@ -95,14 +96,14 @@ def test_star_lifts_the_shorter_factor():
 
 def _per_monomial_phi(rel, ring):
     """The route ``phi_evaluate`` took before: one ``lambda_bar`` chain from the
-    unit per monomial, summed by ``combine``."""
+    unit per monomial, summed class by class."""
     rank = rel.rank
     pairs = []
     for e, c in rel.poly.terms.items():
         word = tuple(i + 1 for i, a in enumerate(e[rank + 1:]) for _ in range(a))
         pairs.append((Poly.monomial(rank + 1, e[: rank + 1], c),
                       lambda_word(ring, word, ring.unit())))
-    return ring.combine(pairs)
+    return scale_and_add(ring, pairs)
 
 
 @pytest.mark.parametrize("letter,rank", PHI_TYPES, ids=_ids(PHI_TYPES))
