@@ -394,6 +394,12 @@ class QModule:
     def _make(self, terms: Mapping[Hashable, Poly]) -> QClass:
         return QClass(self._length, self._word, self.nq, terms)
 
+    def _class(self, terms: dict[Hashable, Poly]) -> QClass:
+        """A class on ``terms`` as given: every coefficient nonzero and normalized."""
+        a = QClass.__new__(QClass)
+        a.length, a.word, a.nq, a.terms = self._length, self._word, self.nq, terms
+        return a
+
     def zero(self) -> QClass:
         return self._make({})
 
@@ -401,8 +407,10 @@ class QModule:
         return self.basis(self._identity)
 
     def basis(self, w: Hashable, coeff: "Poly | Scalar" = 1) -> QClass:
-        c = coeff if isinstance(coeff, Poly) else Poly.const(self.nq, coeff)
-        return self._make({w: c})
+        if isinstance(coeff, Poly):
+            return self._make({w: coeff})
+        c = _exact(coeff)
+        return self._class({w: _poly(self.nq, {(0,) * self.nq: c})} if c else {})
 
     def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]], den: int) -> QClass:
         """The class of a table ``w -> exponent -> coefficient``, divided by ``den``."""

@@ -10,18 +10,18 @@ Two engines live here, deliberately kept apart:
   and ``star(a, b)`` evaluates, per pair of basis elements, the lift of the
   shorter one on the other.
 
-  Inside the lift every ``q^e`` is one ``int``, ``sum e_j << B(n - j)`` with
-  ``q0`` most significant, and the memo rows are ``[(u, [(key, c), ...])]``.
-  Every term of ``lambda_bar_i sigma_w``, ``T_w(sigma_v)`` and
-  ``L_w(sigma_v)``, and of every partial sum inside them, is homogeneous of
-  degree ``l(w) + l(v) <= 2 l(w0)`` with ``deg q^e = 2 sum e``, so each entry
-  ``e_j`` of a row is at most ``l(w0)``.  The coefficients of an input class
-  are packed once per call and held to the same bound (an entry outside
-  ``0..l(w0)`` is refused), so a term of ``star``, input times input times
-  row, has entries at most ``3 l(w0) < 2^B`` with ``B`` the bit length of
-  ``3 l(w0)``: adding two keys adds the exponents and never carries, and int
-  order is tuple order.  One step (``_to_class``) turns packed rows into a
-  class and builds each exponent tuple once per ring.
+  Inside the lift a term ``c q^e sigma_u`` is one ``int`` key ``u << S | e`` and
+  ``c``: ``e`` packs ``q^e`` as ``sum e_j << B(n - j)``, ``q0`` most significant,
+  and ``S = nq B``, so memo rows are flat ``[(key, c), ...]``.  Every term of
+  ``lambda_bar_i sigma_w``, ``T_w(sigma_v)``, ``L_w(sigma_v)`` and their partial
+  sums has degree ``l(w) + l(v) <= 2 l(w0)`` with ``deg q^e = 2 sum e``, so a row
+  entry ``e_j`` is at most ``l(w0)``.  An input class is packed once per call and
+  held to the same bound (an entry outside ``0..l(w0)`` is refused), so a term
+  of ``star``, input times input times row, has entries at most ``3 l(w0) < 2^B``
+  with ``B`` the bit length of ``3 l(w0)``: adding an exponent to a key adds the
+  exponents and never carries into the next entry or into ``u``, and int order
+  is tuple order.  ``_to_class`` alone splits keys, turning a row into a class
+  and building each exponent tuple once per ring.
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -88,7 +88,9 @@ class QuantumAff(FiniteQRing):
         self.ard = W_aff.ard
         self._cap = self.FW.length[self.FW.w0]  # the largest entry of an input q-exponent
         self._width = (3 * self._cap).bit_length()  # B, the bits of one packed entry
-        self._exps: dict[int, tuple[int, ...]] = {}  # packed key -> exponent tuple
+        self._shift = self.nq * self._width  # S, the bits of one packed exponent
+        self._mask = (1 << self._shift) - 1  # the packed exponent of a key
+        self._exps: dict[int, tuple[int, ...]] = {}  # packed exponent -> exponent tuple
         # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
         # of s_alpha) over the Chevalley roots alpha with a nonzero pairing
         self._quantum_terms = [
@@ -126,31 +128,28 @@ class QuantumAff(FiniteQRing):
         return e
 
     def _to_class(self, row) -> QClass:
-        """The one step from packed ``(u, [(key, c), ...])`` pairs to a class; each
-        exponent tuple is built once per ring."""
-        exps, nq = self._exps, self.nq
-        return self._make({
-            u: _poly(nq, {exps.get(k) or self._unpack(k): c if c.__class__ is int else _exact(c)
-                          for k, c in terms if c})
-            for u, terms in row})
+        """The one step from ``(key, c)`` terms to a class: the one place keys are split."""
+        exps, nq, S, mask, out = self._exps, self.nq, self._shift, self._mask, {}
+        for k, c in row:
+            if c:
+                e = k & mask
+                out.setdefault(k >> S, {})[exps.get(e) or self._unpack(e)] = (
+                    c if c.__class__ is int else _exact(c))
+        return self._class({u: _poly(nq, d) for u, d in out.items()})
 
     @staticmethod
     def _row(acc: dict, den: int) -> list:
-        """The nonzero entries of the table ``acc``, divided by ``den``, as a packed row
-        ``[(u, [(key, c), ...]), ...]``."""
-        return [(u, t) for u, d in acc.items()
-                if (t := [(e, c if den == 1 else _divided(c, den)) for e, c in d.items() if c])]
+        """The nonzero entries of the table ``acc``, divided by ``den``, as a row."""
+        return [(k, c if den == 1 else _divided(c, den)) for k, c in acc.items() if c]
 
-    def _add_product(self, acc: dict, coef: list, row: list) -> None:
+    @staticmethod
+    def _add_product(acc: dict, coef: list, row: list) -> None:
         """Add ``sum c q^e . row`` over the ``(e, c)`` of ``coef`` into the table ``acc``."""
-        for u, terms in row:
-            d = acc.get(u)
-            if d is None:
-                d = acc[u] = {}
-            for e2, c2 in terms:
-                for e1, c in coef:
-                    e = e1 + e2
-                    d[e] = d.get(e, 0) + c * c2
+        get = acc.get
+        for e, c in coef:
+            for k, c2 in row:
+                k += e
+                acc[k] = get(k, 0) + c * c2
 
     def _sum_rows(self, pairs) -> QClass:
         """``sum coef . row`` over the ``(coef, row)`` pairs, in one table; a lone row
@@ -161,21 +160,21 @@ class QuantumAff(FiniteQRing):
         acc: dict = {}
         for coef, row in pairs:
             self._add_product(acc, coef, row)
-        return self._to_class((u, d.items()) for u, d in acc.items())
+        return self._to_class(acc.items())
 
     # -- the Chevalley operators ---------------------------------------------------
 
     def _lambda_basis(self, i: int, w: int) -> list:
-        """The packed row of ``lambda_bar_i(sigma_w)``."""
-        key = (i, w)
-        row = self._lambda_img.get(key)
+        """The row of ``lambda_bar_i(sigma_w)``."""
+        row = self._lambda_img.get((i, w))
         if row is None:
-            acc = {u: {0: c} for u, c in self.fs.chevalley_cup(i, {w: 1}).items()}
+            S = self._shift
+            acc = {u << S: c for u, c in self.fs.chevalley_cup(i, {w: 1}).items()}
             for e, k, word in self._quantum_terms[i - 1]:
                 for u, c in self.fs.pi_word(word, {w: 1}).items():
-                    d = acc.setdefault(u, {})
-                    d[e] = d.get(e, 0) + k * c
-            row = self._lambda_img[key] = self._row(acc, 1)
+                    key = u << S | e
+                    acc[key] = acc.get(key, 0) + k * c
+            row = self._lambda_img[(i, w)] = self._row(acc, 1)
         return row
 
     def lambda_bar(self, i: int, a: QClass) -> QClass:
@@ -191,7 +190,7 @@ class QuantumAff(FiniteQRing):
         one ``lambda_bar`` step.  A word longer than ``2 l(w0)`` is refused: its image
         could hold an exponent entry beyond ``l(w0)``.
         """
-        memo = {(): [(self.FW.identity, [(0, 1)])]}
+        S, mask, memo = self._shift, self._mask, {(): [(self.FW.identity << self._shift, 1)]}
 
         def image(word):
             row = memo.get(word)
@@ -199,8 +198,8 @@ class QuantumAff(FiniteQRing):
                 if len(word) > 2 * self._cap:
                     raise ValueError(f"lambda_bar word {word} is longer than 2 l(w0)")
                 acc: dict = {}
-                for w, coef in image(word[1:]):
-                    self._add_product(acc, coef, self._lambda_basis(word[0], w))
+                for k, c in image(word[1:]):
+                    self._add_product(acc, [(k & mask, c)], self._lambda_basis(word[0], k >> S))
                 row = memo[word] = self._row(acc, 1)
             return row
 
@@ -209,20 +208,20 @@ class QuantumAff(FiniteQRing):
     # -- operator lifting (graded Nakayama recursion) ----------------------------------
 
     def _lift_correction(self, w: int) -> list[tuple[int, list]]:
-        """``den * (sigma_w - T_w(1))`` as a packed row, with the ``den`` of
-        :meth:`_T_apply`, once per w other than e: the quantum part of ``sum a lambda_bar_i
-        sigma_{w'}``, negated.  The lift ``L_w = T_w - sum c q^d L_u`` runs over its
-        terms, and ends because every one of them is shorter than w."""
+        """``den * (sigma_w - T_w(1))``, with the ``den`` of :meth:`_T_apply`, as ``(u,
+        [(e, c), ...])`` coefficient pairs, once per w other than e: the quantum part of
+        ``sum a lambda_bar_i sigma_{w'}``, negated.  The lift ``L_w = T_w - sum c q^d L_u``
+        runs over its terms, and ends because every one of them is shorter than w."""
         if w not in self._correction:
             acc: dict = {}
             den = self._T_apply(w, self.FW.identity, acc)
-            top = acc.pop(w, None)
-            neg = [(u, [(e, -c) for e, c in d.items() if c])
-                   for u, d in acc.items() if any(d.values())]
-            if top != {0: den} or any(
-                    self.FW.length[u] >= self.FW.length[w] for u, _ in neg):
+            S, mask, length, neg = self._shift, self._mask, self.FW.length, {}
+            for k, c in acc.items():
+                if c:
+                    neg.setdefault(k >> S, []).append((k & mask, -c))
+            if neg.pop(w, None) != [(0, -den)] or any(length[u] >= length[w] for u in neg):
                 raise AssertionError("lift correction grew")
-            self._correction[w] = neg
+            self._correction[w] = list(neg.items())
         return self._correction[w]
 
     def _T_apply(self, w: int, v: int, acc: dict) -> int:
@@ -231,21 +230,21 @@ class QuantumAff(FiniteQRing):
         classical Monk step of w, which is not e), so the sums run on ``int``."""
         expr = self.fs.chevalley_expression(w)
         den = lcm(*(a.denominator for a, _, _ in expr))
+        S, mask = self._shift, self._mask
         for a, i, x in expr:
             k = a.numerator * (den // a.denominator)
-            for y, terms in self._lift_apply_basis(x, v):
-                self._add_product(acc, [(e, k * c) for e, c in terms],
-                                  self._lambda_basis(i, y))
+            for key, c in self._lift_apply_basis(x, v):
+                self._add_product(acc, [(key & mask, k * c)], self._lambda_basis(i, key >> S))
         return den
 
     def _lift_apply_basis(self, w: int, v: int) -> list:
-        """The packed row of ``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)``
-        over the terms of the correction, summed in one table; ``L_e`` is the identity."""
+        """The row of ``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)`` over the
+        terms of the correction, summed in one table; ``L_e`` is the identity."""
         key = (w, v)
         img = self._lift_img.get(key)
         if img is None:
             if w == self.FW.identity:
-                img = [(v, [(0, 1)])]
+                img = [(v << self._shift, 1)]
             elif self.FW.length[w] == 1:  # L_{s_i} = lambda_bar_i: share its image
                 img = self._lambda_basis(self.FW.word[w][0] + 1, v)
             else:

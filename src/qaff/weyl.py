@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from operator import add, itemgetter, mul
-import re
 from typing import NamedTuple
 
 from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec
@@ -90,6 +89,17 @@ def _act(table: RootTable, v: Vec, vectors: tuple[Vec, ...], image) -> Vec:
             for r, x in enumerate(vectors[image(s)]):
                 out[r] += c * x
     return tuple(out)
+
+
+def _parse_word(text: str) -> list[int]:
+    """The indices of ``"s0s2s1"`` (``[]`` for ``e``, ``1``, blank); the range is the caller's."""
+    text = text.strip()
+    if text in ("e", "", "1"):
+        return []
+    head, *parts = text.split("s")
+    if head or not parts or not all(p.isdecimal() for p in parts):
+        raise ValueError(f"cannot parse Weyl element {text!r}")
+    return [int(p) for p in parts]
 
 
 def finite_identity(rs: RootSystem) -> FinW:
@@ -367,12 +377,7 @@ class AffineWeylGroup:
 
     def parse(self, text: str) -> int:
         """Parse ``"s0s2s1"`` (or ``"e"``) into an element; words need not be reduced."""
-        text = text.strip()
-        if text in ("e", "", "1"):
-            return self.identity
-        if not re.fullmatch(r"(?:s\d+)+", text):
-            raise ValueError(f"cannot parse Weyl element {text!r}")
-        word = [int(m) for m in re.findall(r"s(\d+)", text)]
+        word = _parse_word(text)
         bad = [i for i in word if not 0 <= i <= self.n]
         if bad:
             raise ValueError(f"generator index out of range {bad} for rank {self.n}")
@@ -482,14 +487,8 @@ class FiniteWeyl:
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
     def parse(self, text: str) -> int:
-        text = text.strip()
-        if text in ("e", "", "1"):
-            return self.identity
-        if not re.fullmatch(r"(?:s\d+)+", text):
-            raise ValueError(f"cannot parse Weyl element {text!r}")
         w = self.identity
-        for m in re.findall(r"s(\d+)", text):
-            i = int(m)
+        for i in _parse_word(text):
             if not 1 <= i <= self.n:
                 raise ValueError(f"generator index {i} out of range")
             w = self.rmul[i - 1][w]

@@ -215,8 +215,8 @@ class TestSpecialization:
         ring = QuantumAff("B", 3)
         assert ring.verify_fw_chevalley()["ok"]
         key = (2, ring.FW.w0)
-        # the memo holds packed rows: append sigma_e with coefficient 1 (key 0 is q^0)
-        ring._lambda_img[key] = ring._lambda_img[key] + [(ring.FW.identity, [(0, 1)])]
+        # the memo holds flat (u << S | e, c) rows: append sigma_e q^0 with coefficient 1
+        ring._lambda_img[key] = ring._lambda_img[key] + [(0, 1)]
         assert ring.verify_fw_chevalley()["mismatches"] == 1
 
     def test_ordinary_engine_reads_no_generator_table_or_cover_rows(self, monkeypatch):

@@ -322,21 +322,30 @@ def test_no_asserts_in_root_and_weyl_modules():
         assert not [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)], name
 
 
-def test_root_and_weyl_tests_pass_under_python_O():
+def _pytest_under_python_O(*files):
     repo = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(repo / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
-         "tests/test_roots.py", "tests/test_weyl.py", "tests/test_bgg.py",
-         "tests/test_quantum.py", "tests/test_affine.py", "tests/test_chevalley.py",
-         "tests/test_toda.py"],
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", *files],
         cwd=repo, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert " passed" in proc.stdout
+
+
+def test_root_and_weyl_tests_pass_under_python_O():
+    _pytest_under_python_O(
+        "tests/test_roots.py", "tests/test_weyl.py", "tests/test_bgg.py",
+        "tests/test_quantum.py", "tests/test_affine.py", "tests/test_chevalley.py",
+        "tests/test_toda.py")
+
+
+def test_lift_kernel_tests_pass_under_python_O():
+    # the packing range check and "lift correction grew" are raises, not asserts
+    _pytest_under_python_O("tests/test_packed_lift.py")
 
 
 def test_e6_enumeration_within_budget():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 
@@ -54,6 +55,47 @@ def test_finite_parse_format_roundtrip():
         fw.parse("s3")
     with pytest.raises(ValueError):
         fw.parse("x1")
+
+
+def _regex_word(text):
+    """The word the regex route read: ``[]`` for the identity, None if refused."""
+    text = text.strip()
+    if text in ("e", "", "1"):
+        return []
+    if not re.fullmatch(r"(?:s\d+)+", text):
+        return None
+    return [int(m) for m in re.findall(r"s(\d+)", text)]
+
+
+WORDS = ["e", "1", "", "   ", " s1s2\t", "\ns0s3 ", "s1s2s1", "s0s0", "s01", "s12", "s3",
+         "s4", "s0", "s\u0661", "s1s\u0662", "ss1", "1s2", "s", "s1s", "s1 s2", "S1", "x1",
+         "s-1", "s+1", "s\u00b2", "s1e", "ee", "e1", "s_1", "s1.0"]
+
+
+@pytest.mark.parametrize("text", WORDS, ids=[repr(t) for t in WORDS])
+def test_both_groups_parse_words_as_the_regex_route(text):
+    fw, W = finite_weyl("A", 3), affine_weyl("A", 3)
+    word = _regex_word(text)
+    if word is None:
+        for group in (fw, W):
+            with pytest.raises(ValueError, match="^cannot parse Weyl element"):
+                group.parse(text)
+        return
+    bad = [i for i in word if not 0 <= i <= 3]
+    if bad:
+        with pytest.raises(ValueError, match=re.escape(f"out of range {bad} for rank 3")):
+            W.parse(text)
+    else:
+        assert W.parse(text) == W.from_word(word)
+    first = next((i for i in word if not 1 <= i <= 3), None)
+    if first is not None:
+        with pytest.raises(ValueError, match=f"^generator index {first} out of range$"):
+            fw.parse(text)
+    else:
+        want = fw.identity
+        for i in word:
+            want = fw.mul(want, fw.gens[i - 1])
+        assert fw.parse(text) == want
 
 
 def test_longest_element():
