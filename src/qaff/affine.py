@@ -74,7 +74,7 @@ class AffineCoh(QModule):
         self.L = default_truncation(self.n) if L is None else L
         self._chev = enumerate_chevalley_roots(W)
         self._e1_cache: dict[int, QClass] = {}
-        self._mono_cache: dict[tuple[int, ...], QClass] = {}
+        self._mono_cache: dict[tuple[int, ...], QClass] = {(): self.unit()}
 
     @property
     def fs(self) -> FiniteSchubert:
@@ -112,7 +112,7 @@ class AffineCoh(QModule):
                         for e, v in c.terms.items():
                             qe = tuple(map(add, e, cr.coroot))
                             d[qe] = d.get(qe, 0) + k * v
-        return self.from_table(acc, 1)
+        return self.from_table(acc)
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
@@ -195,13 +195,13 @@ class AffineCoh(QModule):
     # -- the divisor subring and its product ------------------------------------------
 
     def divisor_monomial_class(self, mono: tuple[int, ...]) -> QClass:
-        """Cup product ``eps_{i_1} ... eps_{i_k}`` (affine indices, may repeat)."""
-        if mono not in self._mono_cache:
-            cls = self.unit()
-            for i in reversed(mono):
-                cls = self.chevalley(i, cls)
-            self._mono_cache[mono] = cls
-        return self._mono_cache[mono]
+        """Cup product ``eps_{i_1} ... eps_{i_k}`` (affine indices, may repeat), memoized
+        by suffix: one Chevalley step per new monomial."""
+        cls = self._mono_cache.get(mono)
+        if cls is None:
+            cls = self._mono_cache[mono] = self.chevalley(
+                mono[0], self.divisor_monomial_class(mono[1:]))
+        return cls
 
     def express_in_divisor_monomials(
         self, a: QClass
@@ -246,7 +246,7 @@ class AffineCoh(QModule):
         return self.from_table({
             w: {e: v for e, v in poly.terms.items() if not all(x >= y for x, y in zip(e, c))}
             for w, poly in a.terms.items()
-        }, 1)
+        })
 
     def qsharp_product(self, a: QClass, b: QClass) -> QClass:
         """``a * b = Lambda_a Lambda_b (1)`` modulo ``q^c``."""

@@ -145,8 +145,7 @@ def _latex_class(ring, a: QClass) -> str:
 # -- subcommand handlers ----------------------------------------------------------
 
 
-def cmd_chevalley_roots(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_chevalley_roots(args, letter: str, rank: int) -> int:
     W = affine_weyl(letter, rank)
     crs = enumerate_chevalley_roots(W)
     rows = [
@@ -160,7 +159,7 @@ def cmd_chevalley_roots(args) -> int:
         for cr in crs
     ]
     if args.format == "json":
-        print_json({"schema_version": SCHEMA_VERSION, "type": args.type.upper(),
+        print_json({"schema_version": SCHEMA_VERSION, "type": f"{letter}{rank}",
                     "count": len(rows), "roots": rows})
     elif args.format == "csv":
         w = csv.writer(sys.stdout)
@@ -178,8 +177,7 @@ def cmd_chevalley_roots(args) -> int:
     return 0
 
 
-def cmd_curve_nbhd(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_curve_nbhd(args, letter: str, rank: int) -> int:
     W = affine_weyl(letter, rank)
     u = W.parse(args.u)
     d = _parse_degree(args.d, rank + 1)
@@ -192,7 +190,7 @@ def cmd_curve_nbhd(args) -> int:
     if args.format == "json":
         print_json({
             "schema_version": SCHEMA_VERSION,
-            "type": args.type.upper(),
+            "type": f"{letter}{rank}",
             "u": list(W.reduced_word(u)),
             "d": list(d),
             "components": [list(W.reduced_word(z)) for z in comps],
@@ -207,8 +205,7 @@ def cmd_curve_nbhd(args) -> int:
     return 0
 
 
-def cmd_gw(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_gw(args, letter: str, rank: int) -> int:
     W = affine_weyl(letter, rank)
     u, w = W.parse(args.u), W.parse(args.w)
     d = _parse_degree(args.d, rank + 1)
@@ -216,7 +213,7 @@ def cmd_gw(args) -> int:
         raise UsageError(f"--i must be in 0..{rank}")
     val = gw_invariant(W, args.i, u, w, d)
     if args.format == "json":
-        print_json({"schema_version": SCHEMA_VERSION, "type": args.type.upper(),
+        print_json({"schema_version": SCHEMA_VERSION, "type": f"{letter}{rank}",
                     "i": args.i, "u": list(W.reduced_word(u)),
                     "w": list(W.reduced_word(w)), "d": list(d), "value": val}, indent=False)
     else:
@@ -224,8 +221,7 @@ def cmd_gw(args) -> int:
     return 0
 
 
-def cmd_lambda(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_lambda(args, letter: str, rank: int) -> int:
     calc = AffineCoh(affine_weyl(letter, rank), args.trunc)
     w = calc.W.parse(args.w)
     a = calc.basis(w)
@@ -238,20 +234,19 @@ def cmd_lambda(args) -> int:
             raise UsageError(f"--i must be in 0..{rank}")
         out = calc.lambda_op(args.i, a)
     if args.format == "json":
-        print_json(affine_class_json(calc, out, args.type.upper()))
+        print_json(affine_class_json(calc, out, f"{letter}{rank}"))
     else:
         print(calc.format_class(out))
     return 0
 
 
-def cmd_product(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_product(args, letter: str, rank: int) -> int:
     ring = quantum_aff(letter, rank)
     u = ring.FW.parse(args.u)
     v = ring.FW.parse(args.v)
     out = ring.star(ring.basis(u), ring.basis(v))
     if args.format == "json":
-        print_json(quantum_class_json(out, args.type.upper()))
+        print_json(quantum_class_json(out, f"{letter}{rank}"))
     elif args.format == "latex":
         print(_latex_class(ring, out))
     else:
@@ -259,8 +254,7 @@ def cmd_product(args) -> int:
     return 0
 
 
-def cmd_table(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_table(args, letter: str, rank: int) -> int:
     order = weyl_order(letter, rank)
     if order > args.cap:
         # checked before building the ring: enumerating W is the expensive part
@@ -276,7 +270,7 @@ def cmd_table(args) -> int:
     if args.format == "json":
         print_json({
             "schema_version": SCHEMA_VERSION,
-            "type": args.type.upper(),
+            "type": f"{letter}{rank}",
             "entries": [
                 {"u": list(FW.word[u]), "v": list(FW.word[v]),
                  "product": table[(u, v)].to_json_obj()}
@@ -302,21 +296,19 @@ def cmd_table(args) -> int:
     return 0
 
 
-def cmd_qsharp(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_qsharp(args, letter: str, rank: int) -> int:
     calc = AffineCoh(affine_weyl(letter, rank), args.trunc)
     u = calc.W.parse(args.u)
     v = calc.W.parse(args.v)
     out = calc.qsharp_product(calc.basis(u), calc.basis(v))
     if args.format == "json":
-        print_json(affine_class_json(calc, out, args.type.upper()))
+        print_json(affine_class_json(calc, out, f"{letter}{rank}"))
     else:
         print(calc.format_class(out))
     return 0
 
 
-def cmd_relations(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_relations(args, letter: str, rank: int) -> int:
     rels, status = toda.relations_for(letter, rank)
     bad = 0
     for rel in rels:
@@ -330,8 +322,7 @@ def cmd_relations(args) -> int:
     return 1 if bad else 0
 
 
-def cmd_present(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_present(args, letter: str, rank: int) -> int:
     record = toda.present_ring(letter, rank)
     if args.format == "latex":
         gens = ", ".join(f"x_{i}" for i in range(1, rank + 1))
@@ -449,7 +440,8 @@ def _suite_divisor_law(letter: str, rank: int, report) -> None:
 
 
 def _suite_quadratic(letter: str, rank: int, report) -> None:
-    report("quadratic relation", quantum_aff(letter, rank).quadratic_relation_holds())
+    report("quadratic relation",
+           toda.verify_relation(toda.quadratic_relation(letter, rank), quantum_aff(letter, rank)))
 
 
 def _suite_fw(letter: str, rank: int, report) -> None:
@@ -475,14 +467,9 @@ def _suite_chevalley_roots(letter: str, rank: int, report) -> None:
         set(recon) == {cr.root for cr in crs},
     )
     if all(d == 1 for d in W.rs.d):
-        from .roots import coroot_leq
-
-        expect = {
-            cr.root for cr in crs
-        } == {
-            cr.root for cr in crs if coroot_leq(cr.coroot, W.ard.c)
-        }
-        ok = all(coroot_leq(cr.coroot, W.ard.c) for cr in crs) and expect
+        ard = W.ard
+        ok = {cr.root for cr in crs} == {
+            mu for mu in ard.real_positive_roots_leq(ard.c) if ard.coroot(mu) != ard.c}
         report("simply-laced: Chevalley roots = {alpha : alpha^vee < c}", ok)
 
 
@@ -522,9 +509,9 @@ def _suite_toda(letter: str, rank: int, report) -> None:
     rels, status = toda.relations_for(letter, rank)
     ring = quantum_aff(letter, rank)
     for rel in rels:
-        report(f"Phi({rel.name}) = 0", toda.verify_relation(rel, ring))
-        report(f"{rel.name} classical part is a Borel invariant",
-               toda.classical_part_vanishes(rel))
+        phi_zero, classical_invariant = toda.relation_checks(rel, ring)
+        report(f"Phi({rel.name}) = 0", phi_zero)
+        report(f"{rel.name} classical part is a Borel invariant", classical_invariant)
     report(f"relation set status: {status}", True)
 
 
@@ -542,17 +529,14 @@ SUITES = {
 }
 
 
-def cmd_verify(args) -> int:
-    letter, rank = parse_lie_type(args.type)
+def cmd_verify(args, letter: str, rank: int) -> int:
     names = args.suite or list(SUITES)
     passed = failed = 0
-    reports = []
 
     def report(label: str, ok: bool) -> None:
         nonlocal passed, failed
         passed += ok
         failed += not ok
-        reports.append((label, ok))
         print(f"  {'ok  ' if ok else 'FAIL'} {label}")
 
     for name in names:
@@ -656,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return args.fn(args, *parse_lie_type(args.type))
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

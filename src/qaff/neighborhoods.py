@@ -49,7 +49,7 @@ class MomentGraphSlice:
         lines = ["graph moment_slice {"]
         for w in self.vertices:
             lines.append(f'  "{fmt(w)}" [len={self.W.length(w)}];')
-        for u, v, alpha, deg in self.edges:
+        for u, v, _, deg in self.edges:
             lines.append(
                 f'  "{fmt(u)}" -- "{fmt(v)}" [label="{list(deg)}"];'
             )

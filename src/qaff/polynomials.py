@@ -412,14 +412,9 @@ class QModule:
         c = _exact(coeff)
         return self._class({w: _poly(self.nq, {(0,) * self.nq: c})} if c else {})
 
-    def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]], den: int) -> QClass:
-        """The class of a table ``w -> exponent -> coefficient``, divided by ``den``."""
-        nq = self.nq
-        if den == 1:
-            return self._make({w: _poly(nq, _normalized(d)) for w, d in acc.items()})
-        return self._make({
-            w: _poly(nq, {e: _divided(v, den) for e, v in d.items() if v}) for w, d in acc.items()
-        })
+    def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]]) -> QClass:
+        """The class of a table ``w -> exponent -> coefficient``."""
+        return self._make({w: _poly(self.nq, _normalized(d)) for w, d in acc.items()})
 
 
 def exact_div_linear(f: Poly, linear: Poly) -> Poly:

@@ -282,24 +282,6 @@ class QuantumAff(FiniteQRing):
                 total = total + c * d
         return total
 
-    def quadratic_relation_holds(self) -> bool:
-        """Sum (a_i^vee|a_j^vee) s_i * s_j = (th^vee|th^vee) q0 + sum_i (a_i^vee|a_i^vee) q_i."""
-        n, rs = self.n, self.rs
-        lhs = self.zero()
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                k = rs.killing_coroots[i - 1][j - 1]
-                if k:
-                    lhs = lhs + self.star(self.basis_simple(i), self.basis_simple(j)).scale(k)
-        tc = rs.coroot(rs.theta)
-        rhs_poly = Poly.monomial(self.nq, (1,) + (0,) * n, rs.inner_coroots(tc, tc))
-        for i in range(1, n + 1):
-            e = tuple(1 if k == i else 0 for k in range(n + 1))
-            rhs_poly = rhs_poly + Poly.monomial(
-                self.nq, e, rs.killing_coroots[i - 1][i - 1]
-            )
-        return lhs == self.basis(self.FW.identity, rhs_poly)
-
     def basis_simple(self, i: int) -> QClass:
         return self.basis(self.FW.gens[i - 1])
 

@@ -4,7 +4,8 @@ A relation lives in ``Q[q_0..q_n, x_1..x_n]`` graded by ``deg q = 2``,
 ``deg x = 1``.  The evaluation map ``Phi`` sends ``x_i`` to the Schubert
 divisor ``sigma_i`` and multiplies out monomials with the affine quantum
 product; a polynomial is a relation of QH*_aff(G/B) exactly when ``Phi``
-kills it.
+kills it.  Every check reads that one class: its ``q^0`` part is the classical
+part, the q-free terms evaluated in H*(G/B).
 
 Constructive sources:
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
-from .bgg import FinCohClass, finite_schubert
+from .bgg import FinCohClass
 from .polynomials import Poly, QClass, matrix_rank
 from .quantum import QuantumAff, quantum_aff
 from .roots import build_root_system
@@ -84,7 +85,7 @@ def lax_matrix(n: int) -> list[list[Poly]]:
     """
     rank = n - 1
     nv = 2 * rank + 1 + 2
-    zvar, lvar = nv - 2, nv - 1
+    zvar = nv - 2
 
     def q(i, k=1, zexp=0):
         e = [0] * nv
@@ -223,29 +224,31 @@ def phi_evaluate(rel: RelationPoly, ring: QuantumAff | None = None) -> QClass:
 
 
 def verify_relation(rel: RelationPoly, ring: QuantumAff | None = None) -> bool:
+    return relation_checks(rel, ring)[0]
+
+
+def relation_checks(rel: RelationPoly, ring: QuantumAff | None) -> tuple[bool, bool]:
+    """``(Phi(rel) = 0, the classical part of rel vanishes)`` from one evaluation of Phi."""
     if not rel.is_homogeneous():
         raise ValueError(f"{rel.name} is not homogeneous for deg x=1, deg q=2")
-    return phi_evaluate(rel, ring).is_zero()
+    img = phi_evaluate(rel, ring)
+    return img.is_zero(), not _q0_part(img)
 
 
 # -- classical sanity: q := 0 lands on Borel invariants ----------------------------------
 
 
-def classical_part(rel: RelationPoly) -> FinCohClass:
-    """The class in H*(G/B) of the q-free part, with ``x_i -> sigma_i``.
+def _q0_part(img: QClass) -> FinCohClass:
+    """The ``q^0`` coefficients of a class of the quantum ring."""
+    zero = (0,) * img.nq
+    return {w: c for w, p in img.terms.items() if (c := p.terms.get(zero))}
 
-    Each x-monomial is a product of divisors, evaluated by the Chevalley rule.
-    """
-    rank = rel.rank
-    fs = finite_schubert(rel.letter, rel.rank)
-    out: FinCohClass = {}
-    for e, c in rel.poly.terms.items():
-        if any(e[: rank + 1]):
-            continue
-        mono = tuple(i + 1 for i, a in enumerate(e[rank + 1 :]) for _ in range(a))
-        for w, k in fs.monomial_class(mono).items():
-            out[w] = out.get(w, 0) + c * k
-    return {w: c for w, c in out.items() if c}
+
+def classical_part(rel: RelationPoly) -> FinCohClass:
+    """The class in H*(G/B) of the q-free part, with ``x_i -> sigma_i``: the ``q^0``
+    part of ``Phi(rel)``, since a quantum correction always carries a positive power
+    of q and every other term of ``rel`` is a multiple of some ``q_j``."""
+    return _q0_part(phi_evaluate(rel))
 
 
 def classical_part_vanishes(rel: RelationPoly) -> bool:
@@ -270,15 +273,9 @@ def present_ring(letter: str, rank: int) -> dict:
     ring = quantum_aff(letter, rank)
     entries = []
     for rel in rels:
-        entries.append(
-            {
-                "name": rel.name,
-                "degree": rel.degree(),
-                "poly": rel.format(),
-                "phi_zero": verify_relation(rel, ring),
-                "classical_invariant": classical_part_vanishes(rel),
-            }
-        )
+        phi_zero, classical_invariant = relation_checks(rel, ring)
+        entries.append({"name": rel.name, "degree": rel.degree(), "poly": rel.format(),
+                        "phi_zero": phi_zero, "classical_invariant": classical_invariant})
     record = {
         "schema_version": 1,
         "type": f"{letter}{rank}",

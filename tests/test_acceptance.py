@@ -164,8 +164,7 @@ def test_criterion_07_quadratic_relation():
     ok = True
     for lt in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("C", 2), ("B", 3), ("C", 3), ("G", 2)]:
         rel = quadratic_relation(*lt)
-        ok = ok and verify_relation(rel)
-        ok = ok and quantum_aff(*lt).quadratic_relation_holds()
+        ok = ok and verify_relation(rel, quantum_aff(*lt))
     _report(7, "quadratic relation vanishes in A1/A2/A3/B2/C2/B3/C3/G2", ok)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from divisor_lift import e1_by_divisors
 
-from qaff.affine import TruncationOverflow, affine_coh, default_truncation
+from qaff.affine import AffineCoh, TruncationOverflow, affine_coh, default_truncation
 from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
 from qaff.weyl import affine_weyl
@@ -260,6 +260,18 @@ class TestDivisorSubring:
                     a2.q_monomial(e, 1) * coeff
                 )
             assert rebuilt == cls
+
+    def test_monomials_memoized_by_suffix(self, monkeypatch):
+        H = AffineCoh(affine_weyl("A", 2), 6)  # a fresh memo
+        chevalley, calls = H.chevalley, []
+        monkeypatch.setattr(H, "chevalley", lambda i, a: calls.append(i) or chevalley(i, a))
+        # new suffixes: (0,), (2, 0), (1, 2, 0), then (0, 2, 0); the rest are memoized
+        for mono in [(1, 2, 0), (0, 2, 0), (2, 0), (1, 2, 0), ()]:
+            chain = H.unit()
+            for i in reversed(mono):
+                chain = chevalley(i, chain)
+            assert H.divisor_monomial_class(mono) == chain
+        assert calls == [0, 2, 1, 0]
 
 
 class TestSharpProduct:

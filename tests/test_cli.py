@@ -6,6 +6,7 @@ import time
 import pytest
 
 from qaff import cli
+from qaff.bgg import FiniteSchubert
 from qaff.cli import main
 from qaff.quantum import QuantumAff
 
@@ -220,6 +221,52 @@ class TestPresent:
         assert "quadratic" in payload["gap"]
 
 
+class TestEveryRelationThroughPhi:
+    """``present`` and the ``toda`` and ``quadratic`` suites read every answer,
+    the classical part included, off one evaluation of Phi."""
+
+    @pytest.fixture(autouse=True)
+    def no_divisor_monomials(self, monkeypatch):
+        def refused(self, mono):
+            raise RuntimeError("FiniteSchubert.monomial_class called")
+
+        monkeypatch.setattr(FiniteSchubert, "monomial_class", refused)
+
+    @pytest.mark.parametrize("typ", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"])
+    def test_present(self, capsys, typ):
+        code, out, _ = run(capsys, "present", "--type", typ)
+        assert code == 0
+        rels = json.loads(out)["relations"]
+        assert rels and all(e["phi_zero"] and e["classical_invariant"] for e in rels)
+
+    @pytest.mark.parametrize("typ", ["A2", "B2", "G2", "C3"])
+    def test_verify(self, capsys, typ):
+        code, out, _ = run(capsys, "verify", "--type", typ, "--suite", "toda",
+                           "--suite", "quadratic")
+        assert code == 0
+        assert "  ok   quadratic relation\n" in out and "FAIL" not in out
+
+
+class TestJsonTypeIsCanonical:
+    CALLS = {
+        "product": ["--u", "s1", "--v", "s2"],
+        "lambda": ["--i", "1", "--w", "s1"],
+        "qsharp": ["--u", "s1", "--v", "s2"],
+        "table": [],
+        "chevalley-roots": [],
+        "curve-nbhd": ["--u", "e", "--d", "1,1,1"],
+        "gw": ["--i", "1", "--u", "s1", "--w", "e", "--d", "0,1,0"],
+    }
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    @pytest.mark.parametrize("typ", [" a2", "a02", "A2"])
+    def test_type(self, capsys, command, typ):
+        code, out, _ = run(capsys, command, "--type", typ, *self.CALLS[command],
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["type"] == "A2"
+
+
 class TestVerify:
     def test_single_suite(self, capsys):
         code, out, _ = run(
@@ -312,7 +359,7 @@ class TestErrors:
         assert "Traceback" not in err
 
     def test_out_of_memory_is_an_internal_error(self, capsys, monkeypatch):
-        def exhausted(args):
+        def exhausted(args, letter, rank):
             raise MemoryError
 
         monkeypatch.setattr(cli, "cmd_product", exhausted)

@@ -9,6 +9,7 @@ from qaff import quantum
 from qaff.affine import affine_coh
 from qaff.polynomials import Poly
 from qaff.quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
+from qaff.toda import quadratic_relation, verify_relation
 from qaff.weyl import FiniteWeyl
 
 
@@ -165,7 +166,7 @@ class TestQuadraticRelation:
     )
     def test_holds(self, lt):
         ring = quantum_aff(lt[0], int(lt[1]))
-        assert ring.quadratic_relation_holds()
+        assert verify_relation(quadratic_relation(lt[0], int(lt[1])), ring)
 
 
 class TestSpecialization:

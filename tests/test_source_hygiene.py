@@ -102,9 +102,12 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Reached only by tests, and kept on purpose: `inv` and `inv_coroot` are the
 # boundary form's counterparts of `root` and `coroot`, which the id tests
 # compare against; `quotient_dimension` and `schubert_module_dimension` wait
-# for the presentation's fullness certificate to give them a caller.
+# for the presentation's fullness certificate to give them a caller;
+# `classical_part_vanishes` is the relation-level form of the q^0 check that
+# `toda.relation_checks` reads off one evaluation of Phi, and the tests hold
+# it against the polynomial BGG oracle.
 UNREFERENCED_ON_PURPOSE = {"inv", "inv_coroot", "quotient_dimension",
-                           "schubert_module_dimension"}
+                           "schubert_module_dimension", "classical_part_vanishes"}
 
 
 def _definitions(tree: ast.Module):
@@ -175,3 +178,43 @@ def test_every_definition_is_referenced():
     # the allow-list cannot go stale: each entry is still defined and unread
     needed = {node.name for _, node in _unread(named)}
     assert sorted(UNREFERENCED_ON_PURPOSE - needed) == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _bound_here(fn) -> list:
+    """``(name, line)`` per name that ``fn`` binds in its own scope: assignment and
+    loop targets, ``as`` names and nested definitions, but not its parameters."""
+    out, stack = [], list(ast.iter_child_nodes(fn))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        if not isinstance(node, (*_SCOPES, ast.arguments)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_local_is_read():
+    # A local counts as read when it is loaded anywhere in its function, nested
+    # functions included, or declared nonlocal or global there.
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = set()
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+                elif isinstance(node, (ast.Nonlocal, ast.Global)):
+                    read.update(node.names)
+            unread += [f"{path.name}:{line} {fn.name}: {name}"
+                       for name, line in _bound_here(fn)
+                       if name not in read and not name.startswith("_")]
+    assert not unread, "\n".join(sorted(set(unread)))

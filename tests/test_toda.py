@@ -5,6 +5,7 @@ import pytest
 from bgg_oracle import PolynomialBGG
 from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
+from qaff.quantum import quantum_aff
 from qaff.toda import (
     RelationPoly,
     b2_relations,
@@ -157,8 +158,6 @@ class TestPhi:
     def test_phi_of_x1_is_divisor(self):
         rel = RelationPoly("A", 2, poly_from(2, {(0, 0, 0, 1, 0): 1}), "x1")
         ring_img = phi_evaluate(rel)
-        from qaff.quantum import quantum_aff
-
         ring = quantum_aff("A", 2)
         assert ring_img == ring.basis_simple(1)
 
@@ -230,6 +229,9 @@ class TestClassicalPartRoute:
         assert got and got == _polynomial_classical_part(rel)
 
 
+PRESENT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"]
+
+
 class TestPresentation:
     def test_full_types(self):
         for lt in ("A2", "A3", "B2"):
@@ -245,6 +247,20 @@ class TestPresentation:
         assert rec["status"] == "partial"
         assert "quadratic" in rec["gap"]
         assert len(rec["relations"]) == 1
+
+    @pytest.mark.parametrize("lt", PRESENT_TYPES)
+    def test_records_match_verify_and_the_polynomial_oracle(self, lt):
+        letter, rank = lt[0], int(lt[1])
+        ring = quantum_aff(letter, rank)
+        rels, status = relations_for(letter, rank)
+        rec = present_ring(letter, rank)
+        assert rec["status"] == status
+        assert rec["relations"] == [
+            {"name": rel.name, "degree": rel.degree(), "poly": rel.format(),
+             "phi_zero": verify_relation(rel, ring),
+             "classical_invariant": not _polynomial_classical_part(rel)}
+            for rel in rels
+        ]
 
     def test_relations_for_dispatch(self):
         rels, status = relations_for("A", 3)
