@@ -55,6 +55,8 @@ class ChevalleyRootSet:
         self.ard = W.ard
         self.roots = tuple(_enumerate(W))
         self._reflections = tuple(W.reflection(cr.root) for cr in self.roots)
+        # each member as (level, table index of its finite part), for W.inverts
+        self._keys = tuple((cr.root.level, W.table.index[cr.root.finite]) for cr in self.roots)
         self._rows: dict[int, CoverRows] = {}
 
     def cover_rows(self, w: int) -> CoverRows:
@@ -63,7 +65,9 @@ class ChevalleyRootSet:
         ``classical`` holds ``(w s_alpha, alpha, alpha^vee)`` for the Bruhat
         covers, in :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order;
         ``quantum`` holds ``(w s_alpha, member)`` for the members alpha with
-        ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, in set order.
+        ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, in set order.  That
+        length is below ``len(w)``, which happens only when ``w(alpha) < 0``, so
+        no other member is multiplied.
         """
         rows = self._rows.get(w)
         if rows is None:
@@ -72,10 +76,11 @@ class ChevalleyRootSet:
             classical = [(u, alpha, self.ard.coroot(alpha))
                          for u, alpha in W.bruhat_covers_up(w)]
             quantum = []
-            for cr, s in zip(self.roots, self._reflections):
-                u = W.multiply(w, s)
-                if W.length(u) == lw + 1 - 2 * cr.coroot_height:
-                    quantum.append((u, cr))
+            for cr, s, (level, b) in zip(self.roots, self._reflections, self._keys):
+                if W.inverts(w, level, b):
+                    u = W.multiply(w, s)
+                    if W.length(u) == lw + 1 - 2 * cr.coroot_height:
+                        quantum.append((u, cr))
             rows = self._rows[w] = CoverRows(classical, quantum)
         return rows
 

@@ -323,7 +323,8 @@ def cmd_relations(args, letter: str, rank: int) -> int:
 
 
 def cmd_present(args, letter: str, rank: int) -> int:
-    record = toda.present_ring(letter, rank)
+    rels, status = toda.relations_for(letter, rank)
+    record = toda.present_ring(letter, rank, rels, status)
     if args.format == "latex":
         gens = ", ".join(f"x_{i}" for i in range(1, rank + 1))
         qs = ", ".join(f"q_{i}" for i in range(rank + 1))
@@ -331,7 +332,7 @@ def cmd_present(args, letter: str, rank: int) -> int:
         print("\\[ \\mathrm{QH}^*_{\\mathrm{aff}}(G/B) \\cong "
               f"\\mathbb{{Q}}[{qs}][{gens}] / \\langle {names} \\rangle \\]")
         qx = [f"q_{i}" for i in range(rank + 1)] + [f"x_{i}" for i in range(1, rank + 1)]
-        for e, rel in zip(record["relations"], toda.relations_for(letter, rank)[0]):
+        for e, rel in zip(record["relations"], rels):
             print(f"\\[ {e['name']} = {_latex_poly(rel.poly, qx)} \\]")
         if record["status"] == "partial":
             print(f"% {record['gap']}")

@@ -268,8 +268,8 @@ def relations_for(letter: str, rank: int) -> tuple[list[RelationPoly], str]:
     return [quadratic_relation(letter, rank)], "partial"
 
 
-def present_ring(letter: str, rank: int) -> dict:
-    rels, status = relations_for(letter, rank)
+def present_ring(letter: str, rank: int, rels: list[RelationPoly], status: str) -> dict:
+    """The presentation record of ``(rels, status) = relations_for(letter, rank)``."""
     ring = quantum_aff(letter, rank)
     entries = []
     for rel in rels:

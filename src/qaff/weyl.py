@@ -152,13 +152,13 @@ class AffineWeylGroup:
         self._length: list[int] = []  # -1 until first read
         self._rmul: list[list[int] | None] = []  # per id, w s_i by i, -1 until made
         self.identity = self._intern(finite_identity(self.rs).perm, (0,) * self.n)
-        self._simple: list[int] = []
+        self._simple_affine = [ard.simple_root(i) for i in range(self.n + 1)]
+        self._simple = [self.reflection(ai) for ai in self._simple_affine]
         # each affine simple root as (level, index of its finite part)
-        self._simple_roots: list[tuple[int, int]] = []
-        for i in range(self.n + 1):
-            ai = ard.simple_root(i)
-            self._simple.append(self.reflection(ai))
-            self._simple_roots.append((ai.level, self.table.index[ai.finite]))
+        self._simple_roots = [(ai.level, self.table.index[ai.finite])
+                              for ai in self._simple_affine]
+        self._simple_perms = [itemgetter(*self.table.reflections[b])
+                              for _, b in self._simple_roots]
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._covers_memo: dict[int, list[tuple[int, AffineRoot]]] = {}
         self._word_memo: dict[int, tuple[int, ...]] = {}
@@ -200,13 +200,22 @@ class AffineWeylGroup:
         return self._intern(itemgetter(*pb)(self.perm[a]), lam)
 
     def rmul(self, w: int, i: int) -> int:
-        """The id of ``w s_i``, computed once per ``(w, i)``."""
+        """The id of ``w s_i``, computed once per ``(w, i)``.
+
+        ``alpha_i = k delta + beta`` makes ``s_i = (s_beta, k beta^vee)``, so
+        ``(v, l) s_i = (v s_beta, l - (<beta, l> - k) beta^vee)``.
+        """
         row = self._rmul[w]
         if row is None:
             row = self._rmul[w] = [-1] * (self.n + 1)
         u = row[i]
         if u < 0:
-            u = row[i] = self.multiply(w, self._simple[i])
+            level, b = self._simple_roots[i]
+            t = self.trans[w]
+            k = sum(map(mul, self.table.pairings[b], t)) - level
+            if k:
+                t = tuple([x - k * c for x, c in zip(t, self.table.coroots[b])])
+            u = row[i] = self._intern(self._simple_perms[i](self.perm[w]), t)
             back = self._rmul[u]
             if back is None:
                 back = self._rmul[u] = [-1] * (self.n + 1)
@@ -236,8 +245,14 @@ class AffineWeylGroup:
             self._length[w] = ell
         return ell
 
+    def inverts(self, w: int, level: int, b: int) -> bool:
+        """Whether ``w = v t_l`` sends ``level delta + roots[b]`` to a negative root:
+        ``level - <roots[b], l>`` is negative, or zero with ``v(roots[b]) < 0``."""
+        level -= sum(map(mul, self.table.pairings[b], self.trans[w]))
+        return level < 0 or (level == 0 and self.perm[w][b] >= self.rs.num_positive)
+
     def right_descents(self, w: int) -> list[int]:
-        """The i with ``w(alpha_i) < 0``: negative level, or level 0 and ``v(beta) < 0``."""
+        """The i with ``w(alpha_i) < 0``, by the rule of :meth:`inverts`."""
         npos = self.rs.num_positive
         p, t = self.perm[w], self.trans[w]
         out = []
@@ -321,23 +336,66 @@ class AffineWeylGroup:
         return out
 
     def bruhat_covers_up(self, w: int) -> list[tuple[int, AffineRoot]]:
-        """All ``(w s_alpha, alpha)`` with ``len(w s_alpha) = len(w) + 1``.
+        """All ``(w s_alpha, alpha)``, alpha > 0 real, with ``len(w s_alpha) = len(w) + 1``,
+        sorted by alpha's ``(level, finite)``; computed once per element and kept.
 
-        Completeness: any reflection t with ``len(w t) = len(w) + 1`` has
-        ``len(t) <= len(w) + len(w t) = 2 len(w) + 1``, so scanning the
-        reflections of exact length at most that bound
-        (:meth:`short_reflections`) misses nothing.
+        With ``D(x)`` the right descents of x and ``Cov(x)`` its covers,
+        ``Cov(w) = {w s_j : j not in D(w)} u {y s_i : i in D(w), (y, gamma) in
+        Cov(w s_i), i not in D(y)}``, and ``y s_i`` has root ``s_i(gamma)``.
+        Proof (lifting property and Deodhar's Z-property; Bjorner-Brenti,
+        *Combinatorics of Coxeter Groups*, section 2.2):
+
+        * Let x cover w, x not some ``w s_j``.  An s in ``D(x)`` but not in
+          ``D(w)`` would give ``w <= x s`` by lifting, so ``x = w s``.  Hence
+          ``D(x)`` is a nonempty subset of ``D(w)``.
+        * For i in ``D(x)``, the Z-property gives ``w s_i <= x s_i``: ``y = x s_i``
+          covers ``w s_i``, and i is not in ``D(y)``.
+        * Conversely such a y gives ``w <= y s_i`` by lifting, one length up, and
+          ``y = w s_i s_gamma`` makes ``y s_i = w s_{s_i(gamma)}``; ``gamma =
+          alpha_i`` would give ``y = w``, so ``s_i(gamma) > 0``.
+
+        ``w s_alpha`` determines alpha, so a cover met twice is kept once.
+        Cost: one call per element of the lower weak interval ``{x <=_R w}``
+        whose covers are not memoized; a stack walk finds them and they are
+        filled shortest first.  :mod:`qaff.affine` refuses support of length
+        ``L`` (the ``AffineCoh`` truncation) or more, which caps the interval;
+        far past the default ``L`` it outgrows the reflections of length at
+        most ``2 len(w) + 1`` that a scan would try.
         """
-        if w in self._covers_memo:
-            return self._covers_memo[w]
-        lw = self.length(w)
-        out: list[tuple[int, AffineRoot]] = []
-        for alpha, s, _ in self.short_reflections(2 * lw + 1):
-            u = self.multiply(w, s)
-            if self.length(u) == lw + 1:
-                out.append((u, alpha))
-        out.sort(key=lambda pair: (pair[1].level, pair[1].finite))
-        self._covers_memo[w] = out
+        memo = self._covers_memo
+        hit = memo.get(w)
+        if hit is not None:
+            return hit
+        descents = self.right_descents(w)
+        below = [self.rmul(w, i) for i in descents]
+        if any(u not in memo for u in below):
+            # an element's covers are memoized only after those of its weak interval
+            todo = {u for u in below if u not in memo}
+            stack = list(todo)
+            while stack:
+                x = stack.pop()
+                for i in self.right_descents(x):
+                    u = self.rmul(x, i)
+                    if u not in memo and u not in todo:
+                        todo.add(u)
+                        stack.append(u)
+            for x in sorted(todo, key=self.length):
+                self.bruhat_covers_up(x)
+        table = self.table
+        found = {self.rmul(w, j): self._simple_affine[j]
+                 for j in range(self.n + 1) if j not in descents}
+        for i, wi in zip(descents, below):
+            level, b = self._simple_roots[i]
+            for y, gamma in memo[wi]:
+                if not self.inverts(y, level, b):
+                    u = self.rmul(y, i)
+                    if u not in found:
+                        # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
+                        m = table.index[gamma.finite]
+                        k = sum(map(mul, table.pairings[m], table.coroots[b]))
+                        found[u] = AffineRoot(gamma.level - k * level,
+                                              table.roots[table.reflections[b][m]])
+        out = memo[w] = sorted(found.items(), key=itemgetter(1))
         return out
 
     def hecke_product(self, u: int, v: int) -> int:

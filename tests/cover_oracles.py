@@ -2,8 +2,10 @@
 
 ``AffineWeylGroup.bruhat_covers_up`` and ``moment_graph_slice`` used to try
 every positive real root up to a level bound, since a reflection at level k
-has length at least ``2k - #(positive roots)``; they now scan only the
-reflections whose exact length passes the bound.  ``bruhat_maximal`` used to
+has length at least ``2k - #(positive roots)``.  ``moment_graph_slice`` now
+scans only the reflections whose exact length passes the bound, and
+``bruhat_covers_up`` scans no reflection: it builds the covers of ``w`` from
+those of ``w s_i`` by the lifting property.  ``bruhat_maximal`` used to
 compare every pair of elements; it now tests each element only against the
 maxima found so far.  The routes below are the old ones, kept verbatim apart
 from the memo, so the tests can compare the two as ordered lists.

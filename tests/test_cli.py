@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from qaff import cli
+from qaff import cli, toda
 from qaff.bgg import FiniteSchubert
 from qaff.cli import main
 from qaff.quantum import QuantumAff
@@ -212,6 +212,19 @@ class TestPresent:
         code, out, _ = run(capsys, "present", "--type", "A2", "--format", "latex")
         assert code == 0
         assert "\\" in out
+
+    def test_latex_builds_the_relation_set_once(self, capsys, monkeypatch):
+        calls = []
+        build = toda.relations_for
+
+        def counted(letter, rank):
+            calls.append((letter, rank))
+            return build(letter, rank)
+
+        monkeypatch.setattr(toda, "relations_for", counted)
+        code, _, _ = run(capsys, "present", "--type", "A3", "--format", "latex")
+        assert code == 0
+        assert calls == [("A", 3)]
 
     def test_partial_gap_text(self, capsys):
         code, out, _ = run(capsys, "present", "--type", "C3", "--format", "json")

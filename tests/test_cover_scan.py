@@ -1,9 +1,12 @@
-"""The short-reflection cover scan, the per-element cover rows and the maxima-only filter.
+"""The lifting-property covers, the per-element cover rows and the maxima-only filter.
 
 Each fast route is compared with the route it replaced (``cover_oracles``),
-as ordered lists: the Bruhat cover scan, the moment-graph slice edges and
-``bruhat_maximal``.  The quantum cover rows are compared with the word form
-``q^{alpha^vee} D_{s_alpha}`` of the affine quantum Chevalley operators.
+as ordered lists: the Bruhat covers, which ``bruhat_covers_up`` builds from
+the covers below it in right weak order instead of scanning reflections, the
+moment-graph slice edges and ``bruhat_maximal``.  The quantum cover rows are
+compared with the word form ``q^{alpha^vee} D_{s_alpha}`` of the affine
+quantum Chevalley operators, and the elements a cold cover row interns are
+counted.
 """
 
 import itertools
@@ -23,7 +26,8 @@ from qaff.roots import AffineRoot, affinize
 from qaff.weyl import AffineWeylGroup, affine_weyl
 
 COVER_CASES = [("A", 1, 4), ("A", 2, 4), ("A", 3, 4), ("A", 4, 4), ("B", 2, 4),
-               ("B", 3, 4), ("C", 3, 4), ("G", 2, 4), ("D", 4, 3), ("F", 4, 2)]
+               ("B", 3, 4), ("C", 3, 4), ("G", 2, 4), ("D", 4, 3), ("F", 4, 2),
+               ("E", 6, 2)]
 
 
 def _elements(W, top):
@@ -70,8 +74,18 @@ def test_short_reflections_follow_the_root_table_within_a_level(letter, rank):
 def test_reflection_table_is_built_on_first_use():
     W = AffineWeylGroup(affinize("A", 3))
     assert W._refl_levels == []
-    W.bruhat_covers_up(W.identity)
+    W.short_reflections(1)
     assert len(W._refl_levels) == 4  # levels k with 2k - 6 <= 1
+
+
+def test_covers_of_a_short_e8_element_intern_few_elements():
+    W = AffineWeylGroup(affinize("E", 8))
+    w = W.from_word([1, 3, 5, 1, 4])
+    assert W.length(w) == 5
+    before = len(W.perm)
+    covers = W.bruhat_covers_up(w)
+    assert all(W.length(u) == 6 for u, _ in covers)
+    assert len(W.perm) - before < 1000  # scanning reflections of length <= 11 interns 15,759
 
 
 @pytest.mark.parametrize("letter,rank,top", [("A", 2, 4), ("A", 3, 3), ("B", 2, 4), ("G", 2, 4)])
@@ -90,7 +104,8 @@ def test_classical_rows_are_the_covers_with_their_coroots(letter, rank):
         assert crs.cover_rows(w).classical == expect
 
 
-@pytest.mark.parametrize("letter,rank", [("B", 3), ("C", 3)])
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4),
+                                         ("F", 4)])
 def test_quantum_rows_match_word_form(letter, rank):
     calc = affine_coh(letter, rank)
     W = calc.W

@@ -235,7 +235,7 @@ PRESENT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"]
 class TestPresentation:
     def test_full_types(self):
         for lt in ("A2", "A3", "B2"):
-            rec = present_ring(lt[0], int(lt[1]))
+            rec = present_ring(lt[0], int(lt[1]), *relations_for(lt[0], int(lt[1])))
             assert rec["schema_version"] == 1
             assert rec["status"] == "full"
             assert "gap" not in rec
@@ -243,7 +243,7 @@ class TestPresentation:
             assert all(e["classical_invariant"] for e in rec["relations"])
 
     def test_partial_types(self):
-        rec = present_ring("G", 2)
+        rec = present_ring("G", 2, *relations_for("G", 2))
         assert rec["status"] == "partial"
         assert "quadratic" in rec["gap"]
         assert len(rec["relations"]) == 1
@@ -253,7 +253,7 @@ class TestPresentation:
         letter, rank = lt[0], int(lt[1])
         ring = quantum_aff(letter, rank)
         rels, status = relations_for(letter, rank)
-        rec = present_ring(letter, rank)
+        rec = present_ring(letter, rank, rels, status)
         assert rec["status"] == status
         assert rec["relations"] == [
             {"name": rel.name, "degree": rel.degree(), "poly": rel.format(),

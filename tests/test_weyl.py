@@ -317,7 +317,7 @@ def test_affine_ids_match_affw_composition(letter, rank):
         assert W.length(w) == _affw_length(rs, x)
         for i, g in enumerate(gens):
             assert W.element(W.rmul(w, i)) == _affw_mul(x, g)
-        for s in refls:  # the products the cover scans make
+        for s in refls:  # the products the slice and quantum cover rows make
             assert W.element(W.multiply(w, s)) == _affw_mul(x, xs[s])
     rng = random.Random(f"affine-ids/{letter}{rank}")
     for _ in range(300):
