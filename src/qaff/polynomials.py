@@ -5,8 +5,10 @@ integrable-system relations) works over one representation: a dict mapping
 exponent tuples to nonzero coefficients.  A coefficient is an ``int`` when it
 is integral and a ``Fraction`` only when it is not, so the integral Schubert
 calculus runs on machine integers; no coefficient is ever a float.  Exponents
-are plain ``int`` and may be negative, which is what the spectral parameter in
-the Lax matrix needs; operations that cannot support negative exponents say so.
+are plain ``int``.  Nothing in qaff makes a negative one, but the arithmetic
+allows it: the Lax-matrix reference of the tests (``tests/lax_oracle.py``)
+carries its spectral parameter that way.  Operations that cannot support
+negative exponents say so.
 
 >>> x = Poly.variable(2, 0)
 >>> y = Poly.variable(2, 1)
@@ -190,37 +192,7 @@ class Poly:
 
     __hash__ = None  # type: ignore[assignment]  # mutable dict inside
 
-    # -- structure ----------------------------------------------------------
-
-    def weighted_degree(self, weights: Sequence[int] | None = None) -> int:
-        """Maximum weighted total degree over the support (0 for the zero poly)."""
-        if not self.terms:
-            return 0
-        if weights is None:
-            weights = (1,) * self.nvars
-        return max(sum(w * x for w, x in zip(weights, e)) for e in self.terms)
-
-    def homogeneous_components(self, weights: Sequence[int] | None = None) -> dict[int, "Poly"]:
-        if weights is None:
-            weights = (1,) * self.nvars
-        buckets: dict[int, dict[Exp, Scalar]] = {}
-        for e, c in self.terms.items():
-            d = sum(w * x for w, x in zip(weights, e))
-            buckets.setdefault(d, {})[e] = c
-        return {d: Poly(self.nvars, t) for d, t in sorted(buckets.items())}
-
-    def is_homogeneous(self, weights: Sequence[int] | None = None) -> bool:
-        return len(self.homogeneous_components(weights)) <= 1
-
-    def coefficient_of(self, var: int, power: int) -> "Poly":
-        """Collect the coefficient of ``x_var^power`` (exponent of ``var`` zeroed out)."""
-        out: dict[Exp, Scalar] = {}
-        for e, c in self.terms.items():
-            if e[var] == power:
-                ee = list(e)
-                ee[var] = 0
-                out[tuple(ee)] = c
-        return Poly(self.nvars, out)
+    # -- substitution -------------------------------------------------------
 
     def substitute(self, images: Sequence["Poly"]) -> "Poly":
         """Ring homomorphism sending ``x_i`` to ``images[i]``.

@@ -239,12 +239,15 @@ class QuantumAff(FiniteQRing):
 
     def _lift_apply_basis(self, w: int, v: int) -> list:
         """The row of ``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)`` over the
-        terms of the correction, summed in one table; ``L_e`` is the identity."""
+        terms of the correction, summed in one table; ``L_e`` is the identity, and
+        ``L_w(1) = sigma_w`` by construction."""
         key = (w, v)
         img = self._lift_img.get(key)
         if img is None:
             if w == self.FW.identity:
                 img = [(v << self._shift, 1)]
+            elif v == self.FW.identity:
+                img = [(w << self._shift, 1)]
             elif self.FW.length[w] == 1:  # L_{s_i} = lambda_bar_i: share its image
                 img = self._lambda_basis(self.FW.word[w][0] + 1, v)
             else:

@@ -9,8 +9,20 @@ part, the q-free terms evaluated in H*(G/B).
 
 Constructive sources:
 
-* type A (Fl(n)) — the tridiagonal-with-corners Lax matrix; the conserved
-  quantities are the z-free coefficients of its characteristic polynomial;
+* type A (Fl(n)) — the conserved quantities are the z-free coefficients of
+  ``det(lam + A(z))`` for the periodic Jacobi matrix ``A(z)``: diagonal
+  ``a_0 = x_1``, ``a_r = x_{r+1} - x_r``, ``a_{n-1} = -x_{n-1}``; ``q_r`` above
+  and ``-1`` below the diagonal between ``r-1`` and ``r``; ``q_0 z`` and
+  ``-1/z`` in the corners.  A term of the determinant matches some neighbouring
+  pairs of the cycle ``0..n-1`` and takes ``lam + a_r`` on every other index,
+  or else winds once round the whole cycle.  A matched pair gives
+  ``-(above)(below) = q_r``, the corner too (``-(q_0 z)(-1/z) = q_0``), while
+  the two windings carry ``z`` and ``1/z``.  (For n = 2 the two pairs are
+  parallel, and their cross terms are the windings.)  So the z-free part is the
+  continuant ``K(0..n-1) + q_0 K(1..n-2)`` of the chain: the matchings that
+  leave the corner free, plus those that take it.  Here
+  ``K_r = (lam + a_r) K_{r-1} + q_r K_{r-2}`` and an empty chain is 1, so no
+  matrix, determinant, ``z`` or ``lam`` variable is ever built;
 * B2 — the two generators, quadratic and quartic, written out in full;
 * every type — the quadratic relation
   ``sum (a_i^vee|a_j^vee) x_i x_j - (th^vee|th^vee) q_0 - sum (a_i^vee|a_i^vee) q_i``.
@@ -18,7 +30,6 @@ Constructive sources:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 from typing import NamedTuple
 
@@ -41,11 +52,17 @@ class RelationPoly(NamedTuple):
     def weights(self) -> tuple[int, ...]:
         return (2,) * (self.rank + 1) + (1,) * self.rank
 
+    def degrees(self) -> set[int]:
+        """The degrees of the terms, with deg q = 2 and deg x = 1."""
+        nq = self.rank + 1
+        return {2 * sum(e[:nq]) + sum(e[nq:]) for e in self.poly.terms}
+
     def is_homogeneous(self) -> bool:
-        return self.poly.is_homogeneous(self.weights())
+        return len(self.degrees()) <= 1
 
     def degree(self) -> int:
-        return self.poly.weighted_degree(self.weights())
+        """The top degree of the terms (0 for the zero polynomial)."""
+        return max(self.degrees(), default=0)
 
     def format(self) -> str:
         names = [f"q{i}" for i in range(self.rank + 1)] + [
@@ -58,92 +75,38 @@ def _qx_monomial(rank: int, q_exps: Vec, x_exps: Vec, coeff=1) -> Poly:
     return Poly.monomial(2 * rank + 1, tuple(q_exps) + tuple(x_exps), coeff)
 
 
-# -- type A: the Lax matrix with spectral parameter ------------------------------------
+# -- type A: the continuant of the periodic chain ------------------------------------
 
 
-def _det(mat: list[list[Poly]]) -> Poly:
-    """Cofactor expansion along the first column (entries are sparse polys)."""
-    size = len(mat)
-    if size == 1:
-        return mat[0][0]
-    nv = mat[0][0].nvars
-    total = Poly.zero(nv)
-    for r in range(size):
-        entry = mat[r][0]
-        if entry.is_zero():
-            continue
-        minor = [row[1:] for k, row in enumerate(mat) if k != r]
-        cof = _det(minor)
-        total = total + (entry * cof if r % 2 == 0 else entry * cof * Fraction(-1))
-    return total
-
-
-def lax_matrix(n: int) -> list[list[Poly]]:
-    """The n x n matrix A(q; x) over Q[q_0..q_{n-1}, x_1..x_{n-1}, z, 1/z, lam].
-
-    Variable layout: q_0..q_{n-1}, x_1..x_{n-1}, then z (Laurent), then lam.
-    """
-    rank = n - 1
-    nv = 2 * rank + 1 + 2
-    zvar = nv - 2
-
-    def q(i, k=1, zexp=0):
-        e = [0] * nv
-        e[i] = 1
-        e[zvar] = zexp
-        return Poly.monomial(nv, tuple(e), k)
-
-    def x(i, k=1):
-        e = [0] * nv
-        e[rank + i] = 1  # q-block has rank+1 slots; x_i sits at rank + i
-        return Poly.monomial(nv, tuple(e), k)
-
-    def const_z(k, zexp):
-        e = [0] * nv
-        e[zvar] = zexp
-        return Poly.monomial(nv, tuple(e), k)
-
-    mat = [[Poly.zero(nv) for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        if r == 0:
-            mat[r][r] = x(1)
-        elif r == n - 1:
-            mat[r][r] = x(rank, -1)
-        else:
-            mat[r][r] = x(r + 1) + x(r, -1)
-    for r in range(n - 1):
-        mat[r][r + 1] = mat[r][r + 1] + q(r + 1)
-        mat[r + 1][r] = mat[r + 1][r] + const_z(-1, 0)
-    mat[0][n - 1] = mat[0][n - 1] + const_z(-1, -1)
-    mat[n - 1][0] = mat[n - 1][0] + q(0, 1, 1)
-    return mat
+def _continuant(diag: list[Poly], bonds: list[Poly], nv: int) -> list[Poly]:
+    """``K`` of the chain ``0..m`` as its lam-coefficients (``K[j]`` goes with
+    ``lam^j``): ``K_r = (lam + diag[r]) K_{r-1} + bonds[r-1] K_{r-2}``, where
+    ``bonds[r-1]`` joins ``r-1`` and ``r`` and an empty chain is 1."""
+    zero = Poly.zero(nv)
+    older: list[Poly] = []
+    old = [Poly.one(nv)]
+    for r, a in enumerate(diag):
+        new = [s + a * c for s, c in zip([zero] + old, old + [zero])]
+        for j, c in enumerate(older):
+            new[j] = new[j] + bonds[r - 1] * c
+        older, old = old, new
+    return old
 
 
 def typeA_relations(n: int) -> list[RelationPoly]:
-    """H_1..H_{n-1} for Fl(n): z-free charpoly coefficients of the Lax matrix."""
+    """H_1..H_{n-1} for Fl(n): the ``lam^{n-1-k}`` coefficients of the z-free part
+    ``K(0..n-1) + q_0 K(1..n-2)`` of ``det(lam + A(z))``."""
     if n < 2:
         raise ValueError("need n >= 2 flags")
     rank = n - 1
-    nv = 2 * rank + 1 + 2
-    zvar, lvar = nv - 2, nv - 1
-    mat = lax_matrix(n)
-    lam = Poly.variable(nv, lvar)
-    for r in range(n):
-        mat[r][r] = mat[r][r] + lam
-    char = _det(mat)
-    zfree = char.coefficient_of(zvar, 0)
-    out = []
-    for k in range(1, n):
-        hk = zfree.coefficient_of(lvar, n - k - 1)
-        # still has two trailing all-zero exponents; strip them
-        terms = {e[:-2]: c for e, c in hk.terms.items()}
-        if not all(e[zvar] == 0 and e[lvar] == 0 for e in hk.terms):
-            raise AssertionError(f"H{k} still carries z or lambda")
-        out.append(RelationPoly("A", rank, Poly(2 * rank + 1, terms), name=f"H{k}"))
-    for rel in out:
-        if not rel.is_homogeneous():
-            raise AssertionError(rel.name)
-    return out
+    nv = 2 * rank + 1
+    q = [Poly.variable(nv, i) for i in range(n)]
+    x = [Poly.variable(nv, rank + i) for i in range(1, n)]  # x[i] is x_{i+1}
+    diag = [x[0]] + [x[r] - x[r - 1] for r in range(1, rank)] + [-x[-1]]
+    chain = _continuant(diag, q[1:], nv)
+    inner = _continuant(diag[1:rank], q[2:rank], nv)
+    return [RelationPoly("A", rank, chain[rank - k] + q[0] * inner[rank - k], name=f"H{k}")
+            for k in range(1, n)]
 
 
 # -- B2: the quadratic and quartic generators, written out --------------------------------

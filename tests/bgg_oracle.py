@@ -21,6 +21,14 @@ from fractions import Fraction
 from qaff.polynomials import Poly, exact_div_linear
 
 
+def homogeneous_components(f):
+    """``{degree: the part of f of that total degree}``, in increasing degree."""
+    buckets = {}
+    for e, c in f.terms.items():
+        buckets.setdefault(sum(e), {})[e] = c
+    return {d: Poly(f.nvars, t) for d, t in sorted(buckets.items())}
+
+
 class PolynomialBGG:
     """Divided differences and Schubert polynomials for one ``FiniteSchubert``."""
 
@@ -108,7 +116,7 @@ class PolynomialBGG:
         suffixes, so ``partial`` of each suffix is computed once per component.
         """
         out = {}
-        for deg, comp in f.homogeneous_components().items():
+        for deg, comp in homogeneous_components(f).items():
             memo = {(): comp}
 
             def dd_suffix(word):
@@ -138,7 +146,7 @@ class PolynomialBGG:
     def poincare_pairing(self, a, b):
         """Integral over G/B, computed at polynomial level via partial_{w_0}."""
         prod = self.class_poly(a) * self.class_poly(b)
-        top = prod.homogeneous_components().get(self.W.length[self.w0])
+        top = homogeneous_components(prod).get(self.W.length[self.w0])
         if top is None:
             return Fraction(0)
         return self.dd_word(self.W.word[self.w0], top).constant_term

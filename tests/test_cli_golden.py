@@ -7,12 +7,14 @@ the next 2 (the whole A3 table and the B2 relations) before ``Poly`` moved to
 integer coefficients and sums of classes to one integer table, the next
 2 (``w0 * s1`` on D4 and B4, with ``w0`` as its printed reduced word) before
 the lift moved from divisor-monomial expressions to one classical Chevalley
-step per element, and the last 16 (``curve-nbhd`` in every output form,
+step per element, the next 16 (``curve-nbhd`` in every output form,
 ``gw``, ``chevalley-roots`` and ``lambda --modified``) before the affine
-cover scan moved to a short-reflection table and per-element cover rows.  The
-three ``--format dot`` calls were recorded again when the slice's edges came
-to follow the root-table index instead of a hash set's order; each kept the
-same lines, in a new order.  So it pins the rule that a speed-up or refactor
+cover scan moved to a short-reflection table and per-element cover rows, and
+the last 4 (``relations`` on A5 and A6, ``present`` on A4 and A5) before the
+type-A Toda integrals moved from the Lax determinant to the continuant of the
+periodic chain.  The three ``--format dot`` calls were recorded again when the
+slice's edges came to follow the root-table index instead of a hash set's
+order; each kept the same lines, in a new order.  So it pins the rule that a speed-up or refactor
 leaves CLI output unchanged.
 After a change that is meant to alter output, record it again with
 
@@ -74,6 +76,10 @@ CALLS = [
     ["chevalley-roots", "--type", "A3", "--format", "csv"],
     ["chevalley-roots", "--type", "G2", "--format", "csv"],
     ["lambda", "--type", "A3", "--i", "2", "--w", "s0s1s2", "--modified"],
+    ["relations", "--type", "A6"],
+    ["relations", "--type", "A5", "--verify"],
+    ["present", "--type", "A4", "--format", "latex"],
+    ["present", "--type", "A5"],
 ]
 
 

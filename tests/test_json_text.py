@@ -79,8 +79,8 @@ def test_matches_json_dumps_on_every_golden_json_call(monkeypatch):
     for argv in CALLS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(list(argv))
-    json_calls = [c for c in CALLS if "json" in c or c[0] == "present"]
-    assert len(printed) == len(json_calls) == 13
+    json_calls = [c for c in CALLS if "json" in c or (c[0] == "present" and "latex" not in c)]
+    assert len(printed) == len(json_calls) == 14
     for obj, indent in printed:
         if indent:
             assert cli.json_text(obj) == json.dumps(obj, indent=2)

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaff.polynomials import Poly, exact_div_linear, matrix_rank, solve_exact
+from qaff.toda import RelationPoly
 
 
 def P(nvars, terms):
@@ -50,18 +51,14 @@ class TestArithmetic:
 
 
 class TestQueries:
-    def test_coefficient_of_collects(self):
-        # (x^2 + x)y + 3x  -> coefficient of y^1 is x^2 + x
-        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-        f = (x * x + x) * y + 3 * x
-        assert f.coefficient_of(1, 1) == x * x + x
-        assert f.coefficient_of(1, 0) == 3 * x
-
     def test_homogeneous_split(self):
-        x, y = Poly.variable(2, 0), Poly.variable(2, 1)
-        f = x * x + y  # weights (1, 2): both degree 2
-        assert f.is_homogeneous((1, 2))
-        assert not f.is_homogeneous((1, 1))
+        # rank 1: variables (q0, q1, x1), graded by deg q = 2, deg x = 1
+        q0, x1 = Poly.variable(3, 0), Poly.variable(3, 2)
+        assert RelationPoly("A", 1, x1 * x1 + q0).is_homogeneous()  # both degree 2
+        assert not RelationPoly("A", 1, x1 + q0).is_homogeneous()
+        assert RelationPoly("A", 1, x1 * x1 + q0).degree() == 2
+        assert RelationPoly("A", 1, x1 + q0).degree() == 2
+        assert RelationPoly("A", 1, Poly.zero(3)).degree() == 0
 
     def test_substitute_is_ring_hom(self):
         x, y = Poly.variable(2, 0), Poly.variable(2, 1)

@@ -11,7 +11,6 @@ from qaff.toda import (
     b2_relations,
     classical_part,
     classical_part_vanishes,
-    lax_matrix,
     phi_evaluate,
     present_ring,
     quadratic_relation,
@@ -29,14 +28,6 @@ def poly_from(rank, terms):
 
 
 class TestLaxMatrix:
-    def test_shape_and_corners(self):
-        mat = lax_matrix(3)
-        assert len(mat) == 3 and all(len(row) == 3 for row in mat)
-        # the corner entries carry the spectral parameter
-        assert not mat[0][2].is_zero()
-        assert not mat[2][0].is_zero()
-        assert mat[0][1].terms  # superdiagonal carries q
-
     def test_fl2_single_relation(self):
         (h1,) = typeA_relations(2)
         # -x1^2 + q1 + q0, in variables (q0, q1, x1)
