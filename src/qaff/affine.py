@@ -27,9 +27,10 @@ The operators:
   principal ideal generated by ``q^c``.
 
 ``chevalley``, ``lambda_op``, ``modified_lambda`` and ``divisor_pullback`` are
-one sum over the cover rows of :class:`~qaff.chevalley.ChevalleyRootSet`, with
-the weight ``<lambda_i, alpha^vee>`` or ``<lambda_i - m_i lambda_0, alpha^vee>``
-on a cover and with or without the quantum covers.
+one sum over the cover rows of the support, with the weight ``<lambda_i, alpha^vee>``
+or ``<lambda_i - m_i lambda_0, alpha^vee>`` on a cover and with or without the
+quantum covers.  :class:`AffineCoh` builds the rows of an element once, from its
+Bruhat covers and the per-type Chevalley roots, and keeps them.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class AffineCoh(QModule):
         self.n = W.n
         self.L = default_truncation(self.n) if L is None else L
         self._chev = enumerate_chevalley_roots(W)
+        # each member with s_alpha and (level, table index of its finite part), for W.inverts
+        self._members = [(cr, W.reflection(cr.root), cr.root.level,
+                          W.table.index[cr.root.finite]) for cr in self._chev]
+        self._rows: dict[int, tuple[list, list]] = {}
         self._e1_cache: dict[int, QClass] = {}
         self._mono_cache: dict[tuple[int, ...], QClass] = {(): self.unit()}
 
@@ -84,12 +89,36 @@ class AffineCoh(QModule):
     def q_monomial(self, e: CorootVec, num=1) -> Poly:
         return Poly.monomial(self.nq, tuple(e), num)
 
-    def _guard(self, a: QClass, room: int = 1) -> None:
-        top = a.max_length()
-        if top + room > self.L:
-            raise TruncationOverflow(top + room, self.L)
+    def _guard(self, a: QClass) -> None:
+        top = a.max_length() + 1
+        if top > self.L:
+            raise TruncationOverflow(top, self.L)
 
     # -- cup and BGG operators ---------------------------------------------------
+
+    def _cover_rows(self, w: int) -> tuple[list, list]:
+        """The covers out of ``w``, computed once per element and kept.
+
+        The first list holds ``(w s_alpha, alpha^vee)`` for the Bruhat covers, in
+        :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order; the second
+        holds ``(w s_alpha, member)`` for the Chevalley roots alpha with
+        ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, in set order.  That
+        length is below ``len(w)``, which happens only when ``w(alpha) < 0``, so
+        no other member is multiplied.
+        """
+        rows = self._rows.get(w)
+        if rows is None:
+            W = self.W
+            lw = W.length(w)
+            classical = [(u, self.ard.coroot(alpha)) for u, alpha in W.bruhat_covers_up(w)]
+            quantum = []
+            for cr, s, level, b in self._members:
+                if W.inverts(w, level, b):
+                    u = W.multiply(w, s)
+                    if W.length(u) == lw + 1 - 2 * cr.coroot_height:
+                        quantum.append((u, cr))
+            rows = self._rows[w] = (classical, quantum)
+        return rows
 
     def _cover_sum(self, a: QClass, weight: Callable[[CorootVec], int], quantum: bool) -> QClass:
         """``sum weight(alpha^vee) c_w eps_{w s_alpha}`` over the Bruhat covers of the
@@ -97,15 +126,15 @@ class AffineCoh(QModule):
         self._guard(a)
         acc: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
         for w, c in a.terms.items():
-            rows = self._chev.cover_rows(w)
-            for u, _, coroot in rows.classical:
+            classical, quantum_rows = self._cover_rows(w)
+            for u, coroot in classical:
                 k = weight(coroot)
                 if k:
                     d = acc.setdefault(u, {})
                     for e, v in c.terms.items():
                         d[e] = d.get(e, 0) + k * v
             if quantum:
-                for u, cr in rows.quantum:
+                for u, cr in quantum_rows:
                     k = weight(cr.coroot)
                     if k:
                         d = acc.setdefault(u, {})
@@ -163,7 +192,7 @@ class AffineCoh(QModule):
     def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
         if not 1 <= i <= self.n:
-            raise ValueError("modified operator needs a finite index")
+            raise ValueError(f"modified operator needs a finite index in 1..{self.n}")
         return self._cover_sum(a, partial(self.ard.level_zero_weight_pairing, i), True)
 
     # -- pullback along evaluation at the base point ---------------------------------

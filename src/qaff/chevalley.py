@@ -37,60 +37,6 @@ class ChevalleyRoot(NamedTuple):
     word: tuple[int, ...]  # palindromic reduced word for s_root
 
 
-class CoverRows(NamedTuple):
-    classical: list[tuple[int, AffineRoot, CorootVec]]
-    quantum: list[tuple[int, ChevalleyRoot]]
-
-
-class ChevalleyRootSet:
-    """The full set for one affine type, sorted by coroot height.
-
-    It also keeps, per affine element id of ``W``, the covers out of it
-    (:meth:`cover_rows`), which only the cover sum behind the Chevalley
-    operators of :class:`~qaff.affine.AffineCoh` reads.
-    """
-
-    def __init__(self, W: AffineWeylGroup):
-        self.W = W
-        self.ard = W.ard
-        self.roots = tuple(_enumerate(W))
-        self._reflections = tuple(W.reflection(cr.root) for cr in self.roots)
-        # each member as (level, table index of its finite part), for W.inverts
-        self._keys = tuple((cr.root.level, W.table.index[cr.root.finite]) for cr in self.roots)
-        self._rows: dict[int, CoverRows] = {}
-
-    def cover_rows(self, w: int) -> CoverRows:
-        """The covers out of ``w``, computed once per element and kept.
-
-        ``classical`` holds ``(w s_alpha, alpha, alpha^vee)`` for the Bruhat
-        covers, in :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order;
-        ``quantum`` holds ``(w s_alpha, member)`` for the members alpha with
-        ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, in set order.  That
-        length is below ``len(w)``, which happens only when ``w(alpha) < 0``, so
-        no other member is multiplied.
-        """
-        rows = self._rows.get(w)
-        if rows is None:
-            W = self.W
-            lw = W.length(w)
-            classical = [(u, alpha, self.ard.coroot(alpha))
-                         for u, alpha in W.bruhat_covers_up(w)]
-            quantum = []
-            for cr, s, (level, b) in zip(self.roots, self._reflections, self._keys):
-                if W.inverts(w, level, b):
-                    u = W.multiply(w, s)
-                    if W.length(u) == lw + 1 - 2 * cr.coroot_height:
-                        quantum.append((u, cr))
-            rows = self._rows[w] = CoverRows(classical, quantum)
-        return rows
-
-    def __iter__(self):
-        return iter(self.roots)
-
-    def __len__(self) -> int:
-        return len(self.roots)
-
-
 def candidate_roots(ard: AffineRootData) -> list[AffineRoot]:
     """All positive real roots that could possibly have coroot below c."""
     out = [AffineRoot(0, g) for g in ard.rs.positive_roots]
@@ -141,15 +87,15 @@ def _enumerate(W: AffineWeylGroup) -> list[ChevalleyRoot]:
 
 
 @lru_cache(maxsize=None, typed=True)
-def chevalley_root_set(letter: str, rank: int) -> ChevalleyRootSet:
-    return ChevalleyRootSet(affine_weyl(letter, rank))
+def chevalley_root_set(letter: str, rank: int) -> tuple[ChevalleyRoot, ...]:
+    """The set for one affine type, sorted by coroot height."""
+    return tuple(_enumerate(affine_weyl(letter, rank)))
 
 
-def enumerate_chevalley_roots(W: AffineWeylGroup) -> ChevalleyRootSet:
-    """The set over ``W``: the cached one for the cached group, else a new one,
-    since cover rows hold ``W``'s own element ids."""
-    crs = chevalley_root_set(W.rs.letter, W.rs.rank)
-    return crs if crs.W is W else ChevalleyRootSet(W)
+def enumerate_chevalley_roots(W: AffineWeylGroup) -> tuple[ChevalleyRoot, ...]:
+    """The set of ``W``'s type: it holds no element ids, so every group of the
+    type shares it."""
+    return chevalley_root_set(W.rs.letter, W.rs.rank)
 
 
 def posir_reconstruct(W: AffineWeylGroup) -> dict[AffineRoot, tuple[int, ...]]:

@@ -26,6 +26,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 Exp = tuple[int, ...]
 Scalar = int | Fraction
 
+SCHEMA_VERSION = 1  # of the JSON records that the CLI and ``toda.present_ring`` print
+
 
 def _exact(c: Scalar) -> Scalar:
     """``c`` as an ``int`` when it is integral, else as a ``Fraction``.

@@ -34,7 +34,7 @@ from operator import add
 from typing import NamedTuple
 
 from .bgg import FinCohClass
-from .polynomials import Poly, QClass, matrix_rank
+from .polynomials import SCHEMA_VERSION, Poly, QClass, matrix_rank
 from .quantum import QuantumAff, quantum_aff
 from .roots import build_root_system
 
@@ -240,7 +240,7 @@ def present_ring(letter: str, rank: int, rels: list[RelationPoly], status: str) 
         entries.append({"name": rel.name, "degree": rel.degree(), "poly": rel.format(),
                         "phi_zero": phi_zero, "classical_invariant": classical_invariant})
     record = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "type": f"{letter}{rank}",
         "generators": [f"x{i}" for i in range(1, rank + 1)],
         "coefficients": [f"q{i}" for i in range(rank + 1)],

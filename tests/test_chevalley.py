@@ -1,8 +1,8 @@
 import pytest
 
-from qaff.chevalley import chevalley_root_set, posir_reconstruct
+from qaff.chevalley import chevalley_root_set, enumerate_chevalley_roots, posir_reconstruct
 from qaff.roots import AffineRoot, affinize, coroot_ht, coroot_leq
-from qaff.weyl import affine_weyl
+from qaff.weyl import AffineWeylGroup, affine_weyl
 
 # how many roots carry a "short" reflection, for each implemented type
 EXPECTED_COUNTS = {
@@ -22,6 +22,13 @@ EXPECTED_COUNTS = {
 def test_counts(letter, rank):
     crs = chevalley_root_set(letter, rank)
     assert len(crs) == EXPECTED_COUNTS[(letter, rank)]
+
+
+def test_every_group_of_a_type_shares_the_set():
+    # the set holds no element ids, so a fresh group gets the cached tuple
+    assert enumerate_chevalley_roots(AffineWeylGroup(affinize("A", 3))) is chevalley_root_set(
+        "A", 3)
+    assert enumerate_chevalley_roots(affine_weyl("A", 3)) is chevalley_root_set("A", 3)
 
 
 @pytest.mark.parametrize("letter,rank", sorted(EXPECTED_COUNTS))

@@ -104,6 +104,12 @@ class TestLambda:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flags,span", [([], "0..2"), (["--modified"], "1..2")])
+    def test_index_out_of_range(self, capsys, flags, span):
+        code, out, err = run(capsys, "lambda", "--type", "A2", "--i", "3", "--w", "s1", *flags)
+        assert (code, out) == (2, "")
+        assert f"--i must be in {span}" in err
+
 
 class TestProduct:
     def test_text(self, capsys):
@@ -306,8 +312,16 @@ class TestVerify:
         assert "1 passed, 0 failed" in out
 
     def test_unknown_suite(self, capsys):
-        code, _, err = run(capsys, "verify", "--type", "A1", "--suite", "nope")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--type", "A1", "--suite", "nope"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+    def test_unknown_suite_is_refused_before_any_suite_runs(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--type", "A1", "--suite", "quadratic", "--suite", "nope"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_full_run_small_type(self, capsys):
         code, out, _ = run(capsys, "verify", "--type", "A1")

@@ -20,7 +20,6 @@ from cover_oracles import (
     level_bound_slice_edges,
 )
 from qaff.affine import affine_coh
-from qaff.chevalley import chevalley_root_set
 from qaff.neighborhoods import _reachable, bruhat_maximal, moment_graph_slice
 from qaff.roots import AffineRoot, affinize
 from qaff.weyl import AffineWeylGroup, affine_weyl
@@ -97,11 +96,11 @@ def test_moment_graph_slice_matches_level_bound_scan(letter, rank, top):
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2)])
 def test_classical_rows_are_the_covers_with_their_coroots(letter, rank):
-    W = affine_weyl(letter, rank)
-    crs = chevalley_root_set(letter, rank)
+    calc = affine_coh(letter, rank)
+    W = calc.W
     for w in _elements(W, 3):
-        expect = [(u, alpha, W.ard.coroot(alpha)) for u, alpha in level_bound_covers_up(W, w)]
-        assert crs.cover_rows(w).classical == expect
+        expect = [(u, W.ard.coroot(alpha)) for u, alpha in level_bound_covers_up(W, w)]
+        assert calc._cover_rows(w)[0] == expect
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4),
@@ -109,17 +108,16 @@ def test_classical_rows_are_the_covers_with_their_coroots(letter, rank):
 def test_quantum_rows_match_word_form(letter, rank):
     calc = affine_coh(letter, rank)
     W = calc.W
-    crs = chevalley_root_set(letter, rank)
     for w in _elements(W, 3):
         a = calc.basis(w)
         # D_{s_alpha} eps_w = eps_{w s_alpha} exactly on the quantum covers
         by_words = []
-        for cr in crs:
+        for cr in calc._chev:
             image = calc.D_word(cr.word, a)
             if not image.is_zero():
                 (u,) = image.terms
                 by_words.append((u, cr))
-        assert crs.cover_rows(w).quantum == by_words, W.format(w)
+        assert calc._cover_rows(w)[1] == by_words, W.format(w)
         for i in range(rank + 1):
             assert calc.lambda_op(i, a) == calc.lambda_op_by_words(i, a)
 

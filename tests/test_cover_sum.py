@@ -36,7 +36,7 @@ def old_chevalley(calc, i, a):
     """``eps_i . a`` summed one ``Poly`` per Bruhat cover."""
     out = {}
     for w, c in a.terms.items():
-        for u, _, coroot in calc._chev.cover_rows(w).classical:
+        for u, coroot in calc._cover_rows(w)[0]:
             if coroot[i]:
                 out[u] = out.get(u, Poly.zero(calc.nq)) + coroot[i] * c
     return calc._make(out)
@@ -46,7 +46,7 @@ def old_lambda_op(calc, i, a):
     """``Lambda_i(a)``: the cup plus one ``q^{alpha^vee}`` monomial per quantum cover."""
     out = dict(old_chevalley(calc, i, a).terms)
     for w, c in a.terms.items():
-        for u, cr in calc._chev.cover_rows(w).quantum:
+        for u, cr in calc._cover_rows(w)[1]:
             if cr.coroot[i]:
                 term = calc.q_monomial(cr.coroot, cr.coroot[i]) * c
                 out[u] = out.get(u, Poly.zero(calc.nq)) + term

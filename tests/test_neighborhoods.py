@@ -132,4 +132,7 @@ def test_outputs_do_not_depend_on_id_order():
             for i, j in ((1, 2), (1, 3), (2, 3)):
                 assert (calc.modified_lambda(i, calc.modified_lambda(j, a)).to_json_obj()
                         == other.modified_lambda(i, other.modified_lambda(j, b)).to_json_obj())
+            for i in range(4):
+                assert (calc.lambda_op(i, a).to_json_obj()
+                        == other.lambda_op(i, b).to_json_obj())
     assert moment_graph_slice(W, 3).to_dot() == moment_graph_slice(fresh, 3).to_dot()
