@@ -30,16 +30,18 @@ The operators:
 one sum over the cover rows of the support, with the weight ``<lambda_i, alpha^vee>``
 or ``<lambda_i - m_i lambda_0, alpha^vee>`` on a cover and with or without the
 quantum covers.  :class:`AffineCoh` builds the rows of an element once, from its
-Bruhat covers and the per-type Chevalley roots, and keeps them.
+Bruhat covers and the per-type Chevalley roots, and keeps them (``_rows``, one
+entry per element met).  Each row carries its cover's weights, one tuple per
+distinct coroot (``_weights``, bounded by the coroots of the covers met), so the
+sum reads a weight by index.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement
-from operator import add
-from typing import Callable
+from operator import add, mul
 
 from .bgg import FinCohClass, FiniteSchubert, finite_schubert
 from .chevalley import enumerate_chevalley_roots
@@ -74,9 +76,12 @@ class AffineCoh(QModule):
         self.n = W.n
         self.L = default_truncation(self.n) if L is None else L
         self._chev = enumerate_chevalley_roots(W)
-        # each member with s_alpha and (level, table index of its finite part), for W.inverts
-        self._members = [(cr, W.reflection(cr.root), cr.root.level,
-                          W.table.index[cr.root.finite]) for cr in self._chev]
+        self._weights: dict[CorootVec, tuple[int, ...]] = {}
+        # each member as (level, table index of its finite part, s_alpha, coroot height,
+        # alpha^vee, weights), for the rule of W.inverts
+        self._members = [(cr.root.level, W.table.index[cr.root.finite], W.reflection(cr.root),
+                          cr.coroot_height, cr.coroot, self._weight_row(cr.coroot))
+                         for cr in self._chev]
         self._rows: dict[int, tuple[list, list]] = {}
         self._e1_cache: dict[int, QClass] = {}
         self._mono_cache: dict[tuple[int, ...], QClass] = {(): self.unit()}
@@ -96,56 +101,81 @@ class AffineCoh(QModule):
 
     # -- cup and BGG operators ---------------------------------------------------
 
+    def _weight_row(self, coroot: CorootVec) -> tuple[int, ...]:
+        """The weights of a cover with coroot ``alpha^vee``, once per distinct coroot:
+        entry ``i`` is ``<lambda_i, alpha^vee>`` for ``i = 0..n`` (the coroot itself)
+        and entry ``n + i`` is ``<lambda_i - m_i lambda_0, alpha^vee>`` for ``i = 1..n``."""
+        row = self._weights.get(coroot)
+        if row is None:
+            pair = self.ard.level_zero_weight_pairing
+            row = self._weights[coroot] = coroot + tuple(
+                pair(i, coroot) for i in range(1, self.n + 1))
+        return row
+
+    def _level_zero_column(self, i: int) -> int:
+        """The weight-row entry of ``lambda_i - m_i lambda_0``, for a finite index i."""
+        if not 1 <= i <= self.n:
+            raise ValueError(f"modified operator needs a finite index in 1..{self.n}")
+        return self.n + i
+
     def _cover_rows(self, w: int) -> tuple[list, list]:
         """The covers out of ``w``, computed once per element and kept.
 
-        The first list holds ``(w s_alpha, alpha^vee)`` for the Bruhat covers, in
+        Each row is ``(w s_alpha, alpha^vee, weights)``, with the weights of
+        :meth:`_weight_row`.  The first list holds the Bruhat covers, in
         :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order; the second
-        holds ``(w s_alpha, member)`` for the Chevalley roots alpha with
-        ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, in set order.  That
-        length is below ``len(w)``, which happens only when ``w(alpha) < 0``, so
-        no other member is multiplied.
+        holds the Chevalley roots alpha with ``len(w s_alpha) = len(w) + 1 - 2
+        ht(alpha^vee)``, in set order.  That length is below ``len(w)``, which
+        happens only when ``w(alpha) < 0``, so no other member is multiplied.
         """
         rows = self._rows.get(w)
         if rows is None:
-            W = self.W
+            W, ard = self.W, self.ard
             lw = W.length(w)
-            classical = [(u, self.ard.coroot(alpha)) for u, alpha in W.bruhat_covers_up(w)]
+            classical = []
+            for u, alpha in W.bruhat_covers_up(w):
+                coroot = ard.coroot(alpha)
+                classical.append((u, coroot, self._weight_row(coroot)))
+            # <roots[b], t> for every table index b, read once for w = v t
+            t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
+            pairs = [sum(map(mul, pv, t)) for pv in W.table.pairings[:npos]]
+            pairs += [-x for x in pairs]
             quantum = []
-            for cr, s, level, b in self._members:
-                if W.inverts(w, level, b):
+            for level, b, s, height, coroot, weights in self._members:
+                level -= pairs[b]
+                if level < 0 or (level == 0 and p[b] >= npos):
                     u = W.multiply(w, s)
-                    if W.length(u) == lw + 1 - 2 * cr.coroot_height:
-                        quantum.append((u, cr))
+                    if W.length(u) == lw + 1 - 2 * height:
+                        quantum.append((u, coroot, weights))
             rows = self._rows[w] = (classical, quantum)
         return rows
 
-    def _cover_sum(self, a: QClass, weight: Callable[[CorootVec], int], quantum: bool) -> QClass:
-        """``sum weight(alpha^vee) c_w eps_{w s_alpha}`` over the Bruhat covers of the
+    def _cover_sum(self, a: QClass, col: int, quantum: bool) -> QClass:
+        """``sum weights[col] c_w eps_{w s_alpha}`` over the Bruhat covers of the
         support and, if ``quantum``, its quantum covers with ``q^{alpha^vee}``."""
         self._guard(a)
         acc: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
         for w, c in a.terms.items():
             classical, quantum_rows = self._cover_rows(w)
-            for u, coroot in classical:
-                k = weight(coroot)
+            for u, _, weights in classical:
+                k = weights[col]
                 if k:
                     d = acc.setdefault(u, {})
                     for e, v in c.terms.items():
                         d[e] = d.get(e, 0) + k * v
             if quantum:
-                for u, cr in quantum_rows:
-                    k = weight(cr.coroot)
+                for u, coroot, weights in quantum_rows:
+                    k = weights[col]
                     if k:
                         d = acc.setdefault(u, {})
                         for e, v in c.terms.items():
-                            qe = tuple(map(add, e, cr.coroot))
+                            qe = tuple(map(add, e, coroot))
                             d[qe] = d.get(qe, 0) + k * v
         return self.from_table(acc)
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
-        return self._cover_sum(a, partial(self.ard.weight_pairing, i), False)
+        return self._cover_sum(a, i, False)
 
     def D_letter(self, i: int, a: QClass) -> QClass:
         out: dict[int, Poly] = {}
@@ -173,7 +203,7 @@ class AffineCoh(QModule):
         ``l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee)``, the quantum-cover length
         condition.
         """
-        return self._cover_sum(a, partial(self.ard.weight_pairing, i), True)
+        return self._cover_sum(a, i, True)
 
     def lambda_op_by_words(self, i: int, a: QClass) -> QClass:
         """``Lambda_i`` as cup plus ``<lambda_i, alpha^vee> q^{alpha^vee} D_{s_alpha}``.
@@ -191,15 +221,13 @@ class AffineCoh(QModule):
 
     def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"modified operator needs a finite index in 1..{self.n}")
-        return self._cover_sum(a, partial(self.ard.level_zero_weight_pairing, i), True)
+        return self._cover_sum(a, self._level_zero_column(i), True)
 
     # -- pullback along evaluation at the base point ---------------------------------
 
     def divisor_pullback(self, i: int, a: QClass) -> QClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
-        return self._cover_sum(a, partial(self.ard.level_zero_weight_pairing, i), False)
+        return self._cover_sum(a, self._level_zero_column(i), False)
 
     def e1_pullback(self, a: FinCohClass) -> QClass:
         """The ring map ``sigma_i -> eps_i - m_i eps_0`` on a finite class."""

@@ -387,8 +387,10 @@ class QModule:
         return self._class({w: _poly(self.nq, {(0,) * self.nq: c})} if c else {})
 
     def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]]) -> QClass:
-        """The class of a table ``w -> exponent -> coefficient``."""
-        return self._make({w: _poly(self.nq, _normalized(d)) for w, d in acc.items()})
+        """The class of a table ``w -> exponent -> coefficient``, in one pass that drops
+        the entries whose coefficients all cancel."""
+        nq = self.nq
+        return self._class({w: _poly(nq, t) for w, d in acc.items() if (t := _normalized(d))})
 
 
 def exact_div_linear(f: Poly, linear: Poly) -> Poly:

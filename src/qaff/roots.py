@@ -18,6 +18,11 @@ Conventions, fixed once and used everywhere downstream:
   central element, represented as ``(1, m_1, ..., m_n)``.
 * Per-root data (index, coroot, ``d_root``, pairings, reflection) is tabulated
   once per type in a :class:`RootTable`, so lookups do no ``Fraction`` work.
+* :class:`AffineRootData` keeps each affine coroot after its first read
+  (``_coroots``, bounded by the roots met) and lists the real positive roots
+  of a level with their coroots once (``_levels``, bounded by the largest
+  ``alpha_0^vee`` budget asked).  Neither holds Weyl group ids, so every group
+  built on one :func:`affinize` datum shares them.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from operator import mul
+from operator import le, mul
 from typing import NamedTuple
 
 Vec = tuple[int, ...]
@@ -385,7 +390,7 @@ def coroot_ht(v: CorootVec) -> int:
 
 def coroot_leq(a: CorootVec, b: CorootVec) -> bool:
     """Componentwise comparison in the affine coroot lattice basis."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 class AffineRootData:
@@ -401,6 +406,9 @@ class AffineRootData:
         self.n = rs.rank
         self.c: CorootVec = (1,) + rs.theta_coroot
         self.delta_height = 1 + sum(rs.theta)
+        self._coroots: dict[AffineRoot, CorootVec] = {}
+        # the real positive roots of level k as (height, finite, alpha, alpha^vee), built on demand
+        self._levels: list[list[tuple[int, Vec, AffineRoot, CorootVec]]] = []
 
     def simple_root(self, i: int) -> AffineRoot:
         if i == 0:
@@ -411,13 +419,18 @@ class AffineRootData:
         return a.level * self.delta_height + sum(a.finite)
 
     def coroot(self, a: AffineRoot) -> CorootVec:
-        """Integer coordinates of ``a^vee`` in ``(alpha_0^vee, ..., alpha_n^vee)``."""
-        if not a.is_real():
-            raise ValueError("imaginary roots have no coroot here; use .c for the center")
-        table = self.rs.table
-        b = table.index_of(a.finite)
-        r = a.level * table.inv_d[b]
-        return (r,) + tuple(r * m + f for m, f in zip(self.rs.theta_coroot, table.coroots[b]))
+        """Integer coordinates of ``a^vee`` in ``(alpha_0^vee, ..., alpha_n^vee)``,
+        computed on first read and kept."""
+        v = self._coroots.get(a)
+        if v is None:
+            if not a.is_real():
+                raise ValueError("imaginary roots have no coroot here; use .c for the center")
+            table = self.rs.table
+            b = table.index_of(a.finite)
+            r = a.level * table.inv_d[b]
+            v = self._coroots[a] = (r,) + tuple(
+                r * m + f for m, f in zip(self.rs.theta_coroot, table.coroots[b]))
+        return v
 
     def finite_part_of_coroot(self, v: CorootVec) -> Vec:
         """Project a coroot vector to the finite coroot lattice (kills c)."""
@@ -448,17 +461,22 @@ class AffineRootData:
         )
 
     def real_positive_roots_leq(self, bound: CorootVec) -> list[AffineRoot]:
-        """All real positive roots whose coroot is componentwise <= ``bound``."""
-        out = []
-        for k in range(0, bound[0] + 1):
-            for beta in self.rs.all_roots():
-                if k == 0 and sum(beta) < 0:
-                    continue
-                a = AffineRoot(k, beta)
-                if coroot_leq(self.coroot(a), bound):
-                    out.append(a)
-        out.sort(key=lambda a: (self.height(a), a.finite))
-        return out
+        """All real positive roots whose coroot is componentwise <= ``bound``, by
+        ``(height, finite)``.
+
+        ``alpha^vee`` has ``alpha_0^vee``-coordinate ``level/d_beta >= level``, so
+        levels ``0..bound[0]`` hold every such root.  Each level's roots and
+        coroots are listed once, on first use, and kept.
+        """
+        levels = self._levels
+        while len(levels) <= bound[0]:
+            k = len(levels)
+            roots = [AffineRoot(k, beta) for beta in self.rs.all_roots() if k or sum(beta) > 0]
+            levels.append([(self.height(a), a.finite, a, self.coroot(a)) for a in roots])
+        out = [row[:3] for level in levels[:bound[0] + 1] for row in level
+               if coroot_leq(row[3], bound)]
+        out.sort()  # (height, finite) is unique to a root, so alpha is never compared
+        return [a for _, _, a in out]
 
 
 @lru_cache(maxsize=None, typed=True)

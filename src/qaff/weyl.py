@@ -131,9 +131,9 @@ class AffineWeylGroup:
     element is made by :meth:`_intern`, which gives each new ``(perm, t)`` the
     next id.  ``perm[w]`` is the root permutation of w's finite part,
     ``trans[w]`` its translation, and ``index`` maps ``(perm, t)`` back to the
-    id.  The identity is ``0``.  Lengths are computed on first read and kept,
-    and :meth:`rmul` keeps each product ``w s_i``.  :class:`AffW` is the
-    boundary form (:meth:`element`, :meth:`id_of`).
+    id.  The identity is ``0``.  Lengths and right descents are computed on
+    first read and kept, and :meth:`rmul` keeps each product ``w s_i``.
+    :class:`AffW` is the boundary form (:meth:`element`, :meth:`id_of`).
 
     >>> from qaff.roots import affinize
     >>> W = AffineWeylGroup(affinize("A", 1))
@@ -150,6 +150,7 @@ class AffineWeylGroup:
         self.trans: list[Vec] = []
         self.index: dict[tuple[tuple[int, ...], Vec], int] = {}
         self._length: list[int] = []  # -1 until first read
+        self._descents: list[tuple[int, ...] | None] = []  # None until first read
         self._rmul: list[list[int] | None] = []  # per id, w s_i by i, -1 until made
         self.identity = self._intern(finite_identity(self.rs).perm, (0,) * self.n)
         self._simple_affine = [ard.simple_root(i) for i in range(self.n + 1)]
@@ -175,6 +176,7 @@ class AffineWeylGroup:
             self.perm.append(p)
             self.trans.append(t)
             self._length.append(-1)
+            self._descents.append(None)
             self._rmul.append(None)
         return w
 
@@ -251,15 +253,12 @@ class AffineWeylGroup:
         level -= sum(map(mul, self.table.pairings[b], self.trans[w]))
         return level < 0 or (level == 0 and self.perm[w][b] >= self.rs.num_positive)
 
-    def right_descents(self, w: int) -> list[int]:
-        """The i with ``w(alpha_i) < 0``, by the rule of :meth:`inverts`."""
-        npos = self.rs.num_positive
-        p, t = self.perm[w], self.trans[w]
-        out = []
-        for i, (level, b) in enumerate(self._simple_roots):
-            level -= sum(map(mul, self.table.pairings[b], t))
-            if level < 0 or (level == 0 and p[b] >= npos):
-                out.append(i)
+    def right_descents(self, w: int) -> tuple[int, ...]:
+        """The i with ``w(alpha_i) < 0``, by the rule of :meth:`inverts`, on first read."""
+        out = self._descents[w]
+        if out is None:
+            out = self._descents[w] = tuple(
+                i for i, (level, b) in enumerate(self._simple_roots) if self.inverts(w, level, b))
         return out
 
     def reduced_word(self, w: int) -> tuple[int, ...]:

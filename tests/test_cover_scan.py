@@ -5,7 +5,8 @@ as ordered lists: the Bruhat covers, which ``bruhat_covers_up`` builds from
 the covers below it in right weak order instead of scanning reflections, the
 moment-graph slice edges and ``bruhat_maximal``.  The quantum cover rows are
 compared with the word form ``q^{alpha^vee} D_{s_alpha}`` of the affine
-quantum Chevalley operators, and the elements a cold cover row interns are
+quantum Chevalley operators, every weight a row carries with the weight
+pairing it stands for, and the elements a cold cover row interns are
 counted.
 """
 
@@ -100,7 +101,7 @@ def test_classical_rows_are_the_covers_with_their_coroots(letter, rank):
     W = calc.W
     for w in _elements(W, 3):
         expect = [(u, W.ard.coroot(alpha)) for u, alpha in level_bound_covers_up(W, w)]
-        assert calc._cover_rows(w)[0] == expect
+        assert [(u, coroot) for u, coroot, _ in calc._cover_rows(w)[0]] == expect
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4),
@@ -116,10 +117,27 @@ def test_quantum_rows_match_word_form(letter, rank):
             image = calc.D_word(cr.word, a)
             if not image.is_zero():
                 (u,) = image.terms
-                by_words.append((u, cr))
-        assert calc._cover_rows(w)[1] == by_words, W.format(w)
+                by_words.append((u, cr.coroot))
+        assert [(u, coroot) for u, coroot, _ in calc._cover_rows(w)[1]] == by_words, W.format(w)
         for i in range(rank + 1):
             assert calc.lambda_op(i, a) == calc.lambda_op_by_words(i, a)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_row_weights_are_the_weight_pairings(letter, rank):
+    calc = affine_coh(letter, rank)
+    ard = calc.ard
+    rows = 0
+    for w in _elements(calc.W, 4):
+        classical, quantum = calc._cover_rows(w)
+        for u, coroot, weights in classical + quantum:
+            assert len(weights) == 2 * rank + 1
+            for i in range(rank + 1):
+                assert weights[i] == ard.weight_pairing(i, coroot)
+            for i in range(1, rank + 1):
+                assert weights[rank + i] == ard.level_zero_weight_pairing(i, coroot)
+            rows += 1
+    assert rows > 0
 
 
 def _degrees(nq, top):

@@ -9,10 +9,15 @@ a sum of two ``lambda_op`` images, ``eps_i - m_i eps_0`` as a sum of two
 ``chevalley`` images, the cup and quantum sums built one ``Poly`` per term,
 and ``lambda_bar_i(sigma_w)`` as a sum of ``from_finite`` classes with the
 quantum terms rebuilt from the Chevalley roots.  The sums are
-``class_sums.scale_and_add`` chains.  A second test pins the design: with
+``class_sums.scale_and_add`` chains.  The four operators are also compared with
+the cover sum they replaced, whose weight is a ``partial`` of
+``ard.weight_pairing`` or ``ard.level_zero_weight_pairing`` called once per term.  A second test pins the design: with
 ``Poly`` arithmetic and ``QClass.__add__`` made to raise, the four operators
 still return.
 """
+
+from functools import partial
+from operator import add
 
 import pytest
 from class_sums import scale_and_add
@@ -36,7 +41,7 @@ def old_chevalley(calc, i, a):
     """``eps_i . a`` summed one ``Poly`` per Bruhat cover."""
     out = {}
     for w, c in a.terms.items():
-        for u, coroot in calc._cover_rows(w)[0]:
+        for u, coroot, _ in calc._cover_rows(w)[0]:
             if coroot[i]:
                 out[u] = out.get(u, Poly.zero(calc.nq)) + coroot[i] * c
     return calc._make(out)
@@ -46,11 +51,34 @@ def old_lambda_op(calc, i, a):
     """``Lambda_i(a)``: the cup plus one ``q^{alpha^vee}`` monomial per quantum cover."""
     out = dict(old_chevalley(calc, i, a).terms)
     for w, c in a.terms.items():
-        for u, cr in calc._cover_rows(w)[1]:
-            if cr.coroot[i]:
-                term = calc.q_monomial(cr.coroot, cr.coroot[i]) * c
+        for u, coroot, _ in calc._cover_rows(w)[1]:
+            if coroot[i]:
+                term = calc.q_monomial(coroot, coroot[i]) * c
                 out[u] = out.get(u, Poly.zero(calc.nq)) + term
     return calc._make(out)
+
+
+def partial_weight_cover_sum(calc, a, weight, quantum):
+    """The cover sum with its weight a function of the coroot, called once per
+    term, as the operators computed it before the rows carried their weights."""
+    acc = {}
+    for w, c in a.terms.items():
+        classical, quantum_rows = calc._cover_rows(w)
+        for u, coroot, _ in classical:
+            k = weight(coroot)
+            if k:
+                d = acc.setdefault(u, {})
+                for e, v in c.terms.items():
+                    d[e] = d.get(e, 0) + k * v
+        if quantum:
+            for u, coroot, _ in quantum_rows:
+                k = weight(coroot)
+                if k:
+                    d = acc.setdefault(u, {})
+                    for e, v in c.terms.items():
+                        qe = tuple(map(add, e, coroot))
+                        d[qe] = d.get(qe, 0) + k * v
+    return calc._make({w: Poly(calc.nq, d) for w, d in acc.items()})
 
 
 def old_lambda_basis(ring, i, w):
@@ -90,6 +118,32 @@ def test_operators_match_their_compositions(letter, rank):
                 calc, [(1, calc.lambda_op(i, b)), (-m_i, calc.lambda_op(0, b))])
             assert calc.divisor_pullback(i, b) == scale_and_add(
                 calc, [(1, calc.chevalley(i, b)), (-m_i, calc.chevalley(0, b))])
+
+
+@pytest.mark.parametrize("letter,rank", AFFINE_TYPES + [("A", 3), ("B", 3)])
+def test_operators_match_the_partial_weight_sum(letter, rank):
+    calc = affine_coh(letter, rank)
+    ard = calc.ard
+    elements = short_elements(calc)
+    classes = [calc.basis(w) for w in elements] + [mixed_class(calc, elements[:12])]
+    for b in classes:
+        for i in range(rank + 1):
+            weight = partial(ard.weight_pairing, i)
+            assert calc.chevalley(i, b) == partial_weight_cover_sum(calc, b, weight, False)
+            assert calc.lambda_op(i, b) == partial_weight_cover_sum(calc, b, weight, True)
+        for i in range(1, rank + 1):
+            weight = partial(ard.level_zero_weight_pairing, i)
+            assert calc.modified_lambda(i, b) == partial_weight_cover_sum(calc, b, weight, True)
+            assert calc.divisor_pullback(i, b) == partial_weight_cover_sum(
+                calc, b, weight, False)
+
+
+@pytest.mark.parametrize("op", ["modified_lambda", "divisor_pullback"])
+def test_level_zero_operators_refuse_an_affine_index(op):
+    calc = affine_coh("A", 2)
+    for i in (0, 3, -1):
+        with pytest.raises(ValueError, match="finite index in 1..2"):
+            getattr(calc, op)(i, calc.unit())
 
 
 @pytest.mark.parametrize("letter,rank", QUANTUM_TYPES)

@@ -11,7 +11,7 @@ from qaff.neighborhoods import (
     neighborhood_by_search,
     z_components,
 )
-from qaff.roots import affinize
+from qaff.roots import AffineRootData, build_root_system
 from qaff.weyl import AffineWeylGroup, affine_weyl
 
 
@@ -110,9 +110,11 @@ def test_moment_graph_slice_shapes():
 
 
 def test_outputs_do_not_depend_on_id_order():
-    # a fresh A3 group that numbers the elements of length <= 4 longest first
+    # a fresh A3 group, over a fresh root datum, that numbers the elements of
+    # length <= 4 longest first and fills its level lists largest budget first
     W = affine_weyl("A", 3)
-    fresh = AffineWeylGroup(affinize("A", 3))
+    fresh = AffineWeylGroup(AffineRootData(build_root_system("A", 3)))
+    assert fresh.ard is not W.ard and fresh.ard._levels == []
     layers = W.enumerate_up_to(4)
     elts = [w for ell in sorted(layers) for w in layers[ell]]
     for w in reversed(elts):
@@ -121,10 +123,13 @@ def test_outputs_do_not_depend_on_id_order():
     degrees = [d for d in itertools.product(range(3), repeat=4) if 0 < sum(d) <= 3]
     names = [W.format(u) for ell in range(2) for u in layers[ell]]
     assert len(names) * len(degrees) == 150
-    for name in names:
-        for d in degrees:
-            assert [W.format(z) for z in curve_neighborhood(W, W.parse(name), d)] == [
-                fresh.format(z) for z in curve_neighborhood(fresh, fresh.parse(name), d)]
+    expect = {(name, d): [W.format(z) for z in curve_neighborhood(W, W.parse(name), d)]
+              for name in names for d in degrees}
+    for d in sorted(degrees, reverse=True):
+        for name in names:
+            got = [fresh.format(z) for z in curve_neighborhood(fresh, fresh.parse(name), d)]
+            assert got == expect[name, d]
+    assert len(fresh.ard._levels) == 3
     calc, other = affine_coh("A", 3), AffineCoh(fresh)
     for ell in range(4):
         for w in layers[ell]:
