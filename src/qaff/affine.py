@@ -112,6 +112,12 @@ class AffineCoh(QModule):
                 pair(i, coroot) for i in range(1, self.n + 1))
         return row
 
+    def _column(self, i: int) -> int:
+        """The weight-row entry of ``lambda_i``, for an affine index i."""
+        if not 0 <= i <= self.n:
+            raise ValueError(f"operator needs an affine index in 0..{self.n}")
+        return i
+
     def _level_zero_column(self, i: int) -> int:
         """The weight-row entry of ``lambda_i - m_i lambda_0``, for a finite index i."""
         if not 1 <= i <= self.n:
@@ -175,7 +181,7 @@ class AffineCoh(QModule):
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
-        return self._cover_sum(a, i, False)
+        return self._cover_sum(a, self._column(i), False)
 
     def D_letter(self, i: int, a: QClass) -> QClass:
         out: dict[int, Poly] = {}
@@ -203,7 +209,7 @@ class AffineCoh(QModule):
         ``l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee)``, the quantum-cover length
         condition.
         """
-        return self._cover_sum(a, i, True)
+        return self._cover_sum(a, self._column(i), True)
 
     def lambda_op_by_words(self, i: int, a: QClass) -> QClass:
         """``Lambda_i`` as cup plus ``<lambda_i, alpha^vee> q^{alpha^vee} D_{s_alpha}``.

@@ -464,7 +464,7 @@ def _suite_chevalley_roots(letter: str, rank: int, report) -> None:
     if all(d == 1 for d in W.rs.d):
         ard = W.ard
         ok = {cr.root for cr in crs} == {
-            mu for mu in ard.real_positive_roots_leq(ard.c) if ard.coroot(mu) != ard.c}
+            mu for mu, coroot in ard.real_positive_roots_leq(ard.c) if coroot != ard.c}
         report("simply-laced: Chevalley roots = {alpha : alpha^vee < c}", ok)
 
 

@@ -14,7 +14,8 @@ Schubert variety, kept as an independent oracle.  The neighborhood of a
 point, ``z_d``, depends on ``d`` alone and is computed once per ``(W, d)``.
 The walk indexes its moves by the remaining budget: a vertex reached with
 budget ``b`` takes exactly the moves of coroot ``<= b``, built once per
-``(W, b)``.
+``(W, b)``.  Every entry point refuses a degree that is not ``n + 1``
+non-negative ints.
 
 ``bruhat_maximal``, which both routes end in, takes the elements by
 decreasing length and tests each only against the maxima found so far.  That
@@ -62,24 +63,25 @@ def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
     layers = W.enumerate_up_to(L)
     vertices = [w for ell in sorted(layers) for w in layers[ell]]
     index = set(vertices)
-    ard = W.ard
+    # a reflection moving within the slice has len(s_alpha) <= 2L, and one at level k
+    # has len(s_alpha) >= 2k - #(positive roots)
+    top = (2 * L + W.rs.num_positive) // 2
+    refs = [(s, alpha, coroot) for level in W.ard.levels(top) for _, _, alpha, coroot in level
+            if W.length(s := W.reflection(alpha)) <= 2 * L]
     edges = []
-    # a reflection moving within the slice satisfies len(s_alpha) <= 2L
-    refs = W.short_reflections(2 * L)
     for w in vertices:
         lw = W.length(w)
-        for alpha, s, _ in refs:
+        for s, alpha, coroot in refs:
             u = W.multiply(w, s)
             if u in index and W.length(u) > lw:
-                edges.append((w, u, alpha, ard.coroot(alpha)))
+                edges.append((w, u, alpha, coroot))
     return MomentGraphSlice(W, vertices, edges)
 
 
 @lru_cache(maxsize=None)
 def _moves(W: AffineWeylGroup, b: CorootVec) -> tuple[tuple[int, CorootVec], ...]:
     """``(s_alpha, alpha^vee)`` for every real positive root with ``alpha^vee <= b``."""
-    ard = W.ard
-    return tuple((W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(b))
+    return tuple((W.reflection(a), c) for a, c in W.ard.real_positive_roots_leq(b))
 
 
 def _reachable(W: AffineWeylGroup, starts: list[int], d: CorootVec) -> set[int]:
@@ -121,15 +123,25 @@ def bruhat_maximal(W: AffineWeylGroup, elts: set[int]) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=None)
-def _z(W: AffineWeylGroup, d: CorootVec) -> tuple[int, ...]:
-    """``z_d``, the neighborhood of a point, once per ``(W, d)`` like ``_moves``."""
-    return tuple(bruhat_maximal(W, _reachable(W, [W.identity], d)))
+def _degree(W: AffineWeylGroup, d) -> CorootVec:
+    """``d`` as a tuple, refused unless it is ``n + 1`` non-negative ints."""
+    d = tuple(d)
+    if len(d) != W.n + 1 or not all(type(x) is int and x >= 0 for x in d):
+        raise ValueError(f"a degree is {W.n + 1} non-negative ints (d0..d{W.n}), got {d}")
+    return d
+
+
+@lru_cache(maxsize=None, typed=True)
+def _z(W: AffineWeylGroup, *d: int) -> tuple[int, ...]:
+    """``z_d``, the neighborhood of a point, once per ``(W, d)`` like ``_moves``.  The
+    degree is checked on a miss; the cache is typed per coordinate, so a ``1.0``
+    or ``True`` never reaches the answer kept for ``1``."""
+    return tuple(bruhat_maximal(W, _reachable(W, [W.identity], _degree(W, d))))
 
 
 def z_components(W: AffineWeylGroup, d: CorootVec) -> list[int]:
     """Bruhat-maximal elements reachable from the identity within budget d."""
-    return list(_z(W, tuple(d)))
+    return list(_z(W, *d))
 
 
 def curve_neighborhood(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
@@ -140,6 +152,7 @@ def curve_neighborhood(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
 
 def neighborhood_by_search(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
     """Independent oracle: walk from every cell of X(u), then take maxima."""
+    d = _degree(W, d)
     lu = W.length(u)
     layers = W.enumerate_up_to(lu)
     cells = [v for ell in layers for v in layers[ell] if W.bruhat_leq(v, u)]
@@ -154,6 +167,9 @@ def gw_invariant(W: AffineWeylGroup, i: int, u: int, w: int, d: CorootVec) -> in
     otherwise ``<lambda_i, d>`` times the indicator that u is a component of
     the degree-d neighborhood of X(w).
     """
+    d = _degree(W, d)
+    if not 0 <= i <= W.n:
+        raise ValueError(f"weight index {i} is not in 0..{W.n}")
     if W.length(u) + 1 != W.length(w) + 2 * coroot_ht(d):
         return 0
     comps = curve_neighborhood(W, w, d)

@@ -19,10 +19,11 @@ Conventions, fixed once and used everywhere downstream:
 * Per-root data (index, coroot, ``d_root``, pairings, reflection) is tabulated
   once per type in a :class:`RootTable`, so lookups do no ``Fraction`` work.
 * :class:`AffineRootData` keeps each affine coroot after its first read
-  (``_coroots``, bounded by the roots met) and lists the real positive roots
-  of a level with their coroots once (``_levels``, bounded by the largest
-  ``alpha_0^vee`` budget asked).  Neither holds Weyl group ids, so every group
-  built on one :func:`affinize` datum shares them.
+  (``_coroots``, bounded by the roots met) and is the one list of the real
+  positive roots by level, each level built once with every root's height
+  and coroot (``_levels``, bounded by the highest level asked).  Neither memo
+  holds Weyl group ids, so every group built on one :func:`affinize` datum
+  shares them.
 """
 
 from __future__ import annotations
@@ -460,23 +461,28 @@ class AffineRootData:
             self.rs.reflect_root(alpha.finite, mu.finite),
         )
 
-    def real_positive_roots_leq(self, bound: CorootVec) -> list[AffineRoot]:
-        """All real positive roots whose coroot is componentwise <= ``bound``, by
-        ``(height, finite)``.
-
-        ``alpha^vee`` has ``alpha_0^vee``-coordinate ``level/d_beta >= level``, so
-        levels ``0..bound[0]`` hold every such root.  Each level's roots and
-        coroots are listed once, on first use, and kept.
-        """
+    def levels(self, top: int) -> list[list[tuple[int, Vec, AffineRoot, CorootVec]]]:
+        """The rows ``(height, finite, alpha, alpha^vee)`` of the real positive roots
+        of levels ``0..top``, one list per level in ``all_roots()`` order; each
+        level is built on first use and kept."""
         levels = self._levels
-        while len(levels) <= bound[0]:
+        while len(levels) <= top:
             k = len(levels)
             roots = [AffineRoot(k, beta) for beta in self.rs.all_roots() if k or sum(beta) > 0]
             levels.append([(self.height(a), a.finite, a, self.coroot(a)) for a in roots])
-        out = [row[:3] for level in levels[:bound[0] + 1] for row in level
+        return levels[:top + 1]
+
+    def real_positive_roots_leq(self, bound: CorootVec) -> list[tuple[AffineRoot, CorootVec]]:
+        """Every ``(alpha, alpha^vee)``, alpha real positive, with ``alpha^vee``
+        componentwise <= ``bound``, by ``(height, finite)``.
+
+        ``alpha^vee`` has ``alpha_0^vee``-coordinate ``level/d_beta >= level``, so
+        levels ``0..bound[0]`` hold every such root.
+        """
+        out = [row for level in self.levels(bound[0]) for row in level
                if coroot_leq(row[3], bound)]
-        out.sort()  # (height, finite) is unique to a root, so alpha is never compared
-        return [a for _, _, a in out]
+        out.sort()  # (height, finite) is unique to a root, so nothing else is compared
+        return [row[2:] for row in out]
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -163,9 +163,9 @@ class AffineWeylGroup:
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._covers_memo: dict[int, list[tuple[int, AffineRoot]]] = {}
         self._word_memo: dict[int, tuple[int, ...]] = {}
-        # (alpha, s_alpha, len(s_alpha)) per level, built on demand
-        self._refl_levels: list[list[tuple[AffineRoot, int, int]]] = []
-        self._short_memo: dict[int, list[tuple[AffineRoot, int, int]]] = {}
+        # the elements of each length met so far by enumerate_up_to, and their union
+        self._layers: list[list[int]] = [[self.identity]]
+        self._layer_seen: set[int] = {self.identity}
 
     def _intern(self, p: tuple[int, ...], t: Vec) -> int:
         """The id of the element with root permutation ``p`` and translation ``t``."""
@@ -307,33 +307,6 @@ class AffineWeylGroup:
         self._bruhat_memo[key] = res
         return res
 
-    def short_reflections(self, bound: int) -> list[tuple[AffineRoot, int, int]]:
-        """Every ``(alpha, s_alpha, len(s_alpha))`` with ``len(s_alpha) <= bound``.
-
-        Positive real roots come in level order, in ``all_roots()`` order within
-        a level.  A root at level k has ``len(s_alpha) >= 2k - #(positive
-        roots)``, so levels up to ``(bound + #pos)/2`` hold every such root.
-        Levels are built one at a time on first use and kept.
-        """
-        hit = self._short_memo.get(bound)
-        if hit is not None:
-            return hit
-        levels = self._refl_levels
-        npos = self.rs.num_positive
-        while 2 * len(levels) - npos <= bound:
-            k = len(levels)
-            row = []
-            for beta in self.rs.all_roots():
-                if k == 0 and sum(beta) < 0:
-                    continue
-                alpha = AffineRoot(k, beta)
-                s = self.reflection(alpha)
-                row.append((alpha, s, self.length(s)))
-            levels.append(row)
-        out = [r for row in levels for r in row if r[2] <= bound]
-        self._short_memo[bound] = out
-        return out
-
     def bruhat_covers_up(self, w: int) -> list[tuple[int, AffineRoot]]:
         """All ``(w s_alpha, alpha)``, alpha > 0 real, with ``len(w s_alpha) = len(w) + 1``,
         sorted by alpha's ``(level, finite)``; computed once per element and kept.
@@ -413,9 +386,6 @@ class AffineWeylGroup:
 
         Layers are cached and extended on demand, so repeated calls are cheap.
         """
-        if not hasattr(self, "_layers"):
-            self._layers: dict[int, list[int]] = {0: [self.identity]}
-            self._layer_seen: set[int] = {self.identity}
         layers = self._layers
         for ell in range(len(layers) - 1, L):
             nxt: list[int] = []
@@ -427,7 +397,7 @@ class AffineWeylGroup:
                             raise AssertionError("length formula vs BFS depth")
                         self._layer_seen.add(u)
                         nxt.append(u)
-            layers[ell + 1] = nxt
+            layers.append(nxt)
         return {ell: layers[ell] for ell in range(L + 1)}
 
     # -- formatting --------------------------------------------------------------

@@ -3,12 +3,15 @@
 ``AffineWeylGroup.bruhat_covers_up`` and ``moment_graph_slice`` used to try
 every positive real root up to a level bound, since a reflection at level k
 has length at least ``2k - #(positive roots)``.  ``moment_graph_slice`` now
-scans only the reflections whose exact length passes the bound, and
-``bruhat_covers_up`` scans no reflection: it builds the covers of ``w`` from
-those of ``w s_i`` by the lifting property.  ``bruhat_maximal`` used to
+reads the roots of those levels from ``AffineRootData.levels`` with their
+coroots and keeps only the reflections whose exact length passes the bound,
+and ``bruhat_covers_up`` scans no reflection: it builds the covers of ``w``
+from those of ``w s_i`` by the lifting property.  ``bruhat_maximal`` used to
 compare every pair of elements; it now tests each element only against the
 maxima found so far.  The routes below are the old ones, kept verbatim apart
 from the memo, so the tests can compare the two as ordered lists.
+``short_reflections`` reads the level lists the way the slice does, for the
+tests that need the short reflections themselves.
 """
 
 from qaff.roots import AffineRoot
@@ -26,6 +29,14 @@ def _level_bound_roots(W, bound):
             out.append(AffineRoot(k, beta))
         k += 1
     return out
+
+
+def short_reflections(W, bound):
+    """Every ``(alpha, s_alpha)``, alpha real positive, with ``len(s_alpha) <= bound``:
+    by level, and in ``all_roots()`` order within a level."""
+    top = (bound + W.rs.num_positive) // 2
+    return [(alpha, s) for level in W.ard.levels(top) for _, _, alpha, _ in level
+            if W.length(s := W.reflection(alpha)) <= bound]
 
 
 def level_bound_covers_up(W, w):

@@ -12,8 +12,7 @@ from qaff.roots import coroot_leq
 
 def filter_reachable(W, starts, d):
     """Vertices reachable from ``starts`` by walks of componentwise degree <= d."""
-    ard = W.ard
-    moves = [(W.reflection(a), ard.coroot(a)) for a in ard.real_positive_roots_leq(tuple(d))]
+    moves = [(W.reflection(a), c) for a, c in W.ard.real_positive_roots_leq(tuple(d))]
     budgets = {}
     stack = [(w, d) for w in starts]
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import acceptance_log
 from bgg_oracle import PolynomialBGG
+from cover_oracles import short_reflections
 from goldens_fl3 import all_21_products
 
 from qaff.affine import AffineCoh, affine_coh
@@ -219,8 +220,8 @@ def _pairbij_bijection(letter, rank):
     # every element looked up below is a product of at most three Chevalley
     # reflections, so a reflection among them is in this table; the table
     # holds the positive real roots only
-    root_of = {s: alpha for alpha, s, _ in
-               W.short_reflections(3 * max(cr.reflection_length for cr in crs))}
+    root_of = {s: alpha for alpha, s in
+               short_reflections(W, 3 * max(cr.reflection_length for cr in crs))}
 
     pairs_a = []
     for ca in crs:
@@ -280,11 +281,7 @@ def test_criterion_10_chevalley_root_structure():
         W = affine_weyl(*lt)
         ard = W.ard
         members = {cr.root for cr in chevalley_root_set(*lt)}
-        below = {
-            mu
-            for mu in ard.real_positive_roots_leq(ard.c)
-            if ard.coroot(mu) != ard.c
-        }
+        below = {mu for mu, coroot in ard.real_positive_roots_leq(ard.c) if coroot != ard.c}
         ok = ok and members == below
     # upward-closure reconstruction
     for lt in [("A", 1), ("A", 2), ("B", 2), ("C", 2), ("G", 2), ("A", 3), ("D", 4)]:

@@ -95,8 +95,8 @@ def test_simply_laced_characterization(letter, rank):
     crs = chevalley_root_set(letter, rank)
     below = {
         mu
-        for mu in ard.real_positive_roots_leq(ard.c)
-        if coroot_leq(ard.coroot(mu), ard.c) and ard.coroot(mu) != ard.c
+        for mu, coroot in ard.real_positive_roots_leq(ard.c)
+        if coroot_leq(coroot, ard.c) and coroot != ard.c
     }
     assert {cr.root for cr in crs} == below
 
@@ -108,11 +108,7 @@ def test_below_c_containment():
         W = affine_weyl(*lt)
         ard = W.ard
         crs = {cr.root for cr in chevalley_root_set(*lt)}
-        below = {
-            mu
-            for mu in ard.real_positive_roots_leq(ard.c)
-            if ard.coroot(mu) != ard.c
-        }
+        below = {mu for mu, coroot in ard.real_positive_roots_leq(ard.c) if coroot != ard.c}
         assert crs <= below
         assert (crs < below) == strict
 

@@ -7,7 +7,9 @@ moment-graph slice edges and ``bruhat_maximal``.  The quantum cover rows are
 compared with the word form ``q^{alpha^vee} D_{s_alpha}`` of the affine
 quantum Chevalley operators, every weight a row carries with the weight
 pairing it stands for, and the elements a cold cover row interns are
-counted.
+counted.  The per-level root lists of ``AffineRootData``, which the slice
+reads, are checked to hold every short reflection in root-table order, to be
+built on first use and to be shared by the groups on one datum.
 """
 
 import itertools
@@ -19,10 +21,11 @@ from cover_oracles import (
     all_pairs_maximal,
     level_bound_covers_up,
     level_bound_slice_edges,
+    short_reflections,
 )
 from qaff.affine import affine_coh
 from qaff.neighborhoods import _reachable, bruhat_maximal, moment_graph_slice
-from qaff.roots import AffineRoot, affinize
+from qaff.roots import AffineRoot, AffineRootData, affinize, build_root_system
 from qaff.weyl import AffineWeylGroup, affine_weyl
 
 COVER_CASES = [("A", 1, 4), ("A", 2, 4), ("A", 3, 4), ("A", 4, 4), ("B", 2, 4),
@@ -56,8 +59,8 @@ def test_short_reflections_are_exactly_the_short_ones(letter, rank):
                 alpha = AffineRoot(k, beta)
                 s = W.reflection(alpha)
                 if W.length(s) <= bound:
-                    expect.append((alpha, s, W.length(s)))
-        assert W.short_reflections(bound) == expect
+                    expect.append((alpha, s))
+        assert short_reflections(W, bound) == expect
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2)])
@@ -65,17 +68,38 @@ def test_short_reflections_follow_the_root_table_within_a_level(letter, rank):
     W = affine_weyl(letter, rank)
     table = W.rs.table
     levels = {}
-    for alpha, _, _ in W.short_reflections(9):
+    for alpha, _ in short_reflections(W, 9):
         levels.setdefault(alpha.level, []).append(table.index_of(alpha.finite))
     assert len(levels) > 1
     assert all(idx == sorted(idx) and len(set(idx)) == len(idx) for idx in levels.values())
+    # the level lists they are read from hold each level's roots in root-table order
+    for k, level in enumerate(W.ard.levels(4)):
+        assert all(alpha.level == k for _, _, alpha, _ in level)
+        idx = [table.index_of(finite) for _, finite, _, _ in level]
+        assert idx == sorted(idx) and len(set(idx)) == len(idx)
+        assert len(idx) == (len(table.roots) if k else W.rs.num_positive)
 
 
 def test_reflection_table_is_built_on_first_use():
-    W = AffineWeylGroup(affinize("A", 3))
-    assert W._refl_levels == []
-    W.short_reflections(1)
-    assert len(W._refl_levels) == 4  # levels k with 2k - 6 <= 1
+    W = AffineWeylGroup(AffineRootData(build_root_system("A", 3)))
+    assert W.ard._levels == []
+    short_reflections(W, 1)
+    assert len(W.ard._levels) == 4  # levels k with 2k - 6 <= 1
+
+
+def test_level_lists_are_shared_by_groups_on_one_datum():
+    ard = AffineRootData(build_root_system("A", 3))
+    first, second = AffineWeylGroup(ard), AffineWeylGroup(ard)
+    assert ard._levels == []
+    edges = moment_graph_slice(first, 2).edges
+    built = list(ard._levels)
+    assert len(built) == 6  # the levels k with 2k - 6 <= 4
+    again = moment_graph_slice(second, 2).edges
+    assert len(ard._levels) == 6
+    assert all(a is b for a, b in zip(ard._levels, built))
+    assert ([(first.format(w), first.format(u), alpha, coroot) for w, u, alpha, coroot in edges]
+            == [(second.format(w), second.format(u), alpha, coroot)
+                for w, u, alpha, coroot in again])
 
 
 def test_covers_of_a_short_e8_element_intern_few_elements():
@@ -88,7 +112,8 @@ def test_covers_of_a_short_e8_element_intern_few_elements():
     assert len(W.perm) - before < 1000  # scanning reflections of length <= 11 interns 15,759
 
 
-@pytest.mark.parametrize("letter,rank,top", [("A", 2, 4), ("A", 3, 3), ("B", 2, 4), ("G", 2, 4)])
+@pytest.mark.parametrize("letter,rank,top", [("A", 2, 4), ("A", 3, 3), ("B", 2, 4), ("G", 2, 4),
+                                             ("B", 3, 3), ("C", 3, 3), ("D", 4, 2), ("F", 4, 2)])
 def test_moment_graph_slice_matches_level_bound_scan(letter, rank, top):
     W = affine_weyl(letter, rank)
     for L in range(top + 1):

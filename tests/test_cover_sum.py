@@ -146,6 +146,15 @@ def test_level_zero_operators_refuse_an_affine_index(op):
             getattr(calc, op)(i, calc.unit())
 
 
+@pytest.mark.parametrize("op", ["chevalley", "lambda_op", "lambda_op_by_words"])
+def test_affine_operators_refuse_an_index_out_of_range(op):
+    # a weight row has 2n + 1 entries, so i = -1, n + 1 or 2n would read another operator's
+    calc = affine_coh("A", 2)
+    for i in (-1, 3, 4):
+        with pytest.raises(ValueError, match="affine index in 0..2"):
+            getattr(calc, op)(i, calc.unit())
+
+
 @pytest.mark.parametrize("letter,rank", QUANTUM_TYPES)
 def test_lambda_basis_matches_the_combine_form(letter, rank):
     ring = quantum_aff(letter, rank)

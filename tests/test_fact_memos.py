@@ -1,7 +1,8 @@
 """The memos of facts that never change, each against the rule it stands for.
 
 ``AffineRootData.coroot`` keeps each root's coroot, ``real_positive_roots_leq``
-filters per-level lists built once, and ``AffineWeylGroup.right_descents``
+filters per-level lists built once and returns each root with the coroot its
+row carries, and ``AffineWeylGroup.right_descents``
 keeps each element's descents.  Each is checked against a route that computes
 the fact afresh: the closed form ``(k / d_beta) c + beta^vee`` with ``beta^vee``
 from the symmetrizers, the per-budget enumeration the level lists replaced, and
@@ -88,8 +89,18 @@ def test_level_lists_match_the_per_budget_enumeration(letter, rank):
     for order in (budgets, budgets[::-1]):
         ard = AffineRootData(rs)
         for b in order:
-            assert ard.real_positive_roots_leq(b) == per_budget_roots(ard, b), b
+            assert [a for a, _ in ard.real_positive_roots_leq(b)] == per_budget_roots(ard, b), b
         assert len(ard._levels) == 4
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G", 2)])
+def test_pairs_carry_the_coroot_of_their_root(letter, rank):
+    ard = AffineRootData(build_root_system(letter, rank))
+    pairs = ard.real_positive_roots_leq((3,) + (4,) * rank)
+    assert len(pairs) > 0
+    for alpha, coroot in pairs:
+        assert coroot == ard.coroot(alpha) == closed_form_coroot(ard, alpha), alpha
+        assert coroot_leq(coroot, (3,) + (4,) * rank)
 
 
 def test_level_lists_are_built_on_first_use():

@@ -23,6 +23,36 @@ def test_sl2_degree_c_neighborhood_of_identity():
     assert {W.format(w) for w in comps} == {"s0s1", "s1s0"}
 
 
+BAD_DEGREES = [(1, 1), (1, 1, 1), (1, 1, 1, 1, 5), (1, -1, 0, 0), (1, 0.5, 0, 0),
+               (1, 1.0, 0, 0), (1, True, 0, 0), (1, "1", 0, 0)]
+
+
+@pytest.mark.parametrize("d", BAD_DEGREES, ids=repr)
+def test_entry_points_refuse_a_degree_that_is_not_n_plus_1_naturals(d):
+    W = affine_weyl("A", 3)
+    s0 = W.simple(0)
+    curve_neighborhood(W, s0, (1, 1, 0, 0))  # an equal int degree is answered and kept first
+    calls = [lambda: curve_neighborhood(W, s0, d), lambda: neighborhood_by_search(W, s0, d),
+             lambda: gw_invariant(W, 1, s0, W.identity, d), lambda: z_components(W, d)]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"a degree is 4 non-negative ints \(d0..d3\)"):
+            call()
+
+
+def test_degree_may_be_any_sequence_of_ints():
+    W = affine_weyl("A", 3)
+    s0 = W.simple(0)
+    assert curve_neighborhood(W, s0, [1, 1, 0, 0]) == curve_neighborhood(W, s0, (1, 1, 0, 0))
+    assert neighborhood_by_search(W, s0, [0] * 4) == [s0]
+
+
+def test_gw_invariant_refuses_a_weight_index_out_of_range():
+    W = affine_weyl("A", 3)
+    for i in (-1, 4):
+        with pytest.raises(ValueError, match=r"weight index .* is not in 0..3"):
+            gw_invariant(W, i, W.simple(0), W.identity, (1, 0, 0, 0))
+
+
 def test_simple_degree_neighborhoods_are_reflections():
     # degree alpha^vee moves w to the Hecke product w * s_alpha; when the
     # lengths add, that is the plain product w s_alpha
