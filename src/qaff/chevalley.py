@@ -9,9 +9,9 @@ every non-simple member alpha has a simple alpha_i with
 ``alpha^vee - alpha_i^vee``.
 
 Membership forces ``alpha^vee < c`` componentwise, which pins the candidates
-down to finitely many roots: the finite positive roots (level 0) and the
-roots ``delta - gamma`` for long finite positive gamma (the only level where
-the coroot can stay below the center).
+down to finitely many roots: :meth:`AffineRootData.real_positive_roots_leq`
+with bound ``c``.  (No real root has coroot ``c`` itself, so the bound is
+strict.)
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .roots import (
-    AffineRoot,
-    AffineRootData,
-    CorootVec,
-    coroot_ht,
-    coroot_leq,
-)
+from .roots import AffineRoot, CorootVec, coroot_ht
 from .weyl import AffineWeylGroup, affine_weyl
 
 
@@ -37,25 +31,13 @@ class ChevalleyRoot(NamedTuple):
     word: tuple[int, ...]  # palindromic reduced word for s_root
 
 
-def candidate_roots(ard: AffineRootData) -> list[AffineRoot]:
-    """All positive real roots that could possibly have coroot below c."""
-    out = [AffineRoot(0, g) for g in ard.rs.positive_roots]
-    for g in ard.rs.positive_roots:
-        if ard.rs.d_root(g) == 1:  # long root: delta - g has an integer coroot ratio
-            out.append(AffineRoot(1, tuple(-x for x in g)))
-    return out
-
-
 def _enumerate(W: AffineWeylGroup) -> list[ChevalleyRoot]:
     ard = W.ard
     members: list[tuple[AffineRoot, CorootVec, int, int]] = []
-    for alpha in candidate_roots(ard):
-        av = ard.coroot(alpha)
+    for alpha, av in ard.real_positive_roots_leq(ard.c):
         ht = coroot_ht(av)
         ell = W.length(W.reflection(alpha))
         if ell == 2 * ht - 1:
-            if not (coroot_leq(av, ard.c) and av != ard.c):
-                raise AssertionError("member coroot must sit below c")
             members.append((alpha, av, ht, ell))
     members.sort(key=lambda m: (m[2], m[0].level, m[0].finite))
 

@@ -4,9 +4,14 @@ Subcommands: chevalley-roots, curve-nbhd, gw, lambda, product, table, qsharp,
 relations, present, verify.  Weyl elements are hyphen-free generator strings
 ("s0s1s2", "e" for the identity); words need not be reduced.  Exit codes:
 0 success, 1 a failed check (`verify`, `relations --verify`, `curve-nbhd
---check-oracle`), 2 usage/config error, 3 truncation overflow (the message
-names the truncation that would suffice), 4 internal error (a broken invariant,
-or the run ran out of memory).
+--check-oracle`), 2 refused input, 3 truncation overflow (the message names the
+truncation that would suffice), 4 internal error (a broken invariant, or the
+run ran out of memory).
+
+The library refuses bad input itself, each rule in one place, with
+``ValueError``; a handler here checks no range or shape, and :func:`main` only
+maps exceptions to exit codes.  The one check of its own is ``table``'s cap,
+a cost guard that runs before W is enumerated.
 """
 
 from __future__ import annotations
@@ -45,20 +50,10 @@ def nonnegative_int(text: str) -> int:
     return n
 
 
-def _parse_degree(text: str, expect: int) -> tuple[int, ...]:
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"cannot parse degree {text!r}; expected comma-separated integers")
-    if len(parts) != expect:
-        raise UsageError(f"degree needs {expect} coordinates (d0..d{expect - 1}), got {len(parts)}")
-    if any(p < 0 for p in parts):
-        raise UsageError("degree coordinates must be non-negative")
-    return parts
-
-
-class UsageError(Exception):
-    pass
+def degree(text: str) -> tuple[int, ...]:
+    """``--d`` as comma-separated ints; argparse exits 2 naming the flag otherwise.
+    Its length and signs are the library's to refuse."""
+    return tuple(int(p) for p in text.split(","))
 
 
 # -- JSON output ----------------------------------------------------------------------
@@ -178,7 +173,7 @@ def cmd_chevalley_roots(args, letter: str, rank: int) -> int:
 def cmd_curve_nbhd(args, letter: str, rank: int) -> int:
     W = affine_weyl(letter, rank)
     u = W.parse(args.u)
-    d = _parse_degree(args.d, rank + 1)
+    d = args.d
     comps = curve_neighborhood(W, u, d)
     if args.check_oracle:
         alt = neighborhood_by_search(W, u, d)
@@ -206,9 +201,7 @@ def cmd_curve_nbhd(args, letter: str, rank: int) -> int:
 def cmd_gw(args, letter: str, rank: int) -> int:
     W = affine_weyl(letter, rank)
     u, w = W.parse(args.u), W.parse(args.w)
-    d = _parse_degree(args.d, rank + 1)
-    if not 0 <= args.i <= rank:
-        raise UsageError(f"--i must be in 0..{rank}")
+    d = args.d
     val = gw_invariant(W, args.i, u, w, d)
     if args.format == "json":
         print_json({"schema_version": SCHEMA_VERSION, "type": f"{letter}{rank}",
@@ -223,9 +216,6 @@ def cmd_lambda(args, letter: str, rank: int) -> int:
     calc = AffineCoh(affine_weyl(letter, rank), args.trunc)
     w = calc.W.parse(args.w)
     a = calc.basis(w)
-    lo = 1 if args.modified else 0  # the modified operators take finite indices only
-    if not lo <= args.i <= rank:
-        raise UsageError(f"--i must be in {lo}..{rank}")
     out = (calc.modified_lambda if args.modified else calc.lambda_op)(args.i, a)
     if args.format == "json":
         print_json(affine_class_json(calc, out, f"{letter}{rank}"))
@@ -252,7 +242,7 @@ def cmd_table(args, letter: str, rank: int) -> int:
     order = weyl_order(letter, rank)
     if order > args.cap:
         # checked before building the ring: enumerating W is the expensive part
-        raise UsageError(f"|W| = {order} exceeds the table cap {args.cap}")
+        raise ValueError(f"|W| = {order} exceeds the table cap {args.cap}")
     ring = quantum_aff(letter, rank)
     table = ring.multiplication_table(cap=args.cap)
     FW = ring.FW
@@ -560,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("curve-nbhd", help="curve neighborhood Theta_d(u)")
     _type_arg(s)
     s.add_argument("--u", required=True, help='Weyl element, e.g. "s0s1"')
-    s.add_argument("--d", required=True, help='degree coordinates "d0,d1,..."')
+    s.add_argument("--d", type=degree, required=True, help='degree coordinates "d0,d1,..."')
     s.add_argument("--format", choices=["text", "json", "dot"], default="text")
     s.add_argument("--graph-l", type=nonnegative_int, default=None,
                    help="length bound for the DOT moment-graph slice")
@@ -573,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--i", type=int, required=True)
     s.add_argument("--u", required=True)
     s.add_argument("--w", required=True)
-    s.add_argument("--d", required=True)
+    s.add_argument("--d", type=degree, required=True)
     s.add_argument("--format", choices=["text", "json"], default="text")
     s.set_defaults(fn=cmd_gw)
 
@@ -632,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args, *parse_lie_type(args.type))
-    except (UsageError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TruncationOverflow as exc:

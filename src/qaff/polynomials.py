@@ -398,7 +398,7 @@ def exact_div_linear(f: Poly, linear: Poly) -> Poly:
 
     This is the workhorse of divided-difference operators: the numerator there
     is always divisible by construction, and a nonzero remainder means a bug
-    upstream, so it raises rather than returning a pair.
+    upstream, so it raises ``AssertionError`` rather than returning a pair.
 
     >>> x, y = Poly.variable(2, 0), Poly.variable(2, 1)
     >>> exact_div_linear(x * x - y * y, x - y) == x + y
@@ -424,7 +424,7 @@ def exact_div_linear(f: Poly, linear: Poly) -> Poly:
         quot = quot + t
         rem = rem - t * linear
     if rem.terms:
-        raise ValueError(f"nonzero remainder in exact linear division: {rem}")
+        raise AssertionError(f"nonzero remainder in exact linear division: {rem}")
     return quot
 
 

@@ -42,29 +42,35 @@ _FIXED_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 
 def parse_lie_type(s: str) -> tuple[str, int]:
-    """Parse a label like ``"B3"`` into ``("B", 3)``, validating the rank.
+    """Parse a label like ``"B3"`` into ``("B", 3)``, refusing one that names no type.
 
     >>> parse_lie_type("G2")
     ('G', 2)
     """
     s = s.strip()
-    if len(s) < 2 or s[0].upper() not in "ABCDEFG":
-        raise ValueError(f"bad Lie type {s!r}: expected letter A..G followed by rank")
-    letter = s[0].upper()
+    letter = s[:1].upper()
     try:
         rank = int(s[1:])
-    except ValueError as exc:
-        raise ValueError(f"bad Lie type {s!r}: rank is not an integer") from exc
-    _check_rank(letter, rank)
+    except ValueError:
+        rank = None  # refused by the check, with the label
+    _check_lie_type(letter, rank, s)
     return letter, rank
 
 
-def _check_rank(letter: str, rank: int) -> None:
-    if letter in _FIXED_RANK:
-        if rank not in _FIXED_RANK[letter]:
+def _check_lie_type(letter: str, rank: int | None, label: str | None = None) -> None:
+    """Refuse a ``(letter, rank)`` that names no simple type: the one check of a
+    Lie label, whether parsed from ``label`` or passed in as a pair."""
+    if type(rank) is int:
+        if letter in _MIN_RANK:
+            if rank >= _MIN_RANK[letter]:
+                return
+            raise ValueError(f"type {letter} needs rank >= {_MIN_RANK[letter]}")
+        if letter in _FIXED_RANK:
+            if rank in _FIXED_RANK[letter]:
+                return
             raise ValueError(f"type {letter} only exists in ranks {_FIXED_RANK[letter]}")
-    elif rank < _MIN_RANK[letter]:
-        raise ValueError(f"type {letter} needs rank >= {_MIN_RANK[letter]}")
+    shown = (letter, rank) if label is None else label
+    raise ValueError(f"bad Lie type {shown!r}: expected a letter A..G and an int rank")
 
 
 def _cartan_matrix(letter: str, n: int) -> list[list[int]]:
@@ -113,7 +119,7 @@ def _symmetrizers(cartan: list[list[int]]) -> tuple[Fraction, ...]:
                 d[j] = d[i] * Fraction(cartan[i][j], cartan[j][i])
                 todo.append(j)
     if any(x is None for x in d):
-        raise ValueError("Dynkin diagram is not connected")
+        raise AssertionError("Dynkin diagram is not connected")
     top = max(d)  # type: ignore[type-var]
     return tuple(x / top for x in d)  # type: ignore[operator]
 
@@ -262,10 +268,6 @@ class RootSystem:
         pv = self.table.pairings[self.table.index_of(beta)]
         return sum(g * p for g, p in zip(coroot, pv))
 
-    def d_root(self, beta: Vec) -> Fraction:
-        """``(beta|beta)/2`` for a root beta."""
-        return self.table.d_roots[self.table.index_of(beta)]
-
     def coroot(self, beta: Vec) -> Vec:
         """``beta^vee = (2/(beta|beta)) beta`` in simple-coroot coordinates."""
         return self.table.coroots[self.table.index_of(beta)]
@@ -330,12 +332,7 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     >>> rs.theta, rs.theta_coroot
     ((3, 2), (1, 2))
     """
-    if not (isinstance(letter, str) and len(letter) == 1 and letter in "ABCDEFG"
-            and type(rank) is int):
-        raise ValueError(
-            f"bad Lie type ({letter!r}, {rank!r}): expected a letter A..G and an int rank"
-        )
-    _check_rank(letter, rank)
+    _check_lie_type(letter, rank)
     cartan = _cartan_matrix(letter, rank)
     d = _symmetrizers(cartan)
     positives = _positive_root_closure(cartan)

@@ -23,7 +23,8 @@ Constructive sources:
   leave the corner free, plus those that take it.  Here
   ``K_r = (lam + a_r) K_{r-1} + q_r K_{r-2}`` and an empty chain is 1, so no
   matrix, determinant, ``z`` or ``lam`` variable is ever built;
-* B2 — the two generators, quadratic and quartic, written out in full;
+* B2 — the two generators, quadratic and quartic, written out in full; C2
+  takes the same pair, since it has the same Cartan matrix as B2 here;
 * every type — the quadratic relation
   ``sum (a_i^vee|a_j^vee) x_i x_j - (th^vee|th^vee) q_0 - sum (a_i^vee|a_i^vee) q_i``.
 """
@@ -202,21 +203,11 @@ def relation_checks(rel: RelationPoly, ring: QuantumAff | None) -> tuple[bool, b
 
 
 def _q0_part(img: QClass) -> FinCohClass:
-    """The ``q^0`` coefficients of a class of the quantum ring."""
+    """The ``q^0`` coefficients of a class of the quantum ring.  Of ``Phi(rel)`` that
+    is the class in H*(G/B) of the q-free part of ``rel`` (a quantum correction always
+    carries a positive power of q); for a relation it must vanish."""
     zero = (0,) * img.nq
     return {w: c for w, p in img.terms.items() if (c := p.terms.get(zero))}
-
-
-def classical_part(rel: RelationPoly) -> FinCohClass:
-    """The class in H*(G/B) of the q-free part, with ``x_i -> sigma_i``: the ``q^0``
-    part of ``Phi(rel)``, since a quantum correction always carries a positive power
-    of q and every other term of ``rel`` is a multiple of some ``q_j``."""
-    return _q0_part(phi_evaluate(rel))
-
-
-def classical_part_vanishes(rel: RelationPoly) -> bool:
-    """At q = 0 a relation must be a positive-degree W-invariant: zero in H*(G/B)."""
-    return not classical_part(rel)
 
 
 # -- the presentation record --------------------------------------------------------
@@ -226,8 +217,8 @@ def relations_for(letter: str, rank: int) -> tuple[list[RelationPoly], str]:
     """Return (relations, status): the full generating set where constructible."""
     if letter == "A":
         return typeA_relations(rank + 1), "full"
-    if letter == "B" and rank == 2:
-        return b2_relations(), "full"
+    if letter in ("B", "C") and rank == 2:  # one Cartan matrix, symmetrizers and theta
+        return [rel._replace(letter=letter) for rel in b2_relations()], "full"
     return [quadratic_relation(letter, rank)], "partial"
 
 

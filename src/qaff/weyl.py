@@ -91,15 +91,21 @@ def _act(table: RootTable, v: Vec, vectors: tuple[Vec, ...], image) -> Vec:
     return tuple(out)
 
 
-def _parse_word(text: str) -> list[int]:
-    """The indices of ``"s0s2s1"`` (``[]`` for ``e``, ``1``, blank); the range is the caller's."""
+def _parse_word(text: str, lo: int, hi: int) -> list[int]:
+    """The indices of ``"s0s2s1"`` (``[]`` for ``e``, ``1``, blank); the first one
+    outside ``lo..hi`` is refused."""
     text = text.strip()
     if text in ("e", "", "1"):
         return []
     head, *parts = text.split("s")
-    if head or not parts or not all(p.isdecimal() for p in parts):
+    # every part non-empty and decimal, in two tests over the whole list
+    if head or "" in parts or not "".join(parts).isdecimal():
         raise ValueError(f"cannot parse Weyl element {text!r}")
-    return [int(p) for p in parts]
+    word = [int(p) for p in parts]
+    for i in word:
+        if not lo <= i <= hi:
+            raise ValueError(f"generator index {i} is not in {lo}..{hi}")
+    return word
 
 
 def finite_identity(rs: RootSystem) -> FinW:
@@ -404,11 +410,7 @@ class AffineWeylGroup:
 
     def parse(self, text: str) -> int:
         """Parse ``"s0s2s1"`` (or ``"e"``) into an element; words need not be reduced."""
-        word = _parse_word(text)
-        bad = [i for i in word if not 0 <= i <= self.n]
-        if bad:
-            raise ValueError(f"generator index out of range {bad} for rank {self.n}")
-        return self.from_word(word)
+        return self.from_word(_parse_word(text, 0, self.n))
 
     def format(self, w: int) -> str:
         word = self.reduced_word(w)
@@ -515,9 +517,7 @@ class FiniteWeyl:
 
     def parse(self, text: str) -> int:
         w = self.identity
-        for i in _parse_word(text):
-            if not 1 <= i <= self.n:
-                raise ValueError(f"generator index {i} out of range")
+        for i in _parse_word(text, 1, self.n):
             w = self.rmul[i - 1][w]
         return w
 

@@ -12,7 +12,11 @@ from qaff.quantum import QuantumAff
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    """Exit code, stdout and stderr of one call; argparse's refusals exit by ``SystemExit``."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -107,8 +111,8 @@ class TestLambda:
     @pytest.mark.parametrize("flags,span", [([], "0..2"), (["--modified"], "1..2")])
     def test_index_out_of_range(self, capsys, flags, span):
         code, out, err = run(capsys, "lambda", "--type", "A2", "--i", "3", "--w", "s1", *flags)
-        assert (code, out) == (2, "")
-        assert f"--i must be in {span}" in err
+        owner = "modified operator needs a finite" if flags else "operator needs an affine"
+        assert (code, out, err) == (2, "", f"error: {owner} index in {span}\n")
 
 
 class TestProduct:
@@ -213,6 +217,14 @@ class TestPresent:
         assert payload["schema_version"] == 1
         assert payload["status"] == "full"
         assert len(payload["relations"]) == 2
+
+    def test_c2_has_the_b2_pair(self, capsys):
+        code, out, _ = run(capsys, "present", "--type", "C2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["status"] == "full" and "gap" not in payload
+        assert [(e["name"], e["phi_zero"]) for e in payload["relations"]] == [
+            ("H1", True), ("H2", True)]
 
     def test_latex(self, capsys):
         code, out, _ = run(capsys, "present", "--type", "A2", "--format", "latex")
@@ -330,7 +342,50 @@ class TestVerify:
         assert len(lines) == 10
 
 
+# every refusal, with the one message of the code that owns the rule: argparse for
+# text that is not ints, the library for the rest
+REFUSALS = {
+    "d-not-ints": (["curve-nbhd", "--type", "A2", "--u", "e", "--d", "1,x,0"],
+                   "qaff curve-nbhd: error: argument --d: invalid degree value: '1,x,0'"),
+    "d-wrong-length": (["curve-nbhd", "--type", "A2", "--u", "e", "--d", "1,1,1,1"],
+                       "error: a degree is 3 non-negative ints (d0..d2), got (1, 1, 1, 1)"),
+    "d-negative": (["curve-nbhd", "--type", "A2", "--u", "e", "--d", "1,-1,0"],
+                   "error: a degree is 3 non-negative ints (d0..d2), got (1, -1, 0)"),
+    "gw-d-wrong-length": (["gw", "--type", "A2", "--i", "1", "--u", "s0", "--w", "e", "--d", "1,0"],
+                          "error: a degree is 3 non-negative ints (d0..d2), got (1, 0)"),
+    "lambda-i": (["lambda", "--type", "A2", "--i", "-1", "--w", "s1"],
+                 "error: operator needs an affine index in 0..2"),
+    "lambda-modified-i": (["lambda", "--type", "A2", "--i", "-1", "--w", "s1", "--modified"],
+                          "error: modified operator needs a finite index in 1..2"),
+    "gw-i": (["gw", "--type", "A2", "--i", "3", "--u", "s0", "--w", "e", "--d", "1,0,0"],
+             "error: weight index 3 is not in 0..2"),
+    "product-letter": (["product", "--type", "A2", "--u", "s1s3", "--v", "e"],
+                       "error: generator index 3 is not in 1..2"),
+    "lambda-letter": (["lambda", "--type", "A2", "--i", "0", "--w", "s0s3"],
+                      "error: generator index 3 is not in 0..2"),
+    "type": (["product", "--type", "H3", "--u", "e", "--v", "e"],
+             "error: bad Lie type 'H3': expected a letter A..G and an int rank"),
+    "table-cap": (["table", "--type", "B4"],
+                  "error: |W| = 384 exceeds the table cap 48"),
+}
+
+
 class TestErrors:
+    @pytest.mark.parametrize("argv,message", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_refusal_exits_2_with_its_owners_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(message + "\n") and err.count("error:") == 1, err
+
+    def test_assertion_in_a_handler_exits_4(self, capsys, monkeypatch):
+        def broken(args, letter, rank):
+            raise AssertionError("cover row lost its weight")
+
+        monkeypatch.setattr(cli, "cmd_gw", broken)
+        code, out, err = run(capsys, "gw", "--type", "A2", "--i", "1", "--u", "s0", "--w", "e",
+                             "--d", "1,0,0")
+        assert (code, out, err) == (4, "", "internal error: cover row lost its weight\n")
+
     def test_bad_type_is_usage_error(self, capsys):
         code, _, err = run(capsys, "chevalley-roots", "--type", "Z9")
         assert code == 2

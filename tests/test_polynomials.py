@@ -118,7 +118,8 @@ def test_exact_division_roundtrip(f, lin):
 @settings(max_examples=40)
 def test_division_rejects_remainders(f, lin):
     g = f * lin + 1
-    with pytest.raises(ValueError):
+    # divided differences always divide exactly, so a remainder is a broken invariant
+    with pytest.raises(AssertionError, match="nonzero remainder"):
         exact_div_linear(g, lin)
 
 

@@ -185,7 +185,7 @@ def test_table_matches_coroot_formula(letter, rank):
         assert table.roots[(i + npos) % (2 * npos)] == tuple(-x for x in beta)
         db = formula_d_root(rs, beta)
         assert table.coroots[i] == rs.coroot(beta) == formula_coroot(rs, beta)
-        assert table.d_roots[i] == rs.d_root(beta) == db
+        assert table.d_roots[i] == db
         assert table.inv_d[i] * db == 1
         assert table.pairings[i] == tuple(
             formula_pairing(rs, beta, rs.simple_root(k + 1)) for k in range(rank)

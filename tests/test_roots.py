@@ -5,6 +5,7 @@ import pytest
 
 from qaff.roots import (
     AffineRoot,
+    _symmetrizers,
     affinize,
     build_root_system,
     coroot_ht,
@@ -59,6 +60,21 @@ def test_build_root_system_takes_only_parsed_types(letter, rank):
         build_root_system(letter, rank)
 
 
+@pytest.mark.parametrize("label,pair", [("H3", ("H", 3)), ("A0", ("A", 0)), ("E9", ("E", 9))])
+def test_label_and_pair_are_refused_by_one_check(label, pair):
+    with pytest.raises(ValueError) as parsed:
+        parse_lie_type(label)
+    with pytest.raises(ValueError) as built:
+        build_root_system(*pair)
+    assert str(parsed.value).replace(repr(label), repr(pair)) == str(built.value)
+
+
+def test_disconnected_diagram_is_a_broken_invariant():
+    # the Cartan matrix of a checked label is connected, so this is never input
+    with pytest.raises(AssertionError, match="not connected"):
+        _symmetrizers([[2, 0], [0, 2]])
+
+
 @pytest.mark.parametrize("rank", [1.0, True])
 @pytest.mark.parametrize("module,name", [
     ("qaff.roots", "affinize"), ("qaff.weyl", "affine_weyl"), ("qaff.weyl", "finite_weyl"),
@@ -104,7 +120,7 @@ def test_theta_dominates(letter, rank):
     # theta is the unique root of maximal height, long, and dominant
     for beta in rs.positive_roots:
         assert all(t >= b for t, b in zip(rs.theta, beta))
-    assert rs.d_root(rs.theta) == 1
+    assert rs.table.d_roots[rs.table.index[rs.theta]] == 1
     for i in range(1, rank + 1):
         assert rs.pairing(rs.simple_root(i), rs.theta_coroot) >= 0
 
@@ -148,8 +164,9 @@ def test_reflections_permute_roots():
 
 def test_norms_and_killing():
     rs = build_root_system("G", 2)
-    shorts = [b for b in rs.positive_roots if rs.d_root(b) == Fraction(1, 3)]
-    longs = [b for b in rs.positive_roots if rs.d_root(b) == 1]
+    d_roots = rs.table.d_roots[:rs.num_positive]
+    shorts = [b for b, d in zip(rs.positive_roots, d_roots) if d == Fraction(1, 3)]
+    longs = [b for b, d in zip(rs.positive_roots, d_roots) if d == 1]
     assert len(shorts) == 3 and len(longs) == 3
     # (alpha_i, alpha_j^vee) table is cartan over symmetrizers
     for i in range(2):

@@ -102,12 +102,9 @@ BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Reached only by tests, and kept on purpose: `inv` and `inv_coroot` are the
 # boundary form's counterparts of `root` and `coroot`, which the id tests
 # compare against; `quotient_dimension` and `schubert_module_dimension` wait
-# for the presentation's fullness certificate to give them a caller;
-# `classical_part_vanishes` is the relation-level form of the q^0 check that
-# `toda.relation_checks` reads off one evaluation of Phi, and the tests hold
-# it against the polynomial BGG oracle.
+# for the presentation's fullness certificate to give them a caller.
 UNREFERENCED_ON_PURPOSE = {"inv", "inv_coroot", "quotient_dimension",
-                           "schubert_module_dimension", "classical_part_vanishes"}
+                           "schubert_module_dimension"}
 
 
 def _definitions(tree: ast.Module):

@@ -8,9 +8,8 @@ from qaff.polynomials import Poly
 from qaff.quantum import quantum_aff
 from qaff.toda import (
     RelationPoly,
+    _q0_part,
     b2_relations,
-    classical_part,
-    classical_part_vanishes,
     phi_evaluate,
     present_ring,
     quadratic_relation,
@@ -20,6 +19,12 @@ from qaff.toda import (
     typeA_relations,
     verify_relation,
 )
+
+
+def classical_part(rel):
+    """The q^0 part of ``Phi(rel)``, which ``relation_checks`` reads: the class in
+    H*(G/B) of the q-free part of ``rel``."""
+    return _q0_part(phi_evaluate(rel))
 
 
 def poly_from(rank, terms):
@@ -165,18 +170,18 @@ class TestQuadraticRelation:
     @pytest.mark.parametrize("lt", TYPES)
     def test_classical_part_is_invariant(self, lt):
         rel = quadratic_relation(lt[0], int(lt[1]))
-        assert classical_part_vanishes(rel)
+        assert not classical_part(rel)
 
 
 class TestClassicalParts:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_typeA(self, n):
         for rel in typeA_relations(n):
-            assert classical_part_vanishes(rel)
+            assert not classical_part(rel)
 
     def test_b2(self):
         for rel in b2_relations():
-            assert classical_part_vanishes(rel)
+            assert not classical_part(rel)
 
 
 def _polynomial_classical_part(rel):
@@ -197,7 +202,7 @@ def _x_monomial(lt, x_exps, coeff):
 
 CLASSICAL_CASES = (
     [(f"A{n - 1}-H", lambda n=n: typeA_relations(n)) for n in range(2, 6)]
-    + [("B2-H", b2_relations)]
+    + [(f"{lt}-H", lambda lt=lt: relations_for(lt[0], 2)[0]) for lt in ["B2", "C2"]]
     + [(f"{lt}-Hquad", lambda lt=lt: [quadratic_relation(lt[0], int(lt[1]))])
        for lt in ["A1", "A2", "A3", "B2", "C2", "B3", "C3", "G2", "D4", "F4"]]
 )
@@ -220,12 +225,12 @@ class TestClassicalPartRoute:
         assert got and got == _polynomial_classical_part(rel)
 
 
-PRESENT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"]
+PRESENT_TYPES = ["A1", "A2", "A3", "A4", "B2", "C2", "B3", "C3", "G2", "D4"]
 
 
 class TestPresentation:
     def test_full_types(self):
-        for lt in ("A2", "A3", "B2"):
+        for lt in ("A2", "A3", "B2", "C2"):
             rec = present_ring(lt[0], int(lt[1]), *relations_for(lt[0], int(lt[1])))
             assert rec["schema_version"] == 1
             assert rec["status"] == "full"
@@ -258,6 +263,9 @@ class TestPresentation:
         assert status == "full" and len(rels) == 3
         rels, status = relations_for("B", 3)
         assert status == "partial" and len(rels) == 1
+        rels, status = relations_for("C", 2)
+        assert status == "full" and [rel.letter for rel in rels] == ["C", "C"]
+        assert [rel.poly for rel in rels] == [rel.poly for rel in b2_relations()]
 
 
 class TestGradedDimensions:
@@ -270,3 +278,10 @@ class TestGradedDimensions:
             assert quotient_dimension(rels, d) == schubert_module_dimension(
                 "A", n - 1, d
             )
+
+    @pytest.mark.parametrize("letter", ["B", "C"])
+    def test_rank_two_quotient_matches_schubert_count(self, letter):
+        rels, status = relations_for(letter, 2)
+        assert status == "full"
+        for d in range(7):
+            assert quotient_dimension(rels, d) == schubert_module_dimension(letter, 2, d)
