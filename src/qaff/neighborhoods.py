@@ -3,19 +3,34 @@
 Vertices are affine Weyl elements (the int ids of
 :class:`~qaff.weyl.AffineWeylGroup`); there is an edge between ``w`` and
 ``w s_alpha`` for every real positive root alpha, and the T-stable curve it
-names has degree ``alpha^vee``.  A degree-d neighborhood question is a
-budget-bounded walk problem: which vertices can a walk starting at the
-Schubert cell(s) reach while the componentwise degree budget lasts.
+names has degree ``alpha^vee``.  The degree-d neighborhood of ``X(u)`` is the
+set of vertices a walk starting at a cell of ``X(u)`` can reach while the
+componentwise degree budget lasts; only its Bruhat-maximal elements, the
+components, are asked for.
 
-``curve_neighborhood`` computes the Bruhat-maximal reachable set through the
-Hecke-product shortcut (neighborhood of a point, then one Hecke product per
-component); ``neighborhood_by_search`` is the literal walk over the whole
-Schubert variety, kept as an independent oracle.  The neighborhood of a
-point, ``z_d``, depends on ``d`` alone and is computed once per ``(W, d)``.
-The walk indexes its moves by the remaining budget: a vertex reached with
-budget ``b`` takes exactly the moves of coroot ``<= b``, built once per
-``(W, b)``.  Every entry point refuses a degree that is not ``n + 1``
-non-negative ints.
+``curve_neighborhood`` computes the components through the Hecke-product
+shortcut of Buch-Mihalcea ("Curve neighborhoods of Schubert varieties",
+J. Differential Geom. 99, 2015): they are the maxima of ``u . z`` over ``z``
+in ``Z(d)``, the components of the neighborhood of a point.
+``neighborhood_by_search`` is the literal walk over the whole Schubert
+variety, kept as an independent oracle.  ``Z(d)`` depends on ``d`` alone and
+comes from a recursion over the budgets ``b <= d``:
+
+    Z(b) = max({e} u {s_alpha . z : alpha^vee <= b, z in Z(b - alpha^vee)})
+
+with ``.`` the Hecke product and ``max`` ``bruhat_maximal``.  It is exact: a
+chain from ``e`` of degree at most ``b`` is empty or starts with an edge
+``e -> s_alpha`` of degree ``alpha^vee <= b``.  The rest of the chain lies in
+the degree-``(b - alpha^vee)`` neighborhood of ``X(s_alpha)``, whose maxima
+are, by the shortcut, those of ``s_alpha . Z(b - alpha^vee)``, and each of
+those is reached.  Every root with ``alpha^vee <= b`` is used: recursing
+through the maximal coroots alone drops components.  Each ``Z(b)`` is
+computed once per ``(W, b)`` and kept, and the moves of each budget are built
+once per ``(W, b)``.  Every simple coroot is a unit vector, so a degree ``d``
+fills exactly the ``prod(d_i + 1)`` budgets ``b <= d``; they are filled in
+lexicographic order, which puts every ``b - alpha^vee`` before ``b`` and keeps
+the recursion one call deep.  Every entry point refuses a degree that is not
+``n + 1`` non-negative ints.
 
 ``bruhat_maximal``, which both routes end in, takes the elements by
 decreasing length and tests each only against the maxima found so far.  That
@@ -27,6 +42,8 @@ found; a maximal element lies below none of them.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
+from operator import sub
 
 from .roots import AffineRoot, CorootVec, coroot_ht, coroot_leq
 from .weyl import AffineWeylGroup
@@ -115,6 +132,8 @@ def bruhat_maximal(W: AffineWeylGroup, elts: set[int]) -> list[int]:
     Elements are taken by decreasing length and each is tested only against
     the maxima found so far (see the module docstring).
     """
+    if len(elts) == 1:
+        return list(elts)
     out: list[int] = []
     for w in sorted(elts, key=W.length, reverse=True):
         if not any(W.bruhat_leq(w, m) for m in out):
@@ -131,16 +150,29 @@ def _degree(W: AffineWeylGroup, d) -> CorootVec:
     return d
 
 
+@lru_cache(maxsize=None)
+def _z_budget(W: AffineWeylGroup, b: CorootVec) -> tuple[int, ...]:
+    """``Z(b)`` by the recursion of the module docstring, once per ``(W, b)``."""
+    hits = {W.identity}
+    for s, c in _moves(W, b):
+        hits.update(W.hecke_product(s, z) for z in _z_budget(W, tuple(map(sub, b, c))))
+    return tuple(bruhat_maximal(W, hits))
+
+
 @lru_cache(maxsize=None, typed=True)
 def _z(W: AffineWeylGroup, *d: int) -> tuple[int, ...]:
-    """``z_d``, the neighborhood of a point, once per ``(W, d)`` like ``_moves``.  The
-    degree is checked on a miss; the cache is typed per coordinate, so a ``1.0``
-    or ``True`` never reaches the answer kept for ``1``."""
-    return tuple(bruhat_maximal(W, _reachable(W, [W.identity], _degree(W, d))))
+    """``z_d``, the neighborhood of a point.  The degree is checked on a miss; the
+    cache is typed per coordinate, so a ``1.0`` or ``True`` never reaches the
+    answer kept for ``1``."""
+    d = _degree(W, d)
+    for b in product(*(range(x + 1) for x in d)):  # each b - alpha^vee comes before b
+        _z_budget(W, b)
+    return _z_budget(W, d)
 
 
 def z_components(W: AffineWeylGroup, d: CorootVec) -> list[int]:
-    """Bruhat-maximal elements reachable from the identity within budget d."""
+    """Bruhat-maximal elements reachable from the identity within budget d, as a
+    fresh list."""
     return list(_z(W, *d))
 
 

@@ -48,11 +48,9 @@ def parse_lie_type(s: str) -> tuple[str, int]:
     ('G', 2)
     """
     s = s.strip()
-    letter = s[:1].upper()
-    try:
-        rank = int(s[1:])
-    except ValueError:
-        rank = None  # refused by the check, with the label
+    letter, digits = s[:1].upper(), s[1:]
+    # only ASCII digits: int() would also read "1_0", "+2" and other scripts' digits
+    rank = int(digits) if digits.isascii() and digits.isdecimal() else None
     _check_lie_type(letter, rank, s)
     return letter, rank
 
@@ -444,8 +442,8 @@ class AffineRootData:
 
     def level_zero_weight_pairing(self, i: int, v: CorootVec) -> int:
         """``<lambda_i - m_i lambda_0, v>`` — the embedded finite fundamental weight."""
-        if i == 0:
-            raise ValueError("level-zero embedding is for i >= 1")
+        if not 1 <= i <= self.n:
+            raise ValueError(f"level-zero weight index {i} is not in 1..{self.n}")
         return v[i] - self.rs.theta_coroot[i - 1] * v[0]
 
     def reflect(self, alpha: AffineRoot, mu: AffineRoot) -> AffineRoot:

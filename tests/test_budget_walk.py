@@ -1,12 +1,14 @@
-"""The budget-indexed curve-neighborhood walk and the per-degree ``z_d`` memo.
+"""The budget-indexed curve-neighborhood walk and the per-budget ``Z(b)`` memo.
 
 The walk is compared with the route it replaced (``filter_walk``), which
 filters the moves of the whole degree at every step; ``neighborhood_by_search``
-runs the same walk, so this also keeps that oracle checked.  ``z_d`` is walked
-once per ``(W, d)``, while ``neighborhood_by_search`` keeps walking every time.
+runs the walk, so this keeps that oracle checked.  The Hecke route never
+walks: each budget's maxima ``Z(b)`` are computed once per ``(W, b)``, while
+``neighborhood_by_search`` walks every time.
 """
 
 import itertools
+import math
 
 import pytest
 
@@ -46,17 +48,25 @@ def walks(monkeypatch):
     return AffineWeylGroup(affinize("A", 3)), calls
 
 
+def _budgets_computed():
+    return neighborhoods._z_budget.cache_info().misses
+
+
 def test_z_d_is_walked_once_per_degree(walks):
+    # the Hecke route computes each budget b <= d once and walks nothing
     W, calls = walks
     d = (1, 1, 1, 0)
     layers = W.enumerate_up_to(1)
     elts = layers[0] + layers[1]
     assert len(elts) == 5
+    before = _budgets_computed()
     comps = [curve_neighborhood(W, u, d) for u in elts]
-    assert calls == [([W.identity], d)]
-    # any sequence names the same degree
+    assert _budgets_computed() - before == math.prod(x + 1 for x in d)
+    # any sequence names the same degree, and every smaller budget is kept
     assert [curve_neighborhood(W, u, list(d)) for u in elts] == comps
-    assert len(calls) == 1
+    assert z_components(W, (1, 0, 1, 0)) == list(neighborhoods._z_budget(W, (1, 0, 1, 0)))
+    assert _budgets_computed() - before == math.prod(x + 1 for x in d)
+    assert calls == []
 
 
 def test_z_components_returns_a_fresh_list(walks):
@@ -66,9 +76,11 @@ def test_z_components_returns_a_fresh_list(walks):
     expect = list(first)
     first.clear()
     first.append(W.simple(1))
+    computed = _budgets_computed()
     again = z_components(W, d)
     assert again == expect and again is not first
-    assert len(calls) == 1
+    assert _budgets_computed() == computed
+    assert calls == []
 
 
 def test_search_oracle_walks_every_time(walks):

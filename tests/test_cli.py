@@ -365,6 +365,8 @@ REFUSALS = {
                       "error: generator index 3 is not in 0..2"),
     "type": (["product", "--type", "H3", "--u", "e", "--v", "e"],
              "error: bad Lie type 'H3': expected a letter A..G and an int rank"),
+    "type-rank-not-ascii-digits": (["chevalley-roots", "--type", "A1_0"],
+                                   "error: bad Lie type 'A1_0': expected a letter A..G and an int rank"),
     "table-cap": (["table", "--type", "B4"],
                   "error: |W| = 384 exceeds the table cap 48"),
 }

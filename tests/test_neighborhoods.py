@@ -69,13 +69,13 @@ def test_simple_degree_neighborhoods_are_reflections():
                     assert comps == [plain]
 
 
-@pytest.mark.parametrize("lt", ["A1", "A2", "B2"])
+@pytest.mark.parametrize("lt", ["A1", "A2", "B2", "C2", "G2", "A3", "B3"])
 def test_two_oracles_agree(lt):
     W = affine_weyl(lt[0], int(lt[1]))
     degrees = [
         d
-        for d in itertools.product(range(2), repeat=W.n + 1)
-        if 0 < sum(d) <= 2
+        for d in itertools.product(range(3), repeat=W.n + 1)
+        if 0 < sum(d) <= 3
     ]
     for ws in W.enumerate_up_to(2).values():
         for w in ws:

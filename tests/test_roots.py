@@ -48,6 +48,13 @@ def test_parse_lie_type():
             parse_lie_type(bad)
 
 
+@pytest.mark.parametrize("label", ["A1_0", "A+2", " A+2", "B\u0663", "A\uff13", "A 2", "A-1", "A2.0"])
+def test_rank_is_ascii_decimal_digits(label):
+    # int() reads each of these ranks: A10, A2, B3, A3, A2, A-1, and "2.0" is refused either way
+    with pytest.raises(ValueError, match=r"^bad Lie type .*: expected a letter A..G and an int rank$"):
+        parse_lie_type(label)
+
+
 @pytest.mark.parametrize("letter,rank", [
     ("A2", 2), ("a", 2), ("", 2), (None, 2), ("H", 3),
     ("A", "2"), ("A", 2.0), ("A", True), ("B", 1), ("D", 2), ("E", 9), ("F", 5),
@@ -208,6 +215,13 @@ class TestAffineLayer:
                 expected = 1 if i == j else 0
                 coroot = tuple(1 if k == j else 0 for k in range(3))
                 assert ard.level_zero_weight_pairing(i, coroot) == expected
+
+    @pytest.mark.parametrize("i", [0, -1, 3])
+    def test_level_zero_weight_index_out_of_range(self, i):
+        # -1 once read another weight's pairing (2 here) and 3 raised IndexError
+        ard = affinize("A", 2)
+        with pytest.raises(ValueError, match=rf"^level-zero weight index {i} is not in 1..2$"):
+            ard.level_zero_weight_pairing(i, (1, 2, 3))
 
     def test_reflect_preserves_roots(self):
         ard = affinize("A", 2)
