@@ -249,9 +249,10 @@ class AffineCoh(QModule):
             if w == self.fs.W.identity:
                 img = self.unit()
             else:
+                den, expr = self.fs.chevalley_expression(w)
                 img = self.zero()
-                for c, i, v in self.fs.chevalley_expression(w):
-                    img = img + self.divisor_pullback(i, self._e1_basis(v)).scale(c)
+                for k, i, v in expr:
+                    img = img + self.divisor_pullback(i, self._e1_basis(v)).scale(Fraction(k, den))
             self._e1_cache[w] = img
         return img
 

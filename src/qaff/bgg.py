@@ -30,6 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Iterable
 
 from .polynomials import solve_exact
@@ -61,7 +62,7 @@ class FiniteSchubert:
         self._divisor_expr: dict[int, list[tuple[Fraction, tuple[int, ...]]]] = {}
         self._mono_class: dict[tuple[int, ...], FinCohClass] = {(): {self.W.identity: 1}}
         self._layer_cols: dict[int, tuple[list[tuple[int, int]], list[FinCohClass]]] = {}
-        self._chevalley_expr: dict[int, list[tuple[Fraction, int, int]]] = {}
+        self._chevalley_expr: dict[int, tuple[int, list[tuple[int, int, int]]]] = {}
 
     # -- ring structure ---------------------------------------------------------
 
@@ -204,12 +205,15 @@ class FiniteSchubert:
 
     # -- the classical Monk step ----------------------------------------------------
 
-    def chevalley_expression(self, w: int) -> list[tuple[Fraction, int, int]]:
-        """``[(a, i, v)]`` with ``sigma_w = sum a sigma_i . sigma_v`` and len(v) = len(w) - 1.
+    def chevalley_expression(self, w: int) -> tuple[int, list[tuple[int, int, int]]]:
+        """``(den, [(k, i, v)])`` with ``sigma_w = (1/den) sum k sigma_i . sigma_v``, all
+        integers, and len(v) = len(w) - 1; ``den`` is the least common denominator.
 
         One exact solve per w over the columns ``chevalley_cup(i, {v})`` of the
-        layer below, which are built once per length.  Columns ``(i, v)`` with v
-        covered by w come first, so the pivots favour a short answer.  Such a
+        layer below, which are built once per length.  The columns that meet
+        ``sigma_w`` come first, and within each group the ones with the fewest
+        nonzeros, ties in ``(v, i)`` order; the pivots are the leftmost columns,
+        so the step favours few terms, each of them cheap to lift.  Such a
         combination exists for every w other than the identity because the
         divisor classes generate H*(G/B; Q) and each is a cup of a divisor with
         a class one degree lower.
@@ -224,12 +228,13 @@ class FiniteSchubert:
             keys = [(i, v) for v in self.W.by_length[lw - 1] for i in range(1, self.n + 1)]
             self._layer_cols[lw] = keys, [self.chevalley_cup(i, {v: 1}) for i, v in keys]
         keys, cols = self._layer_cols[lw]
-        order = sorted(range(len(keys)), key=lambda k: w not in cols[k])
+        order = sorted(range(len(keys)), key=lambda k: (w not in cols[k], len(cols[k])))
         sol = solve_exact([cols[k] for k in order], {w: 1})
         if sol is None:
             raise AssertionError(f"no Chevalley expression for {self.W.format(w)}")
-        expr = [(c, *keys[k]) for c, k in zip(sol, order) if c]
-        self._chevalley_expr[w] = expr
+        den = lcm(*(a.denominator for a in sol))
+        expr = self._chevalley_expr[w] = (den, [
+            (a.numerator * (den // a.denominator), *keys[k]) for a, k in zip(sol, order) if a])
         return expr
 
 

@@ -10,8 +10,8 @@ run ran out of memory).
 
 The library refuses bad input itself, each rule in one place, with
 ``ValueError``; a handler here checks no range or shape, and :func:`main` only
-maps exceptions to exit codes.  The one check of its own is ``table``'s cap,
-a cost guard that runs before W is enumerated.
+maps exceptions to exit codes.  ``table``'s cap, a cost guard, is
+:func:`~qaff.quantum.check_table_cap`, which runs before W is enumerated.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .neighborhoods import (
     neighborhood_by_search,
 )
 from .polynomials import SCHEMA_VERSION, Poly, QClass
-from .quantum import ordinary_qh, quantum_aff
+from .quantum import check_table_cap, ordinary_qh, quantum_aff
 from .roots import parse_lie_type
-from .weyl import affine_weyl, finite_weyl, weyl_order
+from .weyl import affine_weyl, finite_weyl
 
 
 def _type_arg(parser: argparse.ArgumentParser) -> None:
@@ -239,12 +239,9 @@ def cmd_product(args, letter: str, rank: int) -> int:
 
 
 def cmd_table(args, letter: str, rank: int) -> int:
-    order = weyl_order(letter, rank)
-    if order > args.cap:
-        # checked before building the ring: enumerating W is the expensive part
-        raise ValueError(f"|W| = {order} exceeds the table cap {args.cap}")
+    check_table_cap(letter, rank, args.cap)  # before the ring: enumerating W is the cost
     ring = quantum_aff(letter, rank)
-    table = ring.multiplication_table(cap=args.cap)
+    table = ring.multiplication_table()
     FW = ring.FW
     items = sorted(
         table.items(),

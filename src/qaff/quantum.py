@@ -16,12 +16,16 @@ Two engines live here, deliberately kept apart:
   ``lambda_bar_i sigma_w``, ``T_w(sigma_v)``, ``L_w(sigma_v)`` and their partial
   sums has degree ``l(w) + l(v) <= 2 l(w0)`` with ``deg q^e = 2 sum e``, so a row
   entry ``e_j`` is at most ``l(w0)``.  An input class is packed once per call and
-  held to the same bound (an entry outside ``0..l(w0)`` is refused), so a term
+  held to the same bound (an entry outside ``0..l(w0)`` is refused; ``_keys``
+  keeps each exponent that passed, so a bad one is refused every time), so a term
   of ``star``, input times input times row, has entries at most ``3 l(w0) < 2^B``
   with ``B`` the bit length of ``3 l(w0)``: adding an exponent to a key adds the
   exponents and never carries into the next entry or into ``u``, and int order
   is tuple order.  ``_to_class`` alone splits keys, turning a row into a class
-  and building each exponent tuple once per ring.
+  and building each exponent tuple once per ring (``_exps``).  ``sigma_w`` is
+  lifted by its classical Monk step ``(den, [(k, i, w')])``, and each term of a
+  lift row adds ``k c q^e lambda_bar_i(sigma_u)`` straight into the table
+  (``_add_lambda``).
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -37,13 +41,27 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import lcm
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import Poly, QClass, QModule, _divided, _exact, _poly, solve_exact
 from .roots import build_root_system, coroot_ht
-from .weyl import affine_weyl, finite_reflection, finite_weyl
+from .weyl import affine_weyl, finite_reflection, finite_weyl, weyl_order
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with ``make(key)``, so a hit is one lookup; a
+    ``make`` that raises stores nothing."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 class FiniteQRing(QModule):
@@ -58,12 +76,9 @@ class FiniteQRing(QModule):
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
                          self.FW.identity, nq)
 
-    def multiplication_table(self, cap: int = 48) -> dict[tuple[int, int], QClass]:
-        """All ordered products; computed on unordered pairs and mirrored."""
-        if len(self.FW.elements) > cap:
-            raise ValueError(
-                f"|W| = {len(self.FW.elements)} exceeds the table cap {cap}"
-            )
+    def multiplication_table(self) -> dict[tuple[int, int], QClass]:
+        """All ordered products; computed on unordered pairs and mirrored.  See
+        :func:`check_table_cap` for a guard that runs before W is enumerated."""
         elts = sorted(self.FW.elements, key=lambda w: (self.FW.length[w], self.FW.word[w]))
         table = {}
         for i, u in enumerate(elts):
@@ -90,11 +105,12 @@ class QuantumAff(FiniteQRing):
         self._width = (3 * self._cap).bit_length()  # B, the bits of one packed entry
         self._shift = self.nq * self._width  # S, the bits of one packed exponent
         self._mask = (1 << self._shift) - 1  # the packed exponent of a key
-        self._exps: dict[int, tuple[int, ...]] = {}  # packed exponent -> exponent tuple
+        self._keys = _Memo(self._pack)  # exponent tuple -> packed, kept once it passed the check
+        self._exps = _Memo(self._unpack)  # packed exponent -> exponent tuple
         # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
         # of s_alpha) over the Chevalley roots alpha with a nonzero pairing
         self._quantum_terms = [
-            [(self._pack(tuple(cr.coroot)), k, cr.word)
+            [(self._keys[tuple(cr.coroot)], k, cr.word)
              for cr in enumerate_chevalley_roots(W_aff)
              if (k := self.ard.level_zero_weight_pairing(i, cr.coroot))]
             for i in range(1, rank + 1)
@@ -109,7 +125,8 @@ class QuantumAff(FiniteQRing):
     # -- packed q-exponents --------------------------------------------------------
 
     def _pack(self, e: tuple[int, ...]) -> int:
-        """``q^e`` as ``sum e_j << B(n - j)``; an entry outside ``0..l(w0)`` is refused."""
+        """``q^e`` as ``sum e_j << B(n - j)``; an entry outside ``0..l(w0)`` is refused,
+        so ``_keys``, which this fills, never holds a bad exponent."""
         if len(e) != self.nq or min(e) < 0 or max(e) > self._cap:
             raise ValueError(f"q-exponent {e} is not {self.nq} entries in 0..{self._cap} = l(w0)")
         key = 0
@@ -119,22 +136,23 @@ class QuantumAff(FiniteQRing):
 
     def _packed(self, a: QClass) -> list:
         """The packed row of an input class, built once per call."""
-        return [(w, [(self._pack(e), c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
+        keys = self._keys
+        return [(w, [(keys[e], c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
 
     def _unpack(self, key: int) -> tuple[int, ...]:
-        """The exponent tuple of ``key``, kept in ``_exps``."""
+        """The exponent tuple of the packed exponent ``key``; ``_exps`` keeps it."""
         B, mask = self._width, (1 << self._width) - 1
-        e = self._exps[key] = tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
-        return e
+        return tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
 
     def _to_class(self, row) -> QClass:
         """The one step from ``(key, c)`` terms to a class: the one place keys are split."""
         exps, nq, S, mask, out = self._exps, self.nq, self._shift, self._mask, {}
         for k, c in row:
             if c:
-                e = k & mask
-                out.setdefault(k >> S, {})[exps.get(e) or self._unpack(e)] = (
-                    c if c.__class__ is int else _exact(c))
+                d = out.get(u := k >> S)
+                if d is None:
+                    d = out[u] = {}
+                d[exps[k & mask]] = c if c.__class__ is int else _exact(c)
         return self._class({u: _poly(nq, d) for u, d in out.items()})
 
     @staticmethod
@@ -190,7 +208,7 @@ class QuantumAff(FiniteQRing):
         one ``lambda_bar`` step.  A word longer than ``2 l(w0)`` is refused: its image
         could hold an exponent entry beyond ``l(w0)``.
         """
-        S, mask, memo = self._shift, self._mask, {(): [(self.FW.identity << self._shift, 1)]}
+        memo = {(): [(self.FW.identity << self._shift, 1)]}
 
         def image(word):
             row = memo.get(word)
@@ -198,12 +216,14 @@ class QuantumAff(FiniteQRing):
                 if len(word) > 2 * self._cap:
                     raise ValueError(f"lambda_bar word {word} is longer than 2 l(w0)")
                 acc: dict = {}
-                for k, c in image(word[1:]):
-                    self._add_product(acc, [(k & mask, c)], self._lambda_basis(word[0], k >> S))
+                self._add_lambda(acc, word[0], 1, image(word[1:]))
                 row = memo[word] = self._row(acc, 1)
             return row
 
-        return self._sum_rows(([(self._pack(e), c)], image(word)) for e, c, word in terms)
+        coefs: dict = {}  # word -> [(packed e, c)]: one coefficient per word
+        for e, c, word in terms:
+            coefs.setdefault(word, []).append((self._keys[tuple(e)], c))
+        return self._sum_rows((coef, image(word)) for word, coef in coefs.items())
 
     # -- operator lifting (graded Nakayama recursion) ----------------------------------
 
@@ -224,17 +244,28 @@ class QuantumAff(FiniteQRing):
             self._correction[w] = list(neg.items())
         return self._correction[w]
 
+    def _add_lambda(self, acc: dict, i: int, k: int, row: list) -> None:
+        """Add ``k lambda_bar_i(row)`` into the table ``acc``: each term ``c q^e sigma_u``
+        of ``row`` adds ``k c q^e lambda_bar_i(sigma_u)``, read from ``_lambda_img``
+        (built by :meth:`_lambda_basis` on a miss)."""
+        S, mask, img, get = self._shift, self._mask, self._lambda_img, acc.get
+        for key, c in row:
+            u = key >> S
+            lam = img.get((i, u))
+            if lam is None:
+                lam = self._lambda_basis(i, u)
+            e, c = key & mask, k * c
+            for k2, c2 in lam:
+                k2 += e
+                acc[k2] = get(k2, 0) + c * c2
+
     def _T_apply(self, w: int, v: int, acc: dict) -> int:
-        """Add ``den * T_w(sigma_v)`` into the table ``acc`` and return ``den``, the lcm
-        of the denominators of the ``a`` in ``T_w = sum a lambda_bar_i L_{w'}`` (the
-        classical Monk step of w, which is not e), so the sums run on ``int``."""
-        expr = self.fs.chevalley_expression(w)
-        den = lcm(*(a.denominator for a, _, _ in expr))
-        S, mask = self._shift, self._mask
-        for a, i, x in expr:
-            k = a.numerator * (den // a.denominator)
-            for key, c in self._lift_apply_basis(x, v):
-                self._add_product(acc, [(key & mask, k * c)], self._lambda_basis(i, key >> S))
+        """Add ``den * T_w(sigma_v)`` into the table ``acc`` and return ``den``, where
+        ``T_w = (1/den) sum k lambda_bar_i L_{w'}`` over the classical Monk step
+        ``(den, [(k, i, w')])`` of w, which is not e, so the sums run on ``int``."""
+        den, expr = self.fs.chevalley_expression(w)
+        for k, i, x in expr:
+            self._add_lambda(acc, i, k, self._lift_apply_basis(x, v))
         return den
 
     def _lift_apply_basis(self, w: int, v: int) -> list:
@@ -434,6 +465,14 @@ class OrdinaryQH(FiniteQRing):
             for v, d in b.terms.items():
                 out = out + self._lift_apply_basis(u, v).scale(c * d)
         return out
+
+
+def check_table_cap(letter: str, rank: int, cap: int) -> None:
+    """Refuse a multiplication table of a type with more than ``cap`` Weyl group
+    elements.  It reads the closed-form ``|W|``, so it runs before W is enumerated."""
+    order = weyl_order(letter, rank)
+    if order > cap:
+        raise ValueError(f"|W| = {order} exceeds the table cap {cap}")
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -403,6 +403,8 @@ class AffineRootData:
         self.c: CorootVec = (1,) + rs.theta_coroot
         self.delta_height = 1 + sum(rs.theta)
         self._coroots: dict[AffineRoot, CorootVec] = {}
+        # H_i, the largest i-th coordinate of a positive finite coroot: beta^vee_i >= -H_i
+        self._coroot_tops = tuple(map(max, zip(*rs.table.coroots[:rs.num_positive])))
         # the real positive roots of level k as (height, finite, alpha, alpha^vee), built on demand
         self._levels: list[list[tuple[int, Vec, AffineRoot, CorootVec]]] = []
 
@@ -471,10 +473,17 @@ class AffineRootData:
         """Every ``(alpha, alpha^vee)``, alpha real positive, with ``alpha^vee``
         componentwise <= ``bound``, by ``(height, finite)``.
 
-        ``alpha^vee`` has ``alpha_0^vee``-coordinate ``level/d_beta >= level``, so
-        levels ``0..bound[0]`` hold every such root.
+        Only the levels ``0..top`` are scanned, with ``top = min(b_0, floor((b_i +
+        H_i) / m_i) over i)``, ``b = bound``, ``m = theta^vee`` and ``H_i`` the
+        largest ``i``-th coordinate of a positive finite coroot.  Every such root
+        lies there: ``alpha = k delta + beta`` has ``alpha^vee = (r, r m + beta^vee)``
+        with ``r = k/d_beta >= k``, and ``beta^vee_i >= -H_i`` (``beta^vee`` is a
+        positive coroot or minus one).  So ``alpha^vee <= b`` gives ``k <= r <= b_0``
+        and ``k m_i <= r m_i <= b_i - beta^vee_i <= b_i + H_i``, with ``m_i >= 1``.
         """
-        out = [row for level in self.levels(bound[0]) for row in level
+        top = min(bound[0], *((b + h) // m for b, h, m in
+                              zip(bound[1:], self._coroot_tops, self.rs.theta_coroot)))
+        out = [row for level in self.levels(top) for row in level
                if coroot_leq(row[3], bound)]
         out.sort()  # (height, finite) is unique to a root, so nothing else is compared
         return [row[2:] for row in out]

@@ -4,7 +4,8 @@ This is the route ``qaff.quantum.QuantumAff`` took before its lift images
 were summed in one table.  Each step is a class of its own, added up by
 ``class_sums.scale_and_add``:
 
-    T_w(b)       = sum of a lambda_bar_i(L_{w'}(b))  over the Monk step of w
+    T_w(b)       = sum of a lambda_bar_i(L_{w'}(b))  over the Monk step of w,
+                   a = k / den for its (den, [(k, i, w')])
     L_w(sigma_v) = T_w(sigma_v) - sum of c q^d L_u(sigma_v)
 
 over the terms ``c q^d sigma_u`` of ``T_w(1) - sigma_w``.  Only the ring's
@@ -37,8 +38,10 @@ class CombineLift:
         R = self.ring
         if w == R.FW.identity:
             return b
+        den, expr = R.fs.chevalley_expression(w)
         pairs = []
-        for a, i, v in R.fs.chevalley_expression(w):
+        for k, i, v in expr:
+            a = Fraction(k, den)
             self.fractional_a += _fractional(a)
             pairs.append((a, R.lambda_bar(i, self.lift_apply(v, b))))
         return scale_and_add(R, pairs)

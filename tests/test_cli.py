@@ -369,6 +369,9 @@ REFUSALS = {
                                    "error: bad Lie type 'A1_0': expected a letter A..G and an int rank"),
     "table-cap": (["table", "--type", "B4"],
                   "error: |W| = 384 exceeds the table cap 48"),
+    # refused from the closed-form |W|: enumerating W(E8) would not finish
+    "table-cap-before-W": (["table", "--type", "E8"],
+                           "error: |W| = 696729600 exceeds the table cap 48"),
 }
 
 

@@ -1,8 +1,8 @@
 """The memos of facts that never change, each against the rule it stands for.
 
 ``AffineRootData.coroot`` keeps each root's coroot, ``real_positive_roots_leq``
-filters per-level lists built once and returns each root with the coroot its
-row carries, and ``AffineWeylGroup.right_descents``
+filters per-level lists built once, scans only the levels a budget allows, and
+returns each root with the coroot its row carries, and ``AffineWeylGroup.right_descents``
 keeps each element's descents.  Each is checked against a route that computes
 the fact afresh: the closed form ``(k / d_beta) c + beta^vee`` with ``beta^vee``
 from the symmetrizers, the per-budget enumeration the level lists replaced, and
@@ -11,13 +11,15 @@ the ``inverts`` rule.  The checks are test-side, so they also run under
 """
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from test_roots import ALL_TYPES
 
+from qaff.neighborhoods import curve_neighborhood, neighborhood_by_search, z_components
 from qaff.roots import AffineRoot, AffineRootData, build_root_system, coroot_leq
-from qaff.weyl import affine_weyl
+from qaff.weyl import AffineWeylGroup, affine_weyl
 
 
 def closed_form_coroot(ard, alpha):
@@ -90,7 +92,45 @@ def test_level_lists_match_the_per_budget_enumeration(letter, rank):
         ard = AffineRootData(rs)
         for b in order:
             assert [a for a, _ in ard.real_positive_roots_leq(b)] == per_budget_roots(ard, b), b
-        assert len(ard._levels) == 4
+        assert len(ard._levels) == 1 + max(level_top(ard, b) for b in budgets)
+
+
+def level_top(ard, bound):
+    """``min(b_0, floor((b_i + H_i) / m_i))``, ``H_i`` the largest ``i``-th coordinate
+    of a positive finite coroot, from the closed form: no root above it fits."""
+    tops = [max(col) for col in zip(*(closed_form_coroot(ard, AffineRoot(0, beta))[1:]
+                                      for beta in ard.rs.positive_roots))]
+    return min(bound[0], *((b + h) // m for b, h, m in
+                           zip(bound[1:], tops, ard.rs.theta_coroot)))
+
+
+BOUNDED = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4),
+           ("D", 4), ("G", 2), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("letter,rank", BOUNDED, ids=[f"{x}{n}" for x, n in BOUNDED])
+def test_bounded_level_scan_matches_the_full_scan(letter, rank):
+    """720 budgets in all; the full scan reads every level ``0..b_0``."""
+    rng = random.Random(f"levels/{letter}{rank}")
+    ard = AffineRootData(build_root_system(letter, rank))
+    # skewed budgets: a large level with small finite entries is what the bound cuts
+    for _ in range(60):
+        b = (rng.randrange(8),) + tuple(rng.randrange(5) for _ in range(rank))
+        full = sorted(row for level in ard.levels(b[0]) for row in level
+                      if coroot_leq(row[3], b))
+        assert ard.real_positive_roots_leq(b) == [row[2:] for row in full], b
+
+
+def test_a_skewed_degree_builds_few_levels():
+    W = AffineWeylGroup(AffineRootData(build_root_system("A", 1)))  # nothing built yet
+    assert [W.format(z) for z in z_components(W, (1000, 0))] == ["s0"]
+    assert len(W.ard._levels) <= 2
+
+
+def test_a_skewed_degree_matches_the_search():
+    W = affine_weyl("A", 1)
+    e = W.identity
+    assert curve_neighborhood(W, e, (200, 0)) == neighborhood_by_search(W, e, (200, 0))
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("C", 3), ("G", 2)])

@@ -159,7 +159,8 @@ def test_outputs_do_not_depend_on_id_order():
         for name in names:
             got = [fresh.format(z) for z in curve_neighborhood(fresh, fresh.parse(name), d)]
             assert got == expect[name, d]
-    assert len(fresh.ard._levels) == 3
+    # b_0 = 2 leaves b_i <= 1, and then no root of level 2 fits: levels 0 and 1 only
+    assert len(fresh.ard._levels) == 2
     calc, other = affine_coh("A", 3), AffineCoh(fresh)
     for ell in range(4):
         for w in layers[ell]:

@@ -67,6 +67,20 @@ def test_refuses_an_exponent_the_packing_cannot_hold(exp):
             call()
 
 
+def test_refuses_a_bad_exponent_after_a_good_one_was_packed():
+    ring = QuantumAff("A", 3)  # a fresh ring, so its exponent memo starts empty
+    s1 = ring.basis_simple(1)
+    good = ring.basis(ring.FW.identity, Poly.monomial(4, (0, 6, 0, 0), 1))
+    assert not ring.star(good, s1).is_zero()
+    assert (0, 6, 0, 0) in ring._keys
+    for exp in [(0, 7, 0, 0), (-1, 6, 0, 0)]:
+        bad = ring.basis(ring.FW.identity, Poly.monomial(4, exp, 1))
+        for _ in range(2):  # a refused exponent is never kept, so it is refused again
+            with pytest.raises(ValueError, match="q-exponent"):
+                ring.star(bad, s1)
+        assert exp not in ring._keys
+
+
 def test_refuses_a_word_longer_than_twice_the_top_length():
     ring = quantum_aff("A", 1)  # l(w0) = 1
     assert not ring.lambda_eval([((0, 0), 1, (1, 1))]).is_zero()
