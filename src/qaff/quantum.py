@@ -25,7 +25,9 @@ Two engines live here, deliberately kept apart:
   and building each exponent tuple once per ring (``_exps``).  ``sigma_w`` is
   lifted by its classical Monk step ``(den, [(k, i, w')])``, and each term of a
   lift row adds ``k c q^e lambda_bar_i(sigma_u)`` straight into the table
-  (``_add_lambda``).
+  (``_add_lambda``).  A lone ``sigma_w`` with coefficient 1 (``_lone``) is not
+  packed at all: ``star`` of two of them, ``lift_apply`` and ``lambda_bar`` on
+  one read the memo row and turn it into a class once, the answer itself.
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -76,6 +78,15 @@ class FiniteQRing(QModule):
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
                          self.FW.identity, nq)
 
+    def _check_ids(self, ids) -> None:
+        """Refuse an element id outside ``FW.elements``: a negative one would read the
+        tables from the end, and a large one past it."""
+        size = len(self.FW)
+        for w in ids:
+            if w.__class__ is not int or not 0 <= w < size:
+                raise ValueError(f"{w!r} is not an element id of {self.rs.lie_type}: "
+                                 f"ids run 0..{size - 1}")
+
     def multiplication_table(self) -> dict[tuple[int, int], QClass]:
         """All ordered products; computed on unordered pairs and mirrored.  See
         :func:`check_table_cap` for a guard that runs before W is enumerated."""
@@ -106,6 +117,7 @@ class QuantumAff(FiniteQRing):
         self._shift = self.nq * self._width  # S, the bits of one packed exponent
         self._mask = (1 << self._shift) - 1  # the packed exponent of a key
         self._keys = _Memo(self._pack)  # exponent tuple -> packed, kept once it passed the check
+        self._unit_coef = {(0,) * self.nq: 1}  # the terms of the coefficient 1
         self._exps = _Memo(self._unpack)  # packed exponent -> exponent tuple
         # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
         # of s_alpha) over the Chevalley roots alpha with a nonzero pairing
@@ -136,6 +148,7 @@ class QuantumAff(FiniteQRing):
 
     def _packed(self, a: QClass) -> list:
         """The packed row of an input class, built once per call."""
+        self._check_ids(a.terms)
         keys = self._keys
         return [(w, [(keys[e], c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
 
@@ -170,15 +183,29 @@ class QuantumAff(FiniteQRing):
                 acc[k] = get(k, 0) + c * c2
 
     def _sum_rows(self, pairs) -> QClass:
-        """``sum coef . row`` over the ``(coef, row)`` pairs, in one table; a lone row
-        with coefficient 1 is read as it is."""
-        pairs = list(pairs)
-        if len(pairs) == 1 and pairs[0][0] == [(0, 1)]:
-            return self._to_class(pairs[0][1])
+        """``sum coef . row`` over the ``(coef, row)`` pairs, in one table."""
         acc: dict = {}
         for coef, row in pairs:
             self._add_product(acc, coef, row)
         return self._to_class(acc.items())
+
+    def _lone(self, a: QClass) -> int | None:
+        """``w`` when ``a`` is ``sigma_w`` with coefficient 1, else None.  Its row is
+        then the answer as it is: nothing is packed, scaled or summed."""
+        if len(a.terms) == 1:
+            for w, p in a.terms.items():
+                if p.terms == self._unit_coef:
+                    self._check_ids((w,))
+                    return w
+        return None
+
+    def _rows(self, a: QClass, row_of) -> QClass:
+        """``sum coef . row_of(w)`` over the terms ``coef sigma_w`` of ``a``; a lone
+        ``sigma_w`` reads ``row_of(w)`` as it is."""
+        w = self._lone(a)
+        if w is not None:
+            return self._to_class(row_of(w))
+        return self._sum_rows((coef, row_of(w)) for w, coef in self._packed(a))
 
     # -- the Chevalley operators ---------------------------------------------------
 
@@ -198,8 +225,8 @@ class QuantumAff(FiniteQRing):
     def lambda_bar(self, i: int, a: QClass) -> QClass:
         """Quantum Chevalley operator for the finite index i (1..n)."""
         if not 1 <= i <= self.n:
-            raise ValueError("lambda_bar takes a finite index 1..n")
-        return self._sum_rows((coef, self._lambda_basis(i, w)) for w, coef in self._packed(a))
+            raise ValueError(f"lambda_bar takes a finite index 1..{self.n}, not {i!r}")
+        return self._rows(a, lambda w: self._lambda_basis(i, w))
 
     def lambda_eval(self, terms) -> QClass:
         """``sum c q^e lambda_bar_{word}(1)`` over the ``(e, c, word)`` of ``terms``.
@@ -292,22 +319,32 @@ class QuantumAff(FiniteQRing):
 
     def lift_apply(self, w: int, b: QClass) -> QClass:
         """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
-        return self._sum_rows((coef, self._lift_apply_basis(w, v)) for v, coef in self._packed(b))
+        self._check_ids((w,))
+        return self._rows(b, lambda v: self._lift_apply_basis(w, v))
 
     # -- the product -------------------------------------------------------------
 
-    def star(self, a: QClass, b: QClass) -> QClass:
-        """``a * b``.  The product commutes, so each pair ``sigma_u, sigma_v`` lifts the
+    def _pair_row(self, u: int, v: int) -> list:
+        """The row of ``sigma_u * sigma_v``.  The product commutes, so it lifts the
         shorter of the two (``u`` on a tie): its lift has fewer correction terms."""
-        length, pb = self.FW.length, self._packed(b)
+        if self.FW.length[u] <= self.FW.length[v]:
+            return self._lift_apply_basis(u, v)
+        return self._lift_apply_basis(v, u)
+
+    def star(self, a: QClass, b: QClass) -> QClass:
+        """``a * b``: ``sigma_u * sigma_v`` is its pair's row as it is, and any other
+        pair of classes sums the rows of every pair of basis elements in one table."""
+        u, v = self._lone(a), self._lone(b)
+        if u is not None and v is not None:
+            return self._to_class(self._pair_row(u, v))
+        pb = self._packed(b)
         return self._sum_rows(
-            ([(e1 + e2, c1 * c2) for e1, c1 in p for e2, c2 in r],
-             self._lift_apply_basis(u, v) if length[u] <= length[v]
-             else self._lift_apply_basis(v, u))
+            ([(e1 + e2, c1 * c2) for e1, c1 in p for e2, c2 in r], self._pair_row(u, v))
             for u, p in self._packed(a) for v, r in pb)
 
     def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
         """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
+        self._check_ids([*a.terms, *b.terms])
         total = Poly.zero(self.nq)
         FW = self.FW
         for u, c in a.terms.items():
@@ -384,6 +421,7 @@ class OrdinaryQH(FiniteQRing):
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Full quantum Chevalley multiplication by sigma_i: the classical
         terms of :meth:`chevalley_classical` plus the quantum-root terms."""
+        self._check_ids(a.terms)
         out = dict(self.chevalley_classical(i, a).terms)
         for w, c in a.terms.items():
             x, lw = self.FW.element(w), self.FW.length[w]
@@ -460,6 +498,7 @@ class OrdinaryQH(FiniteQRing):
         return self._lift_img[key]
 
     def star(self, a: QClass, b: QClass) -> QClass:
+        self._check_ids([*a.terms, *b.terms])
         out = self.zero()
         for u, c in a.terms.items():
             for v, d in b.terms.items():

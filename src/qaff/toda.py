@@ -31,13 +31,14 @@ Constructive sources:
 
 from __future__ import annotations
 
+from functools import lru_cache
 from operator import add
 from typing import NamedTuple
 
 from .bgg import FinCohClass
 from .polynomials import SCHEMA_VERSION, Poly, QClass, matrix_rank
 from .quantum import QuantumAff, quantum_aff
-from .roots import build_root_system
+from .roots import _check_lie_type, build_root_system
 
 Vec = tuple[int, ...]
 
@@ -214,12 +215,22 @@ def _q0_part(img: QClass) -> FinCohClass:
 
 
 def relations_for(letter: str, rank: int) -> tuple[list[RelationPoly], str]:
-    """Return (relations, status): the full generating set where constructible."""
+    """Return (relations, status): the full generating set where constructible, as
+    a fresh list on every call; a pair that names no type is refused."""
+    rels, status = _relation_set(letter, rank)
+    return list(rels), status
+
+
+@lru_cache(maxsize=None, typed=True)
+def _relation_set(letter: str, rank: int) -> tuple[tuple[RelationPoly, ...], str]:
+    """The relations of one type, built once per process; the label is checked on a
+    miss, so the cache holds only types, and typed, so ``2.0`` or ``True`` is a miss."""
+    _check_lie_type(letter, rank)
     if letter == "A":
-        return typeA_relations(rank + 1), "full"
+        return tuple(typeA_relations(rank + 1)), "full"
     if letter in ("B", "C") and rank == 2:  # one Cartan matrix, symmetrizers and theta
-        return [rel._replace(letter=letter) for rel in b2_relations()], "full"
-    return [quadratic_relation(letter, rank)], "partial"
+        return tuple(rel._replace(letter=letter) for rel in b2_relations()), "full"
+    return (quadratic_relation(letter, rank),), "partial"
 
 
 def present_ring(letter: str, rank: int, rels: list[RelationPoly], status: str) -> dict:

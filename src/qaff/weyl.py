@@ -477,6 +477,7 @@ class FiniteWeyl:
             self.by_length.setdefault(self.length[w], []).append(w)
         self._refl = [itemgetter(*r) for r in table.reflections[:npos]]
         self._covers: list[list[tuple[int, int]] | None] = [None] * len(self.perm)
+        self._parsed: dict[str, int] = {}  # format(w) -> w, once parsed
 
     def __len__(self) -> int:
         return len(self.perm)
@@ -516,9 +517,15 @@ class FiniteWeyl:
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
     def parse(self, text: str) -> int:
-        w = self.identity
-        for i in _parse_word(text, 1, self.n):
-            w = self.rmul[i - 1][w]
+        """The id of the word ``text``.  It is kept when ``text`` is ``format(w)``, so
+        the memo holds at most ``|W|`` entries and never a text that was refused."""
+        w = self._parsed.get(text)
+        if w is None:
+            w = self.identity
+            for i in _parse_word(text, 1, self.n):
+                w = self.rmul[i - 1][w]
+            if text == self.format(w):
+                self._parsed[text] = w
         return w
 
 

@@ -5,10 +5,13 @@ most significant, and a term ``c q^e sigma_u`` is the key ``u << S | e``
 (``S = nq B``) with ``c``, so adding an exponent to a key adds exponents and
 int order is tuple order.  The tests pin the packing on every term the A3
 and B3 tables meet, the refusal of exponents it cannot hold, ``star`` lifting its
-shorter factor against the first-factor route ``lift_apply(u, sigma_v)``,
+shorter factor against the first-factor route ``lift_apply(u, sigma_v)``, the
+unpacked route of a lone ``sigma_w`` against the packed one,
 and ``phi_evaluate`` (one table, words memoized by suffix for one call)
 against the per-monomial route it replaced.
 """
+
+from fractions import Fraction
 
 import pytest
 from class_sums import scale_and_add
@@ -58,13 +61,15 @@ def test_largest_input_exponents_do_not_carry():
                          ids=["negative", "oversized", "wrong-arity"])
 def test_refuses_an_exponent_the_packing_cannot_hold(exp):
     ring = quantum_aff("A", 3)  # l(w0) = 6
-    bad = ring.basis(ring.FW.identity, Poly.monomial(len(exp), exp, 1))
     s1 = ring.basis_simple(1)
-    calls = [lambda: ring.star(bad, s1), lambda: ring.star(s1, bad),
-             lambda: ring.lift_apply(ring.FW.gens[0], bad), lambda: ring.lambda_bar(1, bad)]
-    for call in calls:
-        with pytest.raises(ValueError, match="q-exponent"):
-            call()
+    for w in (ring.FW.identity, ring.FW.gens[1], ring.FW.w0):
+        # a single term with coefficient q^e, not 1, takes the checked path
+        bad = ring.basis(w, Poly.monomial(len(exp), exp, 1))
+        calls = [lambda: ring.star(bad, s1), lambda: ring.star(s1, bad),
+                 lambda: ring.lift_apply(ring.FW.gens[0], bad), lambda: ring.lambda_bar(1, bad)]
+        for call in calls:
+            with pytest.raises(ValueError, match="q-exponent"):
+                call()
 
 
 def test_refuses_a_bad_exponent_after_a_good_one_was_packed():
@@ -98,6 +103,40 @@ def test_star_matches_the_first_factor_lift(letter, rank):
     bad = [(ring.FW.format(u), ring.FW.format(v)) for u in elts for v in elts
            if ring.star(ring.basis(u), ring.basis(v)) != ring.lift_apply(u, ring.basis(v))]
     assert bad == []
+
+
+@pytest.mark.parametrize("letter,rank", LIFT_TYPES, ids=_ids(LIFT_TYPES))
+def test_basis_products_match_the_general_path(letter, rank):
+    # sigma_u * sigma_v and L_u(sigma_v) read their row as it is; a factor 2 sigma_v
+    # sends the same product through the packed, scaled and summed path
+    ring = quantum_aff(letter, rank)
+    elts = ring.FW.elements
+    one = {w: ring.basis(w) for w in elts}
+    two = {w: ring.basis(w, 2) for w in elts}
+    half = Fraction(1, 2)
+    bad = [(ring.FW.format(u), ring.FW.format(v)) for u in elts for v in elts
+           if ring.star(one[u], one[v]) != ring.star(one[u], two[v]).scale(half)
+           or ring.star(one[u], one[v]) != ring.star(two[u], one[v]).scale(half)
+           or ring.lift_apply(u, one[v]) != ring.lift_apply(u, two[v]).scale(half)]
+    assert bad == []
+
+
+def test_basis_inputs_are_never_packed(monkeypatch):
+    ring = quantum_aff("B", 3)
+    elts = ring.FW.elements
+    want = [ring.star(ring.basis(u), ring.basis(v)) for u in elts for v in elts[::7]]
+
+    def refused(*args):
+        raise AssertionError("a basis input was packed")
+
+    monkeypatch.setattr(QuantumAff, "_packed", refused)
+    monkeypatch.setattr(QuantumAff, "_sum_rows", refused)
+    assert [ring.star(ring.basis(u), ring.basis(v)) for u in elts for v in elts[::7]] == want
+    for w in elts[::5]:
+        ring.lift_apply(w, ring.basis(elts[-1]))
+        ring.lambda_bar(2, ring.basis(w))
+    with pytest.raises(AssertionError, match="packed"):
+        ring.star(ring.basis(elts[1], 2), ring.basis(elts[2]))
 
 
 def test_star_lifts_the_shorter_factor():

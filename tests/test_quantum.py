@@ -309,10 +309,9 @@ class TestOrdinaryEngine:
 
 class TestInterfaces:
     def test_lambda_bar_rejects_bad_index(self, a2):
-        with pytest.raises(ValueError):
-            a2.lambda_bar(0, a2.unit())
-        with pytest.raises(ValueError):
-            a2.lambda_bar(3, a2.unit())
+        for i in (0, 3):
+            with pytest.raises(ValueError, match=r"finite index 1\.\.2, not "):
+                a2.lambda_bar(i, a2.unit())
 
     def test_format_class_names_variables(self, a2):
         text = a2.format_class(star_name(a2, "s1", "s1"))
@@ -335,3 +334,34 @@ class TestInterfaces:
     def test_json_has_degree_data(self, a2):
         payload = star_name(a2, "s1", "s2").to_json_obj()
         assert any(entry["coeff"]["q"] == [1, 0, 0] for entry in payload)
+
+
+class TestElementIds:
+    """Both rings refuse a class on an id outside ``FW.elements``: a negative id
+    would read the tables from the end, and a large one past them."""
+
+    BAD = [-1, 6, True, 1.0]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_quantum_ring_refuses(self, bad):
+        ring = QuantumAff("A", 2)  # a fresh ring: a refusal keeps nothing in its memos
+        s1, s2 = ring.basis_simple(1), ring.basis_simple(2)
+        wrong = ring.basis(bad)
+        calls = [lambda: ring.star(wrong, s1), lambda: ring.star(s1, wrong),
+                 lambda: ring.star(wrong.scale(2), s1), lambda: ring.star(s1 + s2, wrong),
+                 lambda: ring.lift_apply(bad, s1), lambda: ring.lift_apply(ring.FW.gens[0], wrong),
+                 lambda: ring.lambda_bar(1, wrong), lambda: ring.poincare_pairing(wrong, s1)]
+        for call in calls:
+            with pytest.raises(ValueError, match="is not an element id of A2"):
+                call()
+        ids = [w for key in [*ring._lift_img, *ring._lambda_img] for w in key]
+        assert all(w in ring.FW.elements for w in ids)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_ordinary_ring_refuses(self, bad):
+        ring = OrdinaryQH("A", 2)
+        wrong, s1 = ring.basis(bad), ring.basis(ring.FW.gens[0])
+        for call in [lambda: ring.star(wrong, s1), lambda: ring.star(s1, wrong),
+                     lambda: ring.chevalley(1, wrong)]:
+            with pytest.raises(ValueError, match="is not an element id of A2"):
+                call()

@@ -215,3 +215,43 @@ def test_every_local_is_read():
                        for name, line in _bound_here(fn)
                        if name not in read and not name.startswith("_")]
     assert not unread, "\n".join(sorted(set(unread)))
+
+
+# the module-level factories and caches keyed by a Lie label; the test below
+# must find each of them, so it cannot pass by matching nothing
+LABEL_CACHES = {"build_root_system", "affinize", "affine_weyl", "finite_weyl",
+                "finite_schubert", "chevalley_root_set", "quantum_aff", "ordinary_qh",
+                "affine_coh", "_relation_set"}
+
+
+def _lru_typed(decorator) -> bool | None:
+    """Whether an ``lru_cache`` decorator is ``typed=True``; None for any other."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return False
+    if name != "lru_cache":
+        return None
+    return any(kw.arg == "typed" and isinstance(kw.value, ast.Constant)
+               and kw.value.value is True for kw in (call.keywords if call else []))
+
+
+def test_label_keyed_caches_are_typed():
+    # An untyped cache keyed by (letter, rank) hands the entry of 2 to a rank of
+    # 2.0 or True, past the label check that runs only on a miss.
+    found, untyped = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            if [a.arg for a in node.args.args[:2]] != ["letter", "rank"]:
+                continue
+            for decorator in node.decorator_list:
+                typed = _lru_typed(decorator)
+                if typed is not None:
+                    found.add(node.name)
+                    if not typed:
+                        untyped.append(f"{path.name}:{node.lineno} {node.name}")
+    assert untyped == []
+    assert sorted(LABEL_CACHES - found) == []

@@ -3,9 +3,11 @@ from fractions import Fraction
 import pytest
 
 from bgg_oracle import PolynomialBGG
+from qaff import toda
 from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
 from qaff.quantum import quantum_aff
+from qaff.roots import build_root_system
 from qaff.toda import (
     RelationPoly,
     _q0_part,
@@ -266,6 +268,42 @@ class TestPresentation:
         rels, status = relations_for("C", 2)
         assert status == "full" and [rel.letter for rel in rels] == ["C", "C"]
         assert [rel.poly for rel in rels] == [rel.poly for rel in b2_relations()]
+
+
+class TestRelationCache:
+    def test_fresh_equal_list_on_every_call(self):
+        first, status = relations_for("A", 3)
+        second, again = relations_for("A", 3)
+        assert first == second and first is not second and status == again == "full"
+        first.clear()
+        assert relations_for("A", 3)[0] == second
+
+    def test_built_once_per_type(self, monkeypatch):
+        built = []
+        real = toda.typeA_relations
+
+        def counted(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(toda, "typeA_relations", counted)
+        toda._relation_set.cache_clear()
+        for _ in range(3):
+            relations_for("A", 2)
+            relations_for("A", 3)
+        assert built == [3, 4]
+
+    @pytest.mark.parametrize("letter,rank", [("B", 2.0), ("A", True), ("A", 1.5), ("A", 0),
+                                             ("A", "2"), ("H", 2), ("G", 3), ("a", 2)],
+                             ids=repr)
+    def test_refuses_a_pair_that_names_no_type(self, letter, rank):
+        held = toda._relation_set.cache_info().currsize
+        with pytest.raises(ValueError) as refused:
+            relations_for(letter, rank)
+        with pytest.raises(ValueError) as built:
+            build_root_system(letter, rank)
+        assert str(refused.value) == str(built.value)  # the one check of a Lie label
+        assert toda._relation_set.cache_info().currsize == held
 
 
 class TestGradedDimensions:

@@ -8,6 +8,7 @@ from cover_oracles import short_reflections
 from qaff.roots import affinize, build_root_system
 from qaff.weyl import (
     AffW,
+    FiniteWeyl,
     affine_weyl,
     finite_identity,
     finite_reflection,
@@ -56,6 +57,28 @@ def test_finite_parse_format_roundtrip():
         fw.parse("s3")
     with pytest.raises(ValueError):
         fw.parse("x1")
+
+
+def test_finite_parse_keeps_only_canonical_words():
+    fw = FiniteWeyl(build_root_system("A", 2))  # a fresh group, so its memo starts empty
+    w0 = fw.w0
+    assert fw.format(w0) == "s1s2s1"
+    assert fw.parse("s1s1") == fw.identity
+    assert fw.parse("s2s1s2") == w0
+    for text in (" s1", "1", "", "s1s2s1s2s2"):
+        fw.parse(text)
+    assert fw._parsed == {}  # no text above is the format of its element
+    assert fw.parse("s1s2s1") == w0 and fw._parsed == {"s1s2s1": w0}
+    for _ in range(3):
+        for w in fw.elements:
+            assert fw.parse(fw.format(w)) == w
+            assert fw.parse("".join(f"s{i + 1}" for i in fw.word[w]) + "s1s1") == w
+        assert fw._parsed == {fw.format(w): w for w in fw.elements}
+    for text in ("s3", "s0", "x1", "s1s"):
+        for _ in range(2):  # a refused text is never kept, so it is refused again
+            with pytest.raises(ValueError):
+                fw.parse(text)
+    assert len(fw._parsed) == len(fw)
 
 
 def _regex_word(text):
