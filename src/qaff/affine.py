@@ -33,7 +33,16 @@ quantum covers.  :class:`AffineCoh` builds the rows of an element once, from its
 Bruhat covers and the per-type Chevalley roots, and keeps them (``_rows``, one
 entry per element met).  Each row carries its cover's weights, one tuple per
 distinct coroot (``_weights``, bounded by the coroots of the covers met), so the
-sum reads a weight by index.
+sum reads a weight by index: entry ``i`` for ``lambda_i``, read through
+:meth:`~qaff.roots.AffineRootData.affine_index`, and entry ``n + i`` for
+``lambda_i - m_i lambda_0``, through :meth:`~qaff.roots.RootSystem.finite_index`.
+
+Each public method that reads the group first refuses an element id the group
+has not made (:meth:`~qaff.weyl.AffineWeylGroup.check_ids`, run by ``_guard``,
+``D_word`` and ``express_in_divisor_monomials``), and ``e1_pullback`` refuses a
+finite id (:meth:`~qaff.weyl.FiniteWeyl.check_ids`).  An id is an index into
+lists that grow as elements are met, so ``-1`` would name whichever element
+came last.
 """
 
 from __future__ import annotations
@@ -95,6 +104,9 @@ class AffineCoh(QModule):
         return Poly.monomial(self.nq, tuple(e), num)
 
     def _guard(self, a: QClass) -> None:
+        """Refuse a class on an id the group has not made, or with support at
+        length ``L`` or more."""
+        self.W.check_ids(a.terms)
         top = a.max_length() + 1
         if top > self.L:
             raise TruncationOverflow(top, self.L)
@@ -111,18 +123,6 @@ class AffineCoh(QModule):
             row = self._weights[coroot] = coroot + tuple(
                 pair(i, coroot) for i in range(1, self.n + 1))
         return row
-
-    def _column(self, i: int) -> int:
-        """The weight-row entry of ``lambda_i``, for an affine index i."""
-        if not 0 <= i <= self.n:
-            raise ValueError(f"operator needs an affine index in 0..{self.n}")
-        return i
-
-    def _level_zero_column(self, i: int) -> int:
-        """The weight-row entry of ``lambda_i - m_i lambda_0``, for a finite index i."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"modified operator needs a finite index in 1..{self.n}")
-        return self.n + i
 
     def _cover_rows(self, w: int) -> tuple[list, list]:
         """The covers out of ``w``, computed once per element and kept.
@@ -181,22 +181,23 @@ class AffineCoh(QModule):
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Affine divisor multiplication ``eps_i . a``."""
-        return self._cover_sum(a, self._column(i), False)
-
-    def D_letter(self, i: int, a: QClass) -> QClass:
-        out: dict[int, Poly] = {}
-        W = self.W
-        for w, c in a.terms.items():
-            u = W.rmul(w, i)
-            if W.length(u) < W.length(w):
-                out[u] = c  # w -> w s_i is injective, so no two terms meet
-        return self._make(out)
+        return self._cover_sum(a, self.ard.affine_index(i), False)
 
     def D_word(self, word: tuple[int, ...], a: QClass) -> QClass:
-        for i in reversed(word):
+        """``D_{i_1} ... D_{i_k}(a)``, rightmost letter first; the letters and the
+        support are checked once, and every later support is made by the group."""
+        W = self.W
+        W.check_ids(a.terms)
+        letters = [self.ard.affine_index(j) for j in word]
+        for i in reversed(letters):
             if a.is_zero():
                 break
-            a = self.D_letter(i, a)
+            out: dict[int, Poly] = {}
+            for w, c in a.terms.items():
+                u = W.rmul(w, i)
+                if W.length(u) < W.length(w):
+                    out[u] = c  # w -> w s_i is injective, so no two terms meet
+            a = self._make(out)
         return a
 
     # -- quantum Chevalley operators ------------------------------------------------
@@ -209,7 +210,7 @@ class AffineCoh(QModule):
         ``l(w s_alpha) = l(w) + 1 - 2 ht(alpha^vee)``, the quantum-cover length
         condition.
         """
-        return self._cover_sum(a, self._column(i), True)
+        return self._cover_sum(a, self.ard.affine_index(i), True)
 
     def lambda_op_by_words(self, i: int, a: QClass) -> QClass:
         """``Lambda_i`` as cup plus ``<lambda_i, alpha^vee> q^{alpha^vee} D_{s_alpha}``.
@@ -227,16 +228,17 @@ class AffineCoh(QModule):
 
     def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
-        return self._cover_sum(a, self._level_zero_column(i), True)
+        return self._cover_sum(a, self.n + self.ard.rs.finite_index(i), True)
 
     # -- pullback along evaluation at the base point ---------------------------------
 
     def divisor_pullback(self, i: int, a: QClass) -> QClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
-        return self._cover_sum(a, self._level_zero_column(i), False)
+        return self._cover_sum(a, self.n + self.ard.rs.finite_index(i), False)
 
     def e1_pullback(self, a: FinCohClass) -> QClass:
         """The ring map ``sigma_i -> eps_i - m_i eps_0`` on a finite class."""
+        self.fs.W.check_ids(a)
         out = self.zero()
         for w, c in a.items():
             out = out + self._e1_basis(w).scale(c)
@@ -274,6 +276,7 @@ class AffineCoh(QModule):
 
         Raises ValueError when some layer lies outside the divisor span.
         """
+        self.W.check_ids(a.terms)
         # split into (q-exponent, length) layers of plain rational classes
         layers: dict[tuple[tuple[int, ...], int], dict[int, Fraction]] = {}
         for w, poly in a.terms.items():

@@ -85,7 +85,7 @@ class FiniteSchubert:
         len(w s_alpha) = len(w) + 1 of <omega_i, alpha^vee> sigma_{w s_alpha},
         and <omega_i, alpha^vee> is the i-th coordinate of alpha^vee.
         """
-        return self._chevalley_rule(self._omega_coeffs[i - 1], a)
+        return self._chevalley_rule(self._omega_coeffs[self.rs.finite_index(i) - 1], a)
 
     # -- the pi map on nil-Coxeter words -----------------------------------------
 

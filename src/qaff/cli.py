@@ -104,23 +104,15 @@ def print_json(obj, indent: bool = True) -> None:
 # -- JSON serialization of classes ------------------------------------------------
 
 
-def affine_class_json(calc: AffineCoh, a: QClass, lie_type: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": lie_type,
-        "basis": "eps",
-        "trunc": calc.L,
-        "terms": a.to_json_obj(),
-    }
-
-
-def quantum_class_json(a: QClass, lie_type: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "type": lie_type,
-        "basis": "sigma",
-        "terms": a.to_json_obj(),
-    }
+def class_json(a: QClass, lie_type: str, trunc: int | None = None) -> dict:
+    """The record of one class: a class of ``QH*_aff(G/B)`` (``product``) on the
+    ``sigma`` basis, or, given its truncation, an affine class (``lambda``,
+    ``qsharp``) on the ``eps`` basis."""
+    record = {"schema_version": SCHEMA_VERSION, "type": lie_type, "basis": "sigma"}
+    if trunc is not None:
+        record.update(basis="eps", trunc=trunc)  # "basis" keeps its place
+    record["terms"] = a.to_json_obj()
+    return record
 
 
 def _latex_poly(p: Poly, qnames: list[str]) -> str:
@@ -218,7 +210,7 @@ def cmd_lambda(args, letter: str, rank: int) -> int:
     a = calc.basis(w)
     out = (calc.modified_lambda if args.modified else calc.lambda_op)(args.i, a)
     if args.format == "json":
-        print_json(affine_class_json(calc, out, f"{letter}{rank}"))
+        print_json(class_json(out, f"{letter}{rank}", calc.L))
     else:
         print(calc.format_class(out))
     return 0
@@ -230,7 +222,7 @@ def cmd_product(args, letter: str, rank: int) -> int:
     v = ring.FW.parse(args.v)
     out = ring.star(ring.basis(u), ring.basis(v))
     if args.format == "json":
-        print_json(quantum_class_json(out, f"{letter}{rank}"))
+        print_json(class_json(out, f"{letter}{rank}"))
     elif args.format == "latex":
         print(_latex_class(ring, out))
     else:
@@ -283,7 +275,7 @@ def cmd_qsharp(args, letter: str, rank: int) -> int:
     v = calc.W.parse(args.v)
     out = calc.qsharp_product(calc.basis(u), calc.basis(v))
     if args.format == "json":
-        print_json(affine_class_json(calc, out, f"{letter}{rank}"))
+        print_json(class_json(out, f"{letter}{rank}", calc.L))
     else:
         print(calc.format_class(out))
     return 0

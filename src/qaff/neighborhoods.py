@@ -30,7 +30,8 @@ once per ``(W, b)``.  Every simple coroot is a unit vector, so a degree ``d``
 fills exactly the ``prod(d_i + 1)`` budgets ``b <= d``; they are filled in
 lexicographic order, which puts every ``b - alpha^vee`` before ``b`` and keeps
 the recursion one call deep.  Every entry point refuses a degree that is not
-``n + 1`` non-negative ints.
+``n + 1`` non-negative ints, and an element id the group has not made
+(:meth:`~qaff.weyl.AffineWeylGroup.check_ids`).
 
 ``bruhat_maximal``, which both routes end in, takes the elements by
 decreasing length and tests each only against the maxima found so far.  That
@@ -178,12 +179,14 @@ def z_components(W: AffineWeylGroup, d: CorootVec) -> list[int]:
 
 def curve_neighborhood(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
     """Components of the degree-d neighborhood of X(u), via Hecke products."""
+    W.check_ids((u,))
     hits = {W.hecke_product(u, z) for z in z_components(W, d)}
     return bruhat_maximal(W, hits)
 
 
 def neighborhood_by_search(W: AffineWeylGroup, u: int, d: CorootVec) -> list[int]:
     """Independent oracle: walk from every cell of X(u), then take maxima."""
+    W.check_ids((u,))
     d = _degree(W, d)
     lu = W.length(u)
     layers = W.enumerate_up_to(lu)
@@ -200,11 +203,8 @@ def gw_invariant(W: AffineWeylGroup, i: int, u: int, w: int, d: CorootVec) -> in
     the degree-d neighborhood of X(w).
     """
     d = _degree(W, d)
-    if not 0 <= i <= W.n:
-        raise ValueError(f"weight index {i} is not in 0..{W.n}")
-    if W.length(u) + 1 != W.length(w) + 2 * coroot_ht(d):
+    k = W.ard.weight_pairing(i, d)
+    W.check_ids((u, w))
+    if not k or W.length(u) + 1 != W.length(w) + 2 * coroot_ht(d):
         return 0
-    comps = curve_neighborhood(W, w, d)
-    if u not in comps:
-        return 0
-    return W.ard.weight_pairing(i, d)
+    return k if u in curve_neighborhood(W, w, d) else 0

@@ -78,15 +78,6 @@ class FiniteQRing(QModule):
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
                          self.FW.identity, nq)
 
-    def _check_ids(self, ids) -> None:
-        """Refuse an element id outside ``FW.elements``: a negative one would read the
-        tables from the end, and a large one past it."""
-        size = len(self.FW)
-        for w in ids:
-            if w.__class__ is not int or not 0 <= w < size:
-                raise ValueError(f"{w!r} is not an element id of {self.rs.lie_type}: "
-                                 f"ids run 0..{size - 1}")
-
     def multiplication_table(self) -> dict[tuple[int, int], QClass]:
         """All ordered products; computed on unordered pairs and mirrored.  See
         :func:`check_table_cap` for a guard that runs before W is enumerated."""
@@ -148,7 +139,7 @@ class QuantumAff(FiniteQRing):
 
     def _packed(self, a: QClass) -> list:
         """The packed row of an input class, built once per call."""
-        self._check_ids(a.terms)
+        self.FW.check_ids(a.terms)
         keys = self._keys
         return [(w, [(keys[e], c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
 
@@ -195,7 +186,7 @@ class QuantumAff(FiniteQRing):
         if len(a.terms) == 1:
             for w, p in a.terms.items():
                 if p.terms == self._unit_coef:
-                    self._check_ids((w,))
+                    self.FW.check_ids((w,))
                     return w
         return None
 
@@ -224,8 +215,7 @@ class QuantumAff(FiniteQRing):
 
     def lambda_bar(self, i: int, a: QClass) -> QClass:
         """Quantum Chevalley operator for the finite index i (1..n)."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"lambda_bar takes a finite index 1..{self.n}, not {i!r}")
+        self.rs.finite_index(i)
         return self._rows(a, lambda w: self._lambda_basis(i, w))
 
     def lambda_eval(self, terms) -> QClass:
@@ -243,7 +233,7 @@ class QuantumAff(FiniteQRing):
                 if len(word) > 2 * self._cap:
                     raise ValueError(f"lambda_bar word {word} is longer than 2 l(w0)")
                 acc: dict = {}
-                self._add_lambda(acc, word[0], 1, image(word[1:]))
+                self._add_lambda(acc, self.rs.finite_index(word[0]), 1, image(word[1:]))
                 row = memo[word] = self._row(acc, 1)
             return row
 
@@ -319,7 +309,7 @@ class QuantumAff(FiniteQRing):
 
     def lift_apply(self, w: int, b: QClass) -> QClass:
         """``L_w(b)``; by construction ``L_w(1) = sigma_w`` exactly."""
-        self._check_ids((w,))
+        self.FW.check_ids((w,))
         return self._rows(b, lambda v: self._lift_apply_basis(w, v))
 
     # -- the product -------------------------------------------------------------
@@ -344,7 +334,7 @@ class QuantumAff(FiniteQRing):
 
     def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
         """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
-        self._check_ids([*a.terms, *b.terms])
+        self.FW.check_ids([*a.terms, *b.terms])
         total = Poly.zero(self.nq)
         FW = self.FW
         for u, c in a.terms.items():
@@ -354,7 +344,7 @@ class QuantumAff(FiniteQRing):
         return total
 
     def basis_simple(self, i: int) -> QClass:
-        return self.basis(self.FW.gens[i - 1])
+        return self.basis(self.FW.gens[self.rs.finite_index(i) - 1])
 
     # -- q0 := 0 and the ordinary-quantum cross-check ---------------------------------
 
@@ -420,8 +410,8 @@ class OrdinaryQH(FiniteQRing):
 
     def chevalley(self, i: int, a: QClass) -> QClass:
         """Full quantum Chevalley multiplication by sigma_i: the classical
-        terms of :meth:`chevalley_classical` plus the quantum-root terms."""
-        self._check_ids(a.terms)
+        terms of :meth:`chevalley_classical`, which checks ``i`` and the support,
+        plus the quantum-root terms."""
         out = dict(self.chevalley_classical(i, a).terms)
         for w, c in a.terms.items():
             x, lw = self.FW.element(w), self.FW.length[w]
@@ -439,6 +429,9 @@ class OrdinaryQH(FiniteQRing):
         return self._make(out)
 
     def chevalley_classical(self, i: int, a: QClass) -> QClass:
+        """The classical terms: the Bruhat covers weighted by ``<omega_i, alpha^vee>``."""
+        self.rs.finite_index(i)
+        self.FW.check_ids(a.terms)
         out: dict[int, Poly] = {}
         for w, c in a.terms.items():
             x, lw = self.FW.element(w), self.FW.length[w]
@@ -498,7 +491,7 @@ class OrdinaryQH(FiniteQRing):
         return self._lift_img[key]
 
     def star(self, a: QClass, b: QClass) -> QClass:
-        self._check_ids([*a.terms, *b.terms])
+        self.FW.check_ids([*a.terms, *b.terms])
         out = self.zero()
         for u, c in a.terms.items():
             for v, d in b.terms.items():

@@ -4,6 +4,9 @@ Conventions, fixed once and used everywhere downstream:
 
 * ``cartan[i][j]`` is the pairing ``<alpha_j, alpha_i^vee>`` (0-indexed simple
   roots; users see 1-indexed labels, with 0 reserved for the affine node).
+* A user's index has one owner per range: :meth:`RootSystem.finite_index`
+  (``1..n``) and :meth:`AffineRootData.affine_index` (``0..n``).  Every
+  reader of an operator or weight index calls one of them first.
 * Finite roots are integer coordinate vectors in the simple-root basis;
   coroots are integer vectors in the simple-coroot basis.
 * The invariant form is normalized so the highest root theta has
@@ -251,6 +254,15 @@ class RootSystem:
     def num_positive(self) -> int:
         return len(self.positive_roots)
 
+    def finite_index(self, i: int) -> int:
+        """``i`` itself, refused unless it is an ``int`` in ``1..rank``: the one check
+        of a finite operator or weight index (``lambda_bar_i``, ``sigma_i``,
+        ``lambda_i - m_i lambda_0``).  A bool or float is refused, and so is ``0``,
+        which a 0-indexed table read would take for ``rank``."""
+        if i.__class__ is not int or not 1 <= i <= self.rank:
+            raise ValueError(f"finite index {i!r} is not in 1..{self.rank}")
+        return i
+
     def simple_root(self, i: int) -> Vec:
         """The i-th simple root, 1-indexed."""
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
@@ -408,6 +420,15 @@ class AffineRootData:
         # the real positive roots of level k as (height, finite, alpha, alpha^vee), built on demand
         self._levels: list[list[tuple[int, Vec, AffineRoot, CorootVec]]] = []
 
+    def affine_index(self, i: int) -> int:
+        """``i`` itself, refused unless it is an ``int`` in ``0..n``: the one check of
+        an affine operator or weight index (``Lambda_i``, ``eps_i``, ``lambda_i``).
+        A bool or float is refused, and so is ``-1``, which a tuple read would take
+        for ``n``."""
+        if i.__class__ is not int or not 0 <= i <= self.n:
+            raise ValueError(f"affine index {i!r} is not in 0..{self.n}")
+        return i
+
     def simple_root(self, i: int) -> AffineRoot:
         if i == 0:
             return AffineRoot(1, tuple(-x for x in self.rs.theta))
@@ -440,13 +461,11 @@ class AffineRootData:
 
     def weight_pairing(self, i: int, v: CorootVec) -> int:
         """``<lambda_i, v>`` for the i-th fundamental weight of the affine datum."""
-        return v[i]
+        return v[self.affine_index(i)]
 
     def level_zero_weight_pairing(self, i: int, v: CorootVec) -> int:
         """``<lambda_i - m_i lambda_0, v>`` — the embedded finite fundamental weight."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"level-zero weight index {i} is not in 1..{self.n}")
-        return v[i] - self.rs.theta_coroot[i - 1] * v[0]
+        return v[self.rs.finite_index(i)] - self.rs.theta_coroot[i - 1] * v[0]
 
     def reflect(self, alpha: AffineRoot, mu: AffineRoot) -> AffineRoot:
         """``s_alpha(mu)`` for a real affine root alpha."""

@@ -186,6 +186,16 @@ class AffineWeylGroup:
             self._rmul.append(None)
         return w
 
+    def check_ids(self, ids) -> None:
+        """Refuse an element id this group has not made: a negative one would read
+        the tables from the end, a large one past it, and either names a
+        different element as the group grows."""
+        size = len(self.perm)
+        for w in ids:
+            if w.__class__ is not int or not 0 <= w < size:
+                raise ValueError(f"{w!r} is not an element id of affine {self.rs.lie_type}: "
+                                 f"ids run 0..{size - 1}")
+
     def element(self, w: int) -> AffW:
         return AffW(FinW(self.perm[w], self.table), self.trans[w])
 
@@ -481,6 +491,15 @@ class FiniteWeyl:
 
     def __len__(self) -> int:
         return len(self.perm)
+
+    def check_ids(self, ids) -> None:
+        """Refuse an element id outside ``elements``: a negative one would read the
+        tables from the end, and a large one past it."""
+        size = len(self.perm)
+        for w in ids:
+            if w.__class__ is not int or not 0 <= w < size:
+                raise ValueError(f"{w!r} is not an element id of {self.rs.lie_type}: "
+                                 f"ids run 0..{size - 1}")
 
     def element(self, w: int) -> FinW:
         return FinW(self.perm[w], self.rs.table)

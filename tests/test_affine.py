@@ -11,8 +11,10 @@ from divisor_lift import e1_by_divisors
 
 from qaff.affine import AffineCoh, TruncationOverflow, affine_coh, default_truncation
 from qaff.bgg import finite_schubert
+from qaff.neighborhoods import curve_neighborhood, gw_invariant, neighborhood_by_search
 from qaff.polynomials import Poly
-from qaff.weyl import affine_weyl
+from qaff.roots import affinize
+from qaff.weyl import AffineWeylGroup, affine_weyl
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +330,41 @@ class TestTruncationGuard:
         H = affine_coh("A", 1, 4)
         img = H.chevalley(1, B(H, "s0s1"))
         assert not img.is_zero()
+
+
+class TestElementIds:
+    """Every entry point that reads the affine group refuses an id the group has not
+    made.  Ids index lists that grow as elements are met, so ``-1`` would name
+    whichever element came last, and a different one after the next is met."""
+
+    BAD = [-1, 10**6, True, 1.0]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_affine_entry_points_refuse(self, bad):
+        H = AffineCoh(AffineWeylGroup(affinize("A", 2)))  # fresh memos
+        W = H.W
+        W.parse("s0s1")  # the element -1 once named
+        wrong, e, d = H.basis(bad), H.unit(), (1, 0, 0)
+        calls = [lambda: H.chevalley(1, wrong), lambda: H.lambda_op(1, wrong),
+                 lambda: H.lambda_op(1, e + wrong), lambda: H.lambda_op_by_words(1, wrong),
+                 lambda: H.modified_lambda(1, wrong), lambda: H.divisor_pullback(1, wrong),
+                 lambda: H.D_word((0,), wrong), lambda: H.express_in_divisor_monomials(wrong),
+                 lambda: H.qsharp_product(wrong, e), lambda: H.qsharp_product(e, wrong),
+                 lambda: curve_neighborhood(W, bad, d), lambda: neighborhood_by_search(W, bad, d),
+                 lambda: gw_invariant(W, 1, bad, W.identity, d),
+                 lambda: gw_invariant(W, 1, W.simple(0), bad, d)]
+        for call in calls:
+            with pytest.raises(ValueError, match="is not an element id of affine A2: ids run 0.."):
+                call()
+        for memo in (H._rows, W._covers_memo, W._word_memo):
+            assert all(w.__class__ is int and 0 <= w < len(W.perm) for w in memo)
+
+    @pytest.mark.parametrize("bad", [-1, 6, True, 1.0], ids=repr)
+    def test_e1_pullback_refuses_a_finite_id(self, bad):
+        H = AffineCoh(AffineWeylGroup(affinize("A", 2)), L=4)
+        with pytest.raises(ValueError, match="is not an element id of A2: ids run 0..5"):
+            H.e1_pullback({bad: 1})
+        assert H._e1_cache == {}
 
 
 class TestSerialization:

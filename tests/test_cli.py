@@ -111,8 +111,8 @@ class TestLambda:
     @pytest.mark.parametrize("flags,span", [([], "0..2"), (["--modified"], "1..2")])
     def test_index_out_of_range(self, capsys, flags, span):
         code, out, err = run(capsys, "lambda", "--type", "A2", "--i", "3", "--w", "s1", *flags)
-        owner = "modified operator needs a finite" if flags else "operator needs an affine"
-        assert (code, out, err) == (2, "", f"error: {owner} index in {span}\n")
+        owner = "finite" if flags else "affine"
+        assert (code, out, err) == (2, "", f"error: {owner} index 3 is not in {span}\n")
 
 
 class TestProduct:
@@ -354,11 +354,11 @@ REFUSALS = {
     "gw-d-wrong-length": (["gw", "--type", "A2", "--i", "1", "--u", "s0", "--w", "e", "--d", "1,0"],
                           "error: a degree is 3 non-negative ints (d0..d2), got (1, 0)"),
     "lambda-i": (["lambda", "--type", "A2", "--i", "-1", "--w", "s1"],
-                 "error: operator needs an affine index in 0..2"),
+                 "error: affine index -1 is not in 0..2"),
     "lambda-modified-i": (["lambda", "--type", "A2", "--i", "-1", "--w", "s1", "--modified"],
-                          "error: modified operator needs a finite index in 1..2"),
+                          "error: finite index -1 is not in 1..2"),
     "gw-i": (["gw", "--type", "A2", "--i", "3", "--u", "s0", "--w", "e", "--d", "1,0,0"],
-             "error: weight index 3 is not in 0..2"),
+             "error: affine index 3 is not in 0..2"),
     "product-letter": (["product", "--type", "A2", "--u", "s1s3", "--v", "e"],
                        "error: generator index 3 is not in 1..2"),
     "lambda-letter": (["lambda", "--type", "A2", "--i", "0", "--w", "s0s3"],

@@ -49,7 +49,7 @@ def test_degree_may_be_any_sequence_of_ints():
 def test_gw_invariant_refuses_a_weight_index_out_of_range():
     W = affine_weyl("A", 3)
     for i in (-1, 4):
-        with pytest.raises(ValueError, match=r"weight index .* is not in 0..3"):
+        with pytest.raises(ValueError, match=rf"^affine index {i} is not in 0\.\.3$"):
             gw_invariant(W, i, W.simple(0), W.identity, (1, 0, 0, 0))
 
 

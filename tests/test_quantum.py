@@ -310,7 +310,7 @@ class TestOrdinaryEngine:
 class TestInterfaces:
     def test_lambda_bar_rejects_bad_index(self, a2):
         for i in (0, 3):
-            with pytest.raises(ValueError, match=r"finite index 1\.\.2, not "):
+            with pytest.raises(ValueError, match=rf"^finite index {i} is not in 1\.\.2$"):
                 a2.lambda_bar(i, a2.unit())
 
     def test_format_class_names_variables(self, a2):
@@ -362,6 +362,6 @@ class TestElementIds:
         ring = OrdinaryQH("A", 2)
         wrong, s1 = ring.basis(bad), ring.basis(ring.FW.gens[0])
         for call in [lambda: ring.star(wrong, s1), lambda: ring.star(s1, wrong),
-                     lambda: ring.chevalley(1, wrong)]:
+                     lambda: ring.chevalley(1, wrong), lambda: ring.chevalley_classical(1, wrong)]:
             with pytest.raises(ValueError, match="is not an element id of A2"):
                 call()

@@ -220,7 +220,7 @@ class TestAffineLayer:
     def test_level_zero_weight_index_out_of_range(self, i):
         # -1 once read another weight's pairing (2 here) and 3 raised IndexError
         ard = affinize("A", 2)
-        with pytest.raises(ValueError, match=rf"^level-zero weight index {i} is not in 1..2$"):
+        with pytest.raises(ValueError, match=rf"^finite index {i} is not in 1\.\.2$"):
             ard.level_zero_weight_pairing(i, (1, 2, 3))
 
     def test_reflect_preserves_roots(self):

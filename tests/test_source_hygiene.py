@@ -5,6 +5,7 @@ import doctest
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -255,3 +256,40 @@ def test_label_keyed_caches_are_typed():
                         untyped.append(f"{path.name}:{node.lineno} {node.name}")
     assert untyped == []
     assert sorted(LABEL_CACHES - found) == []
+
+
+# the one owner of each index rule and of each group's element ids, as (file, function)
+INDEX_OWNERS = [("roots.py", "affine_index"), ("roots.py", "finite_index"),
+                ("weyl.py", "_parse_word"), ("weyl.py", "check_ids"), ("weyl.py", "check_ids")]
+
+
+def _raises(node: ast.AST, owner: str | None):
+    """``(owner, raise)`` per raise statement; the owner is the innermost function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Raise):
+        yield owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _raises(child, owner)
+
+
+def _value_error_text(node: ast.Raise) -> str | None:
+    """The literal text of a ``raise ValueError(...)`` message, f-string parts
+    included; None for any other raise."""
+    exc = node.exc
+    if not (isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "ValueError"):
+        return None
+    return "".join(n.value for arg in exc.args for n in ast.walk(arg)
+                   if isinstance(n, ast.Constant) and isinstance(n.value, str))
+
+
+def test_index_and_id_refusals_have_one_owner_each():
+    # An operator that checks its own index or ids grows a second copy of a rule,
+    # with its own message and its own gaps (a bool, a float, 0 read as n).
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _raises(ast.parse(path.read_text(encoding="utf-8")), None):
+            text = _value_error_text(node)
+            if text is not None and re.search(r"\bindex\b|element id", text, re.IGNORECASE):
+                found.append((path.name, owner))
+    assert sorted(found) == INDEX_OWNERS
