@@ -218,29 +218,31 @@ class QuantumAff(FiniteQRing):
         self.rs.finite_index(i)
         return self._rows(a, lambda w: self._lambda_basis(i, w))
 
-    def lambda_eval(self, terms) -> QClass:
-        """``sum c q^e lambda_bar_{word}(1)`` over the ``(e, c, word)`` of ``terms``.
+    def evaluate(self, poly: Poly) -> QClass:
+        """``poly`` in ``q_0..q_n, x_1..x_n`` at ``x_i = lambda_bar_i``, applied to 1.  Another
+        arity is refused, and so is an x-degree above ``2 l(w0)``, the packing's bound."""
+        nq, n, keys = self.nq, self.n, self._keys
+        if poly.nvars != nq + n:
+            raise ValueError(f"q0..q{n}, x1..x{n} are {nq + n} variables, not {poly.nvars}")
+        if (d := max((sum(e[nq:]) for e in poly.terms), default=0)) > 2 * self._cap:
+            raise ValueError(f"x-degree {d} is above 2 l(w0) = {2 * self._cap}")
+        return self._to_class(self._horner(
+            [(e[nq:], keys[e[:nq]], c) for e, c in poly.terms.items()]))
 
-        Word images are memoized by suffix for this call only, so each new word costs
-        one ``lambda_bar`` step.  A word longer than ``2 l(w0)`` is refused: its image
-        could hold an exponent entry beyond ``l(w0)``.
-        """
-        memo = {(): [(self.FW.identity << self._shift, 1)]}
-
-        def image(word):
-            row = memo.get(word)
-            if row is None:
-                if len(word) > 2 * self._cap:
-                    raise ValueError(f"lambda_bar word {word} is longer than 2 l(w0)")
-                acc: dict = {}
-                self._add_lambda(acc, self.rs.finite_index(word[0]), 1, image(word[1:]))
-                row = memo[word] = self._row(acc, 1)
-            return row
-
-        coefs: dict = {}  # word -> [(packed e, c)]: one coefficient per word
-        for e, c, word in terms:
-            coefs.setdefault(word, []).append((self._keys[tuple(e)], c))
-        return self._sum_rows((coef, image(word)) for word, coef in coefs.items())
+    def _horner(self, terms: list) -> list:
+        """The row of ``Phi(P) = P_0 sigma_e + sum_i lambda_bar_i(Phi(P_i))`` for the
+        ``(x-exponent, packed e, c)`` terms of ``P``: ``P_i`` holds those whose smallest
+        letter is ``i``, with one ``x_i`` taken out, so that letter is applied last."""
+        acc, parts, unit = {}, {}, self.FW.identity << self._shift
+        for x, e, c in terms:
+            i = next((i for i, a in enumerate(x) if a), None)
+            if i is None:
+                acc[unit | e] = acc.get(unit | e, 0) + c
+            else:
+                parts.setdefault(i, []).append((x[:i] + (x[i] - 1,) + x[i + 1:], e, c))
+        for i, part in parts.items():
+            self._add_lambda(acc, i + 1, 1, self._horner(part))
+        return self._row(acc, 1)
 
     # -- operator lifting (graded Nakayama recursion) ----------------------------------
 

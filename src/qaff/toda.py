@@ -177,15 +177,12 @@ def quadratic_relation(letter: str, rank: int) -> RelationPoly:
 
 
 def phi_evaluate(rel: RelationPoly, ring: QuantumAff | None = None) -> QClass:
-    """Substitute x_i -> sigma_i, products via the affine quantum product: the
-    images of the x-monomials, as words in the ``lambda_bar`` applied to 1, are
-    summed in one table."""
+    """Phi(rel), by :meth:`QuantumAff.evaluate`; a ring of another type is refused."""
     if ring is None:
         ring = quantum_aff(rel.letter, rel.rank)
-    rank = rel.rank
-    return ring.lambda_eval(
-        (e[: rank + 1], c, tuple(i + 1 for i, a in enumerate(e[rank + 1 :]) for _ in range(a)))
-        for e, c in rel.poly.terms.items())
+    elif (ring.rs.letter, ring.n) != (rel.letter, rel.rank):
+        raise ValueError(f"a relation of {rel.letter}{rel.rank} in the ring of {ring.rs.lie_type}")
+    return ring.evaluate(rel.poly)
 
 
 def verify_relation(rel: RelationPoly, ring: QuantumAff | None = None) -> bool:

@@ -205,7 +205,7 @@ class AffineWeylGroup:
     # -- group structure -----------------------------------------------------
 
     def simple(self, i: int) -> int:
-        return self._simple[i]
+        return self._simple[self.ard.affine_index(i)]
 
     def multiply(self, a: int, b: int) -> int:
         """``(v1, l1) (v2, l2) = (v1 v2, v2^{-1}(l1) + l2)``."""
@@ -297,7 +297,7 @@ class AffineWeylGroup:
     def from_word(self, word: list[int] | tuple[int, ...]) -> int:
         w = self.identity
         for i in word:
-            w = self.rmul(w, i)
+            w = self.rmul(w, self.ard.affine_index(i))
         return w
 
     # -- Bruhat order ------------------------------------------------------------

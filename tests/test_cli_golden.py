@@ -12,9 +12,11 @@ step per element, the next 16 (``curve-nbhd`` in every output form,
 cover scan moved to a short-reflection table and per-element cover rows, and
 the next 4 (``relations`` on A5 and A6, ``present`` on A4 and A5) before the
 type-A Toda integrals moved from the Lax determinant to the continuant of the
-periodic chain, and the last 2 (``w0 * w0`` on D4 and C4, with ``w0`` as its
+periodic chain, the next 2 (``w0 * w0`` on D4 and C4, with ``w0`` as its
 printed reduced word) before the Monk step moved to its sparsest columns and
-the lift to one accumulation loop.  The three ``--format dot`` calls were recorded again when the
+the lift to one accumulation loop, and the last 3 (``relations --verify`` on
+A6, ``present`` on G2 and ``verify`` of the B2 Toda and quadratic relations)
+before Phi moved from one image per lambda_bar word to Horner's rule.  The three ``--format dot`` calls were recorded again when the
 slice's edges came to follow the root-table index instead of a hash set's
 order; each kept the same lines, in a new order.  So it pins the rule that a speed-up or refactor
 leaves CLI output unchanged.
@@ -86,6 +88,9 @@ CALLS = [
      "--v", "s1s2s1s3s2s1s4s2s1s3s2s4"],
     ["product", "--type", "C4", "--u", "s1s2s1s3s2s1s4s3s2s1s4s3s2s4s3s4",
      "--v", "s1s2s1s3s2s1s4s3s2s1s4s3s2s4s3s4"],
+    ["relations", "--type", "A6", "--verify"],
+    ["present", "--type", "G2"],
+    ["verify", "--type", "B2", "--suite", "toda", "--suite", "quadratic"],
 ]
 
 

@@ -66,15 +66,15 @@ READERS = {
     "OrdinaryQH.chevalley_classical": (
         "finite", fresh_ordinary, lambda R, i: R.chevalley_classical(i, R.basis(1))),
     "OrdinaryQH.chevalley": ("finite", fresh_ordinary, lambda R, i: R.chevalley(i, R.basis(1))),
-    # q0 lambda_bar_i(1): the ring packed q0 when it was built, so a refusal packs nothing
-    "QuantumAff.lambda_eval": (
-        "finite", fresh_quantum, lambda R, i: R.lambda_eval([((1, 0, 0), 1, (i,))])),
     "QuantumAff.basis_simple": ("finite", fresh_quantum, lambda R, i: R.basis_simple(i)),
     "FiniteSchubert.chevalley_cup": (
         "finite", fresh_schubert, lambda fs, i: fs.chevalley_cup(i, {0: 1})),
     "AffineRootData.weight_pairing": (
         "affine", fresh_datum, lambda ard, i: ard.weight_pairing(i, (1, 2, 3))),
     "AffineCoh.D_word": ("affine", fresh_affine, lambda H, i: H.D_word((i,), H.basis(1))),
+    # the letters of the affine group: -1 read as n, True as 1, and n + 1 an IndexError
+    "AffineWeylGroup.simple": ("affine", fresh_group, lambda W, i: W.simple(i)),
+    "AffineWeylGroup.from_word": ("affine", fresh_group, lambda W, i: W.from_word([i])),
 }
 
 

@@ -7,8 +7,11 @@ int order is tuple order.  The tests pin the packing on every term the A3
 and B3 tables meet, the refusal of exponents it cannot hold, ``star`` lifting its
 shorter factor against the first-factor route ``lift_apply(u, sigma_v)``, the
 unpacked route of a lone ``sigma_w`` against the packed one,
-and ``phi_evaluate`` (one table, words memoized by suffix for one call)
-against the per-monomial route it replaced.
+and ``phi_evaluate`` against the per-monomial route: one ``lambda_bar`` chain
+from the unit per monomial, summed class by class.  ``phi_evaluate`` runs
+Horner's rule over the smallest x-letter on packed rows, with no word and no
+memo of its own, and refuses up front an x-degree above ``2 l(w0)`` or a
+polynomial of another arity.
 """
 
 from fractions import Fraction
@@ -16,13 +19,17 @@ from fractions import Fraction
 import pytest
 from class_sums import scale_and_add
 from divisor_lift import lambda_word
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaff.polynomials import Poly
 from qaff.quantum import QuantumAff, quantum_aff
 from qaff.toda import RelationPoly, phi_evaluate, quadratic_relation, relations_for
 
 LIFT_TYPES = [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)]
-PHI_TYPES = [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("G", 2)]
+# every relation set of A1-A6, B2, C2, B3 and G2; D4, B4, C4 and F4 have the quadratic one
+PHI_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("A", 6), ("B", 2), ("B", 3),
+             ("C", 2), ("G", 2), ("D", 4), ("B", 4), ("C", 4), ("F", 4)]
 
 
 def _ids(types):
@@ -87,13 +94,23 @@ def test_refuses_a_bad_exponent_after_a_good_one_was_packed():
 
 
 def test_refuses_a_word_longer_than_twice_the_top_length():
-    ring = quantum_aff("A", 1)  # l(w0) = 1
-    assert not ring.lambda_eval([((0, 0), 1, (1, 1))]).is_zero()
-    with pytest.raises(ValueError, match="longer than 2 l"):
-        ring.lambda_eval([((0, 0), 1, (1, 1, 1))])
-    cube = RelationPoly("A", 1, Poly.monomial(3, (0, 0, 3), 1), "X")
-    with pytest.raises(ValueError):
-        phi_evaluate(cube)
+    # the x-degree of a monomial is the length of its lambda_bar word
+    ring = QuantumAff("A", 1)  # l(w0) = 1, and a fresh ring, so its memos are its own
+    square = RelationPoly("A", 1, Poly.monomial(3, (0, 0, 2), 1), "X")
+    assert not phi_evaluate(square, ring).is_zero()
+    memos = (dict(ring._keys), dict(ring._lambda_img))
+    assert (1, 1) not in ring._keys
+    # each carries a q-exponent the ring has not packed yet: a refusal packs nothing
+    cube = Poly(3, {(0, 0, 3): 1, (1, 1, 0): 1})
+    wide = Poly(4, {(1, 1, 0, 0): 1})
+    for bad, match in [(cube, "x-degree 3 is above 2 l"), (wide, "are 3 variables, not 4")]:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                ring.evaluate(bad)
+            assert (dict(ring._keys), dict(ring._lambda_img)) == memos
+    with pytest.raises(ValueError, match="x-degree"):
+        phi_evaluate(RelationPoly("A", 1, cube, "X"), ring)
+    assert (dict(ring._keys), dict(ring._lambda_img)) == memos
 
 
 @pytest.mark.parametrize("letter,rank", LIFT_TYPES, ids=_ids(LIFT_TYPES))
@@ -183,4 +200,28 @@ def test_phi_matches_the_per_monomial_route(letter, rank):
         nonzero += not got.is_zero()
     assert all(phi_evaluate(rel, ring).is_zero() for rel in rels)
     assert nonzero > 0
-    assert set(vars(ring)) == attrs  # the word images live for one call only
+    assert set(vars(ring)) == attrs  # Phi keeps nothing on the ring
+
+
+def _relations(letter, rank):
+    """Polynomials of at most 6 terms in ``q_0..q_n, x_1..x_n``: x-degree at most 4,
+    q-degree at most 2.  A monomial is drawn as its multiset of variables."""
+    nq = rank + 1
+
+    def monomial(n, top):
+        return st.lists(st.integers(0, n - 1), max_size=top).map(
+            lambda vs: [vs.count(v) for v in range(n)])
+
+    coef = st.sampled_from([-3, -2, -1, 1, 2, 3, Fraction(-1, 2), Fraction(2, 3)])
+    term = st.tuples(monomial(nq, 2), monomial(rank, 4), coef)
+    return st.lists(term, max_size=6).map(
+        lambda ts: RelationPoly(letter, rank, Poly(nq + rank, {tuple(q + x): c for q, x, c in ts})))
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 2), ("B", 2), ("G", 2)], ids=["A2", "B2", "G2"])
+@settings(max_examples=40, deadline=2000)
+@given(data=st.data())
+def test_phi_of_any_polynomial_matches_the_per_monomial_route(letter, rank, data):
+    ring = quantum_aff(letter, rank)
+    rel = data.draw(_relations(letter, rank))
+    assert phi_evaluate(rel, ring) == _per_monomial_phi(rel, ring)

@@ -153,6 +153,18 @@ class TestPhi:
         with pytest.raises(ValueError):
             verify_relation(bad)
 
+    def test_refuses_a_ring_of_another_type(self):
+        # B3 answered a nonzero class for A3's H2, and A2 named the q-exponent packing
+        h2 = relations_for("A", 3)[0][1]
+        for ring in (quantum_aff("B", 3), quantum_aff("A", 2)):
+            msg = f"a relation of A3 in the ring of {ring.rs.lie_type}"
+            with pytest.raises(ValueError, match=msg):
+                phi_evaluate(h2, ring)
+            with pytest.raises(ValueError, match=msg):
+                verify_relation(h2, ring)
+        with pytest.raises(ValueError, match="a relation of C3 in the ring of B3"):
+            phi_evaluate(quadratic_relation("C", 3), quantum_aff("B", 3))
+
     def test_phi_of_x1_is_divisor(self):
         rel = RelationPoly("A", 2, poly_from(2, {(0, 0, 0, 1, 0): 1}), "x1")
         ring_img = phi_evaluate(rel)
