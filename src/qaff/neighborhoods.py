@@ -25,11 +25,12 @@ the degree-``(b - alpha^vee)`` neighborhood of ``X(s_alpha)``, whose maxima
 are, by the shortcut, those of ``s_alpha . Z(b - alpha^vee)``, and each of
 those is reached.  Every root with ``alpha^vee <= b`` is used: recursing
 through the maximal coroots alone drops components.  Each ``Z(b)`` is
-computed once per ``(W, b)`` and kept, and the moves of each budget are built
-once per ``(W, b)``.  Every simple coroot is a unit vector, so a degree ``d``
-fills exactly the ``prod(d_i + 1)`` budgets ``b <= d``; they are filled in
-lexicographic order, which puts every ``b - alpha^vee`` before ``b`` and keeps
-the recursion one call deep.  Every entry point refuses a degree that is not
+computed once per ``(W, b)`` and kept, the moves of each budget are built
+once per ``(W, b)``, and each Hecke product ``s_alpha . z`` once per pair.
+Every simple coroot is a unit vector, so a degree ``d`` fills exactly the
+``prod(d_i + 1)`` budgets ``b <= d``; they are filled in lexicographic order,
+which puts every ``b - alpha^vee`` before ``b`` and keeps the recursion one
+call deep.  Every entry point refuses a degree that is not
 ``n + 1`` non-negative ints, and an element id the group has not made
 (:meth:`~qaff.weyl.AffineWeylGroup.check_ids`).
 
@@ -152,11 +153,18 @@ def _degree(W: AffineWeylGroup, d) -> CorootVec:
 
 
 @lru_cache(maxsize=None)
+def _hecke(W: AffineWeylGroup, s: int, z: int) -> int:
+    """``s . z``, once per ``(W, s, z)``: the budgets below one degree meet the same
+    pairs again and again (29,128 products of 7,240 pairs for A3 ``(5, 5, 5, 5)``)."""
+    return W.hecke_product(s, z)
+
+
+@lru_cache(maxsize=None)
 def _z_budget(W: AffineWeylGroup, b: CorootVec) -> tuple[int, ...]:
     """``Z(b)`` by the recursion of the module docstring, once per ``(W, b)``."""
     hits = {W.identity}
     for s, c in _moves(W, b):
-        hits.update(W.hecke_product(s, z) for z in _z_budget(W, tuple(map(sub, b, c))))
+        hits.update(_hecke(W, s, z) for z in _z_budget(W, tuple(map(sub, b, c))))
     return tuple(bruhat_maximal(W, hits))
 
 

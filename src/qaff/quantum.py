@@ -25,9 +25,12 @@ Two engines live here, deliberately kept apart:
   and building each exponent tuple once per ring (``_exps``).  ``sigma_w`` is
   lifted by its classical Monk step ``(den, [(k, i, w')])``, and each term of a
   lift row adds ``k c q^e lambda_bar_i(sigma_u)`` straight into the table
-  (``_add_lambda``).  A lone ``sigma_w`` with coefficient 1 (``_lone``) is not
-  packed at all: ``star`` of two of them, ``lift_apply`` and ``lambda_bar`` on
-  one read the memo row and turn it into a class once, the answer itself.
+  (``_add_lambda``).  A row ``lambda_bar_i(sigma_w)`` skips every pi word longer
+  than ``l(w)``, since each letter lowers the degree by one, and walks a word with
+  no letter 0 along the generator columns instead of applying it letter by
+  letter.  A lone ``sigma_w`` with coefficient 1 (``_lone``) is not packed at
+  all: ``star`` of two of them, ``lift_apply`` and ``lambda_bar`` on one read
+  the memo row and turn it into a class once, the answer itself.
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -110,12 +113,19 @@ class QuantumAff(FiniteQRing):
         self._keys = _Memo(self._pack)  # exponent tuple -> packed, kept once it passed the check
         self._unit_coef = {(0,) * self.nq: 1}  # the terms of the coefficient 1
         self._exps = _Memo(self._unpack)  # packed exponent -> exponent tuple
-        # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
-        # of s_alpha) over the Chevalley roots alpha with a nonzero pairing
+        # per Chevalley root alpha: (alpha^vee, word of s_alpha, its generator columns
+        # rightmost first, or None if it has a letter 0); each letter is checked here, once,
+        # so the rows read the words unchecked
+        rmul, roots = self.FW.rmul, []
+        for cr in enumerate_chevalley_roots(W_aff):
+            word = tuple(map(self.ard.affine_index, cr.word))
+            roots.append((cr.coroot, word,
+                          None if 0 in word else [rmul[j - 1] for j in reversed(word)]))
+        # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word,
+        # columns) over the roots with a nonzero pairing
         self._quantum_terms = [
-            [(self._keys[tuple(cr.coroot)], k, cr.word)
-             for cr in enumerate_chevalley_roots(W_aff)
-             if (k := self.ard.level_zero_weight_pairing(i, cr.coroot))]
+            [(self._keys[tuple(c)], k, word, cols) for c, word, cols in roots
+             if (k := self.ard.level_zero_weight_pairing(i, c))]
             for i in range(1, rank + 1)
         ]
         self._lambda_img: dict[tuple[int, int], list] = {}
@@ -201,13 +211,29 @@ class QuantumAff(FiniteQRing):
     # -- the Chevalley operators ---------------------------------------------------
 
     def _lambda_basis(self, i: int, w: int) -> list:
-        """The row of ``lambda_bar_i(sigma_w)``."""
+        """The row of ``lambda_bar_i(sigma_w)``, for a checked ``w``.  Each letter of a
+        pi word lowers the degree by one, so a word longer than ``l(w)`` adds nothing and
+        is skipped.  A word with no letter 0 sends ``sigma_w`` to one ``sigma_u`` or to 0,
+        so it is walked along the generator columns, stopping at the first ascent."""
         row = self._lambda_img.get((i, w))
         if row is None:
-            S = self._shift
-            acc = {u << S: c for u, c in self.fs.chevalley_cup(i, {w: 1}).items()}
-            for e, k, word in self._quantum_terms[i - 1]:
-                for u, c in self.fs.pi_word(word, {w: 1}).items():
+            S, fs, length = self._shift, self.fs, self.FW.length
+            lw = length[w]
+            acc = {u << S: c for u, c in fs._cup(i, {w: 1}).items()}
+            for e, k, word, cols in self._quantum_terms[i - 1]:
+                if len(word) > lw:
+                    continue
+                if cols is None:
+                    img = fs._pi_word(word, {w: 1})
+                else:
+                    img, u = {}, w
+                    for col in cols:
+                        if length[v := col[u]] > length[u]:
+                            break
+                        u = v
+                    else:
+                        img = {u: 1}
+                for u, c in img.items():
                     key = u << S | e
                     acc[key] = acc.get(key, 0) + k * c
             row = self._lambda_img[(i, w)] = self._row(acc, 1)

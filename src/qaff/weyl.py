@@ -419,8 +419,12 @@ class AffineWeylGroup:
     # -- formatting --------------------------------------------------------------
 
     def parse(self, text: str) -> int:
-        """Parse ``"s0s2s1"`` (or ``"e"``) into an element; words need not be reduced."""
-        return self.from_word(_parse_word(text, 0, self.n))
+        """Parse ``"s0s2s1"`` (or ``"e"``) into an element; words need not be reduced.
+        ``_parse_word`` checks each letter, so none is checked again."""
+        w = self.identity
+        for i in _parse_word(text, 0, self.n):
+            w = self.rmul(w, i)
+        return w
 
     def format(self, w: int) -> str:
         word = self.reduced_word(w)
@@ -530,6 +534,16 @@ class FiniteWeyl:
                         row.append((u, b))
             self._covers[w] = row
         return row
+
+    def covered(self, w: int) -> list[int]:
+        """The ``v = w s_beta`` with ``len(v) = len(w) - 1``, in id order: ``w(beta) < 0``
+        for those, as in :meth:`covers`.  Not kept."""
+        p, npos, lv = self.perm[w], self.rs.num_positive, self.length[w] - 1
+        out = []
+        for b, refl in enumerate(self._refl):
+            if p[b] >= npos and self.length[v := self.index[refl(p)]] == lv:
+                out.append(v)
+        return sorted(out)
 
     def format(self, w: int) -> str:
         word = self.word[w]

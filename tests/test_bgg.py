@@ -111,7 +111,7 @@ class TestNilCoxeterArrow:
             "s1s2s1": {"s1s2": -1, "s2s1": -1},
         }
         for name, img in expected.items():
-            got = a2.pi_letter(0, {FW.parse(name): Fraction(1)})
+            got = a2.pi_word((0,), {FW.parse(name): Fraction(1)})
             want = {FW.parse(k): Fraction(v) for k, v in img.items()}
             assert classes_equal(got, want), name
 
@@ -121,14 +121,14 @@ class TestNilCoxeterArrow:
         FW = a2.W
         for i in (1, 2):
             for w in FW.elements:
-                img = a2.pi_letter(i, {w: Fraction(1)})
+                img = a2.pi_word((i,), {w: Fraction(1)})
                 for u in img:
                     assert FW.length[u] == FW.length[w] - 1
 
     def test_pi_word_composes(self, a2):
         FW = a2.W
         cls = {FW.w0: Fraction(1)}
-        step = a2.pi_letter(0, a2.pi_letter(1, cls))
+        step = a2.pi_word((0,), a2.pi_word((1,), cls))
         word = a2.pi_word((0, 1), cls)
         assert classes_equal(step, word)
 
@@ -136,7 +136,7 @@ class TestNilCoxeterArrow:
         FW = a2.W
         tm = a2.theta_matrix()
         for w in FW.elements:
-            got = a2.pi_letter(0, {w: Fraction(1)})
+            got = a2.pi_word((0,), {w: Fraction(1)})
             want = {u: -c for u, c in tm[w].items()}
             assert classes_equal(got, want)
 

@@ -14,9 +14,13 @@ the next 4 (``relations`` on A5 and A6, ``present`` on A4 and A5) before the
 type-A Toda integrals moved from the Lax determinant to the continuant of the
 periodic chain, the next 2 (``w0 * w0`` on D4 and C4, with ``w0`` as its
 printed reduced word) before the Monk step moved to its sparsest columns and
-the lift to one accumulation loop, and the last 3 (``relations --verify`` on
+the lift to one accumulation loop, the next 3 (``relations --verify`` on
 A6, ``present`` on G2 and ``verify`` of the B2 Toda and quadratic relations)
-before Phi moved from one image per lambda_bar word to Horner's rule.  The three ``--format dot`` calls were recorded again when the
+before Phi moved from one image per lambda_bar word to Horner's rule, and the
+last 3 (``product`` on F4 and A5, ``curve-nbhd`` on A3 at degree ``5,5,5,5``)
+before single-column Monk steps were read off the cover rows, long pi words
+were skipped in the lambda_bar rows and the Hecke products of ``Z(d)`` were
+memoized.  The three ``--format dot`` calls were recorded again when the
 slice's edges came to follow the root-table index instead of a hash set's
 order; each kept the same lines, in a new order.  So it pins the rule that a speed-up or refactor
 leaves CLI output unchanged.
@@ -91,6 +95,9 @@ CALLS = [
     ["relations", "--type", "A6", "--verify"],
     ["present", "--type", "G2"],
     ["verify", "--type", "B2", "--suite", "toda", "--suite", "quadratic"],
+    ["product", "--type", "F4", "--u", "s1s2s3s4", "--v", "s4s3s2s1"],
+    ["product", "--type", "A5", "--u", "s1s2s3s4s5s1s2s3s4", "--v", "s5s4s3s2s1"],
+    ["curve-nbhd", "--type", "A3", "--u", "e", "--d", "5,5,5,5"],
 ]
 
 

@@ -75,6 +75,10 @@ READERS = {
     # the letters of the affine group: -1 read as n, True as 1, and n + 1 an IndexError
     "AffineWeylGroup.simple": ("affine", fresh_group, lambda W, i: W.simple(i)),
     "AffineWeylGroup.from_word": ("affine", fresh_group, lambda W, i: W.from_word([i])),
+    # the letters of the pi map: -1 read as n, and n + 1 an IndexError
+    "FiniteSchubert.pi_word": ("affine", fresh_schubert, lambda fs, i: fs.pi_word((i,), {fs.w0: 1})),
+    "FiniteSchubert.pi_word-second-letter": (
+        "affine", fresh_schubert, lambda fs, i: fs.pi_word((1, i), {fs.w0: 1})),
 }
 
 
@@ -113,3 +117,26 @@ def test_owners_return_the_index():
     assert [ard.affine_index(i) for i in range(RANK + 1)] == [0, 1, 2]
     assert [ard.rs.finite_index(i) for i in range(1, RANK + 1)] == [1, 2]
 
+
+
+# name -> the call on a fresh FiniteSchubert with one element id w
+ID_READERS = {
+    "FiniteSchubert.chevalley_cup": lambda fs, w: fs.chevalley_cup(1, {w: 1}),
+    "FiniteSchubert.pi_word": lambda fs, w: fs.pi_word((1,), {w: 1}),
+    "FiniteSchubert.pi_word-letter-0": lambda fs, w: fs.pi_word((0,), {fs.w0: 1, w: 1}),
+}
+BAD_IDS = [-1, 6, True, 1.0]  # |W(A2)| = 6; -1 read as w0 before the check
+
+
+@pytest.mark.parametrize("name", ID_READERS)
+def test_schubert_readers_refuse_an_element_id_through_its_owner(name):
+    for bad in BAD_IDS:
+        fs = fresh_schubert()
+        before = memo_sizes(fs)
+        with pytest.raises(ValueError) as exc:
+            ID_READERS[name](fs, bad)
+        assert str(exc.value) == f"{bad!r} is not an element id of A2: ids run 0..5"
+        assert memo_sizes(fs) == before
+    fs = fresh_schubert()
+    for w in fs.W.elements:
+        ID_READERS[name](fs, w)

@@ -47,7 +47,7 @@ class TestNilHeckeTheta:
     def test_rows_are_built_on_first_use(self):
         fs = FiniteSchubert(build_root_system("A", 4))
         w = fs.W.parse("s1s2s3s4")
-        assert fs.pi_letter(0, {w: 1}) == {u: -k for u, k in fs.theta_matrix([w])[w].items()}
+        assert fs.pi_word((0,), {w: 1}) == {u: -k for u, k in fs.theta_matrix([w])[w].items()}
         assert list(fs._theta_rows) == [w]
         assert len(fs.theta_matrix()) == len(fs._theta_rows) == len(fs.W.elements)
 
