@@ -104,12 +104,17 @@ class FiniteSchubert:
         ``s_j = 1 - alpha_j . partial_j``.  The operators are integral on the
         Schubert basis, so rows are built over int.  Each row is built the first
         time it is asked for and memoized, so a letter 0 builds only the rows it
-        reads.
+        reads.  Every id of ``support`` is checked before any row is built.
         """
+        if support is None:
+            support = self.W.elements
+        else:
+            support = list(support)
+            self.W.check_ids(support)
         i, walk = self._walk
         rows = self._theta_rows
         out = {}
-        for w in self.W.elements if support is None else support:
+        for w in support:
             row = rows.get(w)
             if row is None:
                 row = {w: 1}

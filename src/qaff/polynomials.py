@@ -364,6 +364,8 @@ class QModule:
         self._word = word
         self._identity = identity
         self.nq = nq
+        # the coefficient 1 of every ``basis(w)``: shared, since no Poly is changed in place
+        self._one = _poly(nq, {(0,) * nq: 1})
 
     def _make(self, terms: Mapping[Hashable, Poly]) -> QClass:
         return QClass(self._length, self._word, self.nq, terms)
@@ -381,9 +383,16 @@ class QModule:
         return self.basis(self._identity)
 
     def basis(self, w: Hashable, coeff: "Poly | Scalar" = 1) -> QClass:
+        """``coeff sigma_w``.  A ``Poly`` coefficient must be in the ring's ``nq``
+        variables; the coefficient 1 is the module's one unit ``Poly``."""
         if isinstance(coeff, Poly):
+            if coeff.nvars != self.nq:
+                raise ValueError(f"a coefficient in {coeff.nvars} variables does not fit "
+                                 f"a ring with {self.nq} q-variables")
             return self._make({w: coeff})
         c = _exact(coeff)
+        if c == 1:
+            return self._class({w: self._one})
         return self._class({w: _poly(self.nq, {(0,) * self.nq: c})} if c else {})
 
     def from_table(self, acc: Mapping[Hashable, Mapping[Exp, Scalar]]) -> QClass:

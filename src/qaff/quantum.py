@@ -22,7 +22,10 @@ Two engines live here, deliberately kept apart:
   with ``B`` the bit length of ``3 l(w0)``: adding an exponent to a key adds the
   exponents and never carries into the next entry or into ``u``, and int order
   is tuple order.  ``_to_class`` alone splits keys, turning a row into a class
-  and building each exponent tuple once per ring (``_exps``).  ``sigma_w`` is
+  and building each exponent tuple once per ring (``_exps``).  The memos are
+  keyed by one ``int``: ``_lambda_img`` holds ``lambda_bar_i(sigma_w)`` at
+  ``i |W| + w`` and ``_lift_img`` holds ``L_w(sigma_v)`` at ``w |W| + v``, with
+  ``|W| = len(FW)`` (``_order``).  ``sigma_w`` is
   lifted by its classical Monk step ``(den, [(k, i, w')])``, and each term of a
   lift row adds ``k c q^e lambda_bar_i(sigma_u)`` straight into the table
   (``_add_lambda``).  A row ``lambda_bar_i(sigma_w)`` skips every pi word longer
@@ -30,7 +33,10 @@ Two engines live here, deliberately kept apart:
   no letter 0 along the generator columns instead of applying it letter by
   letter.  A lone ``sigma_w`` with coefficient 1 (``_lone``) is not packed at
   all: ``star`` of two of them, ``lift_apply`` and ``lambda_bar`` on one read
-  the memo row and turn it into a class once, the answer itself.
+  the memo row and turn it into a class once, the answer itself.  Its
+  coefficient is most often the ring's one unit ``Poly`` (``QModule._one``,
+  which every ``basis(w)`` shares, since no ``Poly`` is changed in place), so
+  ``_lone`` tests identity before it compares terms.
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -111,7 +117,6 @@ class QuantumAff(FiniteQRing):
         self._shift = self.nq * self._width  # S, the bits of one packed exponent
         self._mask = (1 << self._shift) - 1  # the packed exponent of a key
         self._keys = _Memo(self._pack)  # exponent tuple -> packed, kept once it passed the check
-        self._unit_coef = {(0,) * self.nq: 1}  # the terms of the coefficient 1
         self._exps = _Memo(self._unpack)  # packed exponent -> exponent tuple
         # per Chevalley root alpha: (alpha^vee, word of s_alpha, its generator columns
         # rightmost first, or None if it has a letter 0); each letter is checked here, once,
@@ -128,8 +133,9 @@ class QuantumAff(FiniteQRing):
              if (k := self.ard.level_zero_weight_pairing(i, c))]
             for i in range(1, rank + 1)
         ]
-        self._lambda_img: dict[tuple[int, int], list] = {}
-        self._lift_img: dict[tuple[int, int], list] = {}
+        self._order = len(self.FW)  # |W|, the stride of the int memo keys
+        self._lambda_img: dict[int, list] = {}
+        self._lift_img: dict[int, list] = {}
         self._correction: dict[int, list] = {}
 
     def from_finite(self, a: FinCohClass) -> QClass:
@@ -159,15 +165,18 @@ class QuantumAff(FiniteQRing):
         return tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
 
     def _to_class(self, row) -> QClass:
-        """The one step from ``(key, c)`` terms to a class: the one place keys are split."""
-        exps, nq, S, mask, out = self._exps, self.nq, self._shift, self._mask, {}
+        """The one step from ``(key, c)`` terms to a class: the one place keys are split.
+        Each coefficient ``Poly`` is made when its ``u`` first appears and its terms are
+        filled before the class is returned."""
+        exps, nq, S, mask, out, coefs = self._exps, self.nq, self._shift, self._mask, {}, {}
         for k, c in row:
             if c:
-                d = out.get(u := k >> S)
+                d = coefs.get(u := k >> S)
                 if d is None:
-                    d = out[u] = {}
+                    d = coefs[u] = {}
+                    out[u] = _poly(nq, d)
                 d[exps[k & mask]] = c if c.__class__ is int else _exact(c)
-        return self._class({u: _poly(nq, d) for u, d in out.items()})
+        return self._class(out)
 
     @staticmethod
     def _row(acc: dict, den: int) -> list:
@@ -194,10 +203,10 @@ class QuantumAff(FiniteQRing):
         """``w`` when ``a`` is ``sigma_w`` with coefficient 1, else None.  Its row is
         then the answer as it is: nothing is packed, scaled or summed."""
         if len(a.terms) == 1:
-            for w, p in a.terms.items():
-                if p.terms == self._unit_coef:
-                    self.FW.check_ids((w,))
-                    return w
+            ((w, p),) = a.terms.items()
+            if p is self._one or p.terms == self._one.terms:
+                self.FW.check_ids((w,))
+                return w
         return None
 
     def _rows(self, a: QClass, row_of) -> QClass:
@@ -215,7 +224,7 @@ class QuantumAff(FiniteQRing):
         pi word lowers the degree by one, so a word longer than ``l(w)`` adds nothing and
         is skipped.  A word with no letter 0 sends ``sigma_w`` to one ``sigma_u`` or to 0,
         so it is walked along the generator columns, stopping at the first ascent."""
-        row = self._lambda_img.get((i, w))
+        row = self._lambda_img.get(at := i * self._order + w)
         if row is None:
             S, fs, length = self._shift, self.fs, self.FW.length
             lw = length[w]
@@ -236,7 +245,7 @@ class QuantumAff(FiniteQRing):
                 for u, c in img.items():
                     key = u << S | e
                     acc[key] = acc.get(key, 0) + k * c
-            row = self._lambda_img[(i, w)] = self._row(acc, 1)
+            row = self._lambda_img[at] = self._row(acc, 1)
         return row
 
     def lambda_bar(self, i: int, a: QClass) -> QClass:
@@ -294,9 +303,10 @@ class QuantumAff(FiniteQRing):
         of ``row`` adds ``k c q^e lambda_bar_i(sigma_u)``, read from ``_lambda_img``
         (built by :meth:`_lambda_basis` on a miss)."""
         S, mask, img, get = self._shift, self._mask, self._lambda_img, acc.get
+        base = i * self._order
         for key, c in row:
             u = key >> S
-            lam = img.get((i, u))
+            lam = img.get(base + u)
             if lam is None:
                 lam = self._lambda_basis(i, u)
             e, c = key & mask, k * c
@@ -317,7 +327,7 @@ class QuantumAff(FiniteQRing):
         """The row of ``L_w(sigma_v) = T_w(sigma_v) - sum c q^d L_u(sigma_v)`` over the
         terms of the correction, summed in one table; ``L_e`` is the identity, and
         ``L_w(1) = sigma_w`` by construction."""
-        key = (w, v)
+        key = w * self._order + v
         img = self._lift_img.get(key)
         if img is None:
             if w == self.FW.identity:

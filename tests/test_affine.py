@@ -367,6 +367,16 @@ class TestElementIds:
         assert H._e1_cache == {}
 
 
+def test_basis_refuses_a_coefficient_of_another_arity():
+    # lambda_op once ran on such a class and answered with 2-entry q-exponents
+    H = affine_coh("A", 3)  # q0..q3
+    s1 = H.W.parse("s1")
+    with pytest.raises(ValueError, match="^a coefficient in 2 variables does not fit "
+                                         "a ring with 4 q-variables$"):
+        H.basis(s1, Poly.one(2))
+    assert H.basis(s1, Poly.one(4)) == H.basis(s1)
+
+
 class TestSerialization:
     def test_json_roundtrip(self, sl2):
         cls = B(sl2, "s1s0", 2) + with_q(sl2, "e", (1, 0), 3)

@@ -16,12 +16,14 @@ periodic chain, the next 2 (``w0 * w0`` on D4 and C4, with ``w0`` as its
 printed reduced word) before the Monk step moved to its sparsest columns and
 the lift to one accumulation loop, the next 3 (``relations --verify`` on
 A6, ``present`` on G2 and ``verify`` of the B2 Toda and quadratic relations)
-before Phi moved from one image per lambda_bar word to Horner's rule, and the
-last 3 (``product`` on F4 and A5, ``curve-nbhd`` on A3 at degree ``5,5,5,5``)
+before Phi moved from one image per lambda_bar word to Horner's rule, the
+next 3 (``product`` on F4 and A5, ``curve-nbhd`` on A3 at degree ``5,5,5,5``)
 before single-column Monk steps were read off the cover rows, long pi words
 were skipped in the lambda_bar rows and the Hecke products of ``Z(d)`` were
-memoized.  The three ``--format dot`` calls were recorded again when the
-slice's edges came to follow the root-table index instead of a hash set's
+memoized, and the last 2 (``table`` on G2 and C3, whose Monk steps divide by
+``den > 1``, which A3's never do) before the lift memos were keyed by ``int``
+and the coefficient 1 of ``basis`` became one shared ``Poly``.  The three
+``--format dot`` calls were recorded again when the slice's edges came to follow the root-table index instead of a hash set's
 order; each kept the same lines, in a new order.  So it pins the rule that a speed-up or refactor
 leaves CLI output unchanged.
 After a change that is meant to alter output, record it again with
@@ -98,6 +100,8 @@ CALLS = [
     ["product", "--type", "F4", "--u", "s1s2s3s4", "--v", "s4s3s2s1"],
     ["product", "--type", "A5", "--u", "s1s2s3s4s5s1s2s3s4", "--v", "s5s4s3s2s1"],
     ["curve-nbhd", "--type", "A3", "--u", "e", "--d", "5,5,5,5"],
+    ["table", "--type", "G2", "--format", "json"],
+    ["table", "--type", "C3", "--format", "csv"],
 ]
 
 

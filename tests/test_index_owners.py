@@ -124,6 +124,9 @@ ID_READERS = {
     "FiniteSchubert.chevalley_cup": lambda fs, w: fs.chevalley_cup(1, {w: 1}),
     "FiniteSchubert.pi_word": lambda fs, w: fs.pi_word((1,), {w: 1}),
     "FiniteSchubert.pi_word-letter-0": lambda fs, w: fs.pi_word((0,), {fs.w0: 1, w: 1}),
+    # -1 once answered w0's row doubled and kept it, 6 was an IndexError, True a key
+    "FiniteSchubert.theta_matrix": lambda fs, w: fs.theta_matrix([w]),
+    "FiniteSchubert.theta_matrix-after-a-good-id": lambda fs, w: fs.theta_matrix([fs.w0, w]),
 }
 BAD_IDS = [-1, 6, True, 1.0]  # |W(A2)| = 6; -1 read as w0 before the check
 

@@ -80,7 +80,7 @@ def test_matches_json_dumps_on_every_golden_json_call(monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(list(argv))
     json_calls = [c for c in CALLS if "json" in c or (c[0] == "present" and "latex" not in c)]
-    assert len(printed) == len(json_calls) == 15
+    assert len(printed) == len(json_calls) == 16
     for obj, indent in printed:
         if indent:
             assert cli.json_text(obj) == json.dumps(obj, indent=2)

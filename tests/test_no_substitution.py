@@ -97,7 +97,7 @@ def test_verify_passes_without_substitution(guarded, lt):
 
 
 def test_golden_calls_match_without_substitution(guarded):
-    assert guarded["calls"] == 55
+    assert guarded["calls"] == 57
     assert guarded["mismatched"] == []
 
 

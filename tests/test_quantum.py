@@ -9,7 +9,7 @@ from qaff import quantum
 from qaff.affine import affine_coh
 from qaff.polynomials import Poly
 from qaff.quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
-from qaff.toda import quadratic_relation, verify_relation
+from qaff.toda import phi_evaluate, quadratic_relation, typeA_relations, verify_relation
 from qaff.weyl import FiniteWeyl
 
 
@@ -215,7 +215,7 @@ class TestSpecialization:
     def test_fw_chevalley_sees_one_changed_row(self):
         ring = QuantumAff("B", 3)
         assert ring.verify_fw_chevalley()["ok"]
-        key = (2, ring.FW.w0)
+        key = 2 * len(ring.FW) + ring.FW.w0  # the row of lambda_bar_2(sigma_w0)
         # the memo holds flat (u << S | e, c) rows: append sigma_e q^0 with coefficient 1
         ring._lambda_img[key] = ring._lambda_img[key] + [(0, 1)]
         assert ring.verify_fw_chevalley()["mismatches"] == 1
@@ -344,8 +344,9 @@ class TestElementIds:
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_quantum_ring_refuses(self, bad):
-        ring = QuantumAff("A", 2)  # a fresh ring: a refusal keeps nothing in its memos
+        ring = QuantumAff("A", 2)  # a fresh ring: its memos hold one valid product's rows
         s1, s2 = ring.basis_simple(1), ring.basis_simple(2)
+        ring.star(s1, ring.basis(ring.FW.w0))
         wrong = ring.basis(bad)
         calls = [lambda: ring.star(wrong, s1), lambda: ring.star(s1, wrong),
                  lambda: ring.star(wrong.scale(2), s1), lambda: ring.star(s1 + s2, wrong),
@@ -354,8 +355,12 @@ class TestElementIds:
         for call in calls:
             with pytest.raises(ValueError, match="is not an element id of A2"):
                 call()
-        ids = [w for key in [*ring._lift_img, *ring._lambda_img] for w in key]
-        assert all(w in ring.FW.elements for w in ids)
+        size = len(ring.FW)
+        assert ring._lift_img and ring._lambda_img
+        lift = [divmod(key, size) for key in ring._lift_img]  # (w, v)
+        lam = [divmod(key, size) for key in ring._lambda_img]  # (i, w)
+        assert all(w in ring.FW.elements and v in ring.FW.elements for w, v in lift)
+        assert all(1 <= i <= ring.n and w in ring.FW.elements for i, w in lam)
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_ordinary_ring_refuses(self, bad):
@@ -365,3 +370,25 @@ class TestElementIds:
                      lambda: ring.chevalley(1, wrong), lambda: ring.chevalley_classical(1, wrong)]:
             with pytest.raises(ValueError, match="is not an element id of A2"):
                 call()
+
+
+def test_basis_refuses_a_coefficient_of_another_arity():
+    ring = QuantumAff("A", 3)  # q0..q3
+    s1 = ring.basis_simple(1)
+    with pytest.raises(ValueError, match="^a coefficient in 2 variables does not fit "
+                                         "a ring with 4 q-variables$"):
+        ring.basis(ring.FW.gens[0], Poly.one(2))
+    assert ring.basis(ring.FW.gens[0], Poly.one(4)) == s1
+
+
+def test_basis_shares_one_unit_that_nothing_changes():
+    # every basis(w) with coefficient 1 holds the same Poly, so a change made in place
+    # to one answer's coefficient would change every later sigma_w
+    ring = QuantumAff("A", 3)
+    unit = ring.basis(ring.FW.identity).terms[ring.FW.identity]
+    ring.multiplication_table()
+    for rel in typeA_relations(4):  # H1..H3 of Fl(4), the A3 flag manifold
+        phi_evaluate(rel, ring)
+    for w in ring.FW.elements:
+        assert ring.basis(w).terms[w] is unit
+    assert unit.terms == {(0,) * ring.nq: 1} and unit.nvars == ring.nq

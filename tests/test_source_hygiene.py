@@ -293,3 +293,28 @@ def test_index_and_id_refusals_have_one_owner_each():
             if text is not None and re.search(r"\bindex\b|element id", text, re.IGNORECASE):
                 found.append((path.name, owner))
     assert sorted(found) == INDEX_OWNERS
+
+
+_MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
+
+
+def _is_terms(node: ast.AST) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def test_no_terms_are_changed_in_place():
+    # ``basis(w)`` hands out one unit ``Poly`` per ring, and memo rows hand out
+    # their classes' coefficients, so a ``Poly`` changed in place would change
+    # every class that shares it.  A class's ``terms`` hold such ``Poly``s too.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                hit = _is_terms(node.value)  # item assignment, augmented or not, and del
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                hit = node.func.attr in _MUTATORS and _is_terms(node.func.value)
+            else:
+                hit = False
+            if hit:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
