@@ -4,8 +4,8 @@ Classes are finitely supported maps from affine Weyl elements (the int ids of
 :class:`~qaff.weyl.AffineWeylGroup`) to polynomials in the quantum parameters
 ``q_0..q_n``.  The coefficients are exact, so the
 truncation bound L is an interface guard, not a numerical watermark: asking an
-operator to produce support at length >= L raises :class:`TruncationOverflow`
-naming the bound that would suffice.
+operator to produce support above length L raises :class:`TruncationOverflow`
+naming the bound that would suffice; support at length L itself is allowed.
 
 The operators:
 

@@ -96,8 +96,8 @@ class FiniteSchubert:
 
     # -- the pi map on nil-Coxeter words -----------------------------------------
 
-    def theta_matrix(self, support: Iterable[int] | None = None) -> dict[int, dict[int, int]]:
-        """Rows ``w -> partial_theta sigma_w`` for ``w`` in ``support`` (default: all).
+    def theta_matrix(self, support: Iterable[int]) -> dict[int, dict[int, int]]:
+        """Rows ``w -> partial_theta sigma_w`` for ``w`` in ``support``.
 
         With ``theta = u(alpha_i)`` and ``u = s_{j_1} ... s_{j_k}``, a row is
         ``s_{j_1} ... s_{j_k} partial_i s_{j_k} ... s_{j_1} sigma_w``, where
@@ -106,11 +106,8 @@ class FiniteSchubert:
         time it is asked for and memoized, so a letter 0 builds only the rows it
         reads.  Every id of ``support`` is checked before any row is built.
         """
-        if support is None:
-            support = self.W.elements
-        else:
-            support = list(support)
-            self.W.check_ids(support)
+        support = list(support)
+        self.W.check_ids(support)
         i, walk = self._walk
         rows = self._theta_rows
         out = {}

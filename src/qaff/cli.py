@@ -576,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("table", help="full multiplication table of QH*_aff(G/B)")
     _type_arg(s)
     s.add_argument("--format", choices=["csv", "json", "latex"], default="csv")
-    s.add_argument("--cap", type=int, default=48, help="refuse when |W| exceeds this")
+    s.add_argument("--cap", type=nonnegative_int, default=48, help="refuse when |W| exceeds this")
     s.set_defaults(fn=cmd_table)
 
     s = sub.add_parser("qsharp", help="product in the divisor subring of the affine flag manifold")

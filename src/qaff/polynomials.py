@@ -112,9 +112,6 @@ class Poly:
 
     # -- basic queries ---------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -517,8 +514,3 @@ def solve_exact(
         done.append(c)
     zero = Fraction(0)  # free variables share one immutable zero
     return [Fraction(v, den) if v else zero for v in num]
-
-
-def matrix_rank(rows: Iterable[Mapping[Hashable, Scalar]]) -> int:
-    """Rank over the rationals of sparse rows ``col -> Scalar`` (comparable keys)."""
-    return len(_echelon(rows))

@@ -32,11 +32,10 @@ Constructive sources:
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 from typing import NamedTuple
 
 from .bgg import FinCohClass
-from .polynomials import SCHEMA_VERSION, Poly, QClass, matrix_rank
+from .polynomials import SCHEMA_VERSION, Poly, QClass
 from .quantum import QuantumAff, quantum_aff
 from .roots import _check_lie_type, build_root_system
 
@@ -50,9 +49,6 @@ class RelationPoly(NamedTuple):
     rank: int
     poly: Poly
     name: str = "R"
-
-    def weights(self) -> tuple[int, ...]:
-        return (2,) * (self.rank + 1) + (1,) * self.rank
 
     def degrees(self) -> set[int]:
         """The degrees of the terms, with deg q = 2 and deg x = 1."""
@@ -252,50 +248,3 @@ def present_ring(letter: str, rank: int, rels: list[RelationPoly], status: str) 
             "the higher integrals of motion are not generated"
         )
     return record
-
-
-# -- graded dimension cross-check (type A) ---------------------------------------------
-
-
-def _weighted_monomials(nv: int, weights: tuple[int, ...], degree: int) -> list[Vec]:
-    out: list[Vec] = []
-
-    def rec(pos: int, remaining: int, acc: list[int]):
-        if pos == nv:
-            if remaining == 0:
-                out.append(tuple(acc))
-            return
-        w = weights[pos]
-        for a in range(remaining // w + 1):
-            rec(pos + 1, remaining - a * w, acc + [a])
-
-    rec(0, degree, [])
-    return out
-
-
-def quotient_dimension(rels: list[RelationPoly], degree: int) -> int:
-    """dim of the degree-d slice of Q[q,x]/<rels>, by exact rank computation."""
-    rank = rels[0].rank
-    nv = 2 * rank + 1
-    weights = rels[0].weights()
-    rows = [
-        {tuple(map(add, e, shift)): c for e, c in rel.poly.terms.items()}
-        for rel in rels
-        for shift in _weighted_monomials(nv, weights, degree - rel.degree())
-    ]
-    return len(_weighted_monomials(nv, weights, degree)) - matrix_rank(rows)
-
-
-def schubert_module_dimension(letter: str, rank: int, degree: int) -> int:
-    """dim of the degree-d slice of the free Q[q_0..q_n]-module on Schubert classes."""
-    from math import comb
-
-    from .weyl import finite_weyl
-
-    FW = finite_weyl(letter, rank)
-    total = 0
-    for w in FW.elements:
-        rem = degree - FW.length[w]
-        if rem >= 0 and rem % 2 == 0:
-            total += comb(rem // 2 + rank, rank)
-    return total

@@ -23,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 from math import factorial
 from operator import add, itemgetter, mul
-from typing import NamedTuple
 
 from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec
 
@@ -33,18 +32,14 @@ class FinW:
 
     ``perm[i]`` is the index of ``w(roots[i])`` in the root system's shared
     :class:`~qaff.roots.RootTable`, so multiplication composes index tuples and
-    ``w(beta) < 0`` reads as ``perm[i] >= N``.  The actions on lattice vectors
-    are linear, so they come from the images of the simple roots, and the
-    inverse actions from their preimages.  Equality and hashing use ``perm``.
-    It is the boundary form of both groups: the finite side runs on the ids of
-    :class:`FiniteWeyl`, the affine side on those of :class:`AffineWeylGroup`.
+    ``w(beta) < 0`` reads as ``perm[i] >= N``.  Equality and hashing use ``perm``.
+    It is the boundary form of the finite group: :class:`FiniteWeyl` runs on ids.
     """
 
-    __slots__ = ("perm", "table")
+    __slots__ = ("perm",)
 
-    def __init__(self, perm: tuple[int, ...], table: RootTable):
+    def __init__(self, perm: tuple[int, ...]):
         self.perm = perm
-        self.table = table
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FinW) and self.perm == other.perm
@@ -54,27 +49,7 @@ class FinW:
 
     def __mul__(self, other: "FinW") -> "FinW":
         # a perm has at least two entries, so itemgetter returns a tuple
-        return FinW(itemgetter(*other.perm)(self.perm), self.table)
-
-    def inv(self) -> "FinW":
-        return FinW(_inverse(self.perm), self.table)
-
-    def root(self, v: Vec) -> Vec:
-        return _act(self.table, v, self.table.roots, self.perm.__getitem__)
-
-    def coroot(self, v: Vec) -> Vec:
-        return _act(self.table, v, self.table.coroots, self.perm.__getitem__)
-
-    def inv_coroot(self, v: Vec) -> Vec:
-        """``w^{-1}(v)`` on coroot coordinates, from the preimages of the simple roots."""
-        return _act(self.table, v, self.table.coroots, self.perm.index)
-
-
-def _inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(perm)
-    for i, j in enumerate(perm):
-        out[j] = i
-    return tuple(out)
+        return FinW(itemgetter(*other.perm)(self.perm))
 
 
 def _act(table: RootTable, v: Vec, vectors: tuple[Vec, ...], image) -> Vec:
@@ -109,25 +84,13 @@ def _parse_word(text: str, lo: int, hi: int) -> list[int]:
 
 
 def finite_identity(rs: RootSystem) -> FinW:
-    return FinW(tuple(range(len(rs.table.roots))), rs.table)
+    return FinW(tuple(range(len(rs.table.roots))))
 
 
 def finite_reflection(rs: RootSystem, beta: Vec) -> FinW:
     """``s_beta`` for any root beta, as a :class:`FinW`."""
     table = rs.table
-    return FinW(table.reflections[table.index_of(beta)], table)
-
-
-class AffW(NamedTuple):
-    """Affine Weyl element ``v * t_lambda`` (lambda in finite coroot coordinates).
-
-    The boundary form of an element of :class:`AffineWeylGroup`, which works
-    on int ids; see :meth:`AffineWeylGroup.element` and
-    :meth:`AffineWeylGroup.id_of`.
-    """
-
-    v: FinW
-    t: Vec
+    return FinW(table.reflections[table.index_of(beta)])
 
 
 class AffineWeylGroup:
@@ -139,7 +102,6 @@ class AffineWeylGroup:
     ``trans[w]`` its translation, and ``index`` maps ``(perm, t)`` back to the
     id.  The identity is ``0``.  Lengths and right descents are computed on
     first read and kept, and :meth:`rmul` keeps each product ``w s_i``.
-    :class:`AffW` is the boundary form (:meth:`element`, :meth:`id_of`).
 
     >>> from qaff.roots import affinize
     >>> W = AffineWeylGroup(affinize("A", 1))
@@ -195,12 +157,6 @@ class AffineWeylGroup:
             if w.__class__ is not int or not 0 <= w < size:
                 raise ValueError(f"{w!r} is not an element id of affine {self.rs.lie_type}: "
                                  f"ids run 0..{size - 1}")
-
-    def element(self, w: int) -> AffW:
-        return AffW(FinW(self.perm[w], self.table), self.trans[w])
-
-    def id_of(self, x: AffW) -> int:
-        return self._intern(x.v.perm, tuple(x.t))
 
     # -- group structure -----------------------------------------------------
 
@@ -506,7 +462,7 @@ class FiniteWeyl:
                                  f"ids run 0..{size - 1}")
 
     def element(self, w: int) -> FinW:
-        return FinW(self.perm[w], self.rs.table)
+        return FinW(self.perm[w])
 
     def id_of(self, x: FinW) -> int:
         return self.index[x.perm]

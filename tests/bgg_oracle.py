@@ -73,7 +73,7 @@ class PolynomialBGG:
     def divided_difference(self, beta, f):
         """``(f - s_beta f) / beta`` — exact by construction."""
         num = f - self.reflect_poly(beta, f)
-        if num.is_zero():
+        if not num:
             return Poly.zero(self.n)
         return exact_div_linear(num, self.root_poly(beta))
 
@@ -85,7 +85,7 @@ class PolynomialBGG:
         """``partial_{i_1} ... partial_{i_k}`` applied rightmost first (0-indexed)."""
         for j in reversed(word):
             f = self.dd_simple(j, f)
-            if f.is_zero():
+            if not f:
                 break
         return f
 

@@ -26,7 +26,7 @@ def det(mat):
         return mat[0][0]
     total = Poly.zero(mat[0][0].nvars)
     for r, row in enumerate(mat):
-        if row[0].is_zero():
+        if not row[0]:
             continue
         cof = det([other[1:] for k, other in enumerate(mat) if k != r])
         total = total + (row[0] * cof if r % 2 == 0 else -(row[0] * cof))

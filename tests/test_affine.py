@@ -327,9 +327,12 @@ class TestTruncationGuard:
         assert "--trunc" in str(exc.value)
 
     def test_larger_window_succeeds(self):
-        H = affine_coh("A", 1, 4)
-        img = H.chevalley(1, B(H, "s0s1"))
-        assert not img.is_zero()
+        # the guard refuses only support above L, so an image at length L is allowed
+        for L, word, top in [(4, "s0s1", 3), (2, "s0", 2)]:
+            H = affine_coh("A", 1, L)
+            img = H.chevalley(1, B(H, word))
+            assert not img.is_zero()
+            assert img.max_length() == top
 
 
 class TestElementIds:

@@ -27,7 +27,7 @@ class TestDividedDifferences:
         f = a2_poly.rep(a2_poly.W.w0)
         for j in range(2):
             g = a2_poly.dd_simple(j, a2_poly.dd_simple(j, f))
-            assert g.is_zero()
+            assert not g
 
     def test_braid_relation(self, a2_poly):
         # A2: d1 d2 d1 = d2 d1 d2 on any polynomial
@@ -134,7 +134,7 @@ class TestNilCoxeterArrow:
 
     def test_theta_matrix_is_minus_d0(self, a2):
         FW = a2.W
-        tm = a2.theta_matrix()
+        tm = a2.theta_matrix(a2.W.elements)
         for w in FW.elements:
             got = a2.pi_word((0,), {w: Fraction(1)})
             want = {u: -c for u, c in tm[w].items()}

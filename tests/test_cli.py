@@ -412,6 +412,7 @@ class TestErrors:
         ["qsharp", "--type", "A1", "--u", "s0", "--v", "s1", "--trunc", "-1"],
         ["curve-nbhd", "--type", "A2", "--u", "e", "--d", "1,1,1", "--format", "dot",
          "--graph-l", "-1"],
+        ["table", "--type", "A2", "--cap", "-1"],
     ])
     def test_negative_bound_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -148,8 +148,8 @@ def test_outputs_do_not_depend_on_id_order():
     layers = W.enumerate_up_to(4)
     elts = [w for ell in sorted(layers) for w in layers[ell]]
     for w in reversed(elts):
-        fresh.id_of(W.element(w))
-    assert [fresh.id_of(W.element(w)) for w in elts] != elts
+        fresh._intern(W.perm[w], W.trans[w])
+    assert [fresh._intern(W.perm[w], W.trans[w]) for w in elts] != elts
     degrees = [d for d in itertools.product(range(3), repeat=4) if 0 < sum(d) <= 3]
     names = [W.format(u) for ell in range(2) for u in layers[ell]]
     assert len(names) * len(degrees) == 150

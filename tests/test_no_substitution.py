@@ -1,4 +1,4 @@
-"""No run-time path reaches polynomial substitution.
+"""No run-time path reaches polynomial substitution, and the runs reach the package.
 
 ``Poly.substitute`` and ``exact_div_linear`` are used only by the test-side
 polynomial oracle (``bgg_oracle.py``) and by tests.  A fresh interpreter
@@ -6,9 +6,17 @@ replaces both with a function that raises, then runs ``verify`` with every
 suite on A2, B2 and G2 and every call of the CLI golden.  A fresh
 interpreter starts with empty memos, so no cached result hides a call.
 
-Run directly, this file performs those runs and prints the results as JSON.
+The same runs record each function they enter, by a ``sys.settrace`` hook
+that returns ``None`` and so traces no lines.  A code object's file and
+first line name its definition, so a dead method is seen even when a live
+one shares its name.  Every function or method of the package that the runs
+never enter, dunders aside, must be one the benchmark keeps (``NOT_REACHED``).
+
+Run directly, this file performs those runs and prints the results as JSON,
+the unreached definitions included.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -20,7 +28,20 @@ from pathlib import Path
 import pytest
 
 TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "qaff"
 VERIFY_TYPES = ["A2", "B2", "G2"]
+
+# What the runs never enter, as ``module.qualified.name``, by why it is kept:
+# perfbench/tracer.py wraps these, and its install() fails on a missing one;
+TRACED = {"bgg.FiniteSchubert.chevalley_cup", "bgg.FiniteSchubert.divisor_monomials",
+          "bgg.FiniteSchubert.express_in_divisors", "polynomials.Poly.substitute",
+          "polynomials.exact_div_linear"}
+# perfbench/session.py and perfbench/record.py read these;
+BENCH_READS = {"affine.affine_coh", "polynomials.QClass.homogeneous_degree",
+               "weyl.AffineWeylGroup.simple"}
+# and only the tracer target ``FiniteSchubert.express_in_divisors`` reaches these.
+VIA_TRACED = {"bgg.FiniteSchubert.monomial_class"}
+NOT_REACHED = TRACED | BENCH_READS | VIA_TRACED
 
 
 class SubstitutionReached(RuntimeError):
@@ -40,7 +61,39 @@ def _install_guard():
             module.exact_div_linear = _refuse
 
 
+def _definitions() -> dict:
+    """``(file, first line) -> "module.qualified.name"`` per module-level function and
+    per method of a module-level class, dunders left out.  A decorated definition
+    starts at its first decorator, as its ``co_firstlineno`` does."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            scope = [(node, path.stem)]
+            if isinstance(node, ast.ClassDef):
+                scope = [(item, f"{path.stem}.{node.name}") for item in node.body]
+            for fn, prefix in scope:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                    first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
+                    out[(str(path), first)] = f"{prefix}.{fn.name}"
+    return out
+
+
+def _unreached(codes) -> list:
+    """The definitions none of ``codes`` (entered code objects) starts."""
+    defs = _definitions()
+    reached = {defs.get((str(Path(code.co_filename).resolve()), code.co_firstlineno))
+               for code in codes}
+    return sorted(set(defs.values()) - reached)
+
+
 def _guarded_runs() -> dict:
+    entered = set()
+
+    def on_call(frame, event, arg):
+        entered.add(frame.f_code)  # returns None: no line events in the frame
+
+    sys.settrace(on_call)  # before the first import of the package
     _install_guard()
     from qaff.cli import main
     from test_cli_golden import CALLS, GOLDEN, run_call
@@ -61,6 +114,7 @@ def _guarded_runs() -> dict:
             ok = False
         if not ok:
             mismatched.append(" ".join(argv))
+    sys.settrace(None)  # what the oracle below enters is not a run-time path
     # the guard itself is live: the polynomial oracle trips it
     from bgg_oracle import PolynomialBGG
     from qaff.bgg import finite_schubert
@@ -72,7 +126,7 @@ def _guarded_runs() -> dict:
     except SubstitutionReached:
         guard_live = True
     return {"verify": verify, "calls": len(CALLS), "mismatched": mismatched,
-            "guard_live": guard_live}
+            "guard_live": guard_live, "unreached": _unreached(entered)}
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +153,14 @@ def test_verify_passes_without_substitution(guarded, lt):
 def test_golden_calls_match_without_substitution(guarded):
     assert guarded["calls"] == 57
     assert guarded["mismatched"] == []
+
+
+def test_runs_reach_every_definition_the_benchmark_does_not_keep(guarded):
+    from test_source_hygiene import _tracer_targets  # it imports qaff, so not at the top
+
+    targets = {f"{mod.removeprefix('qaff.')}.{path}" for _, mod, path, _ in _tracer_targets()}
+    assert TRACED <= targets
+    assert guarded["unreached"] == sorted(NOT_REACHED)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from dimension_oracle import matrix_rank
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaff.polynomials import Poly, exact_div_linear, matrix_rank, solve_exact
+from qaff.polynomials import Poly, exact_div_linear, solve_exact
 from qaff.toda import RelationPoly
 
 
@@ -16,7 +17,7 @@ class TestArithmetic:
     def test_zero_and_one(self):
         z = Poly.zero(2)
         o = Poly.one(2)
-        assert z.is_zero() and not o.is_zero()
+        assert not z and o
         assert o + z == o
         assert o * z == z
 

@@ -21,6 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from boundary_forms import coroot, element, inv_coroot, inverse, root
 
 import qaff
 from qaff.roots import AffineRoot, affinize, build_root_system, parse_lie_type
@@ -158,12 +159,12 @@ def matrix_of(act, n: int) -> Matrix:
     return tuple(zip(*cols))
 
 
-def root_matrix(w) -> Matrix:
-    return matrix_of(w.root, len(w.table.simple))
+def root_matrix(table, w) -> Matrix:
+    return matrix_of(lambda v: root(table, w, v), len(table.simple))
 
 
-def coroot_matrix(w) -> Matrix:
-    return matrix_of(w.coroot, len(w.table.simple))
+def coroot_matrix(table, w) -> Matrix:
+    return matrix_of(lambda v: coroot(table, w, v), len(table.simple))
 
 
 def _words(rng, letters, count, max_len):
@@ -232,13 +233,14 @@ def test_reflections_match_oracle(letter, rank):
     for beta in rs.all_roots():
         s = finite_reflection(rs, beta)
         o = oracle_reflection(rs, beta)
-        assert root_matrix(s) == o.mat
-        assert coroot_matrix(s) == o.comat
+        assert root_matrix(rs.table, s) == o.mat
+        assert coroot_matrix(rs.table, s) == o.comat
 
 
 @pytest.mark.parametrize("letter,rank", ORACLE_TYPES)
 def test_finite_products_actions_inverses_match_oracle(letter, rank):
     rs = build_root_system(letter, rank)
+    table = rs.table
     fw = finite_weyl(letter, rank)
     rng = random.Random(f"finite/{letter}{rank}")
     gens = [oracle_reflection(rs, rs.simple_root(i + 1)) for i in range(rank)]
@@ -253,20 +255,20 @@ def test_finite_products_actions_inverses_match_oracle(letter, rank):
     for wa, wb in zip(words, reversed(words)):
         (a, oa), (b, ob) = both(wa), both(wb)
         prod, oprod = a * b, oa * ob
-        assert root_matrix(prod) == oprod.mat
-        assert coroot_matrix(prod) == oprod.comat
-        ainv = a.inv()
-        assert root_matrix(ainv) == oa.inv_mat
-        assert coroot_matrix(ainv) == oa.inv_comat
-        assert matrix_of(a.inv_coroot, rank) == oa.inv_comat
+        assert root_matrix(table, prod) == oprod.mat
+        assert coroot_matrix(table, prod) == oprod.comat
+        ainv = inverse(a)
+        assert root_matrix(table, ainv) == oa.inv_mat
+        assert coroot_matrix(table, ainv) == oa.inv_comat
+        assert matrix_of(lambda v: inv_coroot(table, a, v), rank) == oa.inv_comat
         assert a * ainv == ainv * a == fw.element(fw.identity)
         for _ in range(4):
             x = tuple(rng.randint(-5, 5) for _ in range(rank))
-            assert a.root(x) == _matvec(oa.mat, x)
-            assert a.coroot(x) == _matvec(oa.comat, x)
-            assert a.inv_coroot(x) == _matvec(oa.inv_comat, x)
+            assert root(table, a, x) == _matvec(oa.mat, x)
+            assert coroot(table, a, x) == _matvec(oa.comat, x)
+            assert inv_coroot(table, a, x) == _matvec(oa.inv_comat, x)
         for beta in rs.positive_roots:
-            assert a.root(beta) == rs.table.roots[a.perm[rs.table.index[beta]]]
+            assert root(table, a, beta) == table.roots[a.perm[table.index[beta]]]
 
 
 @pytest.mark.parametrize("letter,rank", ORACLE_TYPES)
@@ -283,8 +285,9 @@ def test_affine_multiply_and_length_match_oracle(letter, rank):
         return w, o
 
     def same(w, o):
-        x = W.element(w)
-        return root_matrix(x.v) == o[0].mat and coroot_matrix(x.v) == o[0].comat and x.t == o[1]
+        x = element(W, w)
+        return (root_matrix(rs.table, x.v) == o[0].mat
+                and coroot_matrix(rs.table, x.v) == o[0].comat and x.t == o[1])
 
     words = _words(rng, range(rank + 1), 16, 12)
     for wa, wb in zip(words, reversed(words)):
@@ -304,8 +307,8 @@ def test_affine_reflection_matches_oracle():
         for k in range(-2, 3):
             for beta in rs.all_roots():
                 r = W.reflection(AffineRoot(k, beta))
-                e = W.element(r)
-                assert root_matrix(e.v) == oracle_reflection(rs, beta).mat
+                e = element(W, r)
+                assert root_matrix(rs.table, e.v) == oracle_reflection(rs, beta).mat
                 assert e.t == tuple(k * x for x in formula_coroot(rs, beta))
                 assert W.multiply(r, r) == W.identity
 

@@ -100,14 +100,6 @@ def test_import_does_not_load_dataclasses_or_inspect():
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# Reached only by tests, and kept on purpose: `inv` and `inv_coroot` are the
-# boundary form's counterparts of `root` and `coroot`, which the id tests
-# compare against; `quotient_dimension` and `schubert_module_dimension` wait
-# for the presentation's fullness certificate to give them a caller.
-UNREFERENCED_ON_PURPOSE = {"inv", "inv_coroot", "quotient_dimension",
-                           "schubert_module_dimension"}
-
-
 def _definitions(tree: ast.Module):
     """Module-level functions and classes, and every non-dunder method."""
     for node in tree.body:
@@ -170,12 +162,8 @@ def test_every_definition_is_referenced():
         named.update(name for _, name in _references(tree, None, set()))
     for _, _, target, _ in _tracer_targets():
         named.update(target.split("."))
-    unread = sorted(f"{file}:{node.lineno} {node.name}"
-                    for file, node in _unread(named | UNREFERENCED_ON_PURPOSE))
+    unread = sorted(f"{file}:{node.lineno} {node.name}" for file, node in _unread(named))
     assert not unread, "\n".join(unread)
-    # the allow-list cannot go stale: each entry is still defined and unread
-    needed = {node.name for _, node in _unread(named)}
-    assert sorted(UNREFERENCED_ON_PURPOSE - needed) == []
 
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)

