@@ -159,9 +159,12 @@ class FiniteSchubert:
         """Apply pi(D_i) for one affine letter i (0 = -partial_theta), unchecked."""
         out: FinCohClass = {}
         if i == 0:
-            for w, row in self.theta_matrix(a).items():
-                c = a[w]
-                for u, k in row.items():
+            rows = self._theta_rows
+            missing = [w for w in a if w not in rows]
+            if missing:
+                self.theta_matrix(missing)  # builds and keeps the rows it lacks
+            for w, c in a.items():
+                for u, k in rows[w].items():
                     s = out.get(u, 0) + (-k) * c
                     if s:
                         out[u] = s
@@ -197,7 +200,10 @@ class FiniteSchubert:
 
     def monomial_class(self, mono: tuple[int, ...]) -> FinCohClass:
         """``sigma_{i_1} ... sigma_{i_k}``, memoized by suffix: one Chevalley step
-        per new monomial.  The returned dict is shared; do not mutate it."""
+        per new monomial.  Every letter is checked before the memo is read.  The
+        returned dict is shared; do not mutate it."""
+        for i in mono:
+            self.rs.finite_index(i)
         cls = self._mono_class.get(mono)
         if cls is None:
             cls = self._mono_class[mono] = self._cup(
@@ -207,8 +213,10 @@ class FiniteSchubert:
     def express_in_divisors(self, w: int) -> list[tuple[Fraction, tuple[int, ...]]]:
         """Write sigma_w as a rational combination of divisor monomials.
 
-        Possible for every w because divisor classes generate H*(G/B; Q).
+        Possible for every w because divisor classes generate H*(G/B; Q).  The id
+        is checked before the memo is read.
         """
+        self.W.check_ids((w,))
         if w in self._divisor_expr:
             return self._divisor_expr[w]
         monos = self.divisor_monomials(self.W.length[w])
@@ -238,8 +246,9 @@ class FiniteSchubert:
         order, so the solve would answer ``(k, [(1, i, v)])`` for the first such
         ``(v, i)``.  That column is read off the cover rows of the ``v`` that
         ``w`` covers (most steps, 549 of 719 on A5), and only the other steps
-        build the layer and solve.
+        build the layer and solve.  The id is checked before the memo is read.
         """
+        self.W.check_ids((w,))
         expr = self._chevalley_expr.get(w)
         if expr is not None:
             return expr

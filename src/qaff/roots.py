@@ -31,6 +31,7 @@ Conventions, fixed once and used everywhere downstream:
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -126,35 +127,58 @@ def _symmetrizers(cartan: list[list[int]]) -> tuple[Fraction, ...]:
 
 
 class RootTable:
-    """Per-root data of one root system, built once by :func:`build_root_system`.
+    """Per-root data of one root system, built once by :class:`RootSystem`.
 
     Roots are indexed positives first, in ``positive_roots`` order, then their
     negatives: with ``N`` positive roots, index ``i + N`` holds ``-roots[i]``,
     so a root is negative exactly when its index is ``>= N``.
+
+    Everything is integer arithmetic: with ``D`` the common denominator of the
+    symmetrizers and ``e_i = D d_i``, ``D (beta|beta)/2`` is the integer
+    ``nb = sum_i e_i beta_i <beta, alpha_i^vee> / 2``, the coroot is
+    ``beta_j e_j / nb`` and ``1/d_root`` is ``D / nb``.  Both are checked to be
+    integral here, once per positive root, so lookups need no check.  A
+    negative root takes the negated coroot and pairings of its positive root,
+    the same ``d_root``, and the reflection of its positive root.
     """
 
     __slots__ = ("roots", "index", "coroots", "d_roots", "inv_d", "pairings",
                  "reflections", "simple")
 
-    def __init__(
-        self,
-        roots: tuple[Vec, ...],
-        index: dict[Vec, int],
-        coroots: tuple[Vec, ...],  # beta^vee in simple-coroot coordinates
-        d_roots: tuple[Fraction, ...],  # (beta|beta)/2
-        inv_d: tuple[int, ...],  # 1/d_root, which is 1, 2 or 3
-        pairings: tuple[Vec, ...],  # <beta, alpha_i^vee> for 0-indexed i
-        reflections: tuple[tuple[int, ...], ...],  # s_beta as a permutation of indices
-        simple: tuple[int, ...],  # index of alpha_i, for 0-indexed i
-    ):
-        self.roots = roots
-        self.index = index
-        self.coroots = coroots
-        self.d_roots = d_roots
-        self.inv_d = inv_d
-        self.pairings = pairings
-        self.reflections = reflections
-        self.simple = simple
+    def __init__(self, cartan: list[list[int]], d: tuple[Fraction, ...], positives: list[Vec]):
+        n = len(cartan)
+        npos = len(positives)
+        D = lcm(*(x.denominator for x in d))
+        e = [x.numerator * (D // x.denominator) for x in d]
+        coroots, d_roots, inv_d, pairings = [], [], [], []
+        for beta in positives:
+            pv = tuple(sum(map(mul, row, beta)) for row in cartan)
+            nb = sum(ei * b * p for ei, b, p in zip(e, beta, pv)) // 2
+            if any(b * ej % nb for b, ej in zip(beta, e)):
+                raise AssertionError(f"non-integer coroot for {beta}")
+            if D % nb:
+                raise AssertionError(f"1/d_root is not an integer for {beta}")
+            coroots.append(tuple(b * ej // nb for b, ej in zip(beta, e)))
+            d_roots.append(Fraction(nb, D))
+            inv_d.append(D // nb)
+            pairings.append(pv)
+        self.roots = tuple(positives) + tuple(map(_neg, positives))
+        self.index = index = {beta: i for i, beta in enumerate(self.roots)}
+        reflections = []
+        for beta, bco in zip(positives, coroots):
+            # s_beta(gamma) = gamma - <gamma, beta^vee> beta, and s_beta(-gamma) = -s_beta(gamma)
+            half = []
+            for g, (gamma, pv) in enumerate(zip(positives, pairings)):
+                k = sum(map(mul, pv, bco))
+                half.append(index[tuple(x - k * b for x, b in zip(gamma, beta))] if k else g)
+            reflections.append(tuple(half) + tuple(j + npos if j < npos else j - npos for j in half))
+        self.coroots = tuple(coroots) + tuple(map(_neg, coroots))  # in simple-coroot coordinates
+        self.d_roots = tuple(d_roots) * 2  # (beta|beta)/2
+        self.inv_d = tuple(inv_d) * 2  # 1/d_root, which is 1, 2 or 3
+        self.pairings = tuple(pairings) + tuple(map(_neg, pairings))  # <beta, alpha_i^vee>
+        self.reflections = tuple(reflections) * 2  # s_beta as a permutation; s_{-beta} = s_beta
+        # index of alpha_i, for 0-indexed i
+        self.simple = tuple(index[tuple(1 if j == i else 0 for j in range(n))] for i in range(n))
 
     def index_of(self, beta: Vec) -> int:
         try:
@@ -167,84 +191,68 @@ def _neg(v: Vec) -> Vec:
     return tuple(-x for x in v)
 
 
-def _root_table(
-    cartan: list[list[int]], d: tuple[Fraction, ...], positives: list[Vec]
-) -> RootTable:
-    """Index every root and compute its coroot, norm, pairings and reflection.
-
-    Everything is integer arithmetic: with ``D`` the common denominator of the
-    symmetrizers and ``e_i = D d_i``, ``D (beta|beta)/2`` is the integer
-    ``nb = sum_i e_i beta_i <beta, alpha_i^vee> / 2``, the coroot is
-    ``beta_j e_j / nb`` and ``1/d_root`` is ``D / nb``.  Both are checked to be
-    integral here, once per positive root, so lookups need no check.  A
-    negative root takes the negated coroot and pairings of its positive root,
-    the same ``d_root``, and the reflection of its positive root.
-    """
+def _positive_root_closure(cartan: list[list[int]]) -> list[Vec]:
+    """The positive roots, sorted by ``(height, coords)``: the closure of the simple
+    roots under ``s_i(beta) = beta - <beta, alpha_i^vee> alpha_i`` wherever that
+    raises ``beta``.  Every positive root other than a simple one pairs
+    positively with some ``alpha_i^vee``, and ``s_i`` maps it to a lower positive
+    root, so each is reached from a simple root by raising steps."""
     n = len(cartan)
-    npos = len(positives)
-    D = lcm(*(x.denominator for x in d))
-    e = [x.numerator * (D // x.denominator) for x in d]
-    coroots, d_roots, inv_d, pairings = [], [], [], []
-    for beta in positives:
-        pv = tuple(sum(map(mul, row, beta)) for row in cartan)
-        nb = sum(ei * b * p for ei, b, p in zip(e, beta, pv)) // 2
-        if any(b * ej % nb for b, ej in zip(beta, e)):
-            raise AssertionError(f"non-integer coroot for {beta}")
-        if D % nb:
-            raise AssertionError(f"1/d_root is not an integer for {beta}")
-        coroots.append(tuple(b * ej // nb for b, ej in zip(beta, e)))
-        d_roots.append(Fraction(nb, D))
-        inv_d.append(D // nb)
-        pairings.append(pv)
-    roots = tuple(positives) + tuple(map(_neg, positives))
-    index = {beta: i for i, beta in enumerate(roots)}
-    reflections = []
-    for beta, bco in zip(positives, coroots):
-        # s_beta(gamma) = gamma - <gamma, beta^vee> beta, and s_beta(-gamma) = -s_beta(gamma)
-        half = []
-        for g, (gamma, pv) in enumerate(zip(positives, pairings)):
-            k = sum(map(mul, pv, bco))
-            half.append(index[tuple(x - k * b for x, b in zip(gamma, beta))] if k else g)
-        reflections.append(tuple(half) + tuple(j + npos if j < npos else j - npos for j in half))
-    return RootTable(
-        roots=roots,
-        index=index,
-        coroots=tuple(coroots) + tuple(map(_neg, coroots)),
-        d_roots=tuple(d_roots) * 2,
-        inv_d=tuple(inv_d) * 2,
-        pairings=tuple(pairings) + tuple(map(_neg, pairings)),
-        reflections=tuple(reflections) * 2,  # s_{-beta} = s_beta
-        simple=tuple(index[tuple(1 if j == i else 0 for j in range(n))] for i in range(n)),
-    )
+    todo = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    known = set(todo)
+    while todo:
+        beta = todo.pop()
+        for i, row in enumerate(cartan):
+            k = sum(map(mul, row, beta))  # <beta, alpha_i^vee>
+            if k < 0:
+                up = beta[:i] + (beta[i] - k,) + beta[i + 1:]
+                if up not in known:
+                    known.add(up)
+                    todo.append(up)
+    return sorted(known, key=lambda v: (sum(v), v))
 
 
 class RootSystem:
-    """Finite root system data for one simple type."""
+    """Finite root system data for one simple type, built from its label.
+
+    ``degrees`` are the fundamental degrees of W, ascending: the exponents
+    ``d - 1`` are the partition dual to the numbers of positive roots of each
+    height (Kostant 1959), so ``sum(d - 1)`` is the number of positive roots
+    and ``prod(d)`` is ``|W|``.
+    """
 
     __slots__ = ("letter", "rank", "cartan", "d", "positive_roots", "theta",
-                 "theta_coroot", "killing_coroots", "table")
+                 "theta_coroot", "killing_coroots", "table", "degrees")
 
-    def __init__(
-        self,
-        letter: str,
-        rank: int,
-        cartan: tuple[tuple[int, ...], ...],
-        d: tuple[Fraction, ...],
-        positive_roots: tuple[Vec, ...],  # sorted by (height, coords)
-        theta: Vec,
-        theta_coroot: Vec,
-        killing_coroots: tuple[tuple[Fraction, ...], ...],
-        table: RootTable,
-    ):
+    def __init__(self, letter: str, rank: int):
+        _check_lie_type(letter, rank)
+        cartan = _cartan_matrix(letter, rank)
         self.letter = letter
         self.rank = rank
-        self.cartan = cartan
-        self.d = d
-        self.positive_roots = positive_roots
-        self.theta = theta
-        self.theta_coroot = theta_coroot
-        self.killing_coroots = killing_coroots
-        self.table = table
+        self.cartan = tuple(map(tuple, cartan))
+        self.d = d = _symmetrizers(cartan)
+        positives = _positive_root_closure(cartan)
+        self.positive_roots = tuple(positives)  # sorted by (height, coords)
+        top_height = sum(positives[-1])
+        highest = [b for b in positives if sum(b) == top_height]
+        if len(highest) != 1:
+            raise AssertionError("highest root must be unique")
+        self.theta = theta = highest[0]
+        self.table = table = RootTable(cartan, d, positives)
+        theta_index = table.index[theta]
+        if table.d_roots[theta_index] != 1:
+            raise AssertionError("theta must be long in this normalization")
+        for i in range(rank):
+            up = tuple(t + (1 if j == i else 0) for j, t in enumerate(theta))
+            if up in table.index:
+                raise AssertionError("theta + simple root may not be a root")
+        self.theta_coroot = table.coroots[theta_index]
+        # (alpha_i^vee|alpha_j^vee)
+        self.killing_coroots = tuple(
+            tuple(Fraction(cartan[i][j]) / d[j] for j in range(rank)) for i in range(rank)
+        )
+        heights = Counter(map(sum, positives))
+        self.degrees = tuple(h + 1 for h, c in heights.items() for _ in range(c - heights[h + 1]))
 
     @property
     def lie_type(self) -> str:
@@ -271,7 +279,7 @@ class RootSystem:
         """Every root in root-table index order: the positives, then their negatives."""
         return self.table.roots
 
-    # -- pairings and the invariant form -----------------------------------
+    # -- pairings and reflections --------------------------------------------
 
     def pairing(self, beta: Vec, coroot: Vec) -> int:
         """``<beta, gamma^vee>`` for a root beta, gamma^vee in simple-coroot coordinates."""
@@ -282,51 +290,10 @@ class RootSystem:
         """``beta^vee = (2/(beta|beta)) beta`` in simple-coroot coordinates."""
         return self.table.coroots[self.table.index_of(beta)]
 
-    def inner_coroots(self, x: Vec, y: Vec) -> Fraction:
-        """``(x|y)`` for coroot-coordinate vectors, via ``(alpha_i^vee|alpha_j^vee)``."""
-        acc = Fraction(0)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    acc += xi * yj * self.killing_coroots[i][j]
-        return acc
-
-    # -- reflections --------------------------------------------------------
-
     def reflect_root(self, alpha: Vec, v: Vec) -> Vec:
         """``s_alpha(v)`` on root coordinates."""
         k = self.pairing(v, self.coroot(alpha))
         return tuple(a - k * b for a, b in zip(v, alpha))
-
-
-def _positive_root_closure(cartan: list[list[int]]) -> list[Vec]:
-    """Height-by-height closure using unbroken root strings."""
-    n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    by_height: dict[int, set[Vec]] = {1: set(simples)}
-    known: set[Vec] = set(simples)
-    h = 1
-    while by_height.get(h):
-        for beta in by_height[h]:
-            for i in range(n):
-                if beta == simples[i]:
-                    continue
-                # walk the alpha_i-string below beta
-                p = 0
-                back = tuple(b - simples[i][j] for j, b in enumerate(beta))
-                while back in known:
-                    p += 1
-                    back = tuple(b - simples[i][j] for j, b in enumerate(back))
-                pair = sum(b * cartan[i][j] for j, b in enumerate(beta))
-                if p - pair >= 1:
-                    up = tuple(b + simples[i][j] for j, b in enumerate(beta))
-                    if up not in known:
-                        known.add(up)
-                        by_height.setdefault(h + 1, set()).add(up)
-        h += 1
-    return sorted(known, key=lambda v: (sum(v), v))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -339,40 +306,10 @@ def build_root_system(letter: str, rank: int) -> RootSystem:
     or ``("A", True)`` reach the check instead of an equal cached key.
 
     >>> rs = build_root_system("G", 2)
-    >>> rs.theta, rs.theta_coroot
-    ((3, 2), (1, 2))
+    >>> rs.theta, rs.theta_coroot, rs.degrees
+    ((3, 2), (1, 2), (2, 6))
     """
-    _check_lie_type(letter, rank)
-    cartan = _cartan_matrix(letter, rank)
-    d = _symmetrizers(cartan)
-    positives = _positive_root_closure(cartan)
-    top_height = sum(positives[-1])
-    highest = [b for b in positives if sum(b) == top_height]
-    if len(highest) != 1:
-        raise AssertionError("highest root must be unique")
-    theta = highest[0]
-    table = _root_table(cartan, d, positives)
-    theta_index = table.index[theta]
-    if table.d_roots[theta_index] != 1:
-        raise AssertionError("theta must be long in this normalization")
-    for i in range(rank):
-        up = tuple(t + (1 if j == i else 0) for j, t in enumerate(theta))
-        if up in table.index:
-            raise AssertionError("theta + simple root may not be a root")
-    killing = tuple(
-        tuple(Fraction(cartan[i][j]) / d[j] for j in range(rank)) for i in range(rank)
-    )
-    return RootSystem(
-        letter=letter,
-        rank=rank,
-        cartan=tuple(tuple(row) for row in cartan),
-        d=d,
-        positive_roots=tuple(positives),
-        theta=theta,
-        theta_coroot=table.coroots[theta_index],
-        killing_coroots=killing,
-        table=table,
-    )
+    return RootSystem(letter, rank)
 
 
 # ---------------------------------------------------------------------------

@@ -158,10 +158,10 @@ def quadratic_relation(letter: str, rank: int) -> RelationPoly:
                 e[rank + i] += 1
                 e[rank + j] += 1
                 total = total + Poly.monomial(nv, tuple(e), k)
-    tc = rs.coroot(rs.theta)
+    # (theta^vee|theta^vee) = 2: theta is long, (theta|theta) = 2
     e = [0] * nv
     e[0] = 1
-    total = total + Poly.monomial(nv, tuple(e), -rs.inner_coroots(tc, tc))
+    total = total + Poly.monomial(nv, tuple(e), -2)
     for i in range(1, rank + 1):
         e = [0] * nv
         e[i] = 1

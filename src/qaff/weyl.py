@@ -21,10 +21,10 @@ cross-validate against breadth-first word enumeration.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from math import prod
 from operator import add, itemgetter, mul
 
-from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec
+from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec, build_root_system
 
 
 class FinW:
@@ -520,21 +520,9 @@ class FiniteWeyl:
 
 @lru_cache(maxsize=None, typed=True)
 def finite_weyl(letter: str, rank: int) -> FiniteWeyl:
-    from .roots import build_root_system
-
     return FiniteWeyl(build_root_system(letter, rank))
 
 
-_EXCEPTIONAL_ORDER = {("E", 6): 51840, ("E", 7): 2903040, ("E", 8): 696729600,
-                      ("F", 4): 1152, ("G", 2): 12}
-
-
 def weyl_order(letter: str, rank: int) -> int:
-    """|W| in closed form, without enumerating the group."""
-    if letter == "A":
-        return factorial(rank + 1)
-    if letter in ("B", "C"):
-        return 2**rank * factorial(rank)
-    if letter == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return _EXCEPTIONAL_ORDER[(letter, rank)]
+    """|W| as the product of the fundamental degrees, without enumerating the group."""
+    return prod(build_root_system(letter, rank).degrees)

@@ -79,6 +79,8 @@ READERS = {
     "FiniteSchubert.pi_word": ("affine", fresh_schubert, lambda fs, i: fs.pi_word((i,), {fs.w0: 1})),
     "FiniteSchubert.pi_word-second-letter": (
         "affine", fresh_schubert, lambda fs, i: fs.pi_word((1, i), {fs.w0: 1})),
+    # 0 read as n and -1 as 1, n + 1 an IndexError, and True the memo of 1
+    "FiniteSchubert.monomial_class": ("finite", fresh_schubert, lambda fs, i: fs.monomial_class((i,))),
 }
 
 
@@ -127,6 +129,12 @@ ID_READERS = {
     # -1 once answered w0's row doubled and kept it, 6 was an IndexError, True a key
     "FiniteSchubert.theta_matrix": lambda fs, w: fs.theta_matrix([w]),
     "FiniteSchubert.theta_matrix-after-a-good-id": lambda fs, w: fs.theta_matrix([fs.w0, w]),
+    # -1 raised StopIteration and 6 IndexError; True answered for id 1 and kept it.
+    # The identity has no Monk step, so it is skipped on the good ids.
+    "FiniteSchubert.chevalley_expression":
+        lambda fs, w: fs.chevalley_expression(w) if w != fs.W.identity else None,
+    # -1 was an internal AssertionError, and True answered for id 1
+    "FiniteSchubert.express_in_divisors": lambda fs, w: fs.express_in_divisors(w),
 }
 BAD_IDS = [-1, 6, True, 1.0]  # |W(A2)| = 6; -1 read as w0 before the check
 

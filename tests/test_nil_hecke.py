@@ -51,6 +51,23 @@ class TestNilHeckeTheta:
         assert list(fs._theta_rows) == [w]
         assert len(fs.theta_matrix(fs.W.elements)) == len(fs._theta_rows) == len(fs.W.elements)
 
+    def test_warm_lambda_rows_read_the_kept_theta_rows(self, monkeypatch):
+        # letter 0 builds through theta_matrix only the rows it lacks; a warm ring
+        # rebuilding its lambda_bar rows reads every row from the memo
+        ring = QuantumAff("B", 2)
+        ring.fs = FiniteSchubert(ring.rs)
+        calls = []
+        build = FiniteSchubert.theta_matrix
+        monkeypatch.setattr(FiniteSchubert, "theta_matrix",
+                            lambda fs, support: calls.append(support) or build(fs, support))
+        keys = [(i, w) for i in range(1, ring.n + 1) for w in ring.FW.elements]
+        cold = [ring._lambda_basis(i, w) for i, w in keys]
+        assert calls and ring.fs._theta_rows
+        calls.clear()
+        ring._lambda_img.clear()
+        assert [ring._lambda_basis(i, w) for i, w in keys] == cold
+        assert calls == []
+
     def test_a4_product_reads_only_some_rows(self):
         ring = QuantumAff("A", 4)
         ring.fs = FiniteSchubert(ring.rs)

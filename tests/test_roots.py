@@ -1,10 +1,12 @@
 import importlib
+import math
 from fractions import Fraction
 
 import pytest
 
 from qaff.roots import (
     AffineRoot,
+    RootSystem,
     _symmetrizers,
     affinize,
     build_root_system,
@@ -12,6 +14,7 @@ from qaff.roots import (
     coroot_leq,
     parse_lie_type,
 )
+from qaff.weyl import weyl_order
 
 ALL_TYPES = [
     ("A", 1), ("A", 2), ("A", 3), ("A", 4),
@@ -27,7 +30,20 @@ NUM_POSITIVE = {
     ("B", 2): 4, ("B", 3): 9, ("B", 4): 16,
     ("C", 2): 4, ("C", 3): 9, ("C", 4): 16,
     ("D", 4): 12, ("D", 5): 20,
-    ("E", 6): 36, ("F", 4): 24, ("G", 2): 6,
+    ("E", 6): 36, ("E", 7): 63, ("E", 8): 120, ("F", 4): 24, ("G", 2): 6,
+}
+
+# fundamental degrees of W (Bourbaki, Lie groups ch. V, §6, table 1): A_n has
+# 2..n+1, B_n and C_n 2, 4, ..., 2n, and D_n 2, 4, ..., 2n-2 and n
+DEGREES = {
+    ("A", 1): (2,), ("A", 2): (2, 3), ("A", 3): (2, 3, 4), ("A", 4): (2, 3, 4, 5),
+    ("A", 9): (2, 3, 4, 5, 6, 7, 8, 9, 10),
+    ("B", 2): (2, 4), ("B", 3): (2, 4, 6), ("B", 4): (2, 4, 6, 8),
+    ("C", 2): (2, 4), ("C", 3): (2, 4, 6), ("C", 4): (2, 4, 6, 8),
+    ("D", 4): (2, 4, 4, 6), ("D", 5): (2, 4, 5, 6, 8),
+    ("D", 9): (2, 4, 6, 8, 9, 10, 12, 14, 16),
+    ("E", 6): (2, 5, 6, 8, 9, 12), ("E", 7): (2, 6, 8, 10, 12, 14, 18),
+    ("E", 8): (2, 8, 12, 14, 18, 20, 24, 30), ("F", 4): (2, 6, 8, 12), ("G", 2): (2, 6),
 }
 
 # dual Coxeter numbers; 1 + sum of comarks must reproduce them
@@ -65,6 +81,8 @@ def test_build_root_system_takes_only_parsed_types(letter, rank):
     build_root_system("A", 2)
     with pytest.raises(ValueError):
         build_root_system(letter, rank)
+    with pytest.raises(ValueError):
+        RootSystem(letter, rank)
 
 
 @pytest.mark.parametrize("label,pair", [("H3", ("H", 3)), ("A0", ("A", 0)), ("E9", ("E", 9))])
@@ -97,10 +115,28 @@ def test_cached_factories_refuse_non_int_ranks(module, name, rank):
         factory("A", rank)
 
 
-@pytest.mark.parametrize("letter,rank", ALL_TYPES)
+@pytest.mark.parametrize("letter,rank", list(NUM_POSITIVE))
 def test_positive_root_counts(letter, rank):
     rs = build_root_system(letter, rank)
     assert rs.num_positive == NUM_POSITIVE[(letter, rank)]
+
+
+@pytest.mark.parametrize("letter,rank", list(DEGREES))
+def test_degrees_follow_the_root_heights(letter, rank):
+    rs = build_root_system(letter, rank)
+    assert rs.degrees == DEGREES[(letter, rank)]
+    assert sum(d - 1 for d in rs.degrees) == rs.num_positive
+    assert math.prod(rs.degrees) == weyl_order(letter, rank)
+
+
+@pytest.mark.parametrize("letter,rank", list(DEGREES))
+def test_positive_roots_are_closed_under_simple_reflections(letter, rank):
+    rs = build_root_system(letter, rank)
+    positives = set(rs.positive_roots)
+    for i in range(1, rank + 1):
+        alpha = rs.simple_root(i)
+        assert {rs.reflect_root(alpha, b) for b in positives - {alpha}} == positives - {alpha}
+    assert list(rs.positive_roots) == sorted(positives, key=lambda v: (sum(v), v))
 
 
 @pytest.mark.parametrize("letter,rank", ALL_TYPES)

@@ -6,7 +6,8 @@ import pytest
 from boundary_forms import AffW, element, id_of, inv_coroot, root
 from cover_oracles import short_reflections
 
-from qaff.roots import affinize, build_root_system
+from qaff.quantum import check_table_cap
+from qaff.roots import _check_lie_type, affinize, build_root_system
 from qaff.weyl import (
     FiniteWeyl,
     affine_weyl,
@@ -34,6 +35,16 @@ def test_weyl_order_closed_form():
     assert weyl_order("A", 9) == 3628800
     assert weyl_order("D", 9) == 92897280
     assert weyl_order("E", 8) == 696729600
+
+
+@pytest.mark.parametrize("letter,rank", [("E", 5), ("A", 0), ("B", 1), ("D", 2), ("A", 2.0)])
+def test_order_and_table_cap_refuse_what_the_label_check_refuses(letter, rank):
+    # ("E", 5) was a KeyError, ("A", 2.0) a TypeError, and the others read 1, 2 and 4
+    with pytest.raises(ValueError) as owner:
+        _check_lie_type(letter, rank)
+    for call in (lambda: weyl_order(letter, rank), lambda: check_table_cap(letter, rank, 48)):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(owner.value))}$"):
+            call()
 
 
 def test_finite_words_are_reduced():
