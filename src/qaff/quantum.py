@@ -539,8 +539,8 @@ class OrdinaryQH(FiniteQRing):
 
 def check_table_cap(letter: str, rank: int, cap: int) -> None:
     """Refuse a multiplication table of a type with more than ``cap`` Weyl group
-    elements.  It reads ``|W|`` as the product of the fundamental degrees, so it
-    runs after the root system is built and before W is enumerated."""
+    elements.  It reads ``|W|`` from :func:`~qaff.weyl.weyl_order`, before W is
+    enumerated; only E, F and G, of rank at most 8, build their root system first."""
     order = weyl_order(letter, rank)
     if order > cap:
         raise ValueError(f"|W| = {order} exceeds the table cap {cap}")

@@ -21,10 +21,18 @@ cross-validate against breadth-first word enumeration.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import prod
+from math import factorial, prod
 from operator import add, itemgetter, mul
 
-from .roots import AffineRoot, AffineRootData, RootSystem, RootTable, Vec, build_root_system
+from .roots import (
+    AffineRoot,
+    AffineRootData,
+    RootSystem,
+    RootTable,
+    Vec,
+    _check_lie_type,
+    build_root_system,
+)
 
 
 class FinW:
@@ -524,5 +532,11 @@ def finite_weyl(letter: str, rank: int) -> FiniteWeyl:
 
 
 def weyl_order(letter: str, rank: int) -> int:
-    """|W| as the product of the fundamental degrees, without enumerating the group."""
+    """|W| without enumerating the group: in closed form for A-D, whose rank is
+    unbounded, and as the product of the fundamental degrees for E, F and G."""
+    _check_lie_type(letter, rank)
+    if letter == "A":
+        return factorial(rank + 1)
+    if letter in "BCD":
+        return 2 ** (rank - (letter == "D")) * factorial(rank)
     return prod(build_root_system(letter, rank).degrees)

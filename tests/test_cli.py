@@ -9,6 +9,7 @@ from qaff import cli, toda
 from qaff.bgg import FiniteSchubert
 from qaff.cli import main
 from qaff.quantum import QuantumAff
+from qaff.roots import build_root_system
 
 
 def run(capsys, *argv):
@@ -179,6 +180,17 @@ class TestTable:
         code, _, err = run(capsys, "table", "--type", "A9", "--cap", "100")
         assert code == 2
         assert "3628800" in err and "cap" in err
+        assert time.monotonic() - start < 2.0
+
+    @pytest.mark.parametrize("label", ["A100", "B100", "C100", "D100"])
+    def test_cap_refuses_large_ranks_without_the_root_system(self, capsys, label):
+        # A-D have unbounded rank: |W| is read in closed form, never from their roots
+        built = build_root_system.cache_info().misses
+        start = time.monotonic()
+        code, _, err = run(capsys, "table", "--type", label)
+        assert code == 2
+        assert "exceeds the table cap 48" in err
+        assert build_root_system.cache_info().misses == built
         assert time.monotonic() - start < 2.0
 
 
