@@ -312,14 +312,16 @@ class QClass:
             return None
         return degs.pop() if degs else 0
 
+    def _ordered_terms(self):
+        """``(w, e, c)`` per term ``c q^e sigma_w``: ``w`` in printing order, then ``e``."""
+        return ((w, e, c) for w in self.ordered_support()
+                for e, c in sorted(self.terms[w].terms.items()))
+
     def to_json_obj(self) -> list[dict]:
+        word = self.word
         return [
-            {
-                "w": list(self.word(w)),
-                "coeff": {"q": list(e), "num": c.numerator, "den": c.denominator},
-            }
-            for w in self.ordered_support()
-            for e, c in sorted(self.terms[w].terms.items())
+            {"w": list(word(w)), "coeff": {"q": list(e), "num": c.numerator, "den": c.denominator}}
+            for w, e, c in self._ordered_terms()
         ]
 
     def format(

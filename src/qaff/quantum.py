@@ -21,8 +21,8 @@ Two engines live here, deliberately kept apart:
   of ``star``, input times input times row, has entries at most ``3 l(w0) < 2^B``
   with ``B`` the bit length of ``3 l(w0)``: adding an exponent to a key adds the
   exponents and never carries into the next entry or into ``u``, and int order
-  is tuple order.  ``_to_class`` alone splits keys, turning a row into a class
-  and building each exponent tuple once per ring (``_exps``).  The memos are
+  is tuple order.  ``_split`` alone splits keys, reading each exponent tuple
+  once per ring (``_exps``).  The memos are
   keyed by one ``int``: ``_lambda_img`` holds ``lambda_bar_i(sigma_w)`` at
   ``i |W| + w`` and ``_lift_img`` holds ``L_w(sigma_v)`` at ``w |W| + v``, with
   ``|W| = len(FW)`` (``_order``).  ``sigma_w`` is
@@ -31,12 +31,17 @@ Two engines live here, deliberately kept apart:
   (``_add_lambda``).  A row ``lambda_bar_i(sigma_w)`` skips every pi word longer
   than ``l(w)``, since each letter lowers the degree by one, and walks a word with
   no letter 0 along the generator columns instead of applying it letter by
-  letter.  A lone ``sigma_w`` with coefficient 1 (``_lone``) is not packed at
-  all: ``star`` of two of them, ``lift_apply`` and ``lambda_bar`` on one read
-  the memo row and turn it into a class once, the answer itself.  Its
-  coefficient is most often the ring's one unit ``Poly`` (``QModule._one``,
-  which every ``basis(w)`` shares, since no ``Poly`` is changed in place), so
-  ``_lone`` tests identity before it compares terms.
+  letter.  Every operator answers with a :class:`RowClass`: the ring and one
+  row with no zero coefficient, which is never copied or changed.  Its
+  ``terms``, the ``Poly`` coefficients, are built from the row the first time
+  they are read; its JSON record reads the sorted row as it stands, since key
+  order is ``(u, e)`` order and ids ascend in printing order.  A lone
+  ``sigma_w`` with coefficient 1 (``_lone``) is not packed at all: ``star`` of
+  two of them, ``lift_apply`` and ``lambda_bar`` on one answer with the memo
+  row itself, so a product costs no more than its lookup.  Its coefficient is
+  most often the ring's one unit ``Poly`` (``QModule._one``, which every
+  ``basis(w)`` shares, since no ``Poly`` is changed in place), so ``_lone``
+  tests identity before it compares terms.
 
 * :class:`OrdinaryQH` — ordinary quantum cohomology of G/B from the
   finite-root quantum Chevalley rule, written against the root tables alone
@@ -73,6 +78,38 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.make(key)
         return value
+
+
+class RowClass(QClass):
+    """A class of a :class:`QuantumAff` ring held as a packed row with no zero
+    coefficient, most often a memo's own list, which is never copied or changed.
+    ``terms`` is built from the row the first time it is read, by the ring's
+    ``_split``, and then kept; the JSON record reads the row itself and builds no
+    ``Poly``."""
+
+    __slots__ = ("ring", "row", "_terms")
+
+    def __init__(self, ring: QuantumAff, row: list):
+        self.length, self.word, self.nq = ring._length, ring._word, ring.nq
+        self.ring, self.row, self._terms = ring, row, None
+
+    @property
+    def terms(self) -> dict[int, Poly]:
+        if self._terms is None:
+            nq, terms, coefs = self.nq, {}, {}
+            for u, e, c in self.ring._split(self.row):
+                d = coefs.get(u)
+                if d is None:
+                    d = coefs[u] = {}
+                    terms[u] = _poly(nq, d)
+                d[e] = c
+            self._terms = terms
+        return self._terms
+
+    def _ordered_terms(self):
+        """The sorted row: ids are numbered in printing order (``FiniteWeyl``) and key
+        order is ``(u, e)`` order."""
+        return self.ring._split(sorted(self.row))
 
 
 class FiniteQRing(QModule):
@@ -164,19 +201,13 @@ class QuantumAff(FiniteQRing):
         B, mask = self._width, (1 << self._width) - 1
         return tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
 
-    def _to_class(self, row) -> QClass:
-        """The one step from ``(key, c)`` terms to a class: the one place keys are split.
-        Each coefficient ``Poly`` is made when its ``u`` first appears and its terms are
-        filled before the class is returned."""
-        exps, nq, S, mask, out, coefs = self._exps, self.nq, self._shift, self._mask, {}, {}
+    def _split(self, row):
+        """``(u, e, c)`` per term ``(u << S | e, c)`` of ``row``, in row order: the one
+        place keys are split.  Each exponent tuple is read once per ring (``_exps``) and
+        each coefficient is normalized."""
+        exps, S, mask = self._exps, self._shift, self._mask
         for k, c in row:
-            if c:
-                d = coefs.get(u := k >> S)
-                if d is None:
-                    d = coefs[u] = {}
-                    out[u] = _poly(nq, d)
-                d[exps[k & mask]] = c if c.__class__ is int else _exact(c)
-        return self._class(out)
+            yield k >> S, exps[k & mask], c if c.__class__ is int else _exact(c)
 
     @staticmethod
     def _row(acc: dict, den: int) -> list:
@@ -197,7 +228,7 @@ class QuantumAff(FiniteQRing):
         acc: dict = {}
         for coef, row in pairs:
             self._add_product(acc, coef, row)
-        return self._to_class(acc.items())
+        return RowClass(self, self._row(acc, 1))
 
     def _lone(self, a: QClass) -> int | None:
         """``w`` when ``a`` is ``sigma_w`` with coefficient 1, else None.  Its row is
@@ -214,7 +245,7 @@ class QuantumAff(FiniteQRing):
         ``sigma_w`` reads ``row_of(w)`` as it is."""
         w = self._lone(a)
         if w is not None:
-            return self._to_class(row_of(w))
+            return RowClass(self, row_of(w))
         return self._sum_rows((coef, row_of(w)) for w, coef in self._packed(a))
 
     # -- the Chevalley operators ---------------------------------------------------
@@ -261,7 +292,7 @@ class QuantumAff(FiniteQRing):
             raise ValueError(f"q0..q{n}, x1..x{n} are {nq + n} variables, not {poly.nvars}")
         if (d := max((sum(e[nq:]) for e in poly.terms), default=0)) > 2 * self._cap:
             raise ValueError(f"x-degree {d} is above 2 l(w0) = {2 * self._cap}")
-        return self._to_class(self._horner(
+        return RowClass(self, self._horner(
             [(e[nq:], keys[e[:nq]], c) for e, c in poly.terms.items()]))
 
     def _horner(self, terms: list) -> list:
@@ -364,7 +395,7 @@ class QuantumAff(FiniteQRing):
         pair of classes sums the rows of every pair of basis elements in one table."""
         u, v = self._lone(a), self._lone(b)
         if u is not None and v is not None:
-            return self._to_class(self._pair_row(u, v))
+            return RowClass(self, self._pair_row(u, v))
         pb = self._packed(b)
         return self._sum_rows(
             ([(e1 + e2, c1 * c2) for e1, c1 in p for e2, c2 in r], self._pair_row(u, v))
@@ -540,10 +571,15 @@ class OrdinaryQH(FiniteQRing):
 def check_table_cap(letter: str, rank: int, cap: int) -> None:
     """Refuse a multiplication table of a type with more than ``cap`` Weyl group
     elements.  It reads ``|W|`` from :func:`~qaff.weyl.weyl_order`, before W is
-    enumerated; only E, F and G, of rank at most 8, build their root system first."""
+    enumerated; only E, F and G, of rank at most 8, read their positive roots first.
+    An order too long to print as an ``int`` is named by a power of ten below it."""
     order = weyl_order(letter, rank)
     if order > cap:
-        raise ValueError(f"|W| = {order} exceeds the table cap {cap}")
+        try:
+            shown = f"= {order}"
+        except ValueError:  # more digits than the interpreter converts to text
+            shown = f">= 10^{(order.bit_length() - 1) * 30102 // 100000}"  # 0.30102 < log10 2
+        raise ValueError(f"|W| {shown} exceeds the table cap {cap}")
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -212,13 +212,19 @@ def _positive_root_closure(cartan: list[list[int]]) -> list[Vec]:
     return sorted(known, key=lambda v: (sum(v), v))
 
 
+def _degrees(positives: list[Vec]) -> tuple[int, ...]:
+    """The fundamental degrees of W, ascending, from the positive roots sorted by
+    height: the exponents ``d - 1`` are the partition dual to the numbers of
+    positive roots of each height (Kostant 1959), so ``sum(d - 1)`` is the number
+    of positive roots and ``prod(d)`` is ``|W|``."""
+    heights = Counter(map(sum, positives))
+    return tuple(h + 1 for h, c in heights.items() for _ in range(c - heights[h + 1]))
+
+
 class RootSystem:
     """Finite root system data for one simple type, built from its label.
 
-    ``degrees`` are the fundamental degrees of W, ascending: the exponents
-    ``d - 1`` are the partition dual to the numbers of positive roots of each
-    height (Kostant 1959), so ``sum(d - 1)`` is the number of positive roots
-    and ``prod(d)`` is ``|W|``.
+    ``degrees`` are the fundamental degrees of W, ascending (:func:`_degrees`).
     """
 
     __slots__ = ("letter", "rank", "cartan", "d", "positive_roots", "theta",
@@ -251,8 +257,7 @@ class RootSystem:
         self.killing_coroots = tuple(
             tuple(Fraction(cartan[i][j]) / d[j] for j in range(rank)) for i in range(rank)
         )
-        heights = Counter(map(sum, positives))
-        self.degrees = tuple(h + 1 for h, c in heights.items() for _ in range(c - heights[h + 1]))
+        self.degrees = _degrees(positives)
 
     @property
     def lie_type(self) -> str:

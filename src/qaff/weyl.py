@@ -30,7 +30,10 @@ from .roots import (
     RootSystem,
     RootTable,
     Vec,
+    _cartan_matrix,
     _check_lie_type,
+    _degrees,
+    _positive_root_closure,
     build_root_system,
 )
 
@@ -406,7 +409,9 @@ class FiniteWeyl:
     """The finite Weyl group of a root system, its elements numbered ``0..|W|-1``.
 
     Elements are ints (ids), in breadth-first order from the identity ``0``
-    along right multiplication by ``s_1, ..., s_n``, so ids grow with length.
+    along right multiplication by ``s_1, ..., s_n``, so ids grow with length, and
+    within one length with ``word``, the least reduced word in lexicographic order:
+    id order is the printing order of a class.
     Every Schubert-basis dict of :mod:`qaff.bgg` and :mod:`qaff.quantum` is
     keyed by them, and arithmetic on them is table lookup:
 
@@ -533,10 +538,11 @@ def finite_weyl(letter: str, rank: int) -> FiniteWeyl:
 
 def weyl_order(letter: str, rank: int) -> int:
     """|W| without enumerating the group: in closed form for A-D, whose rank is
-    unbounded, and as the product of the fundamental degrees for E, F and G."""
+    unbounded, and as the product of the fundamental degrees for E, F and G, read
+    from the positive roots alone, with no :class:`~qaff.roots.RootTable`."""
     _check_lie_type(letter, rank)
     if letter == "A":
         return factorial(rank + 1)
     if letter in "BCD":
         return 2 ** (rank - (letter == "D")) * factorial(rank)
-    return prod(build_root_system(letter, rank).degrees)
+    return prod(_degrees(_positive_root_closure(_cartan_matrix(letter, rank))))

@@ -7,7 +7,7 @@ from goldens_fl3 import FL3_TABLE, build_class
 
 from qaff import quantum
 from qaff.affine import affine_coh
-from qaff.polynomials import Poly
+from qaff.polynomials import Poly, QClass
 from qaff.quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
 from qaff.toda import phi_evaluate, quadratic_relation, typeA_relations, verify_relation
 from qaff.weyl import FiniteWeyl
@@ -48,7 +48,7 @@ class TestGoldenTable:
         ring = quantum_aff("A", 1)
         s1 = ring.basis_simple(1)
         prod = ring.star(s1, s1)
-        expected = type(prod)(
+        expected = QClass(
             prod.length,
             prod.word,
             2,

@@ -1,11 +1,13 @@
 import itertools
 import random
 import re
+from math import prod
 
 import pytest
 from boundary_forms import AffW, element, id_of, inv_coroot, root
 from cover_oracles import short_reflections
 
+from qaff import roots
 from qaff.quantum import check_table_cap
 from qaff.roots import _check_lie_type, affinize, build_root_system
 from qaff.weyl import (
@@ -35,6 +37,22 @@ def test_weyl_order_closed_form():
     assert weyl_order("A", 9) == 3628800
     assert weyl_order("D", 9) == 92897280
     assert weyl_order("E", 8) == 696729600
+
+
+@pytest.mark.parametrize("letter,rank", [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)])
+def test_exceptional_order_builds_no_root_table(monkeypatch, letter, rank):
+    # |W| of E, F and G is the product of the degrees, read from the positive roots alone
+    assert weyl_order(letter, rank) == prod(build_root_system(letter, rank).degrees)
+
+    def refused(*args):
+        raise AssertionError("a RootTable was built")
+
+    monkeypatch.setattr(roots, "RootTable", refused)
+    calls = build_root_system.cache_info()
+    with pytest.raises(ValueError, match=f"^[|]W[|] = {weyl_order(letter, rank)} exceeds the table cap 1$"):
+        check_table_cap(letter, rank, 1)
+    after = build_root_system.cache_info()
+    assert (after.hits, after.misses) == (calls.hits, calls.misses)
 
 
 @pytest.mark.parametrize("letter,rank", [("E", 5), ("A", 0), ("B", 1), ("D", 2), ("A", 2.0)])
@@ -325,6 +343,14 @@ def _affw_length(rs, x):
     """``sum over beta > 0 of |<beta, l> + [v beta < 0]|``, from the root action."""
     return sum(abs(rs.pairing(beta, x.t) + (sum(root(rs.table, x.v, beta)) < 0))
                for beta in rs.positive_roots)
+
+
+@pytest.mark.parametrize("letter,rank", ID_TYPES)
+def test_finite_ids_are_in_printing_order(letter, rank):
+    # a class of QH*_aff prints its sorted packed row as it stands, so the ids must
+    # ascend with (length, word)
+    fw = finite_weyl(letter, rank)
+    assert sorted(fw.elements, key=lambda w: (fw.length[w], fw.word[w])) == list(fw.elements)
 
 
 @pytest.mark.parametrize("letter,rank", ID_TYPES)
