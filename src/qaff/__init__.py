@@ -9,14 +9,13 @@ ideal.  Everything is computed over exact rationals.
 
 from .affine import AffineCoh, TruncationOverflow, affine_coh
 from .chevalley import chevalley_root_set, enumerate_chevalley_roots
-from .neighborhoods import curve_neighborhood, gw_invariant, moment_graph_slice
+from .neighborhoods import curve_neighborhood, gw_invariant
 from .polynomials import QClass
 from .quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
 from .roots import affinize, build_root_system, parse_lie_type
 from .toda import (
     b2_relations,
     phi_evaluate,
-    present_ring,
     quadratic_relation,
     typeA_relations,
     verify_relation,
@@ -41,11 +40,9 @@ __all__ = [
     "enumerate_chevalley_roots",
     "finite_weyl",
     "gw_invariant",
-    "moment_graph_slice",
     "ordinary_qh",
     "parse_lie_type",
     "phi_evaluate",
-    "present_ring",
     "quadratic_relation",
     "quantum_aff",
     "typeA_relations",

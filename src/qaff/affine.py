@@ -15,16 +15,17 @@ The operators:
   descents and 0 otherwise;
 * ``lambda_op(i, a)`` — the quantum Chevalley operator: cup part plus
   ``<lambda_i, alpha^vee> q^{alpha^vee}`` terms over the distinguished roots,
-  found by the quantum-cover length condition; ``lambda_op_by_words`` computes
-  the same operator as ``q^{alpha^vee} D_{s_alpha}`` along the roots' words,
-  and ``verify`` and the tests check the two against each other;
+  found by the quantum-cover length condition;
 * ``modified_lambda(i, a)`` — ``(Lambda_i - m_i Lambda_0)(a)``, the family
   that commutes exactly;
-* ``e1_pullback`` — the ring map determined by ``sigma_i -> eps_i - m_i eps_0``,
-  built by the Monk step: ``sigma_w = sum c sigma_i . sigma_v`` pulls back to
-  ``sum c (eps_i - m_i eps_0) . e1(sigma_v)``;
-* ``qsharp_product`` — ``a * b := Lambda_a Lambda_b (1)`` reduced modulo the
-  principal ideal generated by ``q^c``.
+* ``divisor_pullback(i, a)`` — the cup product with ``eps_i - m_i eps_0``, the
+  image of the finite divisor ``sigma_i``.
+
+The paper's first ring, the divisor subring with its ``#``-product and the
+``e1`` pullback, is :mod:`qaff.divisor_ring`; the second route to
+``Lambda_i``, ``q^{alpha^vee} D_{s_alpha}`` along the roots' words, is the
+cross-check ``lambda_op_by_words`` of :mod:`qaff.verify`.  Neither is loaded
+by ``import qaff``.
 
 ``chevalley``, ``lambda_op``, ``modified_lambda`` and ``divisor_pullback`` are
 one sum over the cover rows of the support, with the weight ``<lambda_i, alpha^vee>``
@@ -38,23 +39,19 @@ sum reads a weight by index: entry ``i`` for ``lambda_i``, read through
 ``lambda_i - m_i lambda_0``, through :meth:`~qaff.roots.RootSystem.finite_index`.
 
 Each public method that reads the group first refuses an element id the group
-has not made (:meth:`~qaff.weyl.AffineWeylGroup.check_ids`, run by ``_guard``,
-``D_word`` and ``express_in_divisor_monomials``), and ``e1_pullback`` refuses a
-finite id (:meth:`~qaff.weyl.FiniteWeyl.check_ids`).  An id is an index into
-lists that grow as elements are met, so ``-1`` would name whichever element
-came last.
+has not made (:meth:`~qaff.weyl.AffineWeylGroup.check_ids`, run by ``_guard``
+and ``D_word``).  An id is an index into lists that grow as elements are met,
+so ``-1`` would name whichever element came last.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from operator import add, mul
 
-from .bgg import FinCohClass, FiniteSchubert, finite_schubert
 from .chevalley import enumerate_chevalley_roots
-from .polynomials import Poly, QClass, QModule, solve_exact
+from .polynomials import Poly, QClass, QModule
 from .roots import CorootVec
 from .weyl import AffineWeylGroup, affine_weyl
 
@@ -92,16 +89,6 @@ class AffineCoh(QModule):
                           cr.coroot_height, cr.coroot, self._weight_row(cr.coroot))
                          for cr in self._chev]
         self._rows: dict[int, tuple[list, list]] = {}
-        self._e1_cache: dict[int, QClass] = {}
-        self._mono_cache: dict[tuple[int, ...], QClass] = {(): self.unit()}
-
-    @property
-    def fs(self) -> FiniteSchubert:
-        """The cached finite Schubert calculator of this type, read by :meth:`e1_pullback`."""
-        return finite_schubert(self.W.rs.letter, self.W.rs.rank)
-
-    def q_monomial(self, e: CorootVec, num=1) -> Poly:
-        return Poly.monomial(self.nq, tuple(e), num)
 
     def _guard(self, a: QClass) -> None:
         """Refuse a class on an id the group has not made, or with support at
@@ -212,20 +199,6 @@ class AffineCoh(QModule):
         """
         return self._cover_sum(a, self.ard.affine_index(i), True)
 
-    def lambda_op_by_words(self, i: int, a: QClass) -> QClass:
-        """``Lambda_i`` as cup plus ``<lambda_i, alpha^vee> q^{alpha^vee} D_{s_alpha}``.
-
-        The letters of each distinguished root's palindromic word are applied
-        one by one.  This is the oracle that ``verify`` and the tests compare
-        :meth:`lambda_op` against.
-        """
-        out = self.chevalley(i, a)
-        for cr in self._chev:
-            k = cr.coroot[i]
-            if k:
-                out = out + self.D_word(cr.word, a).scale(self.q_monomial(cr.coroot, k))
-        return out
-
     def modified_lambda(self, i: int, a: QClass) -> QClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
         return self._cover_sum(a, self.n + self.ard.rs.finite_index(i), True)
@@ -235,93 +208,6 @@ class AffineCoh(QModule):
     def divisor_pullback(self, i: int, a: QClass) -> QClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
         return self._cover_sum(a, self.n + self.ard.rs.finite_index(i), False)
-
-    def e1_pullback(self, a: FinCohClass) -> QClass:
-        """The ring map ``sigma_i -> eps_i - m_i eps_0`` on a finite class."""
-        self.fs.W.check_ids(a)
-        out = self.zero()
-        for w, c in a.items():
-            out = out + self._e1_basis(w).scale(c)
-        return out
-
-    def _e1_basis(self, w: int) -> QClass:
-        """``e1(sigma_w)`` by the Monk step of ``chevalley_expression``, memoized per w."""
-        img = self._e1_cache.get(w)
-        if img is None:
-            if w == self.fs.W.identity:
-                img = self.unit()
-            else:
-                den, expr = self.fs.chevalley_expression(w)
-                img = self.zero()
-                for k, i, v in expr:
-                    img = img + self.divisor_pullback(i, self._e1_basis(v)).scale(Fraction(k, den))
-            self._e1_cache[w] = img
-        return img
-
-    # -- the divisor subring and its product ------------------------------------------
-
-    def divisor_monomial_class(self, mono: tuple[int, ...]) -> QClass:
-        """Cup product ``eps_{i_1} ... eps_{i_k}`` (affine indices, may repeat), memoized
-        by suffix: one Chevalley step per new monomial."""
-        cls = self._mono_cache.get(mono)
-        if cls is None:
-            cls = self._mono_cache[mono] = self.chevalley(
-                mono[0], self.divisor_monomial_class(mono[1:]))
-        return cls
-
-    def express_in_divisor_monomials(
-        self, a: QClass
-    ) -> list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]]:
-        """Write ``a`` as sum of ``q^e * coeff * eps-monomial``; graded elimination.
-
-        Raises ValueError when some layer lies outside the divisor span.
-        """
-        self.W.check_ids(a.terms)
-        # split into (q-exponent, length) layers of plain rational classes
-        layers: dict[tuple[tuple[int, ...], int], dict[int, Fraction]] = {}
-        for w, poly in a.terms.items():
-            lw = self.W.length(w)
-            for e, c in poly.terms.items():
-                layers.setdefault((e, lw), {})[w] = c
-        out: list[tuple[tuple[int, ...], Fraction, tuple[int, ...]]] = []
-        for (e, lw), layer in sorted(layers.items()):
-            monos = list(combinations_with_replacement(range(self.n + 1), lw))
-            cols = [
-                {w: p.constant_term for w, p in self.divisor_monomial_class(m).terms.items()}
-                for m in monos
-            ]
-            sol = solve_exact(cols, layer)
-            if sol is None:
-                raise ValueError(
-                    "class lies outside the subring generated by divisor classes"
-                )
-            out.extend((e, c, m) for c, m in zip(sol, monos) if c)
-        return out
-
-    def _apply_lambda_expr(self, expr, target: QClass) -> QClass:
-        out = self.zero()
-        for e, c, mono in expr:
-            cls = target
-            for i in reversed(mono):
-                cls = self.lambda_op(i, cls)
-            out = out + cls.scale(self.q_monomial(e, c))
-        return out
-
-    def reduce_mod_qc(self, a: QClass) -> QClass:
-        """Kill every coefficient monomial divisible by ``q^c``."""
-        c = self.ard.c
-        return self.from_table({
-            w: {e: v for e, v in poly.terms.items() if not all(x >= y for x, y in zip(e, c))}
-            for w, poly in a.terms.items()
-        })
-
-    def qsharp_product(self, a: QClass, b: QClass) -> QClass:
-        """``a * b = Lambda_a Lambda_b (1)`` modulo ``q^c``."""
-        expr_a = self.express_in_divisor_monomials(a)
-        expr_b = self.express_in_divisor_monomials(b)
-        inner = self._apply_lambda_expr(expr_b, self.unit())
-        outer = self._apply_lambda_expr(expr_a, inner)
-        return self.reduce_mod_qc(outer)
 
     # -- formatting --------------------------------------------------------------
 

@@ -11,7 +11,8 @@ every non-simple member alpha has a simple alpha_i with
 Membership forces ``alpha^vee < c`` componentwise, which pins the candidates
 down to finitely many roots: :meth:`AffineRootData.real_positive_roots_leq`
 with bound ``c``.  (No real root has coroot ``c`` itself, so the bound is
-strict.)
+strict.)  The upward peeling reconstruction that ``verify`` and the tests
+check the set against, ``posir_reconstruct``, is in :mod:`qaff.verify`.
 """
 
 from __future__ import annotations
@@ -78,36 +79,3 @@ def enumerate_chevalley_roots(W: AffineWeylGroup) -> tuple[ChevalleyRoot, ...]:
     """The set of ``W``'s type: it holds no element ids, so every group of the
     type shares it."""
     return chevalley_root_set(W.rs.letter, W.rs.rank)
-
-
-def posir_reconstruct(W: AffineWeylGroup) -> dict[AffineRoot, tuple[int, ...]]:
-    """Rebuild the set by upward closure, without the ``2 ht - 1`` criterion.
-
-    Start from the affine simple roots and repeatedly apply
-    ``beta -> s_i(beta)`` whenever ``<alpha_i, beta^vee> = -1`` and the
-    conjugated word stays reduced (word length grows by exactly 2).  Tests
-    compare the result against the direct length-test enumeration; agreement
-    is precisely the peeling characterization.
-    """
-    ard = W.ard
-    simple_roots = [ard.simple_root(i) for i in range(ard.n + 1)]
-    found: dict[AffineRoot, tuple[int, ...]] = {
-        s: (i,) for i, s in enumerate(simple_roots)
-    }
-    frontier = list(found)
-    while frontier:
-        nxt: list[AffineRoot] = []
-        for beta in frontier:
-            bv = ard.coroot(beta)
-            wlen = len(found[beta])
-            for i in range(ard.n + 1):
-                if ard.pairing(simple_roots[i], bv) != -1:
-                    continue
-                alpha = ard.reflect(simple_roots[i], beta)
-                if alpha in found:
-                    continue
-                if W.length(W.reflection(alpha)) == wlen + 2:
-                    found[alpha] = (i,) + found[beta] + (i,)
-                    nxt.append(alpha)
-        frontier = nxt
-    return found

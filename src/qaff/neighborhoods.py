@@ -6,7 +6,8 @@ Vertices are affine Weyl elements (the int ids of
 names has degree ``alpha^vee``.  The degree-d neighborhood of ``X(u)`` is the
 set of vertices a walk starting at a cell of ``X(u)`` can reach while the
 componentwise degree budget lasts; only its Bruhat-maximal elements, the
-components, are asked for.
+components, are asked for.  The slice of the moment graph that ``curve-nbhd
+--format dot`` draws is built in :mod:`qaff.cli`, the one place that reads it.
 
 ``curve_neighborhood`` computes the components through the Hecke-product
 shortcut of Buch-Mihalcea ("Curve neighborhoods of Schubert varieties",
@@ -47,54 +48,8 @@ from functools import lru_cache
 from itertools import product
 from operator import sub
 
-from .roots import AffineRoot, CorootVec, coroot_ht, coroot_leq
+from .roots import CorootVec, coroot_ht, coroot_leq
 from .weyl import AffineWeylGroup
-
-
-class MomentGraphSlice:
-    __slots__ = ("W", "vertices", "edges")
-
-    def __init__(
-        self,
-        W: AffineWeylGroup,
-        vertices: list[int],
-        edges: list[tuple[int, int, AffineRoot, CorootVec]],
-    ):
-        self.W = W
-        self.vertices = vertices
-        self.edges = edges
-
-    def to_dot(self) -> str:
-        fmt = self.W.format
-        lines = ["graph moment_slice {"]
-        for w in self.vertices:
-            lines.append(f'  "{fmt(w)}" [len={self.W.length(w)}];')
-        for u, v, _, deg in self.edges:
-            lines.append(
-                f'  "{fmt(u)}" -- "{fmt(v)}" [label="{list(deg)}"];'
-            )
-        lines.append("}")
-        return "\n".join(lines)
-
-
-def moment_graph_slice(W: AffineWeylGroup, L: int) -> MomentGraphSlice:
-    """All vertices of length <= L and the edges staying inside the slice."""
-    layers = W.enumerate_up_to(L)
-    vertices = [w for ell in sorted(layers) for w in layers[ell]]
-    index = set(vertices)
-    # a reflection moving within the slice has len(s_alpha) <= 2L, and one at level k
-    # has len(s_alpha) >= 2k - #(positive roots)
-    top = (2 * L + W.rs.num_positive) // 2
-    refs = [(s, alpha, coroot) for level in W.ard.levels(top) for _, _, alpha, coroot in level
-            if W.length(s := W.reflection(alpha)) <= 2 * L]
-    edges = []
-    for w in vertices:
-        lw = W.length(w)
-        for s, alpha, coroot in refs:
-            u = W.multiply(w, s)
-            if u in index and W.length(u) > lw:
-                edges.append((w, u, alpha, coroot))
-    return MomentGraphSlice(W, vertices, edges)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 Exp = tuple[int, ...]
 Scalar = int | Fraction
 
-SCHEMA_VERSION = 1  # of the JSON records that the CLI and ``toda.present_ring`` print
+SCHEMA_VERSION = 1  # of the JSON records that the CLI prints
 
 
 def _exact(c: Scalar) -> Scalar:

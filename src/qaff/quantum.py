@@ -49,7 +49,10 @@ Two engines live here, deliberately kept apart:
   genuine cross-check rather than the same code evaluated twice.
 
 Both are free ``Q[q]``-modules on the finite Schubert basis; their
-constructors and the multiplication table live in :class:`FiniteQRing`.
+constructors live in :class:`FiniteQRing`.  The multiplication table of the
+``table`` command and its cost guard, ``check_table_cap``, are
+:mod:`qaff.cli`'s; the cross-checks that only ``verify`` and the tests run,
+``verify_fw_chevalley`` and ``poincare_pairing``, are :mod:`qaff.verify`'s.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import Poly, QClass, QModule, _divided, _exact, _poly, solve_exact
 from .roots import build_root_system, coroot_ht
-from .weyl import affine_weyl, finite_reflection, finite_weyl, weyl_order
+from .weyl import affine_weyl, finite_reflection, finite_weyl
 
 
 class _Memo(dict):
@@ -113,7 +116,7 @@ class RowClass(QClass):
 
 
 class FiniteQRing(QModule):
-    """``H*(G/B) ⊗ Q[q]`` with ``nq`` q-variables: constructors and the table."""
+    """``H*(G/B) ⊗ Q[q]`` with ``nq`` q-variables: constructors and formatting."""
 
     q_offset = 0  # the name of q-variable k is q{k + q_offset}
 
@@ -123,18 +126,6 @@ class FiniteQRing(QModule):
         self.FW = finite_weyl(letter, rank)
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
                          self.FW.identity, nq)
-
-    def multiplication_table(self) -> dict[tuple[int, int], QClass]:
-        """All ordered products; computed on unordered pairs and mirrored.  See
-        :func:`check_table_cap` for a guard that runs before W is enumerated."""
-        elts = sorted(self.FW.elements, key=lambda w: (self.FW.length[w], self.FW.word[w]))
-        table = {}
-        for i, u in enumerate(elts):
-            for v in elts[i:]:
-                prod = self.star(self.basis(u), self.basis(v))
-                table[(u, v)] = prod
-                table[(v, u)] = prod
-        return table
 
     def format_class(self, a: QClass) -> str:
         return a.format([f"q{i + self.q_offset}" for i in range(a.nq)],
@@ -401,21 +392,10 @@ class QuantumAff(FiniteQRing):
             ([(e1 + e2, c1 * c2) for e1, c1 in p for e2, c2 in r], self._pair_row(u, v))
             for u, p in self._packed(a) for v, r in pb)
 
-    def poincare_pairing(self, a: QClass, b: QClass) -> Poly:
-        """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
-        self.FW.check_ids([*a.terms, *b.terms])
-        total = Poly.zero(self.nq)
-        FW = self.FW
-        for u, c in a.terms.items():
-            d = b.terms.get(FW.mul(FW.w0, u))
-            if d is not None:
-                total = total + c * d
-        return total
-
     def basis_simple(self, i: int) -> QClass:
         return self.basis(self.FW.gens[self.rs.finite_index(i) - 1])
 
-    # -- q0 := 0 and the ordinary-quantum cross-check ---------------------------------
+    # -- q0 := 0 ---------------------------------------------------------------------
 
     def specialize_q0(self, a: QClass) -> QClass:
         """Kill q0 and re-index the remaining variables to q1..qn."""
@@ -425,24 +405,6 @@ class QuantumAff(FiniteQRing):
             if kept:
                 out[w] = Poly(self.n, kept)
         return QClass(self._length, self._word, self.n, out)
-
-    def verify_fw_chevalley(self) -> dict:
-        """Compare lambda_bar at q0=0 with the finite-root quantum Chevalley rule."""
-        ord_ring = ordinary_qh(self.rs.letter, self.rs.rank)
-        checked = mismatches = 0
-        for i in range(1, self.n + 1):
-            for w in self.FW.elements:
-                lhs = self.specialize_q0(self.lambda_bar(i, self.basis(w)))
-                rhs = ord_ring.chevalley(i, ord_ring.basis(w))
-                checked += 1
-                if lhs.terms != rhs.terms:
-                    mismatches += 1
-        return {
-            "type": self.rs.lie_type,
-            "checked": checked,
-            "mismatches": mismatches,
-            "ok": mismatches == 0,
-        }
 
 
 class OrdinaryQH(FiniteQRing):
@@ -566,20 +528,6 @@ class OrdinaryQH(FiniteQRing):
             for v, d in b.terms.items():
                 out = out + self._lift_apply_basis(u, v).scale(c * d)
         return out
-
-
-def check_table_cap(letter: str, rank: int, cap: int) -> None:
-    """Refuse a multiplication table of a type with more than ``cap`` Weyl group
-    elements.  It reads ``|W|`` from :func:`~qaff.weyl.weyl_order`, before W is
-    enumerated; only E, F and G, of rank at most 8, read their positive roots first.
-    An order too long to print as an ``int`` is named by a power of ten below it."""
-    order = weyl_order(letter, rank)
-    if order > cap:
-        try:
-            shown = f"= {order}"
-        except ValueError:  # more digits than the interpreter converts to text
-            shown = f">= 10^{(order.bit_length() - 1) * 30102 // 100000}"  # 0.30102 < log10 2
-        raise ValueError(f"|W| {shown} exceeds the table cap {cap}")
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -1,4 +1,4 @@
-"""Conserved quantities of the dual periodic Toda lattice, and ring presentations.
+"""Conserved quantities of the dual periodic Toda lattice, the relations of the ring.
 
 A relation lives in ``Q[q_0..q_n, x_1..x_n]`` graded by ``deg q = 2``,
 ``deg x = 1``.  The evaluation map ``Phi`` sends ``x_i`` to the Schubert
@@ -27,6 +27,9 @@ Constructive sources:
   takes the same pair, since it has the same Cartan matrix as B2 here;
 * every type — the quadratic relation
   ``sum (a_i^vee|a_j^vee) x_i x_j - (th^vee|th^vee) q_0 - sum (a_i^vee|a_i^vee) q_i``.
+
+The presentation record that ``present`` prints, ``present_ring``, is built in
+:mod:`qaff.cli` from :func:`relations_for` and :func:`relation_checks`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bgg import FinCohClass
-from .polynomials import SCHEMA_VERSION, Poly, QClass
+from .polynomials import Poly, QClass
 from .quantum import QuantumAff, quantum_aff
 from .roots import _check_lie_type, build_root_system
 
@@ -204,7 +207,7 @@ def _q0_part(img: QClass) -> FinCohClass:
     return {w: c for w, p in img.terms.items() if (c := p.terms.get(zero))}
 
 
-# -- the presentation record --------------------------------------------------------
+# -- the relation set of a type ------------------------------------------------------
 
 
 def relations_for(letter: str, rank: int) -> tuple[list[RelationPoly], str]:
@@ -224,27 +227,3 @@ def _relation_set(letter: str, rank: int) -> tuple[tuple[RelationPoly, ...], str
     if letter in ("B", "C") and rank == 2:  # one Cartan matrix, symmetrizers and theta
         return tuple(rel._replace(letter=letter) for rel in b2_relations()), "full"
     return (quadratic_relation(letter, rank),), "partial"
-
-
-def present_ring(letter: str, rank: int, rels: list[RelationPoly], status: str) -> dict:
-    """The presentation record of ``(rels, status) = relations_for(letter, rank)``."""
-    ring = quantum_aff(letter, rank)
-    entries = []
-    for rel in rels:
-        phi_zero, classical_invariant = relation_checks(rel, ring)
-        entries.append({"name": rel.name, "degree": rel.degree(), "poly": rel.format(),
-                        "phi_zero": phi_zero, "classical_invariant": classical_invariant})
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "type": f"{letter}{rank}",
-        "generators": [f"x{i}" for i in range(1, rank + 1)],
-        "coefficients": [f"q{i}" for i in range(rank + 1)],
-        "relations": entries,
-        "status": status,
-    }
-    if status == "partial":
-        record["gap"] = (
-            "only the quadratic conserved quantity is constructed for this type; "
-            "the higher integrals of motion are not generated"
-        )
-    return record

@@ -10,7 +10,7 @@ classical expression of ``sigma_w`` in divisor monomials
 
 The tests compare products through this lift against ``QuantumAff.star``.
 
-``e1_by_divisors`` is the route ``AffineCoh.e1_pullback`` used before it
+``e1_by_divisors`` is the route ``divisor_ring.e1_pullback`` used before it
 moved to the Monk step: each divisor monomial ``sigma_{i_1} ... sigma_{i_k}``
 of ``sigma_w`` goes to the chain of ``divisor_pullback`` images from the unit.
 
@@ -19,6 +19,8 @@ Only the rings' operators and constructors are shared; classes are summed by
 """
 
 from class_sums import scale_and_add
+
+from qaff.divisor_ring import fs
 
 
 def lambda_word(ring, word, b):
@@ -32,7 +34,7 @@ def e1_by_divisors(calc, a):
     """``e1(a)`` for a finite class ``a`` of an ``AffineCoh`` calculator ``calc``."""
     pairs = []
     for w, c in a.items():
-        for coef, mono in calc.fs.express_in_divisors(w):
+        for coef, mono in fs(calc).express_in_divisors(w):
             cls = calc.unit()
             for i in reversed(mono):
                 cls = calc.divisor_pullback(i, cls)

@@ -1,7 +1,8 @@
 import pytest
 
-from qaff.chevalley import chevalley_root_set, enumerate_chevalley_roots, posir_reconstruct
+from qaff.chevalley import chevalley_root_set, enumerate_chevalley_roots
 from qaff.roots import AffineRoot, affinize, coroot_ht, coroot_leq
+from qaff.verify import posir_reconstruct
 from qaff.weyl import AffineWeylGroup, affine_weyl
 
 # how many roots carry a "short" reflection, for each implemented type

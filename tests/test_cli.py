@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+import sys
 import time
 
 import pytest
@@ -193,6 +195,28 @@ class TestTable:
         assert "exceeds the table cap 48" in err and err.count("error:") == 1, err
         assert build_root_system.cache_info().misses == built
         assert time.monotonic() - start < 2.0
+
+    def test_cap_refuses_a_rank_in_the_millions_at_once(self, capsys):
+        # computing (10^6 + 1)! alone took 7 s; |W| >= 2^rank is past the cap already
+        start = time.monotonic()
+        code, out, err = run(capsys, "table", "--type", "A1000000")
+        assert code == 2 and out == ""
+        assert err == f"error: |W| >= 10^{10**6 * 30102 // 100000} exceeds the table cap 48\n"
+        assert time.monotonic() - start < 0.5
+
+    def test_cap_reads_two_to_the_rank_only_past_the_print_limit(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)  # the least the interpreter allows
+        try:
+            # 10^662 <= 2^2200 has more than 640 digits: |W| itself is not computed
+            with pytest.raises(ValueError, match=r"^\|W\| >= 10\^662 exceeds the table cap 48$"):
+                cli.check_table_cap("A", 2200, 48)
+            # 10^632 <= 2^2100 may be printed, so the order is read and named as before
+            k = (math.factorial(2101).bit_length() - 1) * 30102 // 100000
+            with pytest.raises(ValueError, match=rf"^\|W\| >= 10\^{k} exceeds the table cap 48$"):
+                cli.check_table_cap("A", 2100, 48)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestQSharp:

@@ -24,8 +24,10 @@ from cover_oracles import (
     short_reflections,
 )
 from qaff.affine import affine_coh
-from qaff.neighborhoods import _reachable, bruhat_maximal, moment_graph_slice
+from qaff.cli import moment_graph_slice
+from qaff.neighborhoods import _reachable, bruhat_maximal
 from qaff.roots import AffineRoot, AffineRootData, affinize, build_root_system
+from qaff.verify import lambda_op_by_words
 from qaff.weyl import AffineWeylGroup, affine_weyl
 
 COVER_CASES = [("A", 1, 4), ("A", 2, 4), ("A", 3, 4), ("A", 4, 4), ("B", 2, 4),
@@ -145,7 +147,7 @@ def test_quantum_rows_match_word_form(letter, rank):
                 by_words.append((u, cr.coroot))
         assert [(u, coroot) for u, coroot, _ in calc._cover_rows(w)[1]] == by_words, W.format(w)
         for i in range(rank + 1):
-            assert calc.lambda_op(i, a) == calc.lambda_op_by_words(i, a)
+            assert calc.lambda_op(i, a) == lambda_op_by_words(calc, i, a)
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("G", 2), ("D", 4)])

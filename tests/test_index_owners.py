@@ -15,6 +15,7 @@ from qaff.bgg import FiniteSchubert
 from qaff.neighborhoods import gw_invariant
 from qaff.quantum import OrdinaryQH, QuantumAff
 from qaff.roots import AffineRootData, build_root_system
+from qaff.verify import lambda_op_by_words
 from qaff.weyl import AffineWeylGroup
 
 RANK = 2  # every reader below runs on A2
@@ -52,7 +53,7 @@ READERS = {
     "AffineCoh.chevalley": ("affine", fresh_affine, lambda H, i: H.chevalley(i, H.basis(1))),
     "AffineCoh.lambda_op": ("affine", fresh_affine, lambda H, i: H.lambda_op(i, H.basis(1))),
     "AffineCoh.lambda_op_by_words": (
-        "affine", fresh_affine, lambda H, i: H.lambda_op_by_words(i, H.basis(1))),
+        "affine", fresh_affine, lambda H, i: lambda_op_by_words(H, i, H.basis(1))),
     "AffineCoh.modified_lambda": (
         "finite", fresh_affine, lambda H, i: H.modified_lambda(i, H.basis(1))),
     "AffineCoh.divisor_pullback": (

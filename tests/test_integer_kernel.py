@@ -14,9 +14,11 @@ from class_sums import scale_and_add
 from divisor_lift import lambda_word
 
 from qaff.affine import affine_coh
+from qaff.cli import multiplication_table
 from qaff.polynomials import Poly, QModule, exact_div_linear
 from qaff.quantum import quantum_aff
 from qaff.toda import b2_relations, phi_evaluate
+from qaff.verify import lambda_op_by_words
 
 NQ = 3
 MODULE = QModule(lambda w: w, lambda w: (w,), 0, NQ)
@@ -144,7 +146,7 @@ class TestIntegerCoefficients:
     @pytest.mark.parametrize("lt", ["A3", "B3"])
     def test_table_coefficients_are_ints(self, lt):
         ring = quantum_aff(lt[0], int(lt[1]))
-        for prod in ring.multiplication_table().values():
+        for prod in multiplication_table(ring).values():
             assert all(type(c) is int for c in coefficients(prod))
 
     def test_affine_a2_lambda_images_are_ints(self):
@@ -152,7 +154,7 @@ class TestIntegerCoefficients:
         for ws in H.W.enumerate_up_to(3).values():
             for w in ws:
                 for i in range(H.n + 1):
-                    for img in (H.lambda_op(i, H.basis(w)), H.lambda_op_by_words(i, H.basis(w))):
+                    for img in (H.lambda_op(i, H.basis(w)), lambda_op_by_words(H, i, H.basis(w))):
                         assert all(type(c) is int for c in coefficients(img))
                 for i in range(1, H.n + 1):
                     img = H.modified_lambda(i, H.basis(w))

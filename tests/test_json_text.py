@@ -15,6 +15,8 @@ import random
 import pytest
 
 from qaff import cli
+from qaff.polynomials import SCHEMA_VERSION
+from qaff.quantum import quantum_aff
 from test_cli_golden import CALLS
 
 ODD_CHARS = ['"', "\\", "\n", "\t", "\x00", "\x1f", "/", "é", "ß", "☃", "\U0001F600", " "]
@@ -79,8 +81,26 @@ def test_matches_json_dumps_on_every_golden_json_call(monkeypatch):
     for argv in CALLS:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             cli.main(list(argv))
-    json_calls = [c for c in CALLS if "json" in c or (c[0] == "present" and "latex" not in c)]
-    assert len(printed) == len(json_calls) == 16
+    # ``table --format json`` streams its entries instead (the test below)
+    json_calls = [c for c in CALLS if ("json" in c and c[0] != "table")
+                  or (c[0] == "present" and "latex" not in c)]
+    assert len(printed) == len(json_calls) == 13
     for obj, indent in printed:
         if indent:
             assert cli.json_text(obj) == json.dumps(obj, indent=2)
+
+
+@pytest.mark.parametrize("lt", ["A2", "B2", "A3", "G2"])
+def test_streamed_table_is_json_text_of_the_whole_record(capsys, lt):
+    # the record the table command built, all at once, before it streamed its entries
+    ring = quantum_aff(lt[0], int(lt[1]))
+    table = cli.multiplication_table(ring)
+    FW = ring.FW
+    order = sorted(table, key=lambda uv: (FW.length[uv[0]], FW.word[uv[0]],
+                                          FW.length[uv[1]], FW.word[uv[1]]))
+    record = {"schema_version": SCHEMA_VERSION, "type": lt, "entries": [
+        {"u": list(FW.word[u]), "v": list(FW.word[v]), "product": table[(u, v)].to_json_obj()}
+        for u, v in order]}
+    assert cli.main(["table", "--type", lt, "--format", "json"]) == 0
+    assert capsys.readouterr().out == cli.json_text(record) + "\n"
+    assert cli.json_text(record) == json.dumps(record, indent=2)

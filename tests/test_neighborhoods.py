@@ -4,10 +4,10 @@ import pytest
 
 from qaff.affine import AffineCoh, affine_coh
 from qaff.chevalley import chevalley_root_set
+from qaff.cli import moment_graph_slice
 from qaff.neighborhoods import (
     curve_neighborhood,
     gw_invariant,
-    moment_graph_slice,
     neighborhood_by_search,
     z_components,
 )

@@ -22,6 +22,7 @@ from divisor_lift import lambda_word
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qaff.cli import multiplication_table
 from qaff.polynomials import Poly
 from qaff.quantum import QuantumAff, quantum_aff
 from qaff.toda import RelationPoly, phi_evaluate, quadratic_relation, relations_for
@@ -39,7 +40,7 @@ def _ids(types):
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3)])
 def test_pack_round_trip_and_order(letter, rank):
     ring = quantum_aff(letter, rank)
-    table = ring.multiplication_table()
+    table = multiplication_table(ring)
     exps = {e for cls in table.values() for p in cls.terms.values() for e in p.terms}
     mask = (1 << ring._shift) - 1
     terms = {(k >> ring._shift, k & mask) for row in ring._lift_img.values() for k, _ in row}

@@ -7,9 +7,11 @@ from goldens_fl3 import FL3_TABLE, build_class
 
 from qaff import quantum
 from qaff.affine import affine_coh
+from qaff.cli import multiplication_table
 from qaff.polynomials import Poly, QClass
 from qaff.quantum import OrdinaryQH, QuantumAff, ordinary_qh, quantum_aff
 from qaff.toda import phi_evaluate, quadratic_relation, typeA_relations, verify_relation
+from qaff.verify import poincare_pairing, verify_fw_chevalley
 from qaff.weyl import FiniteWeyl
 
 
@@ -67,7 +69,7 @@ class TestGoldenTable:
         assert coeff.terms.get((1, 0, 0)) == Fraction(-1)
 
     def test_table_is_full_and_symmetric(self, a2):
-        table = a2.multiplication_table()
+        table = multiplication_table(a2)
         assert len(table) == 36
         for (u, v), val in table.items():
             assert table[(v, u)] == val
@@ -132,15 +134,15 @@ class TestRingAxioms:
         picks = FW.elements if len(FW) <= 8 else FW.elements[:6]
         for u, v, w in itertools.combinations(picks, 3):
             bu, bv, bw = ring.basis(u), ring.basis(v), ring.basis(w)
-            lhs = ring.poincare_pairing(ring.star(bu, bv), bw)
-            rhs = ring.poincare_pairing(bu, ring.star(bv, bw))
+            lhs = poincare_pairing(ring, ring.star(bu, bv), bw)
+            rhs = poincare_pairing(ring, bu, ring.star(bv, bw))
             assert lhs == rhs
 
     def test_pairing_is_qfree_duality(self, a2):
         FW = a2.FW
         for u in FW.elements:
             for v in FW.elements:
-                pairing = a2.poincare_pairing(a2.basis(u), a2.basis(v))
+                pairing = poincare_pairing(a2, a2.basis(u), a2.basis(v))
                 if FW.mul(FW.w0, u) == v:
                     assert pairing == Poly.one(3)
                 else:
@@ -200,7 +202,7 @@ class TestSpecialization:
     @pytest.mark.parametrize("lt", ["A2", "B2", "A3"])
     def test_fw_chevalley_matrix(self, lt):
         ring = quantum_aff(lt[0], int(lt[1]))
-        report = ring.verify_fw_chevalley()
+        report = verify_fw_chevalley(ring)
         assert report["ok"], report
         assert report["mismatches"] == 0
         assert report["checked"] > 0
@@ -208,21 +210,21 @@ class TestSpecialization:
     @pytest.mark.parametrize("lt", ["B3", "C3", "D4"])
     def test_fw_chevalley_on_rank_three_and_four(self, lt):
         ring = quantum_aff(lt[0], int(lt[1]))
-        report = ring.verify_fw_chevalley()
+        report = verify_fw_chevalley(ring)
         assert report["ok"], report
         assert report["checked"] == ring.n * len(ring.FW)
 
     def test_fw_chevalley_sees_one_changed_row(self):
         ring = QuantumAff("B", 3)
-        assert ring.verify_fw_chevalley()["ok"]
+        assert verify_fw_chevalley(ring)["ok"]
         key = 2 * len(ring.FW) + ring.FW.w0  # the row of lambda_bar_2(sigma_w0)
         # the memo holds flat (u << S | e, c) rows: append sigma_e q^0 with coefficient 1
         ring._lambda_img[key] = ring._lambda_img[key] + [(0, 1)]
-        assert ring.verify_fw_chevalley()["mismatches"] == 1
+        assert verify_fw_chevalley(ring)["mismatches"] == 1
 
     def test_ordinary_engine_reads_no_generator_table_or_cover_rows(self, monkeypatch):
         ring = quantum_aff("B", 3)
-        assert ring.verify_fw_chevalley()["ok"]  # fills the rows before the guard
+        assert verify_fw_chevalley(ring)["ok"]  # fills the rows before the guard
         fw = FiniteWeyl(ring.rs)
         fw.rmul = None
 
@@ -284,7 +286,7 @@ class TestOrdinaryEngine:
 
     def test_table_entry_count(self):
         ring = ordinary_qh("A", 2)
-        assert len(ring.multiplication_table()) == 36
+        assert len(multiplication_table(ring)) == 36
 
     def test_unit_lift_once_per_element(self, monkeypatch):
         # T_w(1) - sigma_w is kept per w, so lifting w against several v
@@ -351,7 +353,7 @@ class TestElementIds:
         calls = [lambda: ring.star(wrong, s1), lambda: ring.star(s1, wrong),
                  lambda: ring.star(wrong.scale(2), s1), lambda: ring.star(s1 + s2, wrong),
                  lambda: ring.lift_apply(bad, s1), lambda: ring.lift_apply(ring.FW.gens[0], wrong),
-                 lambda: ring.lambda_bar(1, wrong), lambda: ring.poincare_pairing(wrong, s1)]
+                 lambda: ring.lambda_bar(1, wrong), lambda: poincare_pairing(ring, wrong, s1)]
         for call in calls:
             with pytest.raises(ValueError, match="is not an element id of A2"):
                 call()
@@ -386,7 +388,7 @@ def test_basis_shares_one_unit_that_nothing_changes():
     # to one answer's coefficient would change every later sigma_w
     ring = QuantumAff("A", 3)
     unit = ring.basis(ring.FW.identity).terms[ring.FW.identity]
-    ring.multiplication_table()
+    multiplication_table(ring)
     for rel in typeA_relations(4):  # H1..H3 of Fl(4), the A3 flag manifold
         phi_evaluate(rel, ring)
     for w in ring.FW.elements:

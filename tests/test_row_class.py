@@ -14,6 +14,7 @@ from itertools import product
 
 import pytest
 
+from qaff.cli import multiplication_table
 from qaff.polynomials import Poly, QClass
 from qaff.quantum import QuantumAff, RowClass, quantum_aff
 
@@ -83,7 +84,7 @@ def test_products_of_products_associate():
 
 def test_reading_a_class_changes_no_memo_row():
     ring = QuantumAff("A", 3)  # a fresh ring, so its memos are its own
-    table = ring.multiplication_table()
+    table = multiplication_table(ring)
     memos = [{k: list(row) for k, row in memo.items()}
              for memo in (ring._lift_img, ring._lambda_img)]
     for prod in table.values():

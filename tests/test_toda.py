@@ -6,6 +6,7 @@ from bgg_oracle import PolynomialBGG
 from dimension_oracle import quotient_dimension, schubert_module_dimension
 from qaff import toda
 from qaff.bgg import finite_schubert
+from qaff.cli import present_ring
 from qaff.polynomials import Poly
 from qaff.quantum import quantum_aff
 from qaff.roots import build_root_system
@@ -14,7 +15,6 @@ from qaff.toda import (
     _q0_part,
     b2_relations,
     phi_evaluate,
-    present_ring,
     quadratic_relation,
     relations_for,
     typeA_relations,

@@ -8,7 +8,7 @@ from boundary_forms import AffW, element, id_of, inv_coroot, root
 from cover_oracles import short_reflections
 
 from qaff import roots
-from qaff.quantum import check_table_cap
+from qaff.cli import check_table_cap
 from qaff.roots import _check_lie_type, affinize, build_root_system
 from qaff.weyl import (
     FiniteWeyl,
