@@ -38,10 +38,13 @@ sum reads a weight by index: entry ``i`` for ``lambda_i``, read through
 :meth:`~qaff.roots.AffineRootData.affine_index`, and entry ``n + i`` for
 ``lambda_i - m_i lambda_0``, through :meth:`~qaff.roots.RootSystem.finite_index`.
 
-Each public method that reads the group first refuses an element id the group
-has not made (:meth:`~qaff.weyl.AffineWeylGroup.check_ids`, run by ``_guard``
-and ``D_word``).  An id is an index into lists that grow as elements are met,
-so ``-1`` would name whichever element came last.
+Each public method that reads a class first asks the ring whether the class is
+its own (:meth:`~qaff.polynomials.QModule.check_classes`, run by ``_guard`` and
+``D_word``): a class of a ring on another group, even one of the same type, or
+with another number of q-variables is refused, and so is an element id the
+group has not made.  An id is an index into lists that grow as elements are
+met, so ``-1`` would name whichever element came last, and an id of another
+group names another element.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ class AffineCoh(QModule):
     """Operator calculator over one affine type."""
 
     def __init__(self, W: AffineWeylGroup, L: int | None = None):
-        super().__init__(W.length, W.reduced_word, W.identity, W.n + 1)
+        super().__init__(W.length, W.reduced_word, W, W.n + 1)
         self.W = W
         self.ard = W.ard
         self.n = W.n
@@ -91,9 +94,10 @@ class AffineCoh(QModule):
         self._rows: dict[int, tuple[list, list]] = {}
 
     def _guard(self, a: QClass) -> None:
-        """Refuse a class on an id the group has not made, or with support at
-        length ``L`` or more."""
-        self.W.check_ids(a.terms)
+        """Refuse a class that is not this ring's
+        (:meth:`~qaff.polynomials.QModule.check_classes`), or with support at length
+        ``L`` or more."""
+        self.check_classes(a)
         top = a.max_length() + 1
         if top > self.L:
             raise TruncationOverflow(top, self.L)
@@ -173,8 +177,8 @@ class AffineCoh(QModule):
     def D_word(self, word: tuple[int, ...], a: QClass) -> QClass:
         """``D_{i_1} ... D_{i_k}(a)``, rightmost letter first; the letters and the
         support are checked once, and every later support is made by the group."""
+        self.check_classes(a)
         W = self.W
-        W.check_ids(a.terms)
         letters = [self.ard.affine_index(j) for j in word]
         for i in reversed(letters):
             if a.is_zero():

@@ -121,7 +121,7 @@ def _latex_poly(p: Poly, qnames: list[str]) -> str:
 
 def _latex_class(ring, a: QClass) -> str:
     return a.format(
-        [f"q_{i}" for i in range(a.nq)],
+        [f"q_{i}" for i in range(ring.nq)],
         lambda w: "\\sigma_{%s}" % " ".join(f"s_{i + 1}" for i in ring.FW.word[w]),
         sep=" ",
     )
@@ -309,8 +309,7 @@ def check_table_cap(letter: str, rank: int, cap: int) -> None:
 def multiplication_table(ring: FiniteQRing) -> dict[tuple[int, int], QClass]:
     """All ordered products of ``ring``; computed on unordered pairs and mirrored.
     :func:`check_table_cap` is the guard that runs before W is enumerated."""
-    FW = ring.FW
-    elts = sorted(FW.elements, key=lambda w: (FW.length[w], FW.word[w]))
+    elts = ring.FW.elements  # ids ascend in printing order
     table = {}
     for i, u in enumerate(elts):
         for v in elts[i:]:
@@ -325,11 +324,7 @@ def cmd_table(args, letter: str, rank: int) -> int:
     ring = quantum_aff(letter, rank)
     table = multiplication_table(ring)
     FW = ring.FW
-    items = sorted(
-        table.items(),
-        key=lambda kv: (FW.length[kv[0][0]], FW.word[kv[0][0]],
-                        FW.length[kv[0][1]], FW.word[kv[0][1]]),
-    )
+    items = sorted(table.items())  # ids ascend in printing order
     if args.format == "json":
         # json_text of the whole record, one entry's text at a time: A4 is 242 MB
         write = sys.stdout.write

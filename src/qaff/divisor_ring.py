@@ -15,10 +15,11 @@ curve-neighborhood run, so ``import qaff`` does not load this module.  Only
 
 The memos of the monomial classes and of the ``e1`` images are kept per
 calculator, for as long as it lives (``_mono_cache``, ``_e1_cache``).
-``express_in_divisor_monomials`` refuses an affine element id the group has
-not made (:meth:`~qaff.weyl.AffineWeylGroup.check_ids`), and ``e1_pullback`` a
-finite one (:meth:`~qaff.weyl.FiniteWeyl.check_ids`), before either fills a
-memo.
+``express_in_divisor_monomials`` and ``reduce_mod_qc`` refuse a class that is
+not ``calc``'s own (:meth:`~qaff.polynomials.QModule.check_classes`: a class of
+another group, even one of the same type, another number of q-variables, or an
+element id the group has not made), and ``e1_pullback`` a finite id
+(:meth:`~qaff.weyl.FiniteWeyl.check_ids`), before any of them fills a memo.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ def express_in_divisor_monomials(
 
     Raises ValueError when some layer lies outside the divisor span.
     """
-    calc.W.check_ids(a.terms)
+    calc.check_classes(a)
     # split into (q-exponent, length) layers of plain rational classes
     layers: dict[tuple[tuple[int, ...], int], dict[int, Fraction]] = {}
     for w, poly in a.terms.items():
@@ -137,6 +138,7 @@ def _apply_lambda_expr(calc: AffineCoh, expr, target: QClass) -> QClass:
 
 def reduce_mod_qc(calc: AffineCoh, a: QClass) -> QClass:
     """Kill every coefficient monomial divisible by ``q^c``."""
+    calc.check_classes(a)
     c = calc.ard.c
     return calc.from_table({
         w: {e: v for e, v in poly.terms.items() if not all(x >= y for x, y in zip(e, c))}

@@ -10,6 +10,13 @@ allows it: the Lax-matrix reference of the tests (``tests/lax_oracle.py``)
 carries its spectral parameter that way.  Operations that cannot support
 negative exponents say so.
 
+The rings qaff computes in are free modules over such polynomials in the q's:
+a :class:`QModule` is one ring, on the Schubert basis of one Weyl group, and
+a :class:`QClass` is its ring plus its terms.  Every operator checks an input
+class through its ring's :meth:`QModule.check_classes`, which refuses a class
+of another group or another number of q-variables before it checks the ids, so
+no operator scans ids on its own.
+
 >>> x = Poly.variable(2, 0)
 >>> y = Poly.variable(2, 1)
 >>> str((x + y) * (x - y))
@@ -254,30 +261,26 @@ class QClass:
     """An element of a free ``Q[q_0..]``-module on a Schubert basis.
 
     Both rings qaff computes in are such modules: ``H*(Fl_aff)`` on affine
-    Weyl elements and ``QH*_aff(G/B)`` on finite ones.  ``terms`` maps a basis
-    index to its ``Poly`` coefficient in ``nq`` variables; zero coefficients
-    are dropped on construction.  ``length`` and ``word`` give an index's
-    length and reduced word, which fix degrees and the printing order.
+    Weyl elements and ``QH*_aff(G/B)`` on finite ones.  A class holds the
+    :class:`QModule` it lives in, ``ring``, and ``terms``, which maps a basis
+    index to its ``Poly`` coefficient in ``ring.nq`` variables; zero
+    coefficients are dropped on construction.  The ring's ``length`` and
+    ``word`` give an index's length and reduced word, which fix degrees and the
+    printing order.  Only ``+`` and ``-`` ask the ring whether the other class
+    is its own; ``==`` compares terms.
     """
 
-    __slots__ = ("length", "word", "nq", "terms")
+    __slots__ = ("ring", "terms")
 
-    def __init__(
-        self,
-        length: Callable[[Hashable], int],
-        word: Callable[[Hashable], tuple[int, ...]],
-        nq: int,
-        terms: Mapping[Hashable, Poly],
-    ):
-        self.length = length
-        self.word = word
-        self.nq = nq
+    def __init__(self, ring: "QModule", terms: Mapping[Hashable, Poly]):
+        self.ring = ring
         self.terms = {w: c for w, c in terms.items() if c}
 
     def _like(self, terms: Mapping[Hashable, Poly]) -> "QClass":
-        return QClass(self.length, self.word, self.nq, terms)
+        return QClass(self.ring, terms)
 
     def __add__(self, other: "QClass") -> "QClass":
+        self.ring._check_ring(other.ring)
         out = dict(self.terms)
         for w, c in other.terms.items():
             s = out.get(w)
@@ -289,7 +292,7 @@ class QClass:
 
     def scale(self, c: "Poly | Scalar") -> "QClass":
         if isinstance(c, (int, Fraction)):
-            c = Poly.const(self.nq, c)
+            c = Poly.const(self.ring.nq, c)
         return self._like({w: c * v for w, v in self.terms.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -300,14 +303,14 @@ class QClass:
 
     def ordered_support(self) -> list:
         """The support by length, then reduced word: the printing order."""
-        return sorted(self.terms, key=lambda w: (self.length(w), self.word(w)))
+        return sorted(self.terms, key=lambda w: (self.ring.length(w), self.ring.word(w)))
 
     def max_length(self) -> int:
-        return max(map(self.length, self.terms), default=0)
+        return max(map(self.ring.length, self.terms), default=0)
 
     def homogeneous_degree(self) -> int | None:
         """Total degree ``len(w) + 2 ht(e)`` if constant over the support."""
-        degs = {self.length(w) + 2 * sum(e) for w, c in self.terms.items() for e in c.terms}
+        degs = {self.ring.length(w) + 2 * sum(e) for w, c in self.terms.items() for e in c.terms}
         if len(degs) > 1:
             return None
         return degs.pop() if degs else 0
@@ -318,7 +321,7 @@ class QClass:
                 for e, c in sorted(self.terms[w].terms.items()))
 
     def to_json_obj(self) -> list[dict]:
-        word = self.word
+        word = self.ring.word
         return [
             {"w": list(word(w)), "coeff": {"q": list(e), "num": c.numerator, "den": c.denominator}}
             for w, e, c in self._ordered_terms()
@@ -340,7 +343,7 @@ class QClass:
         for w in self.ordered_support():
             c = self.terms[w].format(qnames).replace("*", sep)
             compound = "+" in c or "-" in c[1:]
-            if not always_coeff and self.length(w) == 0:
+            if not always_coeff and self.ring.length(w) == 0:
                 bits.append(f"({c})" if compound else c)
             elif not always_coeff and c in ("1", "-1"):
                 bits.append(("-" if c == "-1" else "") + label(w))
@@ -350,36 +353,57 @@ class QClass:
 
 
 class QModule:
-    """Constructors of the :class:`QClass` elements of one ring."""
+    """One ring: a free ``Q[q]``-module in ``nq`` q-variables on the Schubert basis of
+    ``group``, with the constructors of its :class:`QClass` elements.
 
-    def __init__(
-        self,
-        length: Callable[[Hashable], int],
-        word: Callable[[Hashable], tuple[int, ...]],
-        identity: Hashable,
-        nq: int,
-    ):
-        self._length = length
-        self._word = word
-        self._identity = identity
+    ``length`` and ``word`` read an element id's length and reduced word.  The ring
+    alone decides whether a class is its own (:meth:`check_classes`): a class of a
+    ring on the same group with the same ``nq`` is, whichever object made it.
+    """
+
+    def __init__(self, length: Callable[[Hashable], int],
+                 word: Callable[[Hashable], tuple[int, ...]], group, nq: int):
+        self.length = length
+        self.word = word
+        self.group = group
         self.nq = nq
         # the coefficient 1 of every ``basis(w)``: shared, since no Poly is changed in place
         self._one = _poly(nq, {(0,) * nq: 1})
 
+    def _check_ring(self, ring: "QModule") -> None:
+        """Refuse a ring on another group or with another ``nq``; the text is built only
+        then, and names a second group of the same type as another one."""
+        group = self.group
+        if ring.group is not group or ring.nq != self.nq:
+            theirs = ring.group
+            if theirs is not group and str(theirs) == str(group):
+                theirs = f"another {theirs}"
+            raise ValueError(f"a class on {theirs} in {ring.nq} q-variables is not a class "
+                             f"of this ring, on {group} in {self.nq}")
+
+    def check_classes(self, *classes: QClass) -> None:
+        """Refuse a class that is not this ring's, then an id the group has not made:
+        the membership rule of every operator.  A class this ring made costs one
+        identity test before its ids are checked."""
+        for a in classes:
+            if a.ring is not self:
+                self._check_ring(a.ring)
+            self.group.check_ids(a.terms)
+
     def _make(self, terms: Mapping[Hashable, Poly]) -> QClass:
-        return QClass(self._length, self._word, self.nq, terms)
+        return QClass(self, terms)
 
     def _class(self, terms: dict[Hashable, Poly]) -> QClass:
         """A class on ``terms`` as given: every coefficient nonzero and normalized."""
         a = QClass.__new__(QClass)
-        a.length, a.word, a.nq, a.terms = self._length, self._word, self.nq, terms
+        a.ring, a.terms = self, terms
         return a
 
     def zero(self) -> QClass:
         return self._make({})
 
     def unit(self) -> QClass:
-        return self.basis(self._identity)
+        return self.basis(self.group.identity)
 
     def basis(self, w: Hashable, coeff: "Poly | Scalar" = 1) -> QClass:
         """``coeff sigma_w``.  A ``Poly`` coefficient must be in the ring's ``nq``

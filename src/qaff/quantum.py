@@ -49,8 +49,14 @@ Two engines live here, deliberately kept apart:
   genuine cross-check rather than the same code evaluated twice.
 
 Both are free ``Q[q]``-modules on the finite Schubert basis; their
-constructors live in :class:`FiniteQRing`.  The multiplication table of the
-``table`` command and its cost guard, ``check_table_cap``, are
+constructors live in :class:`FiniteQRing`.  Every operator of either first
+asks its ring whether an input class is its own
+(:meth:`~qaff.polynomials.QModule.check_classes`): a class of another type, or
+of the other engine (another number of q-variables), is refused, and so is an
+id outside ``FW.elements``.  ``specialize_q0`` answers in ``QH*(G/B)``'s own
+ring, a :class:`FiniteQRing` with ``nq = n`` built once per :class:`QuantumAff`,
+on the same group and ``nq`` as :class:`OrdinaryQH`, which takes its classes.
+The multiplication table of the ``table`` command and its cost guard, ``check_table_cap``, are
 :mod:`qaff.cli`'s; the cross-checks that only ``verify`` and the tests run,
 ``verify_fw_chevalley`` and ``poincare_pairing``, are :mod:`qaff.verify`'s.
 """
@@ -90,16 +96,15 @@ class RowClass(QClass):
     ``_split``, and then kept; the JSON record reads the row itself and builds no
     ``Poly``."""
 
-    __slots__ = ("ring", "row", "_terms")
+    __slots__ = ("row", "_terms")
 
     def __init__(self, ring: QuantumAff, row: list):
-        self.length, self.word, self.nq = ring._length, ring._word, ring.nq
         self.ring, self.row, self._terms = ring, row, None
 
     @property
     def terms(self) -> dict[int, Poly]:
         if self._terms is None:
-            nq, terms, coefs = self.nq, {}, {}
+            nq, terms, coefs = self.ring.nq, {}, {}
             for u, e, c in self.ring._split(self.row):
                 d = coefs.get(u)
                 if d is None:
@@ -116,19 +121,18 @@ class RowClass(QClass):
 
 
 class FiniteQRing(QModule):
-    """``H*(G/B) ⊗ Q[q]`` with ``nq`` q-variables: constructors and formatting."""
-
-    q_offset = 0  # the name of q-variable k is q{k + q_offset}
+    """``H*(G/B) ⊗ Q[q]`` with ``nq`` q-variables: constructors and formatting.  With
+    ``nq = n + 1`` the q-variables are ``q0..qn``, with ``nq = n`` they are ``q1..qn``."""
 
     def __init__(self, letter: str, rank: int, nq: int):
         self.rs = build_root_system(letter, rank)
         self.n = rank
         self.FW = finite_weyl(letter, rank)
-        super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__,
-                         self.FW.identity, nq)
+        super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__, self.FW, nq)
 
     def format_class(self, a: QClass) -> str:
-        return a.format([f"q{i + self.q_offset}" for i in range(a.nq)],
+        first = self.n + 1 - self.nq
+        return a.format([f"q{first + i}" for i in range(self.nq)],
                         lambda w: f"s[{self.FW.format(w)}]")
 
 
@@ -137,6 +141,7 @@ class QuantumAff(FiniteQRing):
 
     def __init__(self, letter: str, rank: int):
         super().__init__(letter, rank, rank + 1)
+        self._q0_ring = FiniteQRing(letter, rank, rank)  # QH*(G/B), where specialize_q0 answers
         self.fs = finite_schubert(letter, rank)
         W_aff = affine_weyl(letter, rank)
         self.ard = W_aff.ard
@@ -182,8 +187,7 @@ class QuantumAff(FiniteQRing):
         return key
 
     def _packed(self, a: QClass) -> list:
-        """The packed row of an input class, built once per call."""
-        self.FW.check_ids(a.terms)
+        """The packed row of an input class, built once per call, for a checked class."""
         keys = self._keys
         return [(w, [(keys[e], c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
 
@@ -222,18 +226,18 @@ class QuantumAff(FiniteQRing):
         return RowClass(self, self._row(acc, 1))
 
     def _lone(self, a: QClass) -> int | None:
-        """``w`` when ``a`` is ``sigma_w`` with coefficient 1, else None.  Its row is
-        then the answer as it is: nothing is packed, scaled or summed."""
+        """``w`` when the checked class ``a`` is ``sigma_w`` with coefficient 1, else
+        None.  Its row is then the answer as it is: nothing is packed, scaled or summed."""
         if len(a.terms) == 1:
             ((w, p),) = a.terms.items()
             if p is self._one or p.terms == self._one.terms:
-                self.FW.check_ids((w,))
                 return w
         return None
 
     def _rows(self, a: QClass, row_of) -> QClass:
         """``sum coef . row_of(w)`` over the terms ``coef sigma_w`` of ``a``; a lone
         ``sigma_w`` reads ``row_of(w)`` as it is."""
+        self.check_classes(a)
         w = self._lone(a)
         if w is not None:
             return RowClass(self, row_of(w))
@@ -384,6 +388,7 @@ class QuantumAff(FiniteQRing):
     def star(self, a: QClass, b: QClass) -> QClass:
         """``a * b``: ``sigma_u * sigma_v`` is its pair's row as it is, and any other
         pair of classes sums the rows of every pair of basis elements in one table."""
+        self.check_classes(a, b)
         u, v = self._lone(a), self._lone(b)
         if u is not None and v is not None:
             return RowClass(self, self._pair_row(u, v))
@@ -398,13 +403,14 @@ class QuantumAff(FiniteQRing):
     # -- q0 := 0 ---------------------------------------------------------------------
 
     def specialize_q0(self, a: QClass) -> QClass:
-        """Kill q0 and re-index the remaining variables to q1..qn."""
+        """Kill q0 and re-index the remaining variables to q1..qn: a class of QH*(G/B)."""
+        self.check_classes(a)
         out: dict[int, Poly] = {}
         for w, poly in a.terms.items():
             kept = {e[1:]: c for e, c in poly.terms.items() if e[0] == 0}
             if kept:
                 out[w] = Poly(self.n, kept)
-        return QClass(self._length, self._word, self.n, out)
+        return self._q0_ring._make(out)
 
 
 class OrdinaryQH(FiniteQRing):
@@ -420,8 +426,6 @@ class OrdinaryQH(FiniteQRing):
     reads only ``perm``, ``index`` and ``length`` of the numbered group, never
     the generator table or the cover rows that :class:`QuantumAff` runs on.
     """
-
-    q_offset = 1
 
     def __init__(self, letter: str, rank: int):
         super().__init__(letter, rank, rank)
@@ -462,7 +466,7 @@ class OrdinaryQH(FiniteQRing):
     def chevalley_classical(self, i: int, a: QClass) -> QClass:
         """The classical terms: the Bruhat covers weighted by ``<omega_i, alpha^vee>``."""
         self.rs.finite_index(i)
-        self.FW.check_ids(a.terms)
+        self.check_classes(a)
         out: dict[int, Poly] = {}
         for w, c in a.terms.items():
             x, lw = self.FW.element(w), self.FW.length[w]
@@ -522,7 +526,7 @@ class OrdinaryQH(FiniteQRing):
         return self._lift_img[key]
 
     def star(self, a: QClass, b: QClass) -> QClass:
-        self.FW.check_ids([*a.terms, *b.terms])
+        self.check_classes(a, b)
         out = self.zero()
         for u, c in a.terms.items():
             for v, d in b.terms.items():

@@ -203,7 +203,7 @@ def _q0_part(img: QClass) -> FinCohClass:
     """The ``q^0`` coefficients of a class of the quantum ring.  Of ``Phi(rel)`` that
     is the class in H*(G/B) of the q-free part of ``rel`` (a quantum correction always
     carries a positive power of q); for a relation it must vanish."""
-    zero = (0,) * img.nq
+    zero = (0,) * img.ring.nq
     return {w: c for w, p in img.terms.items() if (c := p.terms.get(zero))}
 
 

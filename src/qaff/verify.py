@@ -56,7 +56,7 @@ def lambda_op_by_words(calc: AffineCoh, i: int, a: QClass) -> QClass:
 
 def poincare_pairing(ring: QuantumAff, a: QClass, b: QClass) -> Poly:
     """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
-    ring.FW.check_ids([*a.terms, *b.terms])
+    ring.check_classes(a, b)
     total = Poly.zero(ring.nq)
     FW = ring.FW
     for u, c in a.terms.items():

@@ -104,6 +104,17 @@ def finite_reflection(rs: RootSystem, beta: Vec) -> FinW:
     return FinW(table.reflections[table.index_of(beta)])
 
 
+def check_element_ids(group: AffineWeylGroup | FiniteWeyl, ids) -> None:
+    """Refuse an element id ``group`` has not made, as the ``check_ids`` of both
+    groups: a negative one would read the tables from the end and a large one past
+    them, and in the affine group either names a different element as it grows.
+    The message names the group (``str(group)``) only when an id is refused."""
+    size = len(group.perm)
+    for w in ids:
+        if w.__class__ is not int or not 0 <= w < size:
+            raise ValueError(f"{w!r} is not an element id of {group}: ids run 0..{size - 1}")
+
+
 class AffineWeylGroup:
     """Calculator for one affine Weyl group, on int ids; owns the caches.
 
@@ -159,15 +170,10 @@ class AffineWeylGroup:
             self._rmul.append(None)
         return w
 
-    def check_ids(self, ids) -> None:
-        """Refuse an element id this group has not made: a negative one would read
-        the tables from the end, a large one past it, and either names a
-        different element as the group grows."""
-        size = len(self.perm)
-        for w in ids:
-            if w.__class__ is not int or not 0 <= w < size:
-                raise ValueError(f"{w!r} is not an element id of affine {self.rs.lie_type}: "
-                                 f"ids run 0..{size - 1}")
+    check_ids = check_element_ids
+
+    def __str__(self) -> str:
+        return f"affine {self.rs.lie_type}"
 
     # -- group structure -----------------------------------------------------
 
@@ -465,14 +471,10 @@ class FiniteWeyl:
     def __len__(self) -> int:
         return len(self.perm)
 
-    def check_ids(self, ids) -> None:
-        """Refuse an element id outside ``elements``: a negative one would read the
-        tables from the end, and a large one past it."""
-        size = len(self.perm)
-        for w in ids:
-            if w.__class__ is not int or not 0 <= w < size:
-                raise ValueError(f"{w!r} is not an element id of {self.rs.lie_type}: "
-                                 f"ids run 0..{size - 1}")
+    check_ids = check_element_ids
+
+    def __str__(self) -> str:
+        return self.rs.lie_type
 
     def element(self, w: int) -> FinW:
         return FinW(self.perm[w])

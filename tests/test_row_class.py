@@ -26,8 +26,7 @@ def _eager(ring, row):
     S, mask, terms = ring._shift, ring._mask, {}
     for k, c in row:
         terms.setdefault(k >> S, {})[ring._unpack(k & mask)] = c
-    return QClass(ring._length, ring._word, ring.nq,
-                  {u: Poly(ring.nq, d) for u, d in terms.items()})
+    return QClass(ring, {u: Poly(ring.nq, d) for u, d in terms.items()})
 
 
 def _assert_reads_like(ring, got, want):

@@ -246,9 +246,13 @@ def test_label_keyed_caches_are_typed():
     assert sorted(LABEL_CACHES - found) == []
 
 
-# the one owner of each index rule and of each group's element ids, as (file, function)
+# the one owner of each index rule and of the element ids of both groups, as (file, function)
 INDEX_OWNERS = [("roots.py", "affine_index"), ("roots.py", "finite_index"),
-                ("weyl.py", "_parse_word"), ("weyl.py", "check_ids"), ("weyl.py", "check_ids")]
+                ("weyl.py", "_parse_word"), ("weyl.py", "check_element_ids")]
+# the one owner of the refusal of a class of another ring, and the one function that
+# checks a class's ids, as (file, function)
+RING_OWNERS = [("polynomials.py", "_check_ring")]
+CLASS_ID_READERS = [("polynomials.py", "check_classes")]
 
 
 def _raises(node: ast.AST, owner: str | None):
@@ -281,6 +285,44 @@ def test_index_and_id_refusals_have_one_owner_each():
             if text is not None and re.search(r"\bindex\b|element id", text, re.IGNORECASE):
                 found.append((path.name, owner))
     assert sorted(found) == INDEX_OWNERS
+
+
+def test_ring_membership_has_one_owner():
+    # A ring that tests another ring's group or nq itself grows a second copy of the
+    # rule; every refusal of a foreign class is raised by the ring's one test.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for owner, node in _raises(ast.parse(path.read_text(encoding="utf-8")), None):
+            text = _value_error_text(node)
+            if text is not None and "is not a class of" in text:
+                found.append((path.name, owner))
+    assert sorted(found) == RING_OWNERS
+
+
+def _calls(node: ast.AST, owner: str | None):
+    """``(owner, call)`` per call; the owner is the innermost function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    if isinstance(node, ast.Call):
+        yield owner, node
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, owner)
+
+
+def test_only_the_ring_checks_a_classs_ids():
+    # ``check_ids(a.terms)`` tests the range of the ids alone, so an operator that
+    # runs it on a class takes a class of another ring whose ids are in range; the
+    # ring's membership method tests the ring first.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for owner, node in _calls(ast.parse(path.read_text(encoding="utf-8")), None):
+            func = node.func
+            if (isinstance(func, ast.Attribute) and func.attr == "check_ids"
+                    and any(_is_terms(arg) for arg in node.args)):
+                found.append((path.name, owner))
+    assert found == CLASS_ID_READERS
 
 
 _MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
