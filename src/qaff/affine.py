@@ -216,6 +216,7 @@ class AffineCoh(QModule):
     # -- formatting --------------------------------------------------------------
 
     def format_class(self, a: QClass) -> str:
+        self.check_classes(a)
         return a.format([f"q{i}" for i in range(self.nq)],
                         lambda w: f"e[{self.W.format(w)}]", always_coeff=True)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 Exp = tuple[int, ...]
 Scalar = int | Fraction
@@ -126,9 +126,6 @@ class Poly:
     def constant_term(self) -> Scalar:
         return self.terms.get((0,) * self.nvars, 0)
 
-    def __iter__(self) -> Iterator[tuple[Exp, Scalar]]:
-        return iter(self.terms.items())
-
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -157,9 +154,6 @@ class Poly:
         elif not isinstance(other, Poly):
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other: Scalar) -> "Poly":
-        return Poly.const(self.nvars, other) - self
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):

@@ -29,9 +29,9 @@ Two engines live here, deliberately kept apart:
   lifted by its classical Monk step ``(den, [(k, i, w')])``, and each term of a
   lift row adds ``k c q^e lambda_bar_i(sigma_u)`` straight into the table
   (``_add_lambda``).  A row ``lambda_bar_i(sigma_w)`` skips every pi word longer
-  than ``l(w)``, since each letter lowers the degree by one, and walks a word with
-  no letter 0 along the generator columns instead of applying it letter by
-  letter.  Every operator answers with a :class:`RowClass`: the ring and one
+  than ``l(w)``, since each letter lowers the degree by one, and applies every
+  other word by ``FiniteSchubert._pi_word``, the one pi route.  Every operator
+  answers with a :class:`RowClass`: the ring and one
   row with no zero coefficient, which is never copied or changed.  Its
   ``terms``, the ``Poly`` coefficients, are built from the row the first time
   they are read; its JSON record reads the sorted row as it stands, since key
@@ -131,6 +131,7 @@ class FiniteQRing(QModule):
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__, self.FW, nq)
 
     def format_class(self, a: QClass) -> str:
+        self.check_classes(a)
         first = self.n + 1 - self.nq
         return a.format([f"q{first + i}" for i in range(self.nq)],
                         lambda w: f"s[{self.FW.format(w)}]")
@@ -151,19 +152,14 @@ class QuantumAff(FiniteQRing):
         self._mask = (1 << self._shift) - 1  # the packed exponent of a key
         self._keys = _Memo(self._pack)  # exponent tuple -> packed, kept once it passed the check
         self._exps = _Memo(self._unpack)  # packed exponent -> exponent tuple
-        # per Chevalley root alpha: (alpha^vee, word of s_alpha, its generator columns
-        # rightmost first, or None if it has a letter 0); each letter is checked here, once,
-        # so the rows read the words unchecked
-        rmul, roots = self.FW.rmul, []
-        for cr in enumerate_chevalley_roots(W_aff):
-            word = tuple(map(self.ard.affine_index, cr.word))
-            roots.append((cr.coroot, word,
-                          None if 0 in word else [rmul[j - 1] for j in reversed(word)]))
-        # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word,
-        # columns) over the roots with a nonzero pairing
+        # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
+        # of s_alpha) over the Chevalley roots alpha with a nonzero pairing; the words come
+        # checked from qaff.chevalley, which builds each from letters 0..n and reads it with
+        # W_aff.from_word, so the rows apply them unchecked
+        roots = enumerate_chevalley_roots(W_aff)
         self._quantum_terms = [
-            [(self._keys[tuple(c)], k, word, cols) for c, word, cols in roots
-             if (k := self.ard.level_zero_weight_pairing(i, c))]
+            [(self._keys[tuple(cr.coroot)], k, cr.word) for cr in roots
+             if (k := self.ard.level_zero_weight_pairing(i, cr.coroot))]
             for i in range(1, rank + 1)
         ]
         self._order = len(self.FW)  # |W|, the stride of the int memo keys
@@ -248,27 +244,16 @@ class QuantumAff(FiniteQRing):
     def _lambda_basis(self, i: int, w: int) -> list:
         """The row of ``lambda_bar_i(sigma_w)``, for a checked ``w``.  Each letter of a
         pi word lowers the degree by one, so a word longer than ``l(w)`` adds nothing and
-        is skipped.  A word with no letter 0 sends ``sigma_w`` to one ``sigma_u`` or to 0,
-        so it is walked along the generator columns, stopping at the first ascent."""
+        is skipped.  Every other word goes through ``FiniteSchubert._pi_word``, one pi for
+        every letter."""
         row = self._lambda_img.get(at := i * self._order + w)
         if row is None:
-            S, fs, length = self._shift, self.fs, self.FW.length
-            lw = length[w]
+            S, fs, lw = self._shift, self.fs, self.FW.length[w]
             acc = {u << S: c for u, c in fs._cup(i, {w: 1}).items()}
-            for e, k, word, cols in self._quantum_terms[i - 1]:
+            for e, k, word in self._quantum_terms[i - 1]:
                 if len(word) > lw:
                     continue
-                if cols is None:
-                    img = fs._pi_word(word, {w: 1})
-                else:
-                    img, u = {}, w
-                    for col in cols:
-                        if length[v := col[u]] > length[u]:
-                            break
-                        u = v
-                    else:
-                        img = {u: 1}
-                for u, c in img.items():
+                for u, c in fs._pi_word(word, {w: 1}).items():
                     key = u << S | e
                     acc[key] = acc.get(key, 0) + k * c
             row = self._lambda_img[at] = self._row(acc, 1)

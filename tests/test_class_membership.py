@@ -78,6 +78,18 @@ def test_lambda_op_refuses_a_second_groups_class_it_used_to_misread(pair):
     assert fresh.format_class(fresh.lambda_op(1, a)) == "1*e[s0s1s0] + 1*e[s2s1s0]"
 
 
+def test_format_class_refuses_a_second_groups_class_it_used_to_misname():
+    # two fresh A2 groups that interned their elements in different orders, so an id
+    # names another element in each
+    first = AffineCoh(AffineWeylGroup(affinize("A", 2)))
+    for word in ("s2s1s0", "s0s2"):
+        first.W.parse(word)
+    second = AffineCoh(AffineWeylGroup(affinize("A", 2)))
+    a = second.basis(second.W.parse("s1s0"))
+    refused(FOREIGN.format("another affine A2", 3, "affine A2", 3), first.format_class, a)
+    assert second.format_class(a) == "1*e[s1s0]"
+
+
 def test_sum_and_difference_refuse_a_class_of_another_group(pair):
     (_, a), (_, b) = pair
     message = FOREIGN.format("another affine A2", 3, "affine A2", 3)
@@ -109,6 +121,13 @@ def test_b3_refuses_a_c3_class():
     refused(message, B.specialize_q0, a)
     refused(message, B.basis(1).__add__, a)
     assert (len(B._lambda_img), len(B._lift_img)) == rows
+
+
+def test_format_class_refuses_a_foreign_class_and_a_bad_id():
+    B, C = quantum_aff("B", 3), quantum_aff("C", 3)
+    refused(FOREIGN.format("C3", 4, "B3", 4), B.format_class, C.basis(C.FW.parse("s1s2")))
+    refused("99 is not an element id of B3: ids run 0..47", B.format_class, B.basis(99))
+    assert B.format_class(B.basis(B.FW.parse("s1s2"))) == "s[s1s2]"
 
 
 def test_quantum_and_ordinary_rings_refuse_each_others_classes():

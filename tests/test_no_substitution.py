@@ -10,7 +10,8 @@ The same runs record each function they enter, by a ``sys.settrace`` hook
 that returns ``None`` and so traces no lines.  A code object's file and
 first line name its definition, so a dead method is seen even when a live
 one shares its name.  Every function or method of the package that the runs
-never enter, dunders aside, must be one the benchmark keeps (``NOT_REACHED``).
+never enter, dunders included, must be one the benchmark keeps or a dunder
+kept for a stated reason (``NOT_REACHED``).
 
 Run directly, this file performs those runs and prints the results as JSON,
 the unreached definitions included.
@@ -39,9 +40,22 @@ TRACED = {"bgg.FiniteSchubert.chevalley_cup", "bgg.FiniteSchubert.divisor_monomi
 # perfbench/session.py and perfbench/record.py read these;
 BENCH_READS = {"affine.affine_coh", "polynomials.QClass.homogeneous_degree",
                "weyl.AffineWeylGroup.simple"}
-# and only the tracer target ``FiniteSchubert.express_in_divisors`` reaches these.
+# only the tracer target ``FiniteSchubert.express_in_divisors`` reaches these;
 VIA_TRACED = {"bgg.FiniteSchubert.monomial_class"}
-NOT_REACHED = TRACED | BENCH_READS | VIA_TRACED
+# and these dunders are kept for the reason given.
+DUNDERS = {
+    # only the tracer target ``Poly.substitute`` raises a Poly to a power
+    "polynomials.Poly.__pow__",
+    # the module doctest and the display of a Poly
+    "polynomials.Poly.__str__", "polynomials.Poly.__repr__",
+    # a value API that tests/test_roots.py checks
+    "roots.AffineRoot.__neg__",
+    # the tests compare boundary forms by value and put them in sets
+    "weyl.FinW.__eq__", "weyl.FinW.__hash__",
+    # the name of a group in an id refusal, which the runs never make
+    "weyl.FiniteWeyl.__str__", "weyl.AffineWeylGroup.__str__",
+}
+NOT_REACHED = TRACED | BENCH_READS | VIA_TRACED | DUNDERS
 
 
 class SubstitutionReached(RuntimeError):
@@ -63,7 +77,7 @@ def _install_guard():
 
 def _definitions() -> dict:
     """``(file, first line) -> "module.qualified.name"`` per module-level function and
-    per method of a module-level class, dunders left out.  A decorated definition
+    per method of a module-level class, dunders included.  A decorated definition
     starts at its first decorator, as its ``co_firstlineno`` does."""
     out = {}
     for path in sorted(SRC.glob("*.py")):
@@ -72,8 +86,7 @@ def _definitions() -> dict:
             if isinstance(node, ast.ClassDef):
                 scope = [(item, f"{path.stem}.{node.name}") for item in node.body]
             for fn, prefix in scope:
-                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and not (fn.name.startswith("__") and fn.name.endswith("__"))):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     first = min([fn.lineno] + [d.lineno for d in fn.decorator_list])
                     out[(str(path), first)] = f"{prefix}.{fn.name}"
     return out
