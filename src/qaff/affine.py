@@ -38,25 +38,44 @@ sum reads a weight by index: entry ``i`` for ``lambda_i``, read through
 :meth:`~qaff.roots.AffineRootData.affine_index`, and entry ``n + i`` for
 ``lambda_i - m_i lambda_0``, through :meth:`~qaff.roots.RootSystem.finite_index`.
 
+The sum runs on packed ``int`` keys, in the key layout of
+:meth:`~qaff.polynomials.QModule._packing` with 16 bits per exponent entry: a
+term ``c q^e eps_w`` is ``(w << S | e, c)``, and a row holds the key ``u << S``
+of a Bruhat cover ``u = w s_alpha``, plus the packed ``alpha^vee`` for a quantum
+cover, so the term lands at ``key + e``: one ``int`` addition, into one table.
+Every operator, ``D_word`` included, answers with a
+:class:`~qaff.polynomials.RowClass` of its table's row; its ``Poly`` terms are
+built only when read, and its JSON record sorts the row by the length and
+reduced word of each id, since the ids are numbered as elements are met.  An
+answer of this ring is read back as its row, and any other class is packed
+once.  An input exponent entry must lie in ``0..2^15 - 1``: a negative one
+(a Laurent exponent) or one past the cap is refused with ``ValueError``, before
+any memo changes.  One operator adds at most a coroot entry, so an answer never
+reaches ``2^16``: an answer with an entry past the cap is exact, and the next
+operator refuses it rather than wrap.
+
 Each public method that reads a class first asks the ring whether the class is
 its own (:meth:`~qaff.polynomials.QModule.check_classes`, run by ``_guard`` and
 ``D_word``): a class of a ring on another group, even one of the same type, or
 with another number of q-variables is refused, and so is an element id the
 group has not made.  An id is an index into lists that grow as elements are
 met, so ``-1`` would name whichever element came last, and an id of another
-group names another element.
+group names another element.  Both checks, and the truncation guard, read the
+ids of a row from its keys, so no check builds the terms.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from operator import add, mul
+from operator import mul
 
 from .chevalley import enumerate_chevalley_roots
-from .polynomials import Poly, QClass, QModule
+from .polynomials import QClass, QModule, RowClass
 from .roots import CorootVec
 from .weyl import AffineWeylGroup, affine_weyl
+
+# B, the bits of one packed q-exponent entry; an input entry is below 2^(B-1)
+_WIDTH = 16
 
 
 class TruncationOverflow(RuntimeError):
@@ -84,23 +103,43 @@ class AffineCoh(QModule):
         self.ard = W.ard
         self.n = W.n
         self.L = default_truncation(self.n) if L is None else L
+        # an input entry is at most 2^15 - 1 and one operator adds at most a coroot
+        # entry, itself packed, so a sum stays below 2^16; the top bit of an entry is
+        # set in a key (``_over``) exactly when that entry is past the cap
+        self._packing((1 << (_WIDTH - 1)) - 1, _WIDTH, f"2^{_WIDTH - 1} - 1")
+        self._over = sum(1 << (_WIDTH * j + _WIDTH - 1) for j in range(self.nq))
         self._chev = enumerate_chevalley_roots(W)
         self._weights: dict[CorootVec, tuple[int, ...]] = {}
         # each member as (level, table index of its finite part, s_alpha, coroot height,
-        # alpha^vee, weights), for the rule of W.inverts
+        # packed alpha^vee, weights), for the rule of W.inverts
         self._members = [(cr.root.level, W.table.index[cr.root.finite], W.reflection(cr.root),
-                          cr.coroot_height, cr.coroot, self._weight_row(cr.coroot))
+                          cr.coroot_height, self._keys[cr.coroot], self._weight_row(cr.coroot))
                          for cr in self._chev]
         self._rows: dict[int, tuple[list, list]] = {}
 
-    def _guard(self, a: QClass) -> None:
-        """Refuse a class that is not this ring's
-        (:meth:`~qaff.polynomials.QModule.check_classes`), or with support at length
-        ``L`` or more."""
+    def _row_of(self, a: QClass) -> list:
+        """The packed row of a checked class.  A class of this ring held as a row is read
+        as it is, once no entry of its exponents is past the cap, so a chained row that
+        could carry at the next step is refused; any other class is packed once
+        (``_keys``), which refuses an entry outside ``0..2^15 - 1``."""
+        if a.__class__ is RowClass and a.ring is self:
+            over = self._over
+            for k, _ in a.row:
+                if k & over:
+                    self._pack(self._unpack(k & self._mask))  # refuses the entry past the cap
+            return a.row
+        keys, S = self._keys, self._shift
+        return [(w << S | keys[e], c) for w, p in a.terms.items() for e, c in p.terms.items()]
+
+    def _guard(self, a: QClass) -> list:
+        """The packed row of ``a`` (:meth:`_row_of`), once the ring took it as its own
+        (:meth:`~qaff.polynomials.QModule.check_classes`) and its support is below length
+        ``L``."""
         self.check_classes(a)
         top = a.max_length() + 1
         if top > self.L:
             raise TruncationOverflow(top, self.L)
+        return self._row_of(a)
 
     # -- cup and BGG operators ---------------------------------------------------
 
@@ -118,8 +157,10 @@ class AffineCoh(QModule):
     def _cover_rows(self, w: int) -> tuple[list, list]:
         """The covers out of ``w``, computed once per element and kept.
 
-        Each row is ``(w s_alpha, alpha^vee, weights)``, with the weights of
-        :meth:`_weight_row`.  The first list holds the Bruhat covers, in
+        Each row is ``(key, weights)``, with the weights of :meth:`_weight_row`: the
+        key of the Bruhat cover ``w s_alpha`` is ``w s_alpha << S``, and that of a
+        quantum cover adds its packed ``alpha^vee``, so a term ``q^e`` of ``w`` lands
+        at ``key + e``.  The first list holds the Bruhat covers, in
         :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order; the second
         holds the Chevalley roots alpha with ``len(w s_alpha) = len(w) + 1 - 2
         ht(alpha^vee)``, in set order.  That length is below ``len(w)``, which
@@ -127,73 +168,68 @@ class AffineCoh(QModule):
         """
         rows = self._rows.get(w)
         if rows is None:
-            W, ard = self.W, self.ard
+            W, ard, S = self.W, self.ard, self._shift
             lw = W.length(w)
-            classical = []
-            for u, alpha in W.bruhat_covers_up(w):
-                coroot = ard.coroot(alpha)
-                classical.append((u, coroot, self._weight_row(coroot)))
+            classical = [(u << S, self._weight_row(ard.coroot(alpha)))
+                         for u, alpha in W.bruhat_covers_up(w)]
             # <roots[b], t> for every table index b, read once for w = v t
             t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
             pairs = [sum(map(mul, pv, t)) for pv in W.table.pairings[:npos]]
             pairs += [-x for x in pairs]
             quantum = []
-            for level, b, s, height, coroot, weights in self._members:
+            for level, b, s, height, packed, weights in self._members:
                 level -= pairs[b]
                 if level < 0 or (level == 0 and p[b] >= npos):
                     u = W.multiply(w, s)
                     if W.length(u) == lw + 1 - 2 * height:
-                        quantum.append((u, coroot, weights))
+                        quantum.append((u << S | packed, weights))
             rows = self._rows[w] = (classical, quantum)
         return rows
 
-    def _cover_sum(self, a: QClass, col: int, quantum: bool) -> QClass:
-        """``sum weights[col] c_w eps_{w s_alpha}`` over the Bruhat covers of the
-        support and, if ``quantum``, its quantum covers with ``q^{alpha^vee}``."""
-        self._guard(a)
-        acc: dict[int, dict[tuple[int, ...], int | Fraction]] = {}
-        for w, c in a.terms.items():
-            classical, quantum_rows = self._cover_rows(w)
-            for u, _, weights in classical:
-                k = weights[col]
-                if k:
-                    d = acc.setdefault(u, {})
-                    for e, v in c.terms.items():
-                        d[e] = d.get(e, 0) + k * v
-            if quantum:
-                for u, coroot, weights in quantum_rows:
+    def _cover_sum(self, a: QClass, col: int, quantum: bool) -> RowClass:
+        """``sum weights[col] c q^e eps_{w s_alpha}`` over the terms ``c q^e eps_w`` of
+        ``a`` and the Bruhat covers of ``w`` and, if ``quantum``, its quantum covers,
+        whose keys carry ``q^{alpha^vee}``: one int addition per term, into one table."""
+        row = self._guard(a)
+        acc: dict = {}
+        get, S, mask = acc.get, self._shift, self._mask
+        for key, c in row:
+            classical, quantum_rows = self._cover_rows(key >> S)
+            e = key & mask
+            for covers in (classical, quantum_rows) if quantum else (classical,):
+                for k2, weights in covers:
                     k = weights[col]
                     if k:
-                        d = acc.setdefault(u, {})
-                        for e, v in c.terms.items():
-                            qe = tuple(map(add, e, coroot))
-                            d[qe] = d.get(qe, 0) + k * v
-        return self.from_table(acc)
+                        k2 += e
+                        acc[k2] = get(k2, 0) + k * c
+        return RowClass(self, [(k, c) for k, c in acc.items() if c])
 
-    def chevalley(self, i: int, a: QClass) -> QClass:
+    def chevalley(self, i: int, a: QClass) -> RowClass:
         """Affine divisor multiplication ``eps_i . a``."""
         return self._cover_sum(a, self.ard.affine_index(i), False)
 
-    def D_word(self, word: tuple[int, ...], a: QClass) -> QClass:
+    def D_word(self, word: tuple[int, ...], a: QClass) -> RowClass:
         """``D_{i_1} ... D_{i_k}(a)``, rightmost letter first; the letters and the
         support are checked once, and every later support is made by the group."""
         self.check_classes(a)
-        W = self.W
+        W, S, mask = self.W, self._shift, self._mask
         letters = [self.ard.affine_index(j) for j in word]
+        row = self._row_of(a)
         for i in reversed(letters):
-            if a.is_zero():
+            if not row:
                 break
-            out: dict[int, Poly] = {}
-            for w, c in a.terms.items():
+            out = []
+            for k, c in row:
+                w = k >> S
                 u = W.rmul(w, i)
-                if W.length(u) < W.length(w):
-                    out[u] = c  # w -> w s_i is injective, so no two terms meet
-            a = self._make(out)
-        return a
+                if W.length(u) < W.length(w):  # w -> w s_i is injective, so no two terms meet
+                    out.append((u << S | (k & mask), c))
+            row = out
+        return RowClass(self, row)
 
     # -- quantum Chevalley operators ------------------------------------------------
 
-    def lambda_op(self, i: int, a: QClass) -> QClass:
+    def lambda_op(self, i: int, a: QClass) -> RowClass:
         """The affine quantum Chevalley operator ``Lambda_i``.
 
         Cup part plus ``<lambda_i, alpha^vee> q^{alpha^vee} eps_{w s_alpha}``
@@ -203,13 +239,13 @@ class AffineCoh(QModule):
         """
         return self._cover_sum(a, self.ard.affine_index(i), True)
 
-    def modified_lambda(self, i: int, a: QClass) -> QClass:
+    def modified_lambda(self, i: int, a: QClass) -> RowClass:
         """``(Lambda_i - m_i Lambda_0)(a)`` for a finite index i >= 1."""
         return self._cover_sum(a, self.n + self.ard.rs.finite_index(i), True)
 
     # -- pullback along evaluation at the base point ---------------------------------
 
-    def divisor_pullback(self, i: int, a: QClass) -> QClass:
+    def divisor_pullback(self, i: int, a: QClass) -> RowClass:
         """Multiply by ``eps_i - m_i eps_0``, the image of the finite divisor."""
         return self._cover_sum(a, self.n + self.ard.rs.finite_index(i), False)
 

@@ -17,6 +17,14 @@ class through its ring's :meth:`QModule.check_classes`, which refuses a class
 of another group or another number of q-variables before it checks the ids, so
 no operator scans ids on its own.
 
+Both rings run their operators on packed rows, and answer with a
+:class:`RowClass`: the ring and a row of ``(u << S | e, c)`` terms in the key
+layout the ring sets once (:meth:`QModule._packing`), with ``q^e`` packed into
+one ``int``.  Its ``Poly`` terms are built only when they are read; the ids
+(``support``), which the membership check and the truncation guard read, come
+from the keys.  A packed ring refuses a negative exponent, or an entry past its
+cap, with the bound named.
+
 >>> x = Poly.variable(2, 0)
 >>> y = Poly.variable(2, 1)
 >>> str((x + y) * (x - y))
@@ -295,12 +303,16 @@ class QClass:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def support(self):
+        """The ids of the terms."""
+        return self.terms
+
     def ordered_support(self) -> list:
         """The support by length, then reduced word: the printing order."""
         return sorted(self.terms, key=lambda w: (self.ring.length(w), self.ring.word(w)))
 
     def max_length(self) -> int:
-        return max(map(self.ring.length, self.terms), default=0)
+        return max(map(self.ring.length, self.support()), default=0)
 
     def homogeneous_degree(self) -> int | None:
         """Total degree ``len(w) + 2 ht(e)`` if constant over the support."""
@@ -346,6 +358,58 @@ class QClass:
         return " + ".join(bits)
 
 
+class RowClass(QClass):
+    """A class held as a packed row with no zero coefficient, most often a memo's own
+    list, which is never copied or changed: a term ``c q^e sigma_u`` is ``(u << S | e,
+    c)`` in the key layout of its ring (:meth:`QModule._packing`).  ``terms`` is built
+    from the row the first time it is read, by the ring's ``_split``, and then kept;
+    the ids, the JSON record and ``is_zero`` read the row itself and build no
+    ``Poly``."""
+
+    __slots__ = ("row", "_terms")
+
+    def __init__(self, ring: "QModule", row: list):
+        self.ring, self.row, self._terms = ring, row, None
+
+    @property
+    def terms(self) -> dict[Hashable, Poly]:
+        if self._terms is None:
+            nq, terms, coefs = self.ring.nq, {}, {}
+            for u, e, c in self.ring._split(self.row):
+                d = coefs.get(u)
+                if d is None:
+                    d = coefs[u] = {}
+                    terms[u] = _poly(nq, d)
+                d[e] = c
+            self._terms = terms
+        return self._terms
+
+    def support(self):
+        S = self.ring._shift
+        return {k >> S for k, _ in self.row}
+
+    def is_zero(self) -> bool:
+        return not self.row
+
+    def _ordered_terms(self):
+        return self.ring._split(self.ring._in_printing_order(self.row))
+
+
+class _Memo(dict):
+    """A dict that fills a missing entry with ``make(key)``, so a hit is one lookup; a
+    ``make`` that raises stores nothing."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 class QModule:
     """One ring: a free ``Q[q]``-module in ``nq`` q-variables on the Schubert basis of
     ``group``, with the constructors of its :class:`QClass` elements.
@@ -353,6 +417,14 @@ class QModule:
     ``length`` and ``word`` read an element id's length and reduced word.  The ring
     alone decides whether a class is its own (:meth:`check_classes`): a class of a
     ring on the same group with the same ``nq`` is, whichever object made it.
+
+    A ring that answers with :class:`RowClass` rows sets its key layout once
+    (:meth:`_packing`): ``q^e`` is the int ``sum e_j << B(nq - 1 - j)``, ``q0`` most
+    significant, with ``B`` bits per entry and every entry in ``0..cap``, and a term
+    ``c q^e sigma_u`` is the key ``u << S | e`` (``S = nq B``) with ``c``.  The ring
+    chooses ``cap`` and ``B`` so that no sum of exponents it forms reaches ``2^B``:
+    adding an exponent to a key then adds the exponents, never carries into the next
+    entry or into ``u``, and int order is ``(u, e)`` order.
     """
 
     def __init__(self, length: Callable[[Hashable], int],
@@ -382,7 +454,49 @@ class QModule:
         for a in classes:
             if a.ring is not self:
                 self._check_ring(a.ring)
-            self.group.check_ids(a.terms)
+            self.group.check_ids(a.support())
+
+    # -- packed rows -------------------------------------------------------------
+
+    def _packing(self, cap: int, width: int, bound: str) -> None:
+        """Set the key layout: entries in ``0..cap``, named ``bound`` in a refusal, and
+        ``width`` bits (``B``) per entry.  ``_keys`` packs an exponent tuple and keeps it
+        once it passed the check; ``_exps`` unpacks a packed exponent and keeps it."""
+        self._cap, self._width, self._bound = cap, width, bound
+        self._shift = self.nq * width  # S, the bits of one packed exponent
+        self._mask = (1 << self._shift) - 1  # the packed exponent of a key
+        self._keys = _Memo(self._pack)
+        self._exps = _Memo(self._unpack)
+
+    def _pack(self, e: tuple[int, ...]) -> int:
+        """``q^e`` packed; an entry outside ``0..cap`` is refused, so ``_keys``, which
+        this fills, never holds a bad exponent."""
+        if len(e) != self.nq or min(e) < 0 or max(e) > self._cap:
+            raise ValueError(f"q-exponent {e} is not {self.nq} entries in "
+                             f"0..{self._cap} = {self._bound}")
+        key = 0
+        for x in e:
+            key = (key << self._width) | x
+        return key
+
+    def _unpack(self, key: int) -> tuple[int, ...]:
+        """The exponent tuple of the packed exponent ``key``."""
+        B, mask = self._width, (1 << self._width) - 1
+        return tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
+
+    def _split(self, row):
+        """``(u, e, c)`` per term ``(u << S | e, c)`` of ``row``, in row order: the one
+        place keys are split.  Each exponent tuple is read once per ring (``_exps``) and
+        each coefficient is normalized."""
+        exps, S, mask = self._exps, self._shift, self._mask
+        for k, c in row:
+            yield k >> S, exps[k & mask], c if c.__class__ is int else _exact(c)
+
+    def _in_printing_order(self, row: list) -> list:
+        """``row`` sorted as a class prints its terms: by the length and reduced word of
+        the id, then by exponent, which is key order within one id."""
+        S, length, word = self._shift, self.length, self.word
+        return sorted(row, key=lambda t: (length(t[0] >> S), word(t[0] >> S), t[0]))
 
     def _make(self, terms: Mapping[Hashable, Poly]) -> QClass:
         return QClass(self, terms)

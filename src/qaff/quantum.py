@@ -11,8 +11,9 @@ Two engines live here, deliberately kept apart:
   shorter one on the other.
 
   Inside the lift a term ``c q^e sigma_u`` is one ``int`` key ``u << S | e`` and
-  ``c``: ``e`` packs ``q^e`` as ``sum e_j << B(n - j)``, ``q0`` most significant,
-  and ``S = nq B``, so memo rows are flat ``[(key, c), ...]``.  Every term of
+  ``c``, in the key layout of :meth:`~qaff.polynomials.QModule._packing`: ``e``
+  packs ``q^e`` as ``sum e_j << B(n - j)``, ``q0`` most significant, and ``S =
+  nq B``, so memo rows are flat ``[(key, c), ...]``.  Every term of
   ``lambda_bar_i sigma_w``, ``T_w(sigma_v)``, ``L_w(sigma_v)`` and their partial
   sums has degree ``l(w) + l(v) <= 2 l(w0)`` with ``deg q^e = 2 sum e``, so a row
   entry ``e_j`` is at most ``l(w0)``.  An input class is packed once per call and
@@ -22,20 +23,22 @@ Two engines live here, deliberately kept apart:
   with ``B`` the bit length of ``3 l(w0)``: adding an exponent to a key adds the
   exponents and never carries into the next entry or into ``u``, and int order
   is tuple order.  ``_split`` alone splits keys, reading each exponent tuple
-  once per ring (``_exps``).  The memos are
-  keyed by one ``int``: ``_lambda_img`` holds ``lambda_bar_i(sigma_w)`` at
-  ``i |W| + w`` and ``_lift_img`` holds ``L_w(sigma_v)`` at ``w |W| + v``, with
-  ``|W| = len(FW)`` (``_order``).  ``sigma_w`` is
+  once per ring (``_exps``); the packing, ``_split`` and :class:`RowClass`
+  are :mod:`qaff.polynomials`'s, shared with :class:`~qaff.affine.AffineCoh`.
+  The memos are keyed by one ``int``: ``_lambda_img`` holds
+  ``lambda_bar_i(sigma_w)`` at ``i |W| + w`` and ``_lift_img`` holds
+  ``L_w(sigma_v)`` at ``w |W| + v``, with ``|W| = len(FW)`` (``_order``).  ``sigma_w`` is
   lifted by its classical Monk step ``(den, [(k, i, w')])``, and each term of a
   lift row adds ``k c q^e lambda_bar_i(sigma_u)`` straight into the table
   (``_add_lambda``).  A row ``lambda_bar_i(sigma_w)`` skips every pi word longer
   than ``l(w)``, since each letter lowers the degree by one, and applies every
   other word by ``FiniteSchubert._pi_word``, the one pi route.  Every operator
-  answers with a :class:`RowClass`: the ring and one
+  answers with a :class:`~qaff.polynomials.RowClass`: the ring and one
   row with no zero coefficient, which is never copied or changed.  Its
   ``terms``, the ``Poly`` coefficients, are built from the row the first time
   they are read; its JSON record reads the sorted row as it stands, since key
-  order is ``(u, e)`` order and ids ascend in printing order.  A lone
+  order is ``(u, e)`` order and ids ascend in printing order
+  (``FiniteQRing._in_printing_order``).  A lone
   ``sigma_w`` with coefficient 1 (``_lone``) is not packed at all: ``star`` of
   two of them, ``lift_apply`` and ``lambda_bar`` on one answer with the memo
   row itself, so a product costs no more than its lookup.  Its coefficient is
@@ -69,55 +72,9 @@ from itertools import combinations_with_replacement
 
 from .bgg import FinCohClass, finite_schubert
 from .chevalley import enumerate_chevalley_roots
-from .polynomials import Poly, QClass, QModule, _divided, _exact, _poly, solve_exact
+from .polynomials import Poly, QClass, QModule, RowClass, _divided, solve_exact
 from .roots import build_root_system, coroot_ht
 from .weyl import affine_weyl, finite_reflection, finite_weyl
-
-
-class _Memo(dict):
-    """A dict that fills a missing entry with ``make(key)``, so a hit is one lookup; a
-    ``make`` that raises stores nothing."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
-class RowClass(QClass):
-    """A class of a :class:`QuantumAff` ring held as a packed row with no zero
-    coefficient, most often a memo's own list, which is never copied or changed.
-    ``terms`` is built from the row the first time it is read, by the ring's
-    ``_split``, and then kept; the JSON record reads the row itself and builds no
-    ``Poly``."""
-
-    __slots__ = ("row", "_terms")
-
-    def __init__(self, ring: QuantumAff, row: list):
-        self.ring, self.row, self._terms = ring, row, None
-
-    @property
-    def terms(self) -> dict[int, Poly]:
-        if self._terms is None:
-            nq, terms, coefs = self.ring.nq, {}, {}
-            for u, e, c in self.ring._split(self.row):
-                d = coefs.get(u)
-                if d is None:
-                    d = coefs[u] = {}
-                    terms[u] = _poly(nq, d)
-                d[e] = c
-            self._terms = terms
-        return self._terms
-
-    def _ordered_terms(self):
-        """The sorted row: ids are numbered in printing order (``FiniteWeyl``) and key
-        order is ``(u, e)`` order."""
-        return self.ring._split(sorted(self.row))
 
 
 class FiniteQRing(QModule):
@@ -129,6 +86,11 @@ class FiniteQRing(QModule):
         self.n = rank
         self.FW = finite_weyl(letter, rank)
         super().__init__(self.FW.length.__getitem__, self.FW.word.__getitem__, self.FW, nq)
+
+    def _in_printing_order(self, row: list) -> list:
+        """The sorted row: ``FiniteWeyl`` numbers its elements in printing order, and
+        key order is ``(u, e)`` order."""
+        return sorted(row)
 
     def format_class(self, a: QClass) -> str:
         self.check_classes(a)
@@ -146,12 +108,9 @@ class QuantumAff(FiniteQRing):
         self.fs = finite_schubert(letter, rank)
         W_aff = affine_weyl(letter, rank)
         self.ard = W_aff.ard
-        self._cap = self.FW.length[self.FW.w0]  # the largest entry of an input q-exponent
-        self._width = (3 * self._cap).bit_length()  # B, the bits of one packed entry
-        self._shift = self.nq * self._width  # S, the bits of one packed exponent
-        self._mask = (1 << self._shift) - 1  # the packed exponent of a key
-        self._keys = _Memo(self._pack)  # exponent tuple -> packed, kept once it passed the check
-        self._exps = _Memo(self._unpack)  # packed exponent -> exponent tuple
+        # an input entry is at most l(w0), and a term of star at most 3 l(w0) < 2^B
+        cap = self.FW.length[self.FW.w0]
+        self._packing(cap, (3 * cap).bit_length(), "l(w0)")
         # per finite index i: (packed alpha^vee, <lambda_i - m_i lambda_0, alpha^vee>, word
         # of s_alpha) over the Chevalley roots alpha with a nonzero pairing; the words come
         # checked from qaff.chevalley, which builds each from letters 0..n and reads it with
@@ -170,35 +129,12 @@ class QuantumAff(FiniteQRing):
     def from_finite(self, a: FinCohClass) -> QClass:
         return self._make({w: Poly.const(self.nq, c) for w, c in a.items()})
 
-    # -- packed q-exponents --------------------------------------------------------
-
-    def _pack(self, e: tuple[int, ...]) -> int:
-        """``q^e`` as ``sum e_j << B(n - j)``; an entry outside ``0..l(w0)`` is refused,
-        so ``_keys``, which this fills, never holds a bad exponent."""
-        if len(e) != self.nq or min(e) < 0 or max(e) > self._cap:
-            raise ValueError(f"q-exponent {e} is not {self.nq} entries in 0..{self._cap} = l(w0)")
-        key = 0
-        for x in e:
-            key = (key << self._width) | x
-        return key
+    # -- packed rows -------------------------------------------------------------------
 
     def _packed(self, a: QClass) -> list:
         """The packed row of an input class, built once per call, for a checked class."""
         keys = self._keys
         return [(w, [(keys[e], c) for e, c in p.terms.items()]) for w, p in a.terms.items()]
-
-    def _unpack(self, key: int) -> tuple[int, ...]:
-        """The exponent tuple of the packed exponent ``key``; ``_exps`` keeps it."""
-        B, mask = self._width, (1 << self._width) - 1
-        return tuple((key >> (B * j)) & mask for j in range(self.nq - 1, -1, -1))
-
-    def _split(self, row):
-        """``(u, e, c)`` per term ``(u << S | e, c)`` of ``row``, in row order: the one
-        place keys are split.  Each exponent tuple is read once per ring (``_exps``) and
-        each coefficient is normalized."""
-        exps, S, mask = self._exps, self._shift, self._mask
-        for k, c in row:
-            yield k >> S, exps[k & mask], c if c.__class__ is int else _exact(c)
 
     @staticmethod
     def _row(acc: dict, den: int) -> list:

@@ -11,7 +11,8 @@ compare every pair of elements; it now tests each element only against the
 maxima found so far.  The routes below are the old ones, kept verbatim apart
 from the memo, so the tests can compare the two as ordered lists.
 ``short_reflections`` reads the level lists the way the slice does, for the
-tests that need the short reflections themselves.
+tests that need the short reflections themselves.  ``cover_rows`` reads
+``AffineCoh._cover_rows`` back as ``(u, alpha^vee, weights)`` triples.
 """
 
 from qaff.roots import AffineRoot
@@ -74,3 +75,14 @@ def all_pairs_maximal(W, elts):
             out.append(w)
     out.sort(key=lambda w: (W.length(w), W.reduced_word(w)))
     return out
+
+
+def cover_rows(calc, w):
+    """``calc._cover_rows(w)`` as two lists of ``(u, alpha^vee, weights)``: ``u`` is the
+    id of a row's key ``u << S | e``, and ``alpha^vee`` is the first ``n + 1`` weights of
+    a Bruhat cover, whose ``e`` is 0, and the packed ``e`` of a quantum cover."""
+    S, mask, n = calc._shift, calc._mask, calc.n
+    classical, quantum = calc._cover_rows(w)
+    assert all(k & mask == 0 for k, _ in classical)
+    return ([(k >> S, weights[:n + 1], weights) for k, weights in classical],
+            [(k >> S, calc._unpack(k & mask), weights) for k, weights in quantum])

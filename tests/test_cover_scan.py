@@ -19,6 +19,7 @@ import pytest
 
 from cover_oracles import (
     all_pairs_maximal,
+    cover_rows,
     level_bound_covers_up,
     level_bound_slice_edges,
     short_reflections,
@@ -128,7 +129,7 @@ def test_classical_rows_are_the_covers_with_their_coroots(letter, rank):
     W = calc.W
     for w in _elements(W, 3):
         expect = [(u, W.ard.coroot(alpha)) for u, alpha in level_bound_covers_up(W, w)]
-        assert [(u, coroot) for u, coroot, _ in calc._cover_rows(w)[0]] == expect
+        assert [(u, coroot) for u, coroot, _ in cover_rows(calc, w)[0]] == expect
 
 
 @pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4),
@@ -145,7 +146,7 @@ def test_quantum_rows_match_word_form(letter, rank):
             if not image.is_zero():
                 (u,) = image.terms
                 by_words.append((u, cr.coroot))
-        assert [(u, coroot) for u, coroot, _ in calc._cover_rows(w)[1]] == by_words, W.format(w)
+        assert [(u, coroot) for u, coroot, _ in cover_rows(calc, w)[1]] == by_words, W.format(w)
         for i in range(rank + 1):
             assert calc.lambda_op(i, a) == lambda_op_by_words(calc, i, a)
 
@@ -156,7 +157,7 @@ def test_row_weights_are_the_weight_pairings(letter, rank):
     ard = calc.ard
     rows = 0
     for w in _elements(calc.W, 4):
-        classical, quantum = calc._cover_rows(w)
+        classical, quantum = cover_rows(calc, w)
         for u, coroot, weights in classical + quantum:
             assert len(weights) == 2 * rank + 1
             for i in range(rank + 1):

@@ -21,6 +21,7 @@ from operator import add
 
 import pytest
 from class_sums import scale_and_add
+from cover_oracles import cover_rows
 
 from qaff.affine import AffineCoh, affine_coh
 from qaff.chevalley import enumerate_chevalley_roots
@@ -43,7 +44,7 @@ def old_chevalley(calc, i, a):
     """``eps_i . a`` summed one ``Poly`` per Bruhat cover."""
     out = {}
     for w, c in a.terms.items():
-        for u, coroot, _ in calc._cover_rows(w)[0]:
+        for u, coroot, _ in cover_rows(calc, w)[0]:
             if coroot[i]:
                 out[u] = out.get(u, Poly.zero(calc.nq)) + coroot[i] * c
     return calc._make(out)
@@ -53,7 +54,7 @@ def old_lambda_op(calc, i, a):
     """``Lambda_i(a)``: the cup plus one ``q^{alpha^vee}`` monomial per quantum cover."""
     out = dict(old_chevalley(calc, i, a).terms)
     for w, c in a.terms.items():
-        for u, coroot, _ in calc._cover_rows(w)[1]:
+        for u, coroot, _ in cover_rows(calc, w)[1]:
             if coroot[i]:
                 term = q_monomial(calc, coroot, coroot[i]) * c
                 out[u] = out.get(u, Poly.zero(calc.nq)) + term
@@ -65,7 +66,7 @@ def partial_weight_cover_sum(calc, a, weight, quantum):
     term, as the operators computed it before the rows carried their weights."""
     acc = {}
     for w, c in a.terms.items():
-        classical, quantum_rows = calc._cover_rows(w)
+        classical, quantum_rows = cover_rows(calc, w)
         for u, coroot, _ in classical:
             k = weight(coroot)
             if k:

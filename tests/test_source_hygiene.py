@@ -310,9 +310,9 @@ def _calls(node: ast.AST, owner: str | None):
 
 
 def test_only_the_ring_checks_a_classs_ids():
-    # ``check_ids(a.terms)`` tests the range of the ids alone, so an operator that
-    # runs it on a class takes a class of another ring whose ids are in range; the
-    # ring's membership method tests the ring first.
+    # ``check_ids(a.terms)`` or ``check_ids(a.support())`` tests the range of the ids
+    # alone, so an operator that runs it on a class takes a class of another ring whose
+    # ids are in range; the ring's membership method tests the ring first.
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "weyl.py":
@@ -320,7 +320,7 @@ def test_only_the_ring_checks_a_classs_ids():
         for owner, node in _calls(ast.parse(path.read_text(encoding="utf-8")), None):
             func = node.func
             if (isinstance(func, ast.Attribute) and func.attr == "check_ids"
-                    and any(_is_terms(arg) for arg in node.args)):
+                    and any(_is_terms(arg) or _is_support(arg) for arg in node.args)):
                 found.append((path.name, owner))
     assert found == CLASS_ID_READERS
 
@@ -330,6 +330,11 @@ _MUTATORS = {"update", "pop", "popitem", "setdefault", "clear"}
 
 def _is_terms(node: ast.AST) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "terms"
+
+
+def _is_support(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "support")
 
 
 def test_no_terms_are_changed_in_place():
