@@ -14,8 +14,8 @@ The operators:
 * ``D_word`` — the nil-BGG operators, ``D_i(eps_v) = eps_{v s_i}`` on right
   descents and 0 otherwise;
 * ``lambda_op(i, a)`` — the quantum Chevalley operator: cup part plus
-  ``<lambda_i, alpha^vee> q^{alpha^vee}`` terms over the distinguished roots,
-  found by the quantum-cover length condition;
+  ``<lambda_i, alpha^vee> q^{alpha^vee}`` terms over the distinguished roots
+  that meet the quantum-cover length condition, tested by inversion sets;
 * ``modified_lambda(i, a)`` — ``(Lambda_i - m_i Lambda_0)(a)``, the family
   that commutes exactly;
 * ``divisor_pullback(i, a)`` — the cup product with ``eps_i - m_i eps_0``, the
@@ -32,9 +32,16 @@ one sum over the cover rows of the support, with the weight ``<lambda_i, alpha^v
 or ``<lambda_i - m_i lambda_0, alpha^vee>`` on a cover and with or without the
 quantum covers.  :class:`AffineCoh` builds the rows of an element once, from its
 Bruhat covers and the per-type Chevalley roots, and keeps them (``_rows``, one
-entry per element met).  Each row carries its cover's weights, one tuple per
-distinct coroot (``_weights``, bounded by the coroots of the covers met), so the
-sum reads a weight by index: entry ``i`` for ``lambda_i``, read through
+entry per element met).  A Chevalley root alpha has ``len(s_alpha) = 2
+ht(alpha^vee) - 1``, so alpha is a quantum cover of ``w`` exactly when
+``len(w) = len(w s_alpha) + len(s_alpha)``; by the inversion-set lemma
+``len(xy) = len(x) + len(y)`` iff ``N(y)`` lies in ``N(xy)``, where ``N(x)`` is
+the set of positive roots x sends negative (Bjorner-Brenti, *Combinatorics of
+Coxeter Groups*, 2005), that is ``N(s_alpha)`` lying in ``N(w)``.  The rows test
+that containment on ``w``'s root tables and multiply only the members that pass.
+Each row carries its cover's weights, one tuple per distinct root (``_weights``,
+bounded by the roots of the covers met, read with one lookup), so the sum reads a
+weight by index: entry ``i`` for ``lambda_i``, read through
 :meth:`~qaff.roots.AffineRootData.affine_index`, and entry ``n + i`` for
 ``lambda_i - m_i lambda_0``, through :meth:`~qaff.roots.RootSystem.finite_index`.
 
@@ -61,7 +68,9 @@ with another number of q-variables is refused, and so is an element id the
 group has not made.  An id is an index into lists that grow as elements are
 met, so ``-1`` would name whichever element came last, and an id of another
 group names another element.  Both checks, and the truncation guard, read the
-ids of a row from its keys, so no check builds the terms.
+ids of a row from its keys, so no check builds the terms; ``check_classes``
+returns the ids it checked, and the guard takes the longest of those same ids,
+so an operator reads a class's ids once.
 """
 
 from __future__ import annotations
@@ -71,7 +80,7 @@ from operator import mul
 
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import QClass, QModule, RowClass
-from .roots import CorootVec
+from .roots import AffineRoot
 from .weyl import AffineWeylGroup, affine_weyl
 
 # B, the bits of one packed q-exponent entry; an input entry is below 2^(B-1)
@@ -109,12 +118,12 @@ class AffineCoh(QModule):
         self._packing((1 << (_WIDTH - 1)) - 1, _WIDTH, f"2^{_WIDTH - 1} - 1")
         self._over = sum(1 << (_WIDTH * j + _WIDTH - 1) for j in range(self.nq))
         self._chev = enumerate_chevalley_roots(W)
-        self._weights: dict[CorootVec, tuple[int, ...]] = {}
-        # each member as (level, table index of its finite part, s_alpha, coroot height,
-        # packed alpha^vee, weights), for the rule of W.inverts
+        self._weights: dict[AffineRoot, tuple[int, ...]] = {}
+        # each member as (level, table index of its finite part, s_alpha, packed alpha^vee,
+        # weights), for the rule of W.inverts; its N(s_alpha) is read on first use
         self._members = [(cr.root.level, W.table.index[cr.root.finite], W.reflection(cr.root),
-                          cr.coroot_height, self._keys[cr.coroot], self._weight_row(cr.coroot))
-                         for cr in self._chev]
+                          self._keys[cr.coroot], self._weight_row(cr.root)) for cr in self._chev]
+        self._inversions: list[list[tuple[int, int]] | None] = [None] * len(self._members)
         self._rows: dict[int, tuple[list, list]] = {}
 
     def _row_of(self, a: QClass) -> list:
@@ -134,23 +143,24 @@ class AffineCoh(QModule):
     def _guard(self, a: QClass) -> list:
         """The packed row of ``a`` (:meth:`_row_of`), once the ring took it as its own
         (:meth:`~qaff.polynomials.QModule.check_classes`) and its support is below length
-        ``L``."""
-        self.check_classes(a)
-        top = a.max_length() + 1
+        ``L``: the lengths are read off the ids that the check returns, so the ids are
+        read once."""
+        (ids,) = self.check_classes(a)
+        top = max(map(self.length, ids), default=0) + 1
         if top > self.L:
             raise TruncationOverflow(top, self.L)
         return self._row_of(a)
 
     # -- cup and BGG operators ---------------------------------------------------
 
-    def _weight_row(self, coroot: CorootVec) -> tuple[int, ...]:
-        """The weights of a cover with coroot ``alpha^vee``, once per distinct coroot:
-        entry ``i`` is ``<lambda_i, alpha^vee>`` for ``i = 0..n`` (the coroot itself)
-        and entry ``n + i`` is ``<lambda_i - m_i lambda_0, alpha^vee>`` for ``i = 1..n``."""
-        row = self._weights.get(coroot)
+    def _weight_row(self, alpha: AffineRoot) -> tuple[int, ...]:
+        """The weights of a cover with root ``alpha``, once per distinct root: entry
+        ``i`` is ``<lambda_i, alpha^vee>`` for ``i = 0..n`` (the coroot itself) and entry
+        ``n + i`` is ``<lambda_i - m_i lambda_0, alpha^vee>`` for ``i = 1..n``."""
+        row = self._weights.get(alpha)
         if row is None:
-            pair = self.ard.level_zero_weight_pairing
-            row = self._weights[coroot] = coroot + tuple(
+            coroot, pair = self.ard.coroot(alpha), self.ard.level_zero_weight_pairing
+            row = self._weights[alpha] = coroot + tuple(
                 pair(i, coroot) for i in range(1, self.n + 1))
         return row
 
@@ -163,26 +173,39 @@ class AffineCoh(QModule):
         at ``key + e``.  The first list holds the Bruhat covers, in
         :meth:`~qaff.weyl.AffineWeylGroup.bruhat_covers_up` order; the second
         holds the Chevalley roots alpha with ``len(w s_alpha) = len(w) + 1 - 2
-        ht(alpha^vee)``, in set order.  That length is below ``len(w)``, which
-        happens only when ``w(alpha) < 0``, so no other member is multiplied.
+        ht(alpha^vee)``, in set order.  A member has ``len(s_alpha) = 2 ht(alpha^vee)
+        - 1``, so that is ``len(w) = len(w s_alpha) + len(s_alpha)``, which holds
+        exactly when ``N(s_alpha)``, the positive roots ``s_alpha`` sends negative, lies
+        in ``N(w)`` (``len(xy) = len(x) + len(y)`` iff ``N(y)`` lies in ``N(xy)``;
+        Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 2005).  The test reads
+        ``w``'s translation pairings and permutation: first on alpha, and if ``w(alpha)
+        < 0``, on every root of ``N(s_alpha)`` (``_inversions``, read the first time a
+        member gets that far), stopping at the first root ``w`` keeps positive.  Only
+        a member that passes is multiplied, so ``w s_alpha`` is made exactly once per
+        quantum cover and for no other member.
         """
         rows = self._rows.get(w)
         if rows is None:
-            W, ard, S = self.W, self.ard, self._shift
-            lw = W.length(w)
-            classical = [(u << S, self._weight_row(ard.coroot(alpha)))
-                         for u, alpha in W.bruhat_covers_up(w)]
-            # <roots[b], t> for every table index b, read once for w = v t
+            W, S, weight_row = self.W, self._shift, self._weight_row
+            classical = [(u << S, weight_row(alpha)) for u, alpha in W.bruhat_covers_up(w)]
+            # <roots[b], t> for every table index b, read once for w = v t; w sends
+            # level delta + roots[b] negative by the rule of W.inverts
             t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
             pairs = [sum(map(mul, pv, t)) for pv in W.table.pairings[:npos]]
             pairs += [-x for x in pairs]
-            quantum = []
-            for level, b, s, height, packed, weights in self._members:
+            quantum, inversions = [], self._inversions
+            for j, (level, b, s, packed, weights) in enumerate(self._members):
                 level -= pairs[b]
                 if level < 0 or (level == 0 and p[b] >= npos):
-                    u = W.multiply(w, s)
-                    if W.length(u) == lw + 1 - 2 * height:
-                        quantum.append((u << S | packed, weights))
+                    inv = inversions[j]
+                    if inv is None:
+                        inv = inversions[j] = W.inversion_set(s)
+                    for level, b in inv:
+                        level -= pairs[b]
+                        if level > 0 or (level == 0 and p[b] < npos):
+                            break
+                    else:
+                        quantum.append((W.multiply(w, s) << S | packed, weights))
             rows = self._rows[w] = (classical, quantum)
         return rows
 

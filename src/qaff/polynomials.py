@@ -311,9 +311,6 @@ class QClass:
         """The support by length, then reduced word: the printing order."""
         return sorted(self.terms, key=lambda w: (self.ring.length(w), self.ring.word(w)))
 
-    def max_length(self) -> int:
-        return max(map(self.ring.length, self.support()), default=0)
-
     def homogeneous_degree(self) -> int | None:
         """Total degree ``len(w) + 2 ht(e)`` if constant over the support."""
         degs = {self.ring.length(w) + 2 * sum(e) for w, c in self.terms.items() for e in c.terms}
@@ -447,14 +444,17 @@ class QModule:
             raise ValueError(f"a class on {theirs} in {ring.nq} q-variables is not a class "
                              f"of this ring, on {group} in {self.nq}")
 
-    def check_classes(self, *classes: QClass) -> None:
+    def check_classes(self, *classes: QClass) -> list:
         """Refuse a class that is not this ring's, then an id the group has not made:
         the membership rule of every operator.  A class this ring made costs one
-        identity test before its ids are checked."""
+        identity test before its ids are checked.  The ids of each class, as checked,
+        are returned in order, so a caller that needs them reads them once."""
+        out = []
         for a in classes:
             if a.ring is not self:
                 self._check_ring(a.ring)
-            self.group.check_ids(a.support())
+            out.append(self.group.check_ids(a.support()))
+        return out
 
     # -- packed rows -------------------------------------------------------------
 

@@ -104,15 +104,17 @@ def finite_reflection(rs: RootSystem, beta: Vec) -> FinW:
     return FinW(table.reflections[table.index_of(beta)])
 
 
-def check_element_ids(group: AffineWeylGroup | FiniteWeyl, ids) -> None:
+def check_element_ids(group: AffineWeylGroup | FiniteWeyl, ids):
     """Refuse an element id ``group`` has not made, as the ``check_ids`` of both
     groups: a negative one would read the tables from the end and a large one past
     them, and in the affine group either names a different element as it grows.
-    The message names the group (``str(group)``) only when an id is refused."""
+    The message names the group (``str(group)``) only when an id is refused; ``ids``
+    is returned as it was given."""
     size = len(group.perm)
     for w in ids:
         if w.__class__ is not int or not 0 <= w < size:
             raise ValueError(f"{w!r} is not an element id of {group}: ids run 0..{size - 1}")
+    return ids
 
 
 class AffineWeylGroup:
@@ -152,6 +154,8 @@ class AffineWeylGroup:
                               for _, b in self._simple_roots]
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._covers_memo: dict[int, list[tuple[int, AffineRoot]]] = {}
+        # s_i(gamma) per root gamma met by bruhat_covers_up, one dict per i
+        self._reflected: list[dict[AffineRoot, AffineRoot]] = [{} for _ in range(self.n + 1)]
         self._word_memo: dict[int, tuple[int, ...]] = {}
         # the elements of each length met so far by enumerate_up_to, and their union
         self._layers: list[list[int]] = [[self.identity]]
@@ -242,6 +246,18 @@ class AffineWeylGroup:
         level -= sum(map(mul, self.table.pairings[b], self.trans[w]))
         return level < 0 or (level == 0 and self.perm[w][b] >= self.rs.num_positive)
 
+    def inversion_set(self, w: int) -> list[tuple[int, int]]:
+        """``N(w)``, the positive real roots ``level delta + roots[b]`` that w sends
+        negative by the rule of :meth:`inverts`, as ``(level, b)`` pairs by ``b``, then
+        level; there are ``len(w)`` of them.  For each ``b`` they are the levels from 0
+        (1 for a negative ``roots[b]``) below ``<roots[b], l> + [v(roots[b]) < 0]``."""
+        npos, t, p = self.rs.num_positive, self.trans[w], self.perm[w]
+        out = []
+        for b, pv in enumerate(self.table.pairings):
+            top = sum(map(mul, pv, t)) + (p[b] >= npos)
+            out += [(level, b) for level in range(b >= npos, top)]
+        return out
+
     def right_descents(self, w: int) -> tuple[int, ...]:
         """The i with ``w(alpha_i) < 0``, by the rule of :meth:`inverts`, on first read."""
         out = self._descents[w]
@@ -315,7 +331,10 @@ class AffineWeylGroup:
           ``y = w s_i s_gamma`` makes ``y s_i = w s_{s_i(gamma)}``; ``gamma =
           alpha_i`` would give ``y = w``, so ``s_i(gamma) > 0``.
 
-        ``w s_alpha`` determines alpha, so a cover met twice is kept once.
+        ``w s_alpha`` determines alpha, so a cover met twice is kept once.  Each
+        ``s_i(gamma)`` is computed once per ``(i, gamma)`` and kept (``_reflected``,
+        at most ``n + 1`` entries per distinct root of the covers met), so every
+        cover's root is one dict read once its reflection is known.
         Cost: one call per element of the lower weak interval ``{x <=_R w}``
         whose covers are not memoized; a stack walk finds them and they are
         filled shortest first.  :mod:`qaff.affine` refuses support of length
@@ -347,15 +366,19 @@ class AffineWeylGroup:
                  for j in range(self.n + 1) if j not in descents}
         for i, wi in zip(descents, below):
             level, b = self._simple_roots[i]
+            reflected = self._reflected[i]
             for y, gamma in memo[wi]:
                 if not self.inverts(y, level, b):
                     u = self.rmul(y, i)
                     if u not in found:
-                        # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
-                        m = table.index[gamma.finite]
-                        k = sum(map(mul, table.pairings[m], table.coroots[b]))
-                        found[u] = AffineRoot(gamma.level - k * level,
-                                              table.roots[table.reflections[b][m]])
+                        root = reflected.get(gamma)
+                        if root is None:
+                            # s_i(gamma) = gamma - <gamma, alpha_i^vee> alpha_i
+                            m = table.index[gamma.finite]
+                            k = sum(map(mul, table.pairings[m], table.coroots[b]))
+                            root = reflected[gamma] = AffineRoot(
+                                gamma.level - k * level, table.roots[table.reflections[b][m]])
+                        found[u] = root
         out = memo[w] = sorted(found.items(), key=itemgetter(1))
         return out
 

@@ -13,7 +13,12 @@ from the memo, so the tests can compare the two as ordered lists.
 ``short_reflections`` reads the level lists the way the slice does, for the
 tests that need the short reflections themselves.  ``cover_rows`` reads
 ``AffineCoh._cover_rows`` back as ``(u, alpha^vee, weights)`` triples.
+``AffineCoh._cover_rows`` finds its quantum covers by inversion sets, multiplying
+only the members that pass; ``quantum_covers_by_length`` is the rule it replaced,
+which multiplies every member with ``w(alpha) < 0`` and compares lengths.
 """
+
+from operator import mul
 
 from qaff.roots import AffineRoot
 
@@ -86,3 +91,25 @@ def cover_rows(calc, w):
     assert all(k & mask == 0 for k, _ in classical)
     return ([(k >> S, weights[:n + 1], weights) for k, weights in classical],
             [(k >> S, calc._unpack(k & mask), weights) for k, weights in quantum])
+
+
+def quantum_covers_by_length(calc, w):
+    """The quantum rows of ``calc._cover_rows(w)`` by the length condition
+    ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, tried on every member with
+    ``w(alpha) < 0``: the multiply-and-length rule, verbatim apart from reading the
+    members from ``calc._chev``."""
+    W, S = calc.W, calc._shift
+    lw = W.length(w)
+    # <roots[b], t> for every table index b, read once for w = v t
+    t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
+    pairs = [sum(map(mul, pv, t)) for pv in W.table.pairings[:npos]]
+    pairs += [-x for x in pairs]
+    quantum = []
+    for cr in calc._chev:
+        level, b, s = cr.root.level, W.table.index[cr.root.finite], W.reflection(cr.root)
+        level -= pairs[b]
+        if level < 0 or (level == 0 and p[b] >= npos):
+            u = W.multiply(w, s)
+            if W.length(u) == lw + 1 - 2 * cr.coroot_height:
+                quantum.append((u << S | calc._keys[cr.coroot], calc._weight_row(cr.root)))
+    return quantum

@@ -343,7 +343,7 @@ class TestTruncationGuard:
             H = affine_coh("A", 1, L)
             img = H.chevalley(1, B(H, word))
             assert not img.is_zero()
-            assert img.max_length() == top
+            assert max(map(H.length, img.support())) == top
 
 
 class TestElementIds:

@@ -5,12 +5,16 @@ a class of a ring on another group, even a second group of the same type, or
 with another number of q-variables is refused with one message, and nothing is
 memoized.  ``+`` and ``-`` ask the same question of the two rings.  A ring on
 the same group with the same ``nq`` is the same module, whichever object made
-it, so its classes are accepted.
+it, so its classes are accepted.  An affine operator reads a class's ids once,
+and its guard refuses a foreign class, then an unmade id, then support past the
+truncation, keeping no memo.
 """
+
+import re
 
 import pytest
 
-from qaff.affine import AffineCoh, affine_coh
+from qaff.affine import AffineCoh, TruncationOverflow, affine_coh
 from qaff.divisor_ring import (
     divisor_monomial_class,
     e1_pullback,
@@ -104,6 +108,67 @@ def test_rings_on_one_group_share_their_classes():
     got = shared.lambda_op(1, a)
     assert got.ring is shared and got == other.lambda_op(1, a)
     assert (a + shared.unit()).ring is other
+
+
+# -- the affine guard: ids read once, refusals in order -----------------------------
+
+
+# the operators of the ring itself
+RING_OPERATORS = ["lambda_op", "modified_lambda", "chevalley", "divisor_pullback", "D_word"]
+
+
+def test_an_affine_operator_reads_a_classs_ids_once(monkeypatch):
+    # the ids check_classes returns are the ones the truncation bound measures
+    H = AffineCoh(AffineWeylGroup(affinize("A", 2)), L=6)
+    plain = H.basis(H.W.parse("s0")) + H.basis(H.W.parse("s1s0"))
+    row = H.lambda_op(1, plain)
+    assert type(row) is RowClass and type(plain) is QClass
+    reads = []
+    for cls in (QClass, RowClass):
+        def counted(self, support=cls.support):
+            reads.append(self)
+            return support(self)
+        monkeypatch.setattr(cls, "support", counted)
+    for name in RING_OPERATORS:
+        for a in (plain, row):
+            reads.clear()
+            AFFINE_OPERATORS[name](H, a)
+            assert reads == [a], name
+
+
+def _guard_memos(H):
+    W = H.W
+    return (dict(H._rows), dict(H._keys), dict(H._exps), list(H._inversions), dict(H._weights),
+            dict(W._covers_memo), [dict(d) for d in W._reflected], len(W.perm))
+
+
+def test_the_affine_guard_refuses_in_order_and_keeps_no_memo():
+    # a foreign ring first, then an id the group has not made, then the truncation
+    H = AffineCoh(AffineWeylGroup(affinize("A", 2)), L=3)
+    other = AffineCoh(AffineWeylGroup(affinize("A", 2)), L=3)
+    W, one, S = H.W, Poly.one(H.nq), H._shift
+    top = W.parse("s0s1s2")  # length 3 = L: its covers need L >= 4
+    H.lambda_op(1, H.basis(W.parse("s0")))
+    memos = _guard_memos(H)
+    bad = 10**6
+    foreign = FOREIGN.format("another affine A2", 3, "affine A2", 3)
+    unmade = rf"^{bad} is not an element id of affine A2: ids run 0\.\.\d+$"
+    cases = [(QClass(other, {bad: one, top: one}), ValueError, f"^{re.escape(foreign)}$"),
+             (RowClass(other, [(bad << S, 1), (top << S, 1)]), ValueError,
+              f"^{re.escape(foreign)}$"),
+             (QClass(H, {top: one, bad: one}), ValueError, unmade),
+             (RowClass(H, [(top << S, 1), (bad << S, 1)]), ValueError, unmade),
+             (QClass(H, {top: one}), TruncationOverflow, None),
+             (RowClass(H, [(top << S, 1)]), TruncationOverflow, None)]
+    for a, error, message in cases:
+        for name in RING_OPERATORS:
+            if name == "D_word" and error is TruncationOverflow:
+                continue  # D_i only lowers length, so D_word has no truncation bound
+            with pytest.raises(error, match=message) as exc:
+                AFFINE_OPERATORS[name](H, a)
+            if error is TruncationOverflow:
+                assert (exc.value.needed, exc.value.configured) == (4, 3)
+            assert _guard_memos(H) == memos, name
 
 
 # -- the finite rings: another type, another nq ----------------------------------------

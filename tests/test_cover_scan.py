@@ -4,10 +4,10 @@ Each fast route is compared with the route it replaced (``cover_oracles``),
 as ordered lists: the Bruhat covers, which ``bruhat_covers_up`` builds from
 the covers below it in right weak order instead of scanning reflections, the
 moment-graph slice edges and ``bruhat_maximal``.  The quantum cover rows are
-compared with the word form ``q^{alpha^vee} D_{s_alpha}`` of the affine
-quantum Chevalley operators, every weight a row carries with the weight
-pairing it stands for, and the elements a cold cover row interns are
-counted.  The per-level root lists of ``AffineRootData``, which the slice
+compared with the multiply-and-length rule they replaced and with the word
+form ``q^{alpha^vee} D_{s_alpha}`` of the affine quantum Chevalley operators,
+every weight a row carries with the weight pairing it stands for, and the
+elements a cold cover row interns are counted.  The per-level root lists of ``AffineRootData``, which the slice
 reads, are checked to hold every short reflection in root-table order, to be
 built on first use and to be shared by the groups on one datum.
 """
@@ -22,9 +22,10 @@ from cover_oracles import (
     cover_rows,
     level_bound_covers_up,
     level_bound_slice_edges,
+    quantum_covers_by_length,
     short_reflections,
 )
-from qaff.affine import affine_coh
+from qaff.affine import AffineCoh, affine_coh
 from qaff.cli import moment_graph_slice
 from qaff.neighborhoods import _reachable, bruhat_maximal
 from qaff.roots import AffineRoot, AffineRootData, affinize, build_root_system
@@ -151,6 +152,42 @@ def test_quantum_rows_match_word_form(letter, rank):
             assert calc.lambda_op(i, a) == lambda_op_by_words(calc, i, a)
 
 
+# every element below the default truncation L, and E6 up to length 3
+INVERSION_CASES = [("A", 1, None), ("A", 2, None), ("A", 3, None), ("B", 2, None),
+                   ("B", 3, None), ("C", 3, None), ("G", 2, None), ("D", 4, None),
+                   ("F", 4, None), ("E", 6, 3)]
+
+
+@pytest.mark.parametrize("letter,rank,top", INVERSION_CASES,
+                         ids=[f"{x}{n}" for x, n, _ in INVERSION_CASES])
+def test_quantum_rows_by_inversion_sets_match_the_length_rule(letter, rank, top):
+    # N(s_alpha) in N(w) is the length condition (Bjorner-Brenti), so the rows agree
+    # as ordered lists, keys and weights alike
+    calc = AffineCoh(AffineWeylGroup(affinize(letter, rank)))
+    W = calc.W
+    elements = _elements(W, calc.L - 1 if top is None else top)
+    quantum = 0
+    for w in elements:
+        rows = calc._cover_rows(w)[1]
+        assert rows == quantum_covers_by_length(calc, w), W.format(w)
+        quantum += len(rows)
+    assert quantum > 0
+
+
+def test_inversion_sets_are_read_on_first_use():
+    # a member's N(s_alpha) is read the first time some w has w(alpha) < 0, not at set-up
+    calc = AffineCoh(AffineWeylGroup(affinize("B", 3)))
+    W = calc.W
+    assert calc._inversions == [None] * len(calc._members)
+    calc._cover_rows(W.identity)  # e sends no positive root negative
+    assert calc._inversions == [None] * len(calc._members)
+    w = W.parse("s0s2s1")
+    calc._cover_rows(w)
+    for (level, b, s, _, _), inv in zip(calc._members, calc._inversions):
+        assert (inv is not None) == W.inverts(w, level, b)
+        assert inv is None or (inv == W.inversion_set(s) and len(inv) == W.length(s))
+
+
 @pytest.mark.parametrize("letter,rank", [("A", 2), ("A", 3), ("B", 3), ("G", 2), ("D", 4)])
 def test_row_weights_are_the_weight_pairings(letter, rank):
     calc = affine_coh(letter, rank)
@@ -190,3 +227,20 @@ def test_bruhat_maximal_matches_all_pairs_on_random_subsets(letter, rank):
     for _ in range(60):
         elts = set(rng.sample(pool, rng.randint(1, 25)))
         assert bruhat_maximal(W, elts) == all_pairs_maximal(W, elts)
+
+
+@pytest.mark.parametrize("letter,rank", [("A", 3), ("B", 3), ("G", 2), ("D", 4)])
+def test_each_root_is_reflected_once_per_simple_reflection(letter, rank):
+    # bruhat_covers_up keeps s_i(gamma) per (i, gamma), so on a fresh group the memo
+    # holds at most n + 1 entries per distinct root of the covers met
+    W = AffineWeylGroup(affinize(letter, rank))
+    assert W._reflected == [{} for _ in range(rank + 1)]
+    for w in _elements(W, 4):
+        W.bruhat_covers_up(w)
+    met = {alpha for covers in W._covers_memo.values() for _, alpha in covers}
+    entries = sum(map(len, W._reflected))
+    assert 0 < entries <= (rank + 1) * len(met)
+    for i, reflected in enumerate(W._reflected):
+        for gamma, root in reflected.items():
+            assert gamma in met and root in met
+            assert root == W.ard.reflect(W.ard.simple_root(i), gamma)
