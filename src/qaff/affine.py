@@ -38,7 +38,9 @@ ht(alpha^vee) - 1``, so alpha is a quantum cover of ``w`` exactly when
 ``len(xy) = len(x) + len(y)`` iff ``N(y)`` lies in ``N(xy)``, where ``N(x)`` is
 the set of positive roots x sends negative (Bjorner-Brenti, *Combinatorics of
 Coxeter Groups*, 2005), that is ``N(s_alpha)`` lying in ``N(w)``.  The rows test
-that containment on ``w``'s root tables and multiply only the members that pass.
+that containment on ``w``'s inversion heights
+(:meth:`~qaff.weyl.AffineWeylGroup.heights`, one vector per element, read with
+one index per root) and multiply only the members that pass.
 Each row carries its cover's weights, one tuple per distinct root (``_weights``,
 bounded by the roots of the covers met, read with one lookup), so the sum reads a
 weight by index: entry ``i`` for ``lambda_i``, read through
@@ -76,7 +78,6 @@ so an operator reads a class's ids once.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import mul
 
 from .chevalley import enumerate_chevalley_roots
 from .polynomials import QClass, QModule, RowClass
@@ -120,7 +121,7 @@ class AffineCoh(QModule):
         self._chev = enumerate_chevalley_roots(W)
         self._weights: dict[AffineRoot, tuple[int, ...]] = {}
         # each member as (level, table index of its finite part, s_alpha, packed alpha^vee,
-        # weights), for the rule of W.inverts; its N(s_alpha) is read on first use
+        # weights), to be read against W.heights; its N(s_alpha) is read on first use
         self._members = [(cr.root.level, W.table.index[cr.root.finite], W.reflection(cr.root),
                           self._keys[cr.coroot], self._weight_row(cr.root)) for cr in self._chev]
         self._inversions: list[list[tuple[int, int]] | None] = [None] * len(self._members)
@@ -178,9 +179,11 @@ class AffineCoh(QModule):
         exactly when ``N(s_alpha)``, the positive roots ``s_alpha`` sends negative, lies
         in ``N(w)`` (``len(xy) = len(x) + len(y)`` iff ``N(y)`` lies in ``N(xy)``;
         Bjorner-Brenti, *Combinatorics of Coxeter Groups*, 2005).  The test reads
-        ``w``'s translation pairings and permutation: first on alpha, and if ``w(alpha)
-        < 0``, on every root of ``N(s_alpha)`` (``_inversions``, read the first time a
-        member gets that far), stopping at the first root ``w`` keeps positive.  Only
+        ``w``'s inversion heights (:meth:`~qaff.weyl.AffineWeylGroup.heights`): ``w``
+        sends ``level delta + roots[b]`` negative exactly when ``level < h_b(w)``.  It
+        reads them first on alpha, and if ``w(alpha) < 0``, on every root of
+        ``N(s_alpha)`` (``_inversions``, read the first time a member gets that far),
+        stopping at the first root ``w`` keeps positive.  Only
         a member that passes is multiplied, so ``w s_alpha`` is made exactly once per
         quantum cover and for no other member.
         """
@@ -188,21 +191,15 @@ class AffineCoh(QModule):
         if rows is None:
             W, S, weight_row = self.W, self._shift, self._weight_row
             classical = [(u << S, weight_row(alpha)) for u, alpha in W.bruhat_covers_up(w)]
-            # <roots[b], t> for every table index b, read once for w = v t; w sends
-            # level delta + roots[b] negative by the rule of W.inverts
-            t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
-            pairs = [sum(map(mul, pv, t)) for pv in W.table.pairings[:npos]]
-            pairs += [-x for x in pairs]
+            h = W.heights(w)
             quantum, inversions = [], self._inversions
             for j, (level, b, s, packed, weights) in enumerate(self._members):
-                level -= pairs[b]
-                if level < 0 or (level == 0 and p[b] >= npos):
+                if level < h[b]:
                     inv = inversions[j]
                     if inv is None:
                         inv = inversions[j] = W.inversion_set(s)
                     for level, b in inv:
-                        level -= pairs[b]
-                        if level > 0 or (level == 0 and p[b] < npos):
+                        if level >= h[b]:
                             break
                     else:
                         quantum.append((W.multiply(w, s) << S | packed, weights))

@@ -9,13 +9,20 @@ The composition rule and the action on real roots follow from
 * ``(v, l)^{-1} = (v^{-1}, -v(l))``
 * ``(v, l)(k delta + beta) = (k - <beta, l>) delta + v(beta)``
 
-Lengths come from the closed form
+Each element carries its inversion heights, one integer per index ``b`` of the
+root table, negative roots included (Shi's alcove form; J.-Y. Shi, *The
+Kazhdan-Lusztig cells in certain affine Weyl groups*, LNM 1179, 1986):
 
-    len(v t_l) = sum over beta > 0 of  |<beta,l>| + s(beta)
-    where s(beta) = +[v beta < 0] if <beta,l> >= 0, else -[v beta < 0],
+    h_b(v t_l) = <roots[b], l> + [v(roots[b]) < 0],
 
-equivalently the sum of ``|<beta,l> + [v beta < 0]|``, which tests
-cross-validate against breadth-first word enumeration.
+so ``w`` sends ``level delta + roots[b]`` to a negative root exactly when
+``level < h_b``, and ``h_{-beta} = 1 - h_beta``.  Lengths come from the closed form
+
+    len(w) = sum over beta > 0 of |h_beta(w)|,
+
+which tests cross-validate against breadth-first word enumeration; right
+descents, inversion sets and the Z-property test of the Bruhat covers read
+the same vector.
 """
 
 from __future__ import annotations
@@ -124,8 +131,14 @@ class AffineWeylGroup:
     element is made by :meth:`_intern`, which gives each new ``(perm, t)`` the
     next id.  ``perm[w]`` is the root permutation of w's finite part,
     ``trans[w]`` its translation, and ``index`` maps ``(perm, t)`` back to the
-    id.  The identity is ``0``.  Lengths and right descents are computed on
-    first read and kept, and :meth:`rmul` keeps each product ``w s_i``.
+    id.  The identity is ``0``.  :meth:`rmul` keeps each product ``w s_i``.
+
+    Each element's inversion heights (:meth:`heights`, the ``h_b`` of the module
+    docstring) are kept, one tuple of ``2 |Phi+|`` ints per id: :meth:`rmul`
+    derives the product's from its factor's, and any other element computes its
+    own on first read.  The length ``sum over b < |Phi+| of |h_b|``, the right
+    descents (``level_i < h_{b_i}`` for ``alpha_i = level_i delta + roots[b_i]``)
+    and the inversion set are read off them; lengths and descents are kept.
 
     >>> from qaff.roots import affinize
     >>> W = AffineWeylGroup(affinize("A", 1))
@@ -141,6 +154,7 @@ class AffineWeylGroup:
         self.perm: list[tuple[int, ...]] = []
         self.trans: list[Vec] = []
         self.index: dict[tuple[tuple[int, ...], Vec], int] = {}
+        self._heights: list[tuple[int, ...] | None] = []  # None until first read
         self._length: list[int] = []  # -1 until first read
         self._descents: list[tuple[int, ...] | None] = []  # None until first read
         self._rmul: list[list[int] | None] = []  # per id, w s_i by i, -1 until made
@@ -152,6 +166,11 @@ class AffineWeylGroup:
                               for ai in self._simple_affine]
         self._simple_perms = [itemgetter(*self.table.reflections[b])
                               for _, b in self._simple_roots]
+        # level * <roots[b], beta^vee> per table index b, for alpha_i = level delta + beta:
+        # what rmul adds to the permuted heights, so None but for s_0
+        self._height_shifts = [
+            tuple(level * sum(map(mul, pv, self.table.coroots[b])) for pv in self.table.pairings)
+            if level else None for level, b in self._simple_roots]
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._covers_memo: dict[int, list[tuple[int, AffineRoot]]] = {}
         # s_i(gamma) per root gamma met by bruhat_covers_up, one dict per i
@@ -169,6 +188,7 @@ class AffineWeylGroup:
             w = self.index[key] = len(self.perm)
             self.perm.append(p)
             self.trans.append(t)
+            self._heights.append(None)
             self._length.append(-1)
             self._descents.append(None)
             self._rmul.append(None)
@@ -198,7 +218,12 @@ class AffineWeylGroup:
         """The id of ``w s_i``, computed once per ``(w, i)``.
 
         ``alpha_i = k delta + beta`` makes ``s_i = (s_beta, k beta^vee)``, so
-        ``(v, l) s_i = (v s_beta, l - (<beta, l> - k) beta^vee)``.
+        ``(v, l) s_i = (v s_beta, l - (<beta, l> - k) beta^vee)``, with ``<beta, l>``
+        read off ``h(w)``.  ``s_i`` sends ``level delta + roots[b]`` to ``(level - k
+        <roots[b], beta^vee>) delta + s_beta(roots[b])``, so ``h_b(w s_i) =
+        h_{r(b)}(w) + k <roots[b], beta^vee>`` with ``r`` the permutation ``s_beta``
+        makes of the table: the permutation that gives ``v s_beta``, and for ``s_0``
+        a shift fixed per group.  A product met before keeps the heights it has.
         """
         row = self._rmul[w]
         if row is None:
@@ -206,11 +231,16 @@ class AffineWeylGroup:
         u = row[i]
         if u < 0:
             level, b = self._simple_roots[i]
-            t = self.trans[w]
-            k = sum(map(mul, self.table.pairings[b], t)) - level
+            h, p, t = self.heights(w), self.perm[w], self.trans[w]
+            k = h[b] - (p[b] >= self.rs.num_positive) - level
             if k:
                 t = tuple([x - k * c for x, c in zip(t, self.table.coroots[b])])
-            u = row[i] = self._intern(self._simple_perms[i](self.perm[w]), t)
+            r = self._simple_perms[i]
+            u = row[i] = self._intern(r(p), t)
+            if self._heights[u] is None:
+                h = r(h)
+                shift = self._height_shifts[i]
+                self._heights[u] = h if shift is None else tuple(map(add, h, shift))
             back = self._rmul[u]
             if back is None:
                 back = self._rmul[u] = [-1] * (self.n + 1)
@@ -228,42 +258,42 @@ class AffineWeylGroup:
 
     # -- length and words ------------------------------------------------------
 
+    def heights(self, w: int) -> tuple[int, ...]:
+        """``h(w)``: ``h_b = <roots[b], l> + [v(roots[b]) < 0]`` for every table index
+        ``b``, so ``w = v t_l`` sends ``level delta + roots[b]`` negative exactly when
+        ``level < h_b``.  Kept per id; computed here for an element :meth:`rmul` did
+        not make, the negative half as ``h_{-beta} = 1 - h_beta``."""
+        h = self._heights[w]
+        if h is None:
+            npos, t, p = self.rs.num_positive, self.trans[w], self.perm[w]
+            half = [sum(map(mul, pv, t)) + (image >= npos)
+                    for pv, image in zip(self.table.pairings, p[:npos])]
+            h = self._heights[w] = tuple(half + [1 - x for x in half])
+        return h
+
     def length(self, w: int) -> int:
-        """The closed form ``sum over beta > 0 of |<beta,l> + [v beta < 0]|``, on first read."""
+        """The closed form ``sum over beta > 0 of |h_beta(w)|``, on first read."""
         ell = self._length[w]
         if ell < 0:
-            npos = self.rs.num_positive
-            t = self.trans[w]
-            ell = 0
-            for pv, image in zip(self.table.pairings, self.perm[w][:npos]):
-                ell += abs(sum(map(mul, pv, t)) + (image >= npos))
-            self._length[w] = ell
+            ell = self._length[w] = sum(map(abs, self.heights(w)[:self.rs.num_positive]))
         return ell
-
-    def inverts(self, w: int, level: int, b: int) -> bool:
-        """Whether ``w = v t_l`` sends ``level delta + roots[b]`` to a negative root:
-        ``level - <roots[b], l>`` is negative, or zero with ``v(roots[b]) < 0``."""
-        level -= sum(map(mul, self.table.pairings[b], self.trans[w]))
-        return level < 0 or (level == 0 and self.perm[w][b] >= self.rs.num_positive)
 
     def inversion_set(self, w: int) -> list[tuple[int, int]]:
         """``N(w)``, the positive real roots ``level delta + roots[b]`` that w sends
-        negative by the rule of :meth:`inverts`, as ``(level, b)`` pairs by ``b``, then
-        level; there are ``len(w)`` of them.  For each ``b`` they are the levels from 0
-        (1 for a negative ``roots[b]``) below ``<roots[b], l> + [v(roots[b]) < 0]``."""
-        npos, t, p = self.rs.num_positive, self.trans[w], self.perm[w]
-        out = []
-        for b, pv in enumerate(self.table.pairings):
-            top = sum(map(mul, pv, t)) + (p[b] >= npos)
-            out += [(level, b) for level in range(b >= npos, top)]
-        return out
+        negative, as ``(level, b)`` pairs by ``b``, then level; there are ``len(w)`` of
+        them.  For each ``b`` they are the levels from 0 (1 for a negative ``roots[b]``)
+        below ``h_b(w)``."""
+        npos = self.rs.num_positive
+        return [(level, b) for b, top in enumerate(self.heights(w))
+                for level in range(b >= npos, top)]
 
     def right_descents(self, w: int) -> tuple[int, ...]:
-        """The i with ``w(alpha_i) < 0``, by the rule of :meth:`inverts`, on first read."""
+        """The i with ``w(alpha_i) < 0``, that is ``level_i < h_{b_i}(w)``, on first read."""
         out = self._descents[w]
         if out is None:
+            h = self.heights(w)
             out = self._descents[w] = tuple(
-                i for i, (level, b) in enumerate(self._simple_roots) if self.inverts(w, level, b))
+                i for i, (level, b) in enumerate(self._simple_roots) if level < h[b])
         return out
 
     def reduced_word(self, w: int) -> tuple[int, ...]:
@@ -368,7 +398,7 @@ class AffineWeylGroup:
             level, b = self._simple_roots[i]
             reflected = self._reflected[i]
             for y, gamma in memo[wi]:
-                if not self.inverts(y, level, b):
+                if level >= self.heights(y)[b]:  # y(alpha_i) > 0
                     u = self.rmul(y, i)
                     if u not in found:
                         root = reflected.get(gamma)

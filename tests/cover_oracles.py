@@ -16,6 +16,10 @@ tests that need the short reflections themselves.  ``cover_rows`` reads
 ``AffineCoh._cover_rows`` finds its quantum covers by inversion sets, multiplying
 only the members that pass; ``quantum_covers_by_length`` is the rule it replaced,
 which multiplies every member with ``w(alpha) < 0`` and compares lengths.
+``AffineWeylGroup.heights`` derives an element's inversion heights from its
+factor's; ``heights_by_closed_form`` computes them from the element's
+permutation and translation by the rule ``AffineWeylGroup.inverts`` used to
+apply one root at a time, each half of the table on its own.
 """
 
 from operator import mul
@@ -82,6 +86,15 @@ def all_pairs_maximal(W, elts):
     return out
 
 
+def heights_by_closed_form(W, w):
+    """``h_b = <roots[b], l> + [v(roots[b]) < 0]`` for every table index ``b``, from
+    ``w = v t_l`` as ``(W.perm[w], W.trans[w])``.  It is the threshold of the rule
+    "``level - <roots[b], l>`` is negative, or zero with ``v(roots[b]) < 0``" for
+    ``w`` sending ``level delta + roots[b]`` negative: that holds iff ``level < h_b``."""
+    t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
+    return tuple(sum(map(mul, pv, t)) + (p[b] >= npos) for b, pv in enumerate(W.table.pairings))
+
+
 def cover_rows(calc, w):
     """``calc._cover_rows(w)`` as two lists of ``(u, alpha^vee, weights)``: ``u`` is the
     id of a row's key ``u << S | e``, and ``alpha^vee`` is the first ``n + 1`` weights of
@@ -97,18 +110,14 @@ def quantum_covers_by_length(calc, w):
     """The quantum rows of ``calc._cover_rows(w)`` by the length condition
     ``len(w s_alpha) = len(w) + 1 - 2 ht(alpha^vee)``, tried on every member with
     ``w(alpha) < 0``: the multiply-and-length rule, verbatim apart from reading the
-    members from ``calc._chev``."""
+    members from ``calc._chev`` and ``w(alpha) < 0`` from ``heights_by_closed_form``."""
     W, S = calc.W, calc._shift
     lw = W.length(w)
-    # <roots[b], t> for every table index b, read once for w = v t
-    t, p, npos = W.trans[w], W.perm[w], W.rs.num_positive
-    pairs = [sum(map(mul, pv, t)) for pv in W.table.pairings[:npos]]
-    pairs += [-x for x in pairs]
+    h = heights_by_closed_form(W, w)
     quantum = []
     for cr in calc._chev:
         level, b, s = cr.root.level, W.table.index[cr.root.finite], W.reflection(cr.root)
-        level -= pairs[b]
-        if level < 0 or (level == 0 and p[b] >= npos):
+        if level < h[b]:
             u = W.multiply(w, s)
             if W.length(u) == lw + 1 - 2 * cr.coroot_height:
                 quantum.append((u << S | calc._keys[cr.coroot], calc._weight_row(cr.root)))

@@ -20,6 +20,7 @@ import pytest
 from cover_oracles import (
     all_pairs_maximal,
     cover_rows,
+    heights_by_closed_form,
     level_bound_covers_up,
     level_bound_slice_edges,
     quantum_covers_by_length,
@@ -184,7 +185,7 @@ def test_inversion_sets_are_read_on_first_use():
     w = W.parse("s0s2s1")
     calc._cover_rows(w)
     for (level, b, s, _, _), inv in zip(calc._members, calc._inversions):
-        assert (inv is not None) == W.inverts(w, level, b)
+        assert (inv is not None) == (level < heights_by_closed_form(W, w)[b])
         assert inv is None or (inv == W.inversion_set(s) and len(inv) == W.length(s))
 
 

@@ -2,12 +2,13 @@
 
 ``AffineRootData.coroot`` keeps each root's coroot, ``real_positive_roots_leq``
 filters per-level lists built once, scans only the levels a budget allows, and
-returns each root with the coroot its row carries, and ``AffineWeylGroup.right_descents``
-keeps each element's descents.  Each is checked against a route that computes
-the fact afresh: the closed form ``(k / d_beta) c + beta^vee`` with ``beta^vee``
-from the symmetrizers, the per-budget enumeration the level lists replaced, and
-the ``inverts`` rule.  The checks are test-side, so they also run under
-``python -O``.
+returns each root with the coroot its row carries, and ``AffineWeylGroup`` keeps
+each element's inversion heights (``heights``) and descents (``right_descents``).
+Each is checked against a route that computes the fact afresh: the closed form
+``(k / d_beta) c + beta^vee`` with ``beta^vee`` from the symmetrizers, the
+per-budget enumeration the level lists replaced, and the rule the deleted
+``AffineWeylGroup.inverts`` applied (``heights_by_closed_form``).  The checks are
+test-side, so they also run under ``python -O``.
 """
 
 import itertools
@@ -15,6 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from cover_oracles import heights_by_closed_form
 from test_roots import ALL_TYPES
 
 from qaff.neighborhoods import curve_neighborhood, neighborhood_by_search, z_components
@@ -60,11 +62,55 @@ def test_right_descents_follow_the_inverts_rule(letter, rank):
     simple = [(a.level, W.table.index[a.finite])
               for a in (W.ard.simple_root(i) for i in range(rank + 1))]
     for w in (w for layer in W.enumerate_up_to(5).values() for w in layer):
-        expect = tuple(i for i, (level, b) in enumerate(simple) if W.inverts(w, level, b))
+        h = heights_by_closed_form(W, w)
+        expect = tuple(i for i, (level, b) in enumerate(simple) if level < h[b])
         assert W.right_descents(w) == expect, W.format(w)
         assert expect == tuple(i for i in range(rank + 1)
                                if W.length(W.rmul(w, i)) < W.length(w))
         assert W.right_descents(w) is W._descents[w]
+
+
+@pytest.mark.parametrize("letter,rank", ALL_TYPES, ids=[f"{x}{n}" for x, n in ALL_TYPES])
+def test_heights_match_the_closed_form(letter, rank):
+    # every element of length <= 4 by each route that makes one, each in a fresh group:
+    # rmul derives a product's heights from its factor's, and multiply, reflection and
+    # the identity leave them to be computed on first read
+    ard = AffineRootData(build_root_system(letter, rank))
+    W = AffineWeylGroup(ard)
+    layers = W.enumerate_up_to(4)
+    words = [W.reduced_word(w) for ell in sorted(layers) for w in layers[ell]]
+    short = [alpha for alpha, s in
+             ((a, W.reflection(a)) for level in ard.levels(3) for _, _, a, _ in level)
+             if W.length(s) <= 4]
+
+    def check(G, w):
+        assert G.heights(w) == heights_by_closed_form(G, w), G.format(w)
+        assert G._heights[w] is G.heights(w)
+
+    for w in (w for ell in sorted(layers) for w in layers[ell]):
+        check(W, w)
+    P = AffineWeylGroup(ard)
+    for word in words:
+        check(P, P.parse("".join(f"s{i}" for i in word) or "e"))
+    M = AffineWeylGroup(ard)
+    gens = [M.reflection(ard.simple_root(i)) for i in range(rank + 1)]
+    made = []
+    for word in words:
+        w = M.identity
+        for i in word:
+            w = M.multiply(w, gens[i])
+        made.append(w)
+    R = AffineWeylGroup(ard)
+    reflections = [R.reflection(alpha) for alpha in short]
+    # every element is read before any rmul of its group, so none was derived
+    for G, elements in ((M, made), (R, reflections)):
+        assert all(h is None for h in G._heights)
+        for w in elements:
+            check(G, w)
+        for w in elements:  # then products derived from heights computed afresh
+            for i in range(rank + 1):
+                check(G, G.rmul(w, i))
+    assert len(set(made)) == len(words) and len(short) > rank
 
 
 def per_budget_roots(ard, bound):
