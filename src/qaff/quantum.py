@@ -61,7 +61,7 @@ ring, a :class:`FiniteQRing` with ``nq = n`` built once per :class:`QuantumAff`,
 on the same group and ``nq`` as :class:`OrdinaryQH`, which takes its classes.
 The multiplication table of the ``table`` command and its cost guard, ``check_table_cap``, are
 :mod:`qaff.cli`'s; the cross-checks that only ``verify`` and the tests run,
-``verify_fw_chevalley`` and ``poincare_pairing``, are :mod:`qaff.verify`'s.
+``verify_fw_chevalley`` among them, are :mod:`qaff.verify`'s.
 """
 
 from __future__ import annotations

@@ -10,10 +10,11 @@ cross-checks are second routes to what the run-time code computes:
   :meth:`~qaff.affine.AffineCoh.lambda_op` and its quantum-cover length condition;
 * ``verify_fw_chevalley`` — ``lambda_bar`` at ``q0 = 0`` against the finite-root
   quantum Chevalley rule of :class:`~qaff.quantum.OrdinaryQH`;
-* ``poincare_pairing`` — the Schubert duality pairing, which the Frobenius
-  suite reads;
 * ``posir_reconstruct`` — the Chevalley roots rebuilt by upward closure,
   without the ``2 ht - 1`` criterion.
+
+The Frobenius suite reads each Poincare pairing as one coefficient of a product,
+through ``schubert_duals``.
 
 Only ``qaff verify`` (inside :func:`qaff.cli.cmd_verify`) and the tests import
 this module, so no other run compiles it.
@@ -22,6 +23,7 @@ this module, so no other run compiles it.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product as iproduct
 
 from . import toda
@@ -33,7 +35,7 @@ from .neighborhoods import curve_neighborhood, neighborhood_by_search
 from .polynomials import Poly, QClass
 from .quantum import QuantumAff, ordinary_qh, quantum_aff
 from .roots import AffineRoot
-from .weyl import AffineWeylGroup, affine_weyl, finite_weyl
+from .weyl import AffineWeylGroup, FiniteWeyl, affine_weyl, finite_weyl
 
 
 # -- the cross-checks -----------------------------------------------------------------
@@ -54,16 +56,11 @@ def lambda_op_by_words(calc: AffineCoh, i: int, a: QClass) -> QClass:
     return out
 
 
-def poincare_pairing(ring: QuantumAff, a: QClass, b: QClass) -> Poly:
-    """Q[q]-extension of the Schubert duality pairing <s_u, s_{w0 u}> = 1."""
-    ring.check_classes(a, b)
-    total = Poly.zero(ring.nq)
-    FW = ring.FW
-    for u, c in a.terms.items():
-        d = b.terms.get(FW.mul(FW.w0, u))
-        if d is not None:
-            total = total + c * d
-    return total
+def schubert_duals(FW: FiniteWeyl) -> list[int]:
+    """The id of ``w0 w`` per ``w``, ``w0`` times the letters of ``word[w]``.  The pairing
+    ``<sigma_u, sigma_v>`` is 1 when ``v = w0 u`` and 0 otherwise, so, extended
+    ``Q[q]``-linearly, ``<a, sigma_w>`` is the coefficient of ``sigma_{w0 w}`` in ``a``."""
+    return [reduce(lambda x, i: FW.rmul[i][x], FW.word[w], FW.w0) for w in FW.elements]
 
 
 def verify_fw_chevalley(ring: QuantumAff) -> dict:
@@ -168,12 +165,11 @@ def _suite_commutativity(letter: str, rank: int, report) -> None:
 def _suite_frobenius(letter: str, rank: int, report) -> None:
     ring = quantum_aff(letter, rank)
     elts = ring.FW.elements
-    cache = {(u, v): ring.star(ring.basis(u), ring.basis(v)) for u in elts for v in elts}
-    ok = all(
-        poincare_pairing(ring, cache[(u, v)], ring.basis(w))
-        == poincare_pairing(ring, ring.basis(u), cache[(v, w)])
-        for u in elts for v in elts for w in elts
-    )
+    duals = schubert_duals(ring.FW)
+    # <u * v, w> is the coefficient of sigma_{w0 w} in u * v, <u, v * w> that of sigma_{w0 u}
+    terms = {(u, v): ring.star(ring.basis(u), ring.basis(v)).terms for u in elts for v in elts}
+    ok = all(terms[u, v].get(duals[w]) == terms[v, w].get(duals[u])
+             for u in elts for v in elts for w in elts)
     report("Frobenius pairing symmetric on all Schubert triples", ok)
     # star lifts the shorter factor, so compare the two lift routes, not star both ways
     sym = all(ring.lift_apply(u, ring.basis(v)) == ring.lift_apply(v, ring.basis(u))

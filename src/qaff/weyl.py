@@ -480,7 +480,7 @@ class FiniteWeyl:
 
     :class:`FinW` is the boundary form: ``perm[w]`` is element w's permutation
     of the roots and ``index`` maps a permutation back to its id, which
-    :meth:`element`, :meth:`id_of` and the general product :meth:`mul` use.
+    :meth:`element` and :meth:`id_of` use.
     """
 
     def __init__(self, rs: RootSystem):
@@ -534,10 +534,6 @@ class FiniteWeyl:
 
     def id_of(self, x: FinW) -> int:
         return self.index[x.perm]
-
-    def mul(self, u: int, v: int) -> int:
-        """The id of ``u v``, by composing permutations; for cold paths."""
-        return self.index[itemgetter(*self.perm[v])(self.perm[u])]
 
     def covers(self, w: int) -> list[tuple[int, int]]:
         """``[(u, b)]`` with ``u = w s_beta`` and ``len(u) = len(w) + 1``, where

@@ -25,7 +25,7 @@ from qaff.divisor_ring import (
 from qaff.polynomials import Poly, QClass
 from qaff.quantum import OrdinaryQH, RowClass, quantum_aff
 from qaff.roots import affinize
-from qaff.verify import lambda_op_by_words, poincare_pairing
+from qaff.verify import lambda_op_by_words
 from qaff.weyl import AffineWeylGroup, affine_weyl
 
 FOREIGN = "a class on {} in {} q-variables is not a class of this ring, on {} in {}"
@@ -205,7 +205,6 @@ def test_quantum_and_ordinary_rings_refuse_each_others_classes():
     refused(into_r, R.lambda_bar, 1, theirs)
     refused(into_r, R.lift_apply, w, theirs)
     refused(into_r, R.specialize_q0, theirs)
-    refused(into_r, poincare_pairing, R, mine, theirs)
     refused(into_o, O.star, O.unit(), mine)
     refused(into_o, O.chevalley, 1, mine)
     refused(into_o, O.chevalley_classical, 1, mine)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from qaff import cli, toda
+from qaff import cli, toda, verify
 from qaff.bgg import FiniteSchubert
 from qaff.cli import main
 from qaff.quantum import QuantumAff
@@ -359,6 +359,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--type", typ, "--suite", "intertwining")
         assert code == 0
         assert "1 passed, 0 failed" in out
+
+    def test_planted_asymmetry_fails_the_frobenius_line(self, capsys, monkeypatch):
+        # a fresh ring whose row of sigma_s1 * sigma_s2 has one coefficient doubled, so
+        # <s1 * s2, w> and <s1, s2 * w> differ where sigma_{w0 w} is that term
+        ring = QuantumAff("A", 2)
+        s1, s2 = ring.FW.gens
+        row = ring._lift_apply_basis(s1, s2)
+        ring._lift_img[s1 * ring._order + s2] = [(row[0][0], 2 * row[0][1])] + row[1:]
+        monkeypatch.setattr(verify, "quantum_aff", lambda letter, rank: ring)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "frobenius")
+        assert code == 1
+        assert "  FAIL Frobenius pairing symmetric on all Schubert triples\n" in out
 
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:

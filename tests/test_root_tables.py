@@ -248,7 +248,7 @@ def test_finite_products_actions_inverses_match_oracle(letter, rank):
     def both(word):
         w, o = fw.identity, oracle_identity(rank)
         for i in word:
-            w, o = fw.mul(w, fw.gens[i]), o * gens[i]
+            w, o = fw.rmul[i][w], o * gens[i]
         return fw.element(w), o
 
     words = _words(rng, range(rank), 24, 2 * rs.num_positive)

@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from functools import reduce
 from math import prod
 
 import pytest
@@ -10,6 +11,7 @@ from cover_oracles import short_reflections
 from qaff import roots
 from qaff.cli import check_table_cap
 from qaff.roots import _check_lie_type, affinize, build_root_system
+from qaff.verify import schubert_duals
 from qaff.weyl import (
     FiniteWeyl,
     affine_weyl,
@@ -70,10 +72,10 @@ def test_finite_words_are_reduced():
     for w in fw.elements:
         word = fw.word[w]
         assert len(word) == fw.length[w]
-        rebuilt = fw.identity
+        rebuilt = fw.element(fw.identity)
         for i in word:
-            rebuilt = fw.mul(rebuilt, fw.gens[i])
-        assert rebuilt == w
+            rebuilt = rebuilt * fw.element(fw.gens[i])
+        assert fw.id_of(rebuilt) == w
 
 
 def test_finite_parse_format_roundtrip():
@@ -146,16 +148,16 @@ def test_both_groups_parse_words_as_the_regex_route(text):
         with pytest.raises(ValueError, match=f"^generator index {first} is not in 1[.][.]3$"):
             fw.parse(text)
     else:
-        want = fw.identity
+        want = fw.element(fw.identity)
         for i in word:
-            want = fw.mul(want, fw.gens[i - 1])
-        assert fw.parse(text) == want
+            want = want * fw.element(fw.gens[i - 1])
+        assert fw.parse(text) == fw.id_of(want)
 
 
 def test_longest_element():
     fw = finite_weyl("A", 3)
     assert fw.length[fw.w0] == 6
-    assert fw.mul(fw.w0, fw.w0) == fw.identity
+    assert fw.element(fw.w0) * fw.element(fw.w0) == fw.element(fw.identity)
     # w0 sends every positive root to a negative one
     for beta in fw.rs.positive_roots:
         img = root(fw.rs.table, fw.element(fw.w0), beta)
@@ -292,8 +294,8 @@ ID_TYPES = [
 
 @pytest.mark.parametrize("letter,rank", ID_TYPES)
 def test_finite_ids_match_permutation_composition(letter, rank):
-    """The generator table, ``mul``, the cover rows, ``length``, ``word``, ``w0``
-    and ``by_length`` against ``FinW`` products of the ids' permutations."""
+    """The generator table (alone and along words), the cover rows, ``length``,
+    ``word``, ``w0`` and ``by_length`` against ``FinW`` products of the ids' permutations."""
     rs = build_root_system(letter, rank)
     fw = finite_weyl(letter, rank)
     npos = rs.num_positive
@@ -328,7 +330,20 @@ def test_finite_ids_match_permutation_composition(letter, rank):
     rng = random.Random(f"ids/{letter}{rank}")
     for _ in range(200):
         u, v = rng.randrange(len(fw)), rng.randrange(len(fw))
-        assert fw.mul(u, v) == id_of(elts[u] * elts[v])
+        assert reduce(lambda x, i: fw.rmul[i][x], fw.word[v], u) == id_of(elts[u] * elts[v])
+
+
+@pytest.mark.parametrize("letter,rank", ID_TYPES)
+def test_schubert_duals_are_w0_times_w(letter, rank):
+    """The dual map the Frobenius suite reads the pairing through: an involution onto
+    the complementary length, equal to ``w0 w`` composed as ``FinW`` permutations."""
+    fw = finite_weyl(letter, rank)
+    duals = schubert_duals(fw)
+    w0 = fw.element(fw.w0)
+    top = fw.length[fw.w0]
+    assert [duals[duals[w]] for w in fw.elements] == list(fw.elements)
+    assert all(fw.length[duals[w]] == top - fw.length[w] for w in fw.elements)
+    assert duals == [fw.id_of(w0 * fw.element(w)) for w in fw.elements]
 
 
 # -- the numbered affine group against AffW composition -----------------------------
