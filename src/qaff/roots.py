@@ -45,8 +45,14 @@ _MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 _FIXED_RANK = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 
+@lru_cache(maxsize=64)
 def parse_lie_type(s: str) -> tuple[str, int]:
     """Parse a label like ``"B3"`` into ``("B", 3)``, refusing one that names no type.
+
+    An accepted label is kept (at most 64, least recently used out), so a session
+    that names its type on every query reads each label once.  A refused one is
+    never kept: ``lru_cache`` stores no exception, so it raises the same
+    ``ValueError`` on every call.
 
     >>> parse_lie_type("G2")
     ('G', 2)

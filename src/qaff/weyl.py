@@ -124,6 +124,23 @@ def check_element_ids(group: AffineWeylGroup | FiniteWeyl, ids):
     return ids
 
 
+def parse_element(group: AffineWeylGroup | FiniteWeyl, text: str) -> int:
+    """The id of the word ``text`` (``"s0s2s1"``, or ``"e"``), as the ``parse`` of both
+    groups; words need not be reduced.  ``_parse_word`` checks each letter against
+    ``group.first_letter..group.n``, so ``group._walk`` checks none again.
+
+    The text is kept when it is ``format(w)``, the one canonical spelling of its
+    element, so the memo (``group._parsed``) holds at most one text per element and
+    never a refused one.  Any other spelling (``s0s0``, a blank, a non-reduced word)
+    is parsed every time."""
+    w = group._parsed.get(text)
+    if w is None:
+        w = group._walk(_parse_word(text, group.first_letter, group.n))
+        if text == group.format(w):
+            group._parsed[text] = w
+    return w
+
+
 class AffineWeylGroup:
     """Calculator for one affine Weyl group, on int ids; owns the caches.
 
@@ -176,6 +193,7 @@ class AffineWeylGroup:
         # s_i(gamma) per root gamma met by bruhat_covers_up, one dict per i
         self._reflected: list[dict[AffineRoot, AffineRoot]] = [{} for _ in range(self.n + 1)]
         self._word_memo: dict[int, tuple[int, ...]] = {}
+        self._parsed: dict[str, int] = {}  # format(w) -> w, once parsed
         # the elements of each length met so far by enumerate_up_to, and their union
         self._layers: list[list[int]] = [[self.identity]]
         self._layer_seen: set[int] = {self.identity}
@@ -314,9 +332,13 @@ class AffineWeylGroup:
         return word
 
     def from_word(self, word: list[int] | tuple[int, ...]) -> int:
+        return self._walk(map(self.ard.affine_index, word))
+
+    def _walk(self, word) -> int:
+        """``e s_{i1} s_{i2} ...`` along ``word``, whose letters are already checked."""
         w = self.identity
         for i in word:
-            w = self.rmul(w, self.ard.affine_index(i))
+            w = self.rmul(w, i)
         return w
 
     # -- Bruhat order ------------------------------------------------------------
@@ -444,13 +466,8 @@ class AffineWeylGroup:
 
     # -- formatting --------------------------------------------------------------
 
-    def parse(self, text: str) -> int:
-        """Parse ``"s0s2s1"`` (or ``"e"``) into an element; words need not be reduced.
-        ``_parse_word`` checks each letter, so none is checked again."""
-        w = self.identity
-        for i in _parse_word(text, 0, self.n):
-            w = self.rmul(w, i)
-        return w
+    first_letter = 0
+    parse = parse_element
 
     def format(self, w: int) -> str:
         word = self.reduced_word(w)
@@ -569,16 +586,14 @@ class FiniteWeyl:
         word = self.word[w]
         return "".join(f"s{i + 1}" for i in word) if word else "e"
 
-    def parse(self, text: str) -> int:
-        """The id of the word ``text``.  It is kept when ``text`` is ``format(w)``, so
-        the memo holds at most ``|W|`` entries and never a text that was refused."""
-        w = self._parsed.get(text)
-        if w is None:
-            w = self.identity
-            for i in _parse_word(text, 1, self.n):
-                w = self.rmul[i - 1][w]
-            if text == self.format(w):
-                self._parsed[text] = w
+    first_letter = 1
+    parse = parse_element
+
+    def _walk(self, word) -> int:
+        """``e s_{i1} s_{i2} ...`` along ``word``, whose letters are already checked."""
+        w = self.identity
+        for i in word:
+            w = self.rmul[i - 1][w]
         return w
 
 

@@ -372,6 +372,21 @@ class TestVerify:
         assert code == 1
         assert "  FAIL Frobenius pairing symmetric on all Schubert triples\n" in out
 
+    def test_planted_error_on_a_tie_row_fails_the_frobenius_line(self, capsys, monkeypatch):
+        # s1 and s2 tie in length, so sigma_s1 * sigma_s2 lifts s1 and sigma_s2 * sigma_s1
+        # lifts s2: doubling the coefficient of sigma_{w0 s1} in the first row makes
+        # <s1 * s2, s1> differ from <s1, s2 * s1>, which reads the second
+        ring = QuantumAff("A", 2)
+        s1, s2 = ring.FW.gens
+        dual = verify.schubert_duals(ring.FW)[s1] << ring._shift
+        row = ring._lift_apply_basis(s1, s2)
+        assert dual in dict(row)
+        ring._lift_img[s1 * ring._order + s2] = [(k, 2 * c if k == dual else c) for k, c in row]
+        monkeypatch.setattr(verify, "quantum_aff", lambda letter, rank: ring)
+        code, out, _ = run(capsys, "verify", "--type", "A2", "--suite", "frobenius")
+        assert code == 1
+        assert "  FAIL Frobenius pairing symmetric on all Schubert triples\n" in out
+
     def test_unknown_suite(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--type", "A1", "--suite", "nope"])

@@ -71,6 +71,28 @@ def test_rank_is_ascii_decimal_digits(label):
         parse_lie_type(label)
 
 
+# every label refused by the two tests above
+@pytest.mark.parametrize("label", ["H3", "A0", "B1", "E9", "F5", "", "A", "A1_0", "A+2", " A+2",
+                                   "B\u0663", "A\uff13", "A 2", "A-1", "A2.0"])
+def test_a_refused_label_is_never_kept(label):
+    messages = []
+    for _ in range(2):
+        kept = parse_lie_type.cache_info().currsize
+        with pytest.raises(ValueError) as refused:
+            parse_lie_type(label)
+        assert parse_lie_type.cache_info().currsize == kept
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+def test_an_accepted_label_is_kept():
+    first = parse_lie_type(" b3")
+    hits = parse_lie_type.cache_info().hits
+    assert parse_lie_type(" b3") == first == ("B", 3)
+    assert parse_lie_type.cache_info().hits == hits + 1
+    assert parse_lie_type.cache_info().maxsize is not None  # bounded
+
+
 @pytest.mark.parametrize("letter,rank", [
     ("A2", 2), ("a", 2), ("", 2), (None, 2), ("H", 3),
     ("A", "2"), ("A", 2.0), ("A", True), ("B", 1), ("D", 2), ("E", 9), ("F", 5),

@@ -13,6 +13,7 @@ from qaff.cli import check_table_cap
 from qaff.roots import _check_lie_type, affinize, build_root_system
 from qaff.verify import schubert_duals
 from qaff.weyl import (
+    AffineWeylGroup,
     FiniteWeyl,
     affine_weyl,
     finite_identity,
@@ -90,26 +91,45 @@ def test_finite_parse_format_roundtrip():
         fw.parse("x1")
 
 
-def test_finite_parse_keeps_only_canonical_words():
-    fw = FiniteWeyl(build_root_system("A", 2))  # a fresh group, so its memo starts empty
-    w0 = fw.w0
-    assert fw.format(w0) == "s1s2s1"
-    assert fw.parse("s1s1") == fw.identity
-    assert fw.parse("s2s1s2") == w0
+def _fresh_a2(kind):
+    """A fresh A2 group, so its memo starts empty, and elements it can spell: all of
+    the finite group, the affine group's up to length 3."""
+    if kind == "finite":
+        group = FiniteWeyl(build_root_system("A", 2))
+        return group, list(group.elements)
+    group = AffineWeylGroup(affinize("A", 2))
+    return group, [w for layer in group.enumerate_up_to(3).values() for w in layer]
+
+
+@pytest.mark.parametrize("kind", ["finite", "affine"])
+def test_parse_keeps_only_canonical_words(kind):
+    group, elements = _fresh_a2(kind)
+    w0 = group._walk([1, 2, 1])
+    assert group.format(w0) == "s1s2s1"
+    assert group.parse("s1s1") == group.identity
+    assert group.parse("s2s1s2") == w0
     for text in (" s1", "1", "", "s1s2s1s2s2"):
-        fw.parse(text)
-    assert fw._parsed == {}  # no text above is the format of its element
-    assert fw.parse("s1s2s1") == w0 and fw._parsed == {"s1s2s1": w0}
+        group.parse(text)
+    assert group._parsed == {}  # no text above is the format of its element
+    assert group.parse("s1s2s1") == w0 and group._parsed == {"s1s2s1": w0}
     for _ in range(3):
-        for w in fw.elements:
-            assert fw.parse(fw.format(w)) == w
-            assert fw.parse("".join(f"s{i + 1}" for i in fw.word[w]) + "s1s1") == w
-        assert fw._parsed == {fw.format(w): w for w in fw.elements}
-    for text in ("s3", "s0", "x1", "s1s"):
-        for _ in range(2):  # a refused text is never kept, so it is refused again
-            with pytest.raises(ValueError):
-                fw.parse(text)
-    assert len(fw._parsed) == len(fw)
+        for w in elements:
+            text = group.format(w)
+            assert group.parse(text) == w
+            assert group.parse(("" if w == group.identity else text) + "s1s1") == w
+        assert group._parsed == {group.format(w): w for w in elements}
+    # the ids are the ones a walk along the letters makes, with no memo
+    for text, w in group._parsed.items():
+        assert group._walk(int(x) for x in text.split("s")[1:]) == w
+    refused = ("s3", f"s{group.first_letter - 1}", "x1", "s1s")
+    for text in refused:
+        with pytest.raises(ValueError) as first:
+            group.parse(text)
+        with pytest.raises(ValueError) as again:  # a refused text is never kept
+            group.parse(text)
+        assert str(again.value) == str(first.value)
+    assert len(group._parsed) == len(set(group._parsed.values())) == len(elements)
+    assert not set(refused) & set(group._parsed)
 
 
 def _regex_word(text):
